@@ -26,4 +26,4 @@ pub mod tridiag;
 pub mod workflow;
 pub mod zoo;
 
-pub use workflow::{CaseError, CaseOpts, CaseRun, CaseStudy, TraceMode};
+pub use workflow::{CaseError, CaseRun, CaseStudy, TraceMode};

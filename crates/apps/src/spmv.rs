@@ -534,7 +534,7 @@ pub fn case(m: &BlockSparse, format: Format, texture: bool) -> CaseStudy {
         params,
         gmem,
         regions,
-        TraceMode::PerBlock,
+        TraceMode::Auto,
         flops,
         Some(Box::new(verify)),
     )

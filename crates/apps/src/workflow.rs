@@ -1,18 +1,14 @@
 //! The shared case-study driver: the paper's Figure 1 workflow end to end.
 //!
-//! Two layers live here:
-//!
-//! * [`run_case`] — the raw pipeline for one kernel launch (functional
-//!   simulation → info extraction → model analysis → timing measurement);
-//! * [`CaseStudy`] + [`run_study`] — a *portable description* of one
-//!   prepared case study (kernel, launch, device memory image, regions,
-//!   canonical trace mode, verification oracle). The per-application
-//!   `case()` constructors ([`crate::matmul::case`],
-//!   [`crate::tridiag::case`], [`crate::spmv::case`]) build these, and
-//!   both the in-crate `run`/`run_with_threads` drivers and the
-//!   `gpa-service` `Analyzer` execute them through the same code path, so
-//!   a service request and a direct driver call produce bit-identical
-//!   results.
+//! A [`CaseStudy`] is a *portable description* of one prepared case study
+//! (kernel, launch, device memory image, regions, declared trace mode,
+//! verification oracle), and [`run_study`] runs it: functional simulation
+//! → info extraction → model analysis → timing measurement. The
+//! per-application `case()` constructors ([`crate::matmul::case`],
+//! [`crate::tridiag::case`], [`crate::spmv::case`]) build these, and both
+//! the in-crate `run`/`run_with_threads` drivers and the `gpa-service`
+//! `Analyzer` execute them through the same code path, so a service
+//! request and a direct driver call produce bit-identical results.
 
 use gpa_core::{extract, Analysis, InputError, Model, ModelInput};
 use gpa_hw::Machine;
@@ -24,86 +20,27 @@ use gpa_sim::{
 use std::fmt;
 use std::sync::Arc;
 
-/// How timing traces are obtained.
+/// How timing traces are obtained. The kernel declares it
+/// ([`CaseStudy::mode`]); requests cannot override it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// All blocks behave identically (same instruction stream, conflict
-    /// degrees, and transaction shapes): trace block 0 once and simulate
-    /// only the most-loaded cluster. Exact for homogeneous grids and far
-    /// cheaper.
+    /// degrees, and transaction shapes) by construction: trace block 0
+    /// once and simulate only the most-loaded cluster. Only kernels that
+    /// guarantee uniformity may declare it (matmul, tridiag); it skips
+    /// tracing the other blocks, which keeps peak memory at one block's
+    /// trace.
     Homogeneous,
-    /// Trace every block (data-dependent kernels, texture-cached gathers).
-    PerBlock,
-    /// Detect per-block divergence instead of assuming either answer:
-    /// trace every block once, and when all traces are pairwise
-    /// shape-equal ([`gpa_sim::BlockTrace::shape_eq`]) time the grid
-    /// from block 0's trace exactly as [`TraceMode::Homogeneous`] would;
-    /// otherwise fall back to [`TraceMode::PerBlock`]. Texture-cached
-    /// kernels always take the per-block path (replay consults real
-    /// addresses, which shape equality deliberately ignores). This is
-    /// the safe default for kernels whose behavior is not known ahead
-    /// of time — wire-submitted custom kernels use it.
+    /// Detect per-block divergence instead of assuming it away: trace
+    /// every block once, and when all traces are pairwise shape-equal
+    /// ([`gpa_sim::BlockTrace::shape_eq`]) time the grid from block 0's
+    /// trace exactly as [`TraceMode::Homogeneous`] would; otherwise
+    /// replay every block's own trace. Texture-cached kernels always take
+    /// the per-block replay (it consults real addresses, which shape
+    /// equality deliberately ignores). Every kernel whose behavior is not
+    /// known ahead of time uses it — SpMV, the zoo, and wire-submitted
+    /// custom kernels.
     Auto,
-}
-
-/// Options for [`run_case`]: how traces are obtained, how many worker
-/// threads the simulation engine shards blocks across, and the optional
-/// fuel budget.
-///
-/// `From<TraceMode>` keeps the common call sites terse:
-/// `run_case(…, TraceMode::Homogeneous)` runs with the default options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CaseOpts {
-    /// Trace acquisition strategy.
-    pub mode: TraceMode,
-    /// Worker threads for block execution. Results are bit-identical for
-    /// every selection (see [`gpa_sim::engine::SimEngine`]), so the
-    /// default is [`Threads::Auto`].
-    pub threads: Threads,
-    /// Warp-instruction fuel budget (runaway-loop guard); `None` keeps
-    /// the simulator's default. **Accounting granularity depends on
-    /// threading**: a sequential run spends one budget across the whole
-    /// grid, a sharded run one budget *per shard* — a grid that exhausts
-    /// fuel sequentially may complete in parallel, never the reverse for
-    /// per-block-affordable kernels (see [`gpa_sim::engine`]).
-    pub fuel: Option<u64>,
-}
-
-impl CaseOpts {
-    /// Options with an explicit thread selection (plain `usize` counts
-    /// convert: `0` = auto, `n` = exactly `n` workers).
-    pub fn new(mode: TraceMode, threads: impl Into<Threads>) -> CaseOpts {
-        CaseOpts {
-            mode,
-            threads: threads.into(),
-            fuel: None,
-        }
-    }
-
-    /// The same options with an explicit fuel budget.
-    pub fn with_fuel(mut self, fuel: u64) -> CaseOpts {
-        self.fuel = Some(fuel);
-        self
-    }
-}
-
-impl Default for CaseOpts {
-    fn default() -> Self {
-        CaseOpts {
-            mode: TraceMode::Homogeneous,
-            threads: Threads::Auto,
-            fuel: None,
-        }
-    }
-}
-
-impl From<TraceMode> for CaseOpts {
-    fn from(mode: TraceMode) -> CaseOpts {
-        CaseOpts {
-            mode,
-            ..CaseOpts::default()
-        }
-    }
 }
 
 /// Why a case run failed: the simulation itself, or assembling the
@@ -233,7 +170,8 @@ pub struct CaseStudy {
     pub gmem: GlobalMemory,
     /// Named regions for traffic attribution (and texture binding).
     pub regions: Vec<Region>,
-    /// The case's canonical trace mode (callers may override).
+    /// The trace mode the kernel declares: [`TraceMode::Homogeneous`]
+    /// only when every block is identical by construction.
     pub mode: TraceMode,
     /// Floating-point operations of the workload (`0` = not meaningful).
     pub flops: u64,
@@ -285,8 +223,8 @@ impl CaseStudy {
     /// An ad-hoc study around an arbitrary kernel: no verification oracle
     /// and no declared flop count (`flops: 0`, so consumers fall back to
     /// the simulator's dynamic count). This is how wire-built kernels —
-    /// `gpa-service`'s `KernelSpec::Custom` and its `analyze_kernel`
-    /// shim — enter the same [`run_study`] path as the case studies.
+    /// `gpa-service`'s `KernelSpec::Custom` — enter the same
+    /// [`run_study`] path as the case studies.
     pub fn adhoc(
         kernel: Kernel,
         launch: LaunchConfig,
@@ -327,14 +265,23 @@ impl CaseStudy {
     }
 }
 
-/// Run the full workflow for one prepared [`CaseStudy`]: the study's
-/// canonical trace mode with `threads`/`fuel` from `opts` (the study's
-/// memory image is mutated in place, so [`CaseStudy::check`] can verify
-/// afterwards).
+/// Run the full workflow for one prepared [`CaseStudy`] with the study's
+/// declared trace mode.
+///
+/// The functional simulation runs every block (verifying memory safety and
+/// mutating the study's memory image in place, so [`CaseStudy::check`] can
+/// verify afterwards). `threads` shards both block execution and the
+/// timing replay; results are bit-identical for every selection. `fuel`
+/// is the warp-instruction budget (runaway-loop guard; `None` keeps the
+/// simulator's default). **Accounting granularity depends on threading**:
+/// a sequential run spends one budget across the whole grid, a sharded run
+/// one budget *per shard* — a grid that exhausts fuel sequentially may
+/// complete in parallel, never the reverse for per-block-affordable
+/// kernels (see [`gpa_sim::engine`]).
 ///
 /// # Errors
 ///
-/// Propagates simulation and info-extraction errors.
+/// Propagates functional-simulation errors and info-extraction errors.
 pub fn run_study(
     machine: &Machine,
     model: &mut Model<'_>,
@@ -342,55 +289,22 @@ pub fn run_study(
     threads: Threads,
     fuel: Option<u64>,
 ) -> Result<CaseRun, CaseError> {
-    let opts = CaseOpts {
-        mode: study.mode,
-        threads,
-        fuel,
-    };
-    run_case(
-        machine,
-        model,
-        &study.kernel,
-        study.launch,
-        &study.params,
-        &mut study.gmem,
-        &study.regions,
-        opts,
-    )
-}
-
-/// Run the full workflow for one kernel launch.
-///
-/// The functional simulation runs every block (verifying memory safety and
-/// producing `gmem` side effects callers can check against references);
-/// trace acquisition, block-level parallelism, and the fuel budget follow
-/// `opts` — pass a bare [`TraceMode`] for the defaults, or a [`CaseOpts`]
-/// to pick them explicitly. Results are bit-identical for every thread
-/// selection.
-///
-/// # Errors
-///
-/// Propagates functional-simulation errors and info-extraction errors.
-// One argument per pipeline stage input; bundling them into a struct would
-// just move the same list into a builder at every call site.
-#[allow(clippy::too_many_arguments)]
-pub fn run_case(
-    machine: &Machine,
-    model: &mut Model<'_>,
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-    regions: &[Region],
-    opts: impl Into<CaseOpts>,
-) -> Result<CaseRun, CaseError> {
-    let opts = opts.into();
+    let CaseStudy {
+        kernel,
+        launch,
+        params,
+        gmem,
+        regions,
+        mode,
+        ..
+    } = study;
+    let launch = *launch;
     let configure = |sim: &mut FunctionalSim<'_>| {
-        sim.set_params(params).set_threads(opts.threads);
-        if let Some(fuel) = opts.fuel {
+        sim.set_params(params).set_threads(threads);
+        if let Some(fuel) = fuel {
             sim.set_fuel(fuel);
         }
-        for r in regions {
+        for r in regions.iter() {
             if r.texture {
                 sim.add_texture_region(r.name.clone(), r.base, r.len);
             } else {
@@ -401,20 +315,20 @@ pub fn run_case(
 
     let mut timing = TimingSim::new(machine);
     // The same worker selection drives both phases: block execution in the
-    // functional pass and cluster replay in the timing pass (the uniform
-    // Homogeneous mode replays one cluster, so it stays single-worker
-    // regardless).
-    timing.set_threads(opts.threads);
+    // functional pass and cluster replay in the timing pass (a uniform
+    // grid replays one cluster, so it stays single-worker regardless).
+    timing.set_threads(threads);
     let tex: Vec<(u64, u64)> = regions
         .iter()
         .filter(|r| r.texture)
         .map(|r| (r.base, r.len))
         .collect();
-    if !tex.is_empty() {
+    let textured = !tex.is_empty();
+    if textured {
         timing.set_texture_regions(tex);
     }
 
-    let (timing_result, stats) = match opts.mode {
+    let (src, stats) = match mode {
         TraceMode::Homogeneous => {
             // Trace block 0 from a pristine copy of memory, then run the
             // functional pass (all blocks, real side effects) separately.
@@ -427,29 +341,11 @@ pub fn run_case(
                 .run_block(&mut trace_mem, 0, &mut scratch)?
                 .expect("trace collection enabled");
             timing.assume_uniform_clusters(true);
-            let mut src = TraceSource::Homogeneous(Arc::new(trace));
-            let t = timing.run(&mut src, &launch, kernel.resources);
-            // The replay is done with the trace: recycle its buffers for
-            // the next traced run (a no-op if anyone still holds it).
-            gpa_sim::trace_pool::reclaim(src);
 
             let mut func = FunctionalSim::new(machine, kernel, launch)?;
             configure(&mut func);
-            (t, func.run(gmem)?.stats)
-        }
-        TraceMode::PerBlock => {
-            // One engine pass produces the statistics, the per-block
-            // traces (batched per shard when sharded), and the gmem side
-            // effects all at once.
-            let mut func = FunctionalSim::new(machine, kernel, launch)?;
-            configure(&mut func);
-            func.collect_traces(true);
-            let out = func.run(gmem)?;
-            let traces = out.traces.expect("trace collection enabled");
-            let mut src = TraceSource::from_blocks(traces);
-            let t = timing.run(&mut src, &launch, kernel.resources);
-            gpa_sim::trace_pool::reclaim(src);
-            (t, out.stats)
+            let stats = func.run(gmem)?.stats;
+            (TraceSource::Homogeneous(Arc::new(trace)), stats)
         }
         TraceMode::Auto => {
             // One traced pass answers both questions at once: the
@@ -460,9 +356,8 @@ pub fn run_case(
             func.collect_traces(true);
             let out = func.run(gmem)?;
             let mut traces = out.traces.expect("trace collection enabled");
-            let uniform = !regions.iter().any(|r| r.texture)
-                && traces.windows(2).all(|w| w[0].shape_eq(&w[1]));
-            let mut src = if uniform {
+            let uniform = !textured && traces.windows(2).all(|w| w[0].shape_eq(&w[1]));
+            let src = if uniform {
                 // Block 0 executes against pre-launch memory in every
                 // engine configuration, so its trace here is exactly
                 // the trace the Homogeneous arm collects — this branch
@@ -477,11 +372,13 @@ pub fn run_case(
             } else {
                 TraceSource::from_blocks(traces)
             };
-            let t = timing.run(&mut src, &launch, kernel.resources);
-            gpa_sim::trace_pool::reclaim(src);
-            (t, out.stats)
+            (src, out.stats)
         }
     };
+    let timing_result = timing.run(&src, &launch, kernel.resources);
+    // The replay is done with the traces: recycle their buffers for the
+    // next traced run (a no-op if anyone still holds them).
+    gpa_sim::trace_pool::reclaim(src);
 
     let input = extract(machine, &kernel.name, launch, kernel.resources, stats)?;
     let analysis = model.analyze(&input);
@@ -534,5 +431,47 @@ mod tests {
             gpa_sim::trace_pool::reuses() > before,
             "a repeated traced run must recycle at least one buffer"
         );
+    }
+
+    /// Matmul and tridiag declare the block-0 path because their blocks
+    /// are identical by construction. Every built-in size of both, on
+    /// every Table 3 SKU, must answer bit-equal under `Auto` — which
+    /// traces every block and replays block 0 only if all are
+    /// shape-equal — so an edit that makes a declared case divergent
+    /// fails here instead of silently under-reporting.
+    #[test]
+    fn declared_block0_cases_are_uniform_under_auto() {
+        let mut builders: Vec<Box<dyn Fn() -> CaseStudy>> = Vec::new();
+        for n in [128, 256] {
+            for tile in crate::matmul::TILES {
+                builders.push(Box::new(move || crate::matmul::case(n, tile)));
+            }
+        }
+        for nsys in [128, 256] {
+            for padded in [true, false] {
+                let n = 2 * crate::tridiag::THREADS;
+                builders.push(Box::new(move || crate::tridiag::case(n, nsys, padded)));
+            }
+        }
+        for machine in Machine::paper_table3() {
+            let mut model = model(&machine);
+            for build in &builders {
+                let mut declared = build();
+                assert_eq!(declared.mode, TraceMode::Homogeneous, "{}", declared.label);
+                let mut auto = build();
+                auto.mode = TraceMode::Auto;
+                let a = run_study(&machine, &mut model, &mut declared, Threads::Auto, None);
+                let b = run_study(&machine, &mut model, &mut auto, Threads::Auto, None);
+                let (a, b) = (a.unwrap(), b.unwrap());
+                let what = format!("{} on {}", declared.label, machine.name);
+                assert_eq!(
+                    a.timing.cycles.to_bits(),
+                    b.timing.cycles.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(a.timing, b.timing, "{what}");
+                assert_eq!(a.analysis, b.analysis, "{what}");
+            }
+        }
     }
 }

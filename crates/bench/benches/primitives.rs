@@ -106,9 +106,9 @@ fn bench_timing_sim(c: &mut Criterion) {
         b.iter(|| {
             let mut timing = TimingSim::new(&machine);
             timing.assume_uniform_clusters(true);
-            let mut src = TraceSource::Homogeneous(Arc::clone(&trace));
+            let src = TraceSource::Homogeneous(Arc::clone(&trace));
             timing.run(
-                &mut src,
+                &src,
                 &LaunchConfig::new_2d((8, 2), (64, 1)),
                 KernelResources::new(30, 1088, 64),
             )

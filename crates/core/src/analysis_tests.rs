@@ -40,8 +40,8 @@ fn run_case(
     let traces: Vec<Arc<gpa_sim::BlockTrace>> =
         out.traces.unwrap().into_iter().map(Arc::new).collect();
     let timing = TimingSim::new(m);
-    let mut src = TraceSource::PerBlock(traces);
-    let measured = timing.run(&mut src, &launch, kernel.resources);
+    let src = TraceSource::PerBlock(traces);
+    let measured = timing.run(&src, &launch, kernel.resources);
     let input =
         crate::input::extract(m, &kernel.name, launch, kernel.resources, out.stats).unwrap();
     (input, measured.seconds)

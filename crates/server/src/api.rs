@@ -19,16 +19,19 @@
 //! request's `"calibration"` effort), the server calibrates once at
 //! startup. A request asking for *more* effort than the server
 //! calibrated with is refused (400, or an `{"error"}` element in a
-//! batch) rather than silently answered from coarser curves — so
-//! whenever the server's effort matches what `gpa-analyze` would use,
-//! accepted answers are **byte-identical** to `gpa-analyze` stdout.
+//! batch) rather than silently answered from coarser curves. That
+//! refusal is the route's admission rule for
+//! [`gpa_service::wire::answer`], the front door `gpa-analyze` answers
+//! through too — so whenever the server's effort matches what
+//! `gpa-analyze` would use, accepted answers are **byte-identical** to
+//! `gpa-analyze` stdout.
 
 use crate::http::{Request, Response};
 use crate::server::{Handler, RequestContext};
 use crate::telemetry::ServerTelemetry;
 use gpa_json::Value;
+use gpa_service::wire::{self, Answer};
 use gpa_service::{AnalysisRequest, Analyzer, Effort, ServiceError};
-use gpa_telemetry::{phase, PhaseSpan};
 use std::sync::Arc;
 
 /// The route table over a calibrated [`Analyzer`].
@@ -73,66 +76,16 @@ impl AnalyzeApi {
             Ok(t) => t,
             Err(e) => return Response::error(400, &e.message()),
         };
-        let doc = match Value::parse(text) {
-            Ok(v) => v,
-            Err(e) => return Response::error(400, &format!("malformed JSON: {e}")),
-        };
-        match &doc {
-            Value::Array(items) => {
-                let parsed: Result<Vec<AnalysisRequest>, _> =
-                    items.iter().map(AnalysisRequest::from_value).collect();
-                let reqs = match parsed {
-                    Ok(reqs) => reqs,
-                    Err(e) => return Response::error(400, &e.to_string()),
-                };
-                // Effort refusals become per-request errors; the rest go
-                // through the sharded batch path in request order.
-                let admitted: Vec<AnalysisRequest> = reqs
-                    .iter()
-                    .filter(|r| self.check_effort(r).is_ok())
-                    .cloned()
-                    .collect();
-                let mut answers = self.analyzer.analyze_batch(&admitted).into_iter();
-                // Batch answers mirror `gpa-analyze`: healthy reports in
-                // request order, failures degraded to `{"error"}`
-                // elements — the transport never hides partial success.
-                let _span = PhaseSpan::start(phase::SERIALIZE);
-                let items: Vec<Value> = reqs
-                    .iter()
-                    .map(|r| {
-                        let answer = match self.check_effort(r) {
-                            Ok(()) => answers.next().expect("one answer per admitted request"),
-                            Err(e) => Err(e),
-                        };
-                        match answer {
-                            Ok(report) => report.to_value(),
-                            Err(e) => {
-                                Value::Object(vec![("error".into(), Value::String(e.to_string()))])
-                            }
-                        }
-                    })
-                    .collect();
-                Response::json(200, Value::Array(items).to_string_pretty())
-            }
-            v => {
-                let request = match AnalysisRequest::from_value(v) {
-                    Ok(r) => r,
-                    Err(e) => return Response::error(400, &e.to_string()),
-                };
-                let answer = self
-                    .check_effort(&request)
-                    .and_then(|()| self.analyzer.analyze(&request));
-                match answer {
-                    Ok(report) => {
-                        let _span = PhaseSpan::start(phase::SERIALIZE);
-                        Response::json(200, report.to_json())
-                    }
-                    // Every analysis failure is something the request
-                    // asked for (unknown machine, out-of-range size,
-                    // failed verification): a client error, not a 500.
-                    Err(e) => Response::error(400, &e.to_string()),
-                }
-            }
+        let answer = wire::answer(text, |reqs| {
+            let verdicts = reqs.iter().map(|r| self.check_effort(r)).collect();
+            (&*self.analyzer, verdicts)
+        });
+        match answer {
+            Answer::Report(json) | Answer::Batch { json, .. } => Response::json(200, json),
+            // Every analysis failure is something the request asked for
+            // (malformed JSON, unknown machine, out-of-range size, failed
+            // verification): a client error, not a 500.
+            Answer::Refused(msg) => Response::error(400, &msg),
         }
     }
 

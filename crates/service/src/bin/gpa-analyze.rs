@@ -24,8 +24,8 @@
 //! batch, failed requests become `{"error": "..."}` elements so the
 //! healthy answers still come back; the exit code is 1 if any failed.
 
-use gpa_json::Value;
-use gpa_service::{find_builtin, AnalysisReport, AnalysisRequest, Analyzer, Effort, ServiceError};
+use gpa_service::wire::{self, Answer};
+use gpa_service::{find_builtin, AnalysisRequest, Analyzer, Effort, ServiceError};
 use gpa_telemetry::log::{self, Level, LogFormat};
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -111,91 +111,91 @@ fn main() -> ExitCode {
         eprintln!("gpa-analyze: choose one of --workload / --kernel-asm\n{USAGE}");
         return ExitCode::from(2);
     }
-    let (reqs, batch) = if let Some(req) = workload_request.or(asm_request) {
+    // The flag forms enter the front door as the wire request they stand
+    // for, so they answer byte-identically to it by construction.
+    let text = if let Some(req) = workload_request.or(asm_request) {
         if !args.is_empty() {
             eprintln!("gpa-analyze: --workload/--kernel-asm take no request file\n{USAGE}");
             return ExitCode::from(2);
         }
-        (vec![req], false)
+        req.to_json()
     } else {
-        let text = match read_input(&args) {
+        match read_input(&args) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("gpa-analyze: {e}");
                 return ExitCode::from(2);
             }
-        };
-
-        let doc = match Value::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("gpa-analyze: malformed JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-
-        match &doc {
-            Value::Array(items) => {
-                let parsed: Result<Vec<_>, _> =
-                    items.iter().map(AnalysisRequest::from_value).collect();
-                match parsed {
-                    Ok(reqs) => (reqs, true),
-                    Err(e) => {
-                        eprintln!("gpa-analyze: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            v => match AnalysisRequest::from_value(v) {
-                Ok(req) => (vec![req], false),
-                Err(e) => {
-                    eprintln!("gpa-analyze: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
         }
     };
 
-    // Resolve every selector against the built-in presets up front and
-    // rewrite it to the canonical machine name, so a request's answer
-    // never depends on which machines *other* requests caused to be
-    // calibrated (an ambiguous selector stays ambiguous in a batch).
-    let mut reqs = reqs;
-    let resolutions: Vec<Result<(), ServiceError>> = reqs
-        .iter_mut()
-        .map(|req| {
-            find_builtin(&req.machine).map(|machine| {
-                req.machine = machine.name.clone();
+    let answer = wire::answer(&text, |reqs| {
+        // Resolve every selector against the built-in presets up front and
+        // rewrite it to the canonical machine name, so a request's answer
+        // never depends on which machines *other* requests caused to be
+        // calibrated (an ambiguous selector stays ambiguous in a batch).
+        let verdicts: Vec<Result<(), ServiceError>> = reqs
+            .iter_mut()
+            .map(|req| {
+                find_builtin(&req.machine).map(|machine| {
+                    req.machine = machine.name;
+                })
             })
-        })
-        .collect();
-
-    // Calibrate each distinct machine once, at the highest effort any of
-    // its requests asks for (the expensive step; answers are cheap).
-    let mut analyzer = Analyzer::new();
-    let mut calibrated: Vec<(String, Effort)> = Vec::new();
-    for (req, resolution) in reqs.iter().zip(&resolutions) {
-        if resolution.is_err() {
-            continue;
+            .collect();
+        let analyzer = calibrate(reqs, &verdicts, cache_dir.as_ref(), report_cache);
+        (analyzer, verdicts)
+    });
+    match answer {
+        Answer::Report(json) => {
+            emit(&json);
+            ExitCode::SUCCESS
         }
+        Answer::Batch { json, failed } => {
+            emit(&json);
+            if failed {
+                ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
+            }
+        }
+        Answer::Refused(msg) => {
+            eprintln!("gpa-analyze: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// An analyzer for the resolved requests: each distinct machine
+/// calibrated once, at the highest effort any of its requests asks for
+/// (the expensive step; answers are cheap), through the curve cache in
+/// `cache_dir` when there is one.
+fn calibrate(
+    reqs: &[AnalysisRequest],
+    verdicts: &[Result<(), ServiceError>],
+    cache_dir: Option<&PathBuf>,
+    report_cache: bool,
+) -> Analyzer {
+    let mut calibrated: Vec<(&str, Effort)> = Vec::new();
+    for (req, _) in reqs.iter().zip(verdicts).filter(|(_, v)| v.is_ok()) {
         let effort = req.options.calibration;
         match calibrated.iter_mut().find(|(name, _)| *name == req.machine) {
             Some((_, have)) if *have >= effort => {}
             Some(entry) => entry.1 = effort,
-            None => calibrated.push((req.machine.clone(), effort)),
+            None => calibrated.push((&req.machine, effort)),
         }
     }
-    for (name, effort) in &calibrated {
+    let mut analyzer = Analyzer::new();
+    for (name, effort) in calibrated {
         let machine = find_builtin(name).expect("calibration list holds resolved names");
         log::info(
             "analyze",
             "calibrating",
             &[
-                ("machine", name.as_str().into()),
+                ("machine", name.into()),
                 ("effort", format!("{effort:?}").into()),
             ],
         );
-        match &cache_dir {
+        match cache_dir {
             Some(dir) => analyzer.calibrate_cached(machine, effort.measure_opts(), dir),
             None => analyzer.calibrate(machine, effort.measure_opts()),
         };
@@ -205,60 +205,11 @@ fn main() -> ExitCode {
     // the disk tier rides the same directory as the curve cache.
     if report_cache {
         analyzer.enable_report_cache(gpa_service::ReportCacheConfig {
-            disk_dir: cache_dir.clone(),
+            disk_dir: cache_dir.cloned(),
             ..gpa_service::ReportCacheConfig::default()
         });
     }
-
-    // Answer: requests whose selector did not resolve keep their
-    // resolution error; the rest go through the batch path.
-    let resolvable: Vec<AnalysisRequest> = reqs
-        .iter()
-        .zip(&resolutions)
-        .filter(|(_, r)| r.is_ok())
-        .map(|(req, _)| req.clone())
-        .collect();
-    let mut batch_answers = analyzer.analyze_batch(&resolvable).into_iter();
-    let answers: Vec<Result<AnalysisReport, ServiceError>> = resolutions
-        .into_iter()
-        .map(|resolution| match resolution {
-            Ok(()) => batch_answers
-                .next()
-                .expect("one answer per resolvable request"),
-            Err(e) => Err(e),
-        })
-        .collect();
-
-    if batch {
-        let mut failed = false;
-        let items: Vec<Value> = answers
-            .into_iter()
-            .map(|r| match r {
-                Ok(report) => report.to_value(),
-                Err(e) => {
-                    failed = true;
-                    Value::Object(vec![("error".into(), Value::from(e.to_string().as_str()))])
-                }
-            })
-            .collect();
-        emit(&Value::Array(items).to_string_pretty());
-        if failed {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        }
-    } else {
-        match answers.into_iter().next().expect("one request") {
-            Ok(report) => {
-                emit(&report.to_json());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("gpa-analyze: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    }
+    analyzer
 }
 
 /// Write to stdout, swallowing broken-pipe errors so `gpa-analyze … |

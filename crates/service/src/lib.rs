@@ -14,8 +14,8 @@
 //!   kernel at some size, or **any** kernel at all via
 //!   [`KernelSpec::Custom`]'s portable encoding — asm text, launch,
 //!   params, declarative memory image), a machine selector, and
-//!   [`AnalysisOptions`] (trace mode, [`Threads`], fuel, verification,
-//!   what-if toggles).
+//!   [`AnalysisOptions`] ([`Threads`], fuel, verification, what-if
+//!   toggles).
 //! * [`AnalysisReport`] — the typed answer: the model's full
 //!   [`Analysis`] (component times, per-stage breakdown, bottleneck,
 //!   occupancy, diagnosed causes), the timing-simulator measurement,
@@ -26,9 +26,10 @@
 //!   worker threads (via [`gpa_sim::SimEngine::shard_plan`]); answers
 //!   are identical to sequential [`Analyzer::analyze`] calls.
 //! * [`wire`] — the JSON wire format: requests and reports serialize
-//!   over `gpa-json` with exact `f64` round-trips, and the
-//!   `gpa-analyze` binary drives the service from request JSON on a
-//!   file or stdin, no Rust required.
+//!   over `gpa-json` with exact `f64` round-trips, and
+//!   [`wire::answer`] is the one front door that both the
+//!   `gpa-analyze` binary (request JSON on a file or stdin, no Rust
+//!   required) and `gpa-serve` answer through.
 //!
 //! Every fallible path returns [`ServiceError`] — the service never
 //! panics on inconsistent requests.
@@ -54,13 +55,11 @@ use gpa_apps::workflow::{run_study, CaseError, CaseStudy, Region, TraceMode};
 use gpa_apps::{matmul, spmv, tridiag};
 use gpa_core::{Analysis, InputError, Model, ModelInput, WhatIf};
 use gpa_hw::Machine;
-use gpa_isa::Kernel;
 use gpa_sim::{GlobalMemory, LaunchConfig, SimEngine, SimError, Threads};
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
 use std::fmt;
 use std::sync::Arc;
 
-pub use gpa_apps::workflow::TraceMode as RequestTraceMode;
 pub use gpa_apps::zoo;
 pub use report_cache::{ReportCache, ReportCacheConfig, ReportCacheStats};
 
@@ -682,12 +681,14 @@ impl WhatIfSpec {
     }
 }
 
-/// Per-request options: trace acquisition, threading, fuel,
-/// verification, advisor toggles, and on-demand calibration effort.
+/// Per-request options: threading, fuel, verification, advisor toggles,
+/// and on-demand calibration effort.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisOptions {
-    /// Override the case's canonical trace mode (`None` keeps it:
-    /// homogeneous for matmul/tridiag, per-block for SpMV).
+    /// Ignored: the kernel declares its trace mode
+    /// ([`gpa_apps::workflow::CaseStudy::mode`]) and a request cannot
+    /// override it. The wire accepts the legacy `"mode"` strings and
+    /// drops them, so this is always `None` on parsed requests.
     pub mode: Option<TraceMode>,
     /// Worker threads for block execution within this request. Reports
     /// are bit-identical for every selection; defaults to auto.
@@ -1141,33 +1142,19 @@ impl Analyzer {
         Ok(report)
     }
 
-    /// The uncached single-request path: build the study, run it, and
-    /// collect custom-kernel readback.
+    /// The uncached single-request path: build the study, run it with
+    /// its declared trace mode, and assemble the report (with custom-kernel
+    /// readback).
     fn analyze_resolved(
         &self,
         entry: &Calibrated,
         req: &AnalysisRequest,
     ) -> Result<AnalysisReport, ServiceError> {
+        let options = &req.options;
         let mut study = {
             let _span = gpa_telemetry::PhaseSpan::start(gpa_telemetry::phase::BUILD);
             req.kernel.build()?
         };
-        let mut report = self.analyze_prepared(entry, &mut study, &req.options)?;
-        if let KernelSpec::Custom(custom) = &req.kernel {
-            report.outputs = custom.collect_readback(&study);
-        }
-        Ok(report)
-    }
-
-    /// The unified execution path: run one prepared study and assemble
-    /// the report. `study.mode` may be overridden by the options; the
-    /// study's memory image holds the side effects afterwards.
-    fn analyze_prepared(
-        &self,
-        entry: &Calibrated,
-        study: &mut CaseStudy,
-        options: &AnalysisOptions,
-    ) -> Result<AnalysisReport, ServiceError> {
         if options.verify && !study.has_verifier() {
             // No CPU-reference oracle exists for this kernel; refuse
             // rather than silently returning `verified: None` to a
@@ -1178,14 +1165,11 @@ impl Analyzer {
                     .into(),
             ));
         }
-        if let Some(mode) = options.mode {
-            study.mode = mode;
-        }
         let mut model = Model::with_curves(&entry.machine, &entry.curves);
         let run = run_study(
             &entry.machine,
             &mut model,
-            study,
+            &mut study,
             options.threads,
             options.fuel,
         )?;
@@ -1210,6 +1194,10 @@ impl Analyzer {
         } else {
             run.input.stats.total().flops
         };
+        let outputs = match &req.kernel {
+            KernelSpec::Custom(custom) => custom.collect_readback(&study),
+            _ => Vec::new(),
+        };
         Ok(AnalysisReport {
             kernel: run.input.kernel_name.clone(),
             machine: entry.machine.name.clone(),
@@ -1219,54 +1207,9 @@ impl Analyzer {
             measured_cycles: run.timing.cycles,
             flops,
             what_ifs,
-            outputs: Vec::new(),
+            outputs,
             verified,
         })
-    }
-
-    /// Answer one ad-hoc kernel against a calibrated profile, with
-    /// caller-owned device memory.
-    ///
-    /// **Deprecated-style shim**: this predates the portable kernel
-    /// encoding and survives for in-process callers that already hold a
-    /// [`Kernel`] and a prepared [`GlobalMemory`]. New code should
-    /// submit [`KernelSpec::Custom`] through [`Analyzer::analyze`]
-    /// instead — it takes the same unified path this shim now delegates
-    /// to, works over the wire, and reports become portable (side
-    /// effects via [`AnalysisReport::outputs`] rather than `&mut`
-    /// memory). Side effects still land in `gmem` exactly as before.
-    ///
-    /// # Errors
-    ///
-    /// Unknown machine, simulation, or extraction errors; also
-    /// [`ServiceError::InvalidRequest`] when `options.verify` is set —
-    /// ad-hoc kernels carry no reference oracle, so the request would
-    /// otherwise silently go unchecked.
-    #[allow(clippy::too_many_arguments)] // mirrors run_case: one per pipeline input
-    pub fn analyze_kernel(
-        &self,
-        selector: &str,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        params: &[u32],
-        gmem: &mut GlobalMemory,
-        regions: &[Region],
-        options: &AnalysisOptions,
-    ) -> Result<AnalysisReport, ServiceError> {
-        let entry = self.lookup(selector)?;
-        let mut study = CaseStudy::adhoc(
-            kernel.clone(),
-            launch,
-            params.to_vec(),
-            std::mem::take(gmem),
-            regions.to_vec(),
-            options.mode.unwrap_or(TraceMode::Homogeneous),
-        );
-        let result = self.analyze_prepared(entry, &mut study, options);
-        // Hand the (possibly mutated) image back so callers observe side
-        // effects exactly as under the pre-shim implementation.
-        *gmem = study.gmem;
-        result
     }
 
     /// Answer a batch, sharding the independent requests across one
@@ -1289,7 +1232,10 @@ impl Analyzer {
         threads: Threads,
     ) -> Vec<Result<AnalysisReport, ServiceError>> {
         let n = reqs.len();
-        let workers = threads.count().min(n);
+        // A lone request never asks the OS for its core count: resolving
+        // `Threads::Auto` reads cgroup files, which costs more than a
+        // report-cache hit.
+        let workers = if n <= 1 { n } else { threads.count().min(n) };
         if workers <= 1 {
             return reqs.iter().map(|r| self.analyze(r)).collect();
         }
@@ -1463,31 +1409,24 @@ mod tests {
     }
 
     #[test]
-    fn analyze_kernel_refuses_unverifiable_verify() {
-        use gpa_isa::builder::KernelBuilder;
+    fn custom_kernels_refuse_unverifiable_verify() {
         let mut analyzer = Analyzer::new();
         analyzer
             .install(Machine::gtx285(), fake_curves("GeForce GTX 285"))
             .unwrap();
-        let mut b = KernelBuilder::new("noop");
-        b.set_threads(32);
-        b.exit();
-        let kernel = b.finish().unwrap();
-        let mut gmem = GlobalMemory::new();
-        let err = analyzer
-            .analyze_kernel(
-                "gtx285",
-                &kernel,
-                LaunchConfig::new_1d(1, 32),
-                &[],
-                &mut gmem,
-                &[],
-                &AnalysisOptions {
-                    verify: true,
-                    ..AnalysisOptions::default()
-                },
-            )
-            .unwrap_err();
+        let noop = CustomKernel {
+            asm: ".kernel noop\n.reg 1\n.threads 32\n    exit\n".into(),
+            launch: LaunchConfig::new_1d(1, 32),
+            params: Vec::new(),
+            memory: Vec::new(),
+        };
+        let req = AnalysisRequest::new(KernelSpec::Custom(Box::new(noop)), "gtx285").with_options(
+            AnalysisOptions {
+                verify: true,
+                ..AnalysisOptions::default()
+            },
+        );
+        let err = analyzer.analyze(&req).unwrap_err();
         assert!(matches!(err, ServiceError::InvalidRequest(_)), "{err}");
     }
 

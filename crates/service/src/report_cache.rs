@@ -35,10 +35,12 @@
 //!    * `options.calibration` is normalized to its default — explicitly
 //!      calibrated analyzers ignore it, and the *actual* calibration is
 //!      already covered by the `calib=` part.
+//!    * `options.mode` is never written — the kernel declares its trace
+//!      mode and the wire ignores the legacy field.
 //!
 //!    Everything else **is** part of the key: the kernel spec (including
 //!    a custom kernel's full assembly, launch, params, and memory
-//!    image), the resolved machine name, `options.mode`, `options.fuel`,
+//!    image), the resolved machine name, `options.fuel`,
 //!    `options.verify`, and the what-if list (what-ifs are part of the
 //!    report).
 //!

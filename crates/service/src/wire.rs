@@ -6,9 +6,15 @@
 //! Numbers ride `gpa_json`'s shortest-round-trip `f64` formatting, so a
 //! serialize → parse → serialize cycle is **bit-exact** for every finite
 //! field (integral counters stay below 2⁵³ by construction). Optional
-//! fields (`options.mode`, `options.fuel`, `verified`, report
-//! `outputs`, and the custom-kernel `texture`/`readback` flags) are
-//! omitted when absent; every other field is always written.
+//! fields (`options.fuel`, `verified`, report `outputs`, and the
+//! custom-kernel `texture`/`readback` flags) are omitted when absent;
+//! every other field is always written. The legacy `options.mode`
+//! strings (`"homogeneous"`, `"per-block"`, `"auto"`) are accepted and
+//! ignored — the kernel declares its trace mode — and never written.
+//!
+//! [`answer`] is the one front door over this format: `gpa-analyze` and
+//! `gpa-serve` both hand it the request document and differ only in
+//! their admission rule and transport.
 //!
 //! Besides the three case-study selectors, `"case": "custom"` carries
 //! the portable kernel encoding ([`crate::CustomKernel`]): the
@@ -29,15 +35,16 @@
 //! ```
 
 use crate::{
-    AnalysisOptions, AnalysisReport, AnalysisRequest, CustomKernel, Effort, KernelSpec, MemInit,
-    MemRegionSpec, ParamValue, RegionReadback, RegionTraffic, ServiceError, WhatIfSpec,
+    AnalysisOptions, AnalysisReport, AnalysisRequest, Analyzer, CustomKernel, Effort, KernelSpec,
+    MemInit, MemRegionSpec, ParamValue, RegionReadback, RegionTraffic, ServiceError, WhatIfSpec,
 };
 use gpa_apps::spmv::Format;
-use gpa_apps::workflow::TraceMode;
 use gpa_apps::zoo;
 use gpa_core::{Analysis, Cause, Component, ComponentTimes, StageAnalysis, WhatIf};
 use gpa_json::Value;
 use gpa_sim::{LaunchConfig, Threads};
+use gpa_telemetry::{phase, PhaseSpan};
+use std::borrow::Borrow;
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
@@ -73,19 +80,11 @@ fn component_from_value(v: &Value) -> Result<Component, ServiceError> {
     }
 }
 
-fn mode_to_value(m: TraceMode) -> Value {
-    Value::from(match m {
-        TraceMode::Homogeneous => "homogeneous",
-        TraceMode::PerBlock => "per-block",
-        TraceMode::Auto => "auto",
-    })
-}
-
-fn mode_from_value(v: &Value) -> Result<TraceMode, ServiceError> {
+/// Check a legacy `options.mode` string. The kernel declares its trace
+/// mode, so the value is validated and then dropped.
+fn legacy_mode_from_value(v: &Value) -> Result<(), ServiceError> {
     match v.as_str()? {
-        "homogeneous" => Ok(TraceMode::Homogeneous),
-        "per-block" => Ok(TraceMode::PerBlock),
-        "auto" => Ok(TraceMode::Auto),
+        "homogeneous" | "per-block" | "auto" => Ok(()),
         other => Err(wire_err(format!("unknown trace mode `{other}`"))),
     }
 }
@@ -416,11 +415,7 @@ fn kernel_spec_from_value(v: &Value) -> Result<KernelSpec, ServiceError> {
 }
 
 fn options_to_value(o: &AnalysisOptions) -> Value {
-    let mut fields = Vec::new();
-    if let Some(mode) = o.mode {
-        fields.push(("mode", mode_to_value(mode)));
-    }
-    fields.push(("threads", threads_to_value(o.threads)));
+    let mut fields = vec![("threads", threads_to_value(o.threads))];
     if let Some(fuel) = o.fuel {
         fields.push(("fuel", u64_value(fuel)));
     }
@@ -442,7 +437,7 @@ fn options_to_value(o: &AnalysisOptions) -> Value {
 fn options_from_value(v: &Value) -> Result<AnalysisOptions, ServiceError> {
     let mut o = AnalysisOptions::default();
     if let Ok(mode) = v.get("mode") {
-        o.mode = Some(mode_from_value(mode)?);
+        legacy_mode_from_value(mode)?;
     }
     if let Ok(threads) = v.get("threads") {
         o.threads = threads_from_value(threads)?;
@@ -472,7 +467,8 @@ fn options_from_value(v: &Value) -> Result<AnalysisOptions, ServiceError> {
 /// the answer-invariant options normalized out — `threads` to `"auto"`
 /// (reports are bit-identical at every worker count) and `calibration`
 /// to its default (explicitly calibrated analyzers ignore it, and the
-/// cache key separately covers the actual calibration identity). See
+/// cache key separately covers the actual calibration identity); the
+/// ignored `mode` is never written. See
 /// [`crate::report_cache`] for the full contract.
 pub(crate) fn canonical_request_json(
     kernel: &KernelSpec,
@@ -873,6 +869,97 @@ impl AnalysisReport {
     }
 }
 
+// ---- the front door ----
+
+/// The answer to one request document, ready for a transport to deliver.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Answer {
+    /// A single request's report JSON.
+    Report(String),
+    /// A batch's JSON array: reports and `{"error": "..."}` elements in
+    /// request order.
+    Batch {
+        /// The serialized array.
+        json: String,
+        /// Whether any element is an `{"error"}`.
+        failed: bool,
+    },
+    /// Nothing to deliver but this message: the document is not JSON, an
+    /// element is not a request, or the single request failed.
+    Refused(String),
+}
+
+/// Answer one request document — a request object or a batch array.
+///
+/// The document is parsed once. `admit` is the caller's admission rule:
+/// it sees every parsed request in order (and may rewrite them, e.g. to
+/// canonical machine names), and returns the analyzer to answer with
+/// plus one verdict per request. Refused requests keep their error; the
+/// admitted ones go through [`Analyzer::analyze_batch`] (a lone request
+/// runs inline, exactly like [`Analyzer::analyze`]). A batch degrades
+/// each failure to an `{"error"}` element so healthy answers still come
+/// back; a single request's failure is [`Answer::Refused`]. Serialization
+/// runs under the `serialize` phase span.
+///
+/// # Panics
+///
+/// Panics if `admit` returns a different number of verdicts than it was
+/// given requests.
+pub fn answer<A: Borrow<Analyzer>>(
+    text: &str,
+    admit: impl FnOnce(&mut [AnalysisRequest]) -> (A, Vec<Result<(), ServiceError>>),
+) -> Answer {
+    let (parsed, batch) = match Value::parse(text) {
+        Err(e) => return Answer::Refused(format!("malformed JSON: {e}")),
+        Ok(Value::Array(items)) => (
+            items.iter().map(AnalysisRequest::from_value).collect(),
+            true,
+        ),
+        Ok(v) => (AnalysisRequest::from_value(&v).map(|r| vec![r]), false),
+    };
+    let mut reqs: Vec<AnalysisRequest> = match parsed {
+        Ok(reqs) => reqs,
+        Err(e) => return Answer::Refused(e.to_string()),
+    };
+    let (analyzer, verdicts) = admit(&mut reqs);
+    assert_eq!(verdicts.len(), reqs.len(), "one verdict per request");
+    let mut admitted = Vec::with_capacity(reqs.len());
+    let mut refusals = Vec::with_capacity(reqs.len());
+    for (req, verdict) in reqs.into_iter().zip(verdicts) {
+        if verdict.is_ok() {
+            admitted.push(req);
+        }
+        refusals.push(verdict.err());
+    }
+    let mut reports = analyzer.borrow().analyze_batch(&admitted).into_iter();
+    let mut answers = refusals.into_iter().map(|refusal| match refusal {
+        Some(e) => Err(e),
+        None => reports.next().expect("one answer per admitted request"),
+    });
+
+    let _span = PhaseSpan::start(phase::SERIALIZE);
+    if !batch {
+        return match answers.next().expect("one request") {
+            Ok(report) => Answer::Report(report.to_json()),
+            Err(e) => Answer::Refused(e.to_string()),
+        };
+    }
+    let mut failed = false;
+    let items = answers
+        .map(|answer| match answer {
+            Ok(report) => report.to_value(),
+            Err(e) => {
+                failed = true;
+                obj(vec![("error", Value::from(e.to_string().as_str()))])
+            }
+        })
+        .collect();
+    Answer::Batch {
+        json: Value::Array(items).to_string_pretty(),
+        failed,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -900,7 +987,7 @@ mod tests {
             },
             machine: "GeForce 8800 GT".into(),
             options: AnalysisOptions {
-                mode: Some(TraceMode::Homogeneous),
+                mode: None,
                 threads: Threads::Fixed(3),
                 fuel: Some(1_000_000),
                 verify: true,
@@ -952,6 +1039,135 @@ mod tests {
                 matches!(AnalysisRequest::from_json(bad), Err(ServiceError::Wire(_))),
                 "accepted: {bad}"
             );
+        }
+    }
+
+    // ---- the front door ----
+
+    /// An analyzer with the GTX 285 on synthetic curves: enough to answer
+    /// small matmuls quickly.
+    fn gtx285() -> Analyzer {
+        let machine = gpa_hw::Machine::gtx285();
+        let curves = gpa_ubench::ThroughputCurves {
+            machine_name: machine.name.clone(),
+            warps: vec![1, 32],
+            instr: std::array::from_fn(|_| vec![1e9, 1e10]),
+            smem: vec![1e10, 1e11],
+        };
+        let mut analyzer = Analyzer::new();
+        analyzer.install(machine, curves).unwrap();
+        analyzer
+    }
+
+    const MATMUL: &str =
+        r#"{"kernel": {"case": "matmul", "n": 64, "tile": 16}, "machine": "gtx285"}"#;
+
+    /// Admit everything.
+    fn open<'a>(
+        analyzer: &'a Analyzer,
+    ) -> impl FnOnce(&mut [AnalysisRequest]) -> (&'a Analyzer, Vec<Result<(), ServiceError>>) {
+        move |reqs| (analyzer, reqs.iter().map(|_| Ok(())).collect())
+    }
+
+    /// An admission rule that must not be reached.
+    fn unreachable(_: &mut [AnalysisRequest]) -> (Analyzer, Vec<Result<(), ServiceError>>) {
+        panic!("admission ran on a document that does not parse")
+    }
+
+    #[test]
+    fn single_request_answers_its_report_json() {
+        let analyzer = gtx285();
+        let oracle = analyzer
+            .analyze(&AnalysisRequest::from_json(MATMUL).unwrap())
+            .unwrap()
+            .to_json();
+        assert_eq!(
+            answer(MATMUL, open(&analyzer)),
+            Answer::Report(oracle.clone())
+        );
+        // Admission may rewrite a request before it is answered.
+        let aliased = MATMUL.replace("gtx285", "flagship");
+        let got = answer(&aliased, |reqs| {
+            reqs[0].machine = "gtx285".into();
+            (&analyzer, vec![Ok(())])
+        });
+        assert_eq!(got, Answer::Report(oracle));
+    }
+
+    #[test]
+    fn single_request_failure_is_refused_with_its_message() {
+        let analyzer = gtx285();
+        let unknown = MATMUL.replace("gtx285", "titan");
+        match answer(&unknown, open(&analyzer)) {
+            Answer::Refused(msg) => assert!(msg.contains("no calibrated machine"), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        let refused = answer(MATMUL, |_| {
+            (
+                &analyzer,
+                vec![Err(ServiceError::InvalidRequest("too fine".into()))],
+            )
+        });
+        assert_eq!(refused, Answer::Refused("invalid request: too fine".into()));
+    }
+
+    #[test]
+    fn batch_mixes_reports_and_error_elements_in_order() {
+        let analyzer = gtx285();
+        let oracle = analyzer
+            .analyze(&AnalysisRequest::from_json(MATMUL).unwrap())
+            .unwrap()
+            .to_value();
+        let bad_tile = MATMUL.replace("\"tile\": 16", "\"tile\": 7");
+        let text = format!("[{MATMUL}, {bad_tile}, {MATMUL}]");
+        let got = answer(&text, |reqs| {
+            let mut verdicts: Vec<_> = reqs.iter().map(|_| Ok(())).collect();
+            verdicts[2] = Err(ServiceError::InvalidRequest("not admitted".into()));
+            (&analyzer, verdicts)
+        });
+        let Answer::Batch { json, failed } = got else {
+            panic!("expected a batch, got {got:?}")
+        };
+        assert!(failed);
+        let items = Value::parse(&json).unwrap();
+        let items = items.as_array().unwrap();
+        assert_eq!(items.len(), 3);
+        assert_eq!(items[0], oracle);
+        let error = |i: usize| items[i].get("error").unwrap().as_str().unwrap().to_owned();
+        assert!(error(1).contains("matmul tile 7"), "{}", error(1));
+        assert_eq!(error(2), "invalid request: not admitted");
+
+        // All healthy: no failure flagged; an empty batch is an empty array.
+        let healthy = answer(&format!("[{MATMUL}]"), open(&analyzer));
+        assert!(matches!(healthy, Answer::Batch { failed: false, .. }));
+        let empty = answer("[]", open(&analyzer));
+        assert_eq!(
+            empty,
+            Answer::Batch {
+                json: "[]\n".into(),
+                failed: false
+            }
+        );
+    }
+
+    #[test]
+    fn malformed_json_is_refused_before_admission() {
+        match answer("{", unreachable) {
+            Answer::Refused(msg) => assert!(msg.starts_with("malformed JSON: "), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_non_request_element_refuses_the_whole_batch() {
+        for text in [
+            format!("[{MATMUL}, 42]"),
+            format!("[{MATMUL}, {{\"machine\": \"gtx285\"}}]"),
+        ] {
+            match answer(&text, unreachable) {
+                Answer::Refused(msg) => assert!(msg.starts_with("malformed wire payload"), "{msg}"),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
         }
     }
 }

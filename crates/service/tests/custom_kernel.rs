@@ -2,14 +2,16 @@
 //!
 //! * **Property**: a random `KernelBuilder` kernel pushed through the
 //!   full wire path — `kernel_to_asm` → `KernelSpec::Custom` → JSON →
-//!   parse → `Analyzer::analyze` — answers **bit-identically** to the
-//!   in-process `analyze_kernel` shim on the same kernel, launch, and
-//!   memory (stats, analysis, traffic, flops), with the report's
-//!   `outputs` readback equal to the shim's caller-owned memory.
+//!   parse → `Analyzer::analyze` — answers **bit-identically** to
+//!   `run_study` on the in-process kernel, launch, and memory (analysis,
+//!   measured time, flops), with the report's `outputs` readback equal
+//!   to the in-process memory image.
 //! * **Negative**: malformed assembly and memory-image specs are typed
 //!   [`ServiceError`]s in-process and clean HTTP 400s through the
 //!   server's route table — never panics.
 
+use gpa_apps::workflow::{run_study, CaseStudy, Region, TraceMode};
+use gpa_core::Model;
 use gpa_hw::Machine;
 use gpa_isa::asm::kernel_to_asm;
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, SpecialReg, Width};
@@ -19,7 +21,7 @@ use gpa_service::{
     ParamValue, ServiceError, CUSTOM_REGION_ALIGN, MAX_CUSTOM_MEMORY_BYTES,
     MAX_CUSTOM_READBACK_BYTES,
 };
-use gpa_sim::{GlobalMemory, LaunchConfig};
+use gpa_sim::{GlobalMemory, LaunchConfig, Threads};
 use gpa_ubench::MeasureOpts;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -131,13 +133,17 @@ proptest! {
         let out_len = u64::from(grid) * u64::from(threads) * 4;
         let options = AnalysisOptions::default();
 
-        // In-process path: caller-owned memory through the shim.
+        // In-process path: the builder kernel over caller-owned memory,
+        // straight through the workflow driver.
         let mut gmem = GlobalMemory::new();
         let out = gmem.alloc(out_len, CUSTOM_REGION_ALIGN);
-        let regions = vec![gpa_apps::workflow::Region::new("out", out, out_len)];
-        let in_process = analyzer
-            .analyze_kernel("gtx285", &kernel, launch, &[out as u32], &mut gmem,
-                            &regions, &options)
+        let regions = vec![Region::new("out", out, out_len)];
+        let mut study = CaseStudy::adhoc(
+            kernel.clone(), launch, vec![out as u32], gmem, regions, TraceMode::Auto,
+        );
+        let machine = analyzer.machine("gtx285").unwrap();
+        let mut model = Model::with_curves(machine, analyzer.curves("gtx285").unwrap());
+        let in_process = run_study(machine, &mut model, &mut study, options.threads, None)
             .expect("in-process analysis");
 
         // Wire path: the same kernel as asm + declarative memory, routed
@@ -166,18 +172,35 @@ proptest! {
         prop_assert_eq!(&wire_back, &wire);
         prop_assert_eq!(wire_back.to_json(), report_json);
 
-        // Readback must equal the shim's caller-owned memory image.
+        // Readback must equal the in-process memory image.
         prop_assert_eq!(wire.outputs.len(), 1);
         prop_assert_eq!(&wire.outputs[0].name, "out");
-        let shim_words = gmem
+        let in_process_words = study
+            .gmem
             .read_u32s(out, (out_len / 4) as usize)
             .expect("out region readable");
-        prop_assert_eq!(&wire.outputs[0].words, &shim_words, "side effects diverge");
+        prop_assert_eq!(&wire.outputs[0].words, &in_process_words, "side effects diverge");
 
-        // And everything else is bit-identical between the two paths.
-        let mut wire_sans_outputs = wire.clone();
-        wire_sans_outputs.outputs.clear();
-        prop_assert_eq!(&wire_sans_outputs, &in_process, "reports diverge (seed {:#x})", seed);
+        // And the answer itself is bit-identical between the two paths.
+        prop_assert_eq!(&wire.analysis, &in_process.analysis, "seed {:#x}", seed);
+        prop_assert_eq!(wire.measured_cycles.to_bits(), in_process.timing.cycles.to_bits());
+        prop_assert_eq!(wire.flops, in_process.input.stats.total().flops);
+        let traffic: Vec<_> = in_process
+            .input
+            .stats
+            .regions
+            .iter()
+            .map(|r| {
+                let g = &r.gmem[gpa_sim::stats::GRAN_GT200];
+                (r.name.as_str(), g.transactions, g.bytes, r.requested_bytes)
+            })
+            .collect();
+        let wire_traffic: Vec<_> = wire
+            .regions
+            .iter()
+            .map(|r| (r.name.as_str(), r.transactions, r.bytes, r.requested_bytes))
+            .collect();
+        prop_assert_eq!(wire_traffic, traffic);
         prop_assert!(wire.flops > 0, "dynamic flop count should be honest, got 0");
     }
 }
@@ -356,14 +379,16 @@ fn wire_level_custom_garbage_is_a_wire_error() {
 }
 
 /// The regression that motivated `TraceMode::Auto` as the custom-kernel
-/// default: a grid whose blocks execute *different* instruction streams.
+/// mode: a grid whose blocks execute *different* instruction streams.
 /// Block 0 takes a guarded early exit after two instructions; blocks
-/// 1..4 run a 16-deep f32 chain. The old hardcoded `Homogeneous` mode
-/// replayed block 0's short trace for every cluster — a silently wrong
-/// (under-estimated) answer. Auto must detect the shape divergence and
-/// answer exactly as a forced per-block replay does. (Block 0 is the
-/// *short* block on purpose: were it the longest, it would dominate the
-/// critical path either way and the two modes would coincide.)
+/// 1..4 run a 16-deep f32 chain. Block-0 replay times every cluster with
+/// block 0's short trace — a silently wrong (under-estimated) answer that
+/// a request could once force with `"mode": "homogeneous"`. Now every
+/// legacy mode string is accepted and ignored: each answers
+/// byte-identically to the request without one, and that answer is the
+/// per-block replay. (Block 0 is the *short* block on purpose: were it
+/// the longest, it would dominate the critical path either way and the
+/// two replays would coincide.)
 #[test]
 fn auto_mode_replays_divergent_grids_per_block() {
     let analyzer = analyzer();
@@ -377,56 +402,77 @@ fn auto_mode_replays_divergent_grids_per_block() {
         asm.push_str("    mad.f32 r1, r1, r1, r1\n");
     }
     asm.push_str("    exit\n");
-    let kernel = CustomKernel {
+    let kernel = KernelSpec::Custom(Box::new(CustomKernel {
         asm,
         launch: LaunchConfig::new_1d(4, 32),
         params: vec![],
         memory: vec![],
+    }));
+    let request = AnalysisRequest::new(kernel.clone(), "gtx285");
+    let json = request.to_json();
+    assert!(!json.contains("\"mode\""), "mode is never written:\n{json}");
+    let reference = analyzer
+        .analyze(&request)
+        .expect("divergent kernel analyzes")
+        .to_json();
+    let with_mode = |mode: &str| {
+        json.replacen(
+            "\"options\": {",
+            &format!("\"options\": {{\"mode\": \"{mode}\", "),
+            1,
+        )
     };
-    let report = |mode: Option<gpa_service::RequestTraceMode>| {
-        let mut request =
-            AnalysisRequest::new(KernelSpec::Custom(Box::new(kernel.clone())), "gtx285");
-        request.options.mode = mode;
-        analyzer
-            .analyze(&request)
-            .expect("divergent kernel analyzes")
-    };
-    // No explicit mode: custom kernels default to Auto.
-    let auto = report(None);
-    let per_block = report(Some(gpa_service::RequestTraceMode::PerBlock));
-    let homogeneous = report(Some(gpa_service::RequestTraceMode::Homogeneous));
-    assert_eq!(
-        auto.to_json(),
-        per_block.to_json(),
-        "auto must fall back to per-block replay on a shape-divergent grid"
-    );
-    assert_ne!(
-        auto.measured_cycles, homogeneous.measured_cycles,
-        "the divergent grid must actually distinguish per-block from \
-         homogeneous replay, or this test proves nothing"
+    for mode in ["homogeneous", "per-block", "auto"] {
+        let parsed = AnalysisRequest::from_json(&with_mode(mode)).expect("legacy alias parses");
+        assert_eq!(parsed, request, "`{mode}` must be dropped");
+        let answer = analyzer.analyze(&parsed).unwrap().to_json();
+        assert_eq!(answer, reference, "`{mode}` changed the answer");
+    }
+    assert!(matches!(
+        AnalysisRequest::from_json(&with_mode("sideways")),
+        Err(ServiceError::Wire(msg)) if msg.contains("unknown trace mode")
+    ));
+
+    // The grid must actually tell the replays apart, or this test proves
+    // nothing: block-0 replay of the same study under-reports.
+    let mut study = kernel.build().unwrap();
+    study.mode = TraceMode::Homogeneous;
+    let machine = analyzer.machine("gtx285").unwrap();
+    let mut model = Model::with_curves(machine, analyzer.curves("gtx285").unwrap());
+    let block0 = run_study(machine, &mut model, &mut study, Threads::Auto, None).unwrap();
+    let served = analyzer.analyze(&request).unwrap();
+    assert!(
+        served.measured_cycles > block0.timing.cycles,
+        "per-block replay ({}) must exceed block-0 replay ({})",
+        served.measured_cycles,
+        block0.timing.cycles
     );
 }
 
 /// The flip side: on a shape-uniform multi-block grid, Auto must take
-/// the cheap homogeneous path and answer byte-identically to forcing
-/// `Homogeneous` (the pre-Auto behavior for well-formed kernels).
+/// the cheap block-0 path and answer bit-identically to it.
 #[test]
 fn auto_mode_matches_homogeneous_on_uniform_grids() {
     let analyzer = analyzer();
     let mut kernel = valid_custom();
     kernel.launch = LaunchConfig::new_1d(4, 32);
     kernel.memory[0].len = 4 * 32 * 4;
-    let report = |mode: Option<gpa_service::RequestTraceMode>| {
-        let mut request =
-            AnalysisRequest::new(KernelSpec::Custom(Box::new(kernel.clone())), "gtx285");
-        request.options.mode = mode;
-        analyzer.analyze(&request).expect("uniform kernel analyzes")
+    let spec = KernelSpec::Custom(Box::new(kernel));
+    let machine = analyzer.machine("gtx285").unwrap();
+    let run = |mode: TraceMode| {
+        let mut study = spec.build().unwrap();
+        study.mode = mode;
+        let mut model = Model::with_curves(machine, analyzer.curves("gtx285").unwrap());
+        run_study(machine, &mut model, &mut study, Threads::Auto, None).unwrap()
     };
-    let auto = report(None);
-    let homogeneous = report(Some(gpa_service::RequestTraceMode::Homogeneous));
+    let (auto, homogeneous) = (run(TraceMode::Auto), run(TraceMode::Homogeneous));
+    assert_eq!(auto.timing, homogeneous.timing);
+    assert_eq!(auto.analysis, homogeneous.analysis);
+    let served = analyzer
+        .analyze(&AnalysisRequest::new(spec, "gtx285"))
+        .unwrap();
     assert_eq!(
-        auto.to_json(),
-        homogeneous.to_json(),
-        "auto must be byte-identical to homogeneous replay on a uniform grid"
+        served.measured_cycles.to_bits(),
+        auto.timing.cycles.to_bits()
     );
 }

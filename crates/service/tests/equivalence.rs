@@ -1,7 +1,7 @@
-//! Acceptance: the redesigned service answers are *identical* to the
-//! pre-redesign `run_case` driver path — same curves in, same `Analysis`
-//! and timing out, bit for bit — and `analyze_batch` is identical to
-//! sequential `analyze` calls.
+//! Acceptance: the service's answers are *identical* to the per-app
+//! driver path (`matmul::run` and friends over `run_study`) — same curves
+//! in, same `Analysis` and timing out, bit for bit — and `analyze_batch`
+//! is identical to sequential `analyze` calls.
 
 use gpa_apps::{matmul, spmv, tridiag};
 use gpa_core::Model;
@@ -51,7 +51,7 @@ fn case_requests() -> Vec<AnalysisRequest> {
 }
 
 #[test]
-fn batch_reports_match_the_run_case_path_bitwise() {
+fn batch_reports_match_the_driver_path_bitwise() {
     let analyzer = analyzer();
     let reports: Vec<_> = analyzer
         .analyze_batch(&case_requests())
@@ -59,8 +59,8 @@ fn batch_reports_match_the_run_case_path_bitwise() {
         .map(|r| r.expect("case study analyzes"))
         .collect();
 
-    // The pre-redesign path: per-app drivers over run_case, one shared
-    // model built from the same measured curves.
+    // The driver path: per-app drivers over run_study, one shared model
+    // built from the same measured curves.
     let mut model = Model::new(machine(), curves().clone());
     let direct = [
         matmul::run(machine(), &mut model, 64, 16, false).unwrap(),
@@ -106,34 +106,39 @@ fn batch_is_identical_to_sequential_analyze() {
 fn case_study_reports_are_bit_identical_for_every_thread_count() {
     // The three case studies end-to-end (functional pass, parallel
     // timing replay, model analysis): the worker-thread knob must never
-    // leak into the answer. PerBlock mode exercises the sharded cluster
-    // replay; the default mode rides the uniform fast path.
-    use gpa_service::RequestTraceMode;
+    // leak into the answer. Texture-cached SpMV exercises the sharded
+    // per-block cluster replay; matmul and tridiag ride the block-0 path.
     let analyzer = analyzer();
-    for base in case_requests() {
-        for mode in [None, Some(RequestTraceMode::PerBlock)] {
-            let mut reference = None;
-            for threads in [
-                Threads::Fixed(1),
-                Threads::Fixed(2),
-                Threads::Fixed(5),
-                Threads::Auto,
-            ] {
-                let mut req = base.clone();
-                req.options.mode = mode;
-                req.options.threads = threads;
-                let report = analyzer.analyze(&req).expect("case study analyzes");
-                match &reference {
-                    None => reference = Some(report),
-                    Some(r) => {
-                        assert_eq!(
-                            report.measured_cycles.to_bits(),
-                            r.measured_cycles.to_bits(),
-                            "{}: cycles diverge at {threads:?} (mode {mode:?})",
-                            report.kernel
-                        );
-                        assert_eq!(&report, r, "{threads:?} (mode {mode:?})");
-                    }
+    let textured = AnalysisRequest::new(
+        KernelSpec::Spmv {
+            l: 4,
+            seed: 42,
+            format: spmv::Format::BellIm,
+            texture: true,
+        },
+        "gtx285",
+    );
+    for base in case_requests().into_iter().chain([textured]) {
+        let mut reference = None;
+        for threads in [
+            Threads::Fixed(1),
+            Threads::Fixed(2),
+            Threads::Fixed(5),
+            Threads::Auto,
+        ] {
+            let mut req = base.clone();
+            req.options.threads = threads;
+            let report = analyzer.analyze(&req).expect("case study analyzes");
+            match &reference {
+                None => reference = Some(report),
+                Some(r) => {
+                    assert_eq!(
+                        report.measured_cycles.to_bits(),
+                        r.measured_cycles.to_bits(),
+                        "{}: cycles diverge at {threads:?}",
+                        report.kernel
+                    );
+                    assert_eq!(&report, r, "{threads:?}");
                 }
             }
         }

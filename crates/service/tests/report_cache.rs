@@ -2,7 +2,7 @@
 //! **byte-identical** to the simulator's answers (property-tested over
 //! random requests, single and batch), the canonical key ignores
 //! exactly the fields the report provably does not depend on
-//! (`threads`, `calibration`) and nothing else, recalibration
+//! (`threads`, `calibration`, the ignored legacy `mode`) and nothing else, recalibration
 //! invalidates stale entries, verify/readback requests bypass the cache
 //! entirely, and the disk tier shares answers across processes.
 
@@ -84,14 +84,15 @@ fn repeated_requests_hit_and_answers_are_byte_identical() {
 }
 
 #[test]
-fn threads_and_calibration_normalize_into_one_entry() {
+fn threads_calibration_and_mode_normalize_into_one_entry() {
     let analyzer = cached_analyzer();
     let base = matmul(64, 16);
     let baseline = analyzer.analyze(&base).unwrap().to_json();
 
-    // Reports are bit-identical at any worker count, and an explicitly
-    // calibrated analyzer ignores the on-demand calibration effort — so
-    // neither field may fragment the key.
+    // Reports are bit-identical at any worker count, an explicitly
+    // calibrated analyzer ignores the on-demand calibration effort, and
+    // the kernel (not the request) picks the trace mode — so none of
+    // these fields may fragment the key.
     for options in [
         AnalysisOptions {
             threads: Threads::Fixed(2),
@@ -102,13 +103,17 @@ fn threads_and_calibration_normalize_into_one_entry() {
             calibration: Effort::Paper,
             ..AnalysisOptions::default()
         },
+        AnalysisOptions {
+            mode: Some(TraceMode::Auto),
+            ..AnalysisOptions::default()
+        },
     ] {
         let req = base.clone().with_options(options);
         assert_eq!(analyzer.analyze(&req).unwrap().to_json(), baseline);
     }
 
     let stats = analyzer.report_cache_stats().unwrap();
-    assert_eq!((stats.hits, stats.misses), (2, 1), "{stats:?}");
+    assert_eq!((stats.hits, stats.misses), (3, 1), "{stats:?}");
     assert_eq!(stats.entries, 1, "normalized variants share one entry");
 }
 
@@ -127,10 +132,6 @@ fn every_other_request_field_is_part_of_the_key() {
         matmul(64, 32),  // different kernel
         matmul(128, 16), // different problem size
         AnalysisRequest::new(KernelSpec::Matmul { n: 64, tile: 16 }, "8800gt"),
-        matmul(64, 16).with_options(AnalysisOptions {
-            mode: Some(TraceMode::PerBlock),
-            ..AnalysisOptions::default()
-        }),
         matmul(64, 16).with_options(AnalysisOptions {
             fuel: Some(1 << 40),
             ..AnalysisOptions::default()
@@ -322,7 +323,7 @@ fn any_request() -> impl Strategy<Value = AnalysisRequest> {
     let tile = prop_oneof![Just(8u32), Just(16), Just(32)];
     let mode = proptest::option::of(prop_oneof![
         Just(TraceMode::Homogeneous),
-        Just(TraceMode::PerBlock)
+        Just(TraceMode::Auto)
     ]);
     let threads = prop_oneof![Just(Threads::Auto), (1usize..4).prop_map(Threads::Fixed)];
     let what_ifs = proptest::collection::vec(

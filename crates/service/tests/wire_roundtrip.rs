@@ -1,11 +1,13 @@
 //! Property: requests and reports survive serialize → parse → serialize
 //! **bit-exactly** — struct equality after one cycle, string equality
 //! between the first and second serializations (riding `gpa-json`'s
-//! shortest-round-trip `f64` formatting).
+//! shortest-round-trip `f64` formatting). A legacy `options.mode` string
+//! injected into a request parses to the same request: the wire accepts
+//! it, ignores it, and never writes it.
 
 use gpa_apps::spmv::Format;
-use gpa_apps::TraceMode;
 use gpa_core::{Analysis, Cause, Component, ComponentTimes, StageAnalysis, WhatIf};
+use gpa_json::Value;
 use gpa_service::{
     AnalysisOptions, AnalysisReport, AnalysisRequest, CustomKernel, Effort, KernelSpec, MemInit,
     MemRegionSpec, ParamValue, RegionReadback, RegionTraffic, WhatIfSpec,
@@ -292,10 +294,6 @@ fn kernel_spec() -> impl Strategy<Value = KernelSpec> {
 
 fn options() -> impl Strategy<Value = AnalysisOptions> {
     (
-        option::of(prop_oneof![
-            Just(TraceMode::Homogeneous),
-            Just(TraceMode::PerBlock)
-        ]),
         prop_oneof![Just(Threads::Auto), (1usize..32).prop_map(Threads::Fixed)],
         option::of(1u64..(1 << 53)),
         any::<bool>(),
@@ -313,8 +311,8 @@ fn options() -> impl Strategy<Value = AnalysisOptions> {
         prop_oneof![Just(Effort::Quick), Just(Effort::Paper)],
     )
         .prop_map(
-            |(mode, threads, fuel, verify, what_ifs, calibration)| AnalysisOptions {
-                mode,
+            |(threads, fuel, verify, what_ifs, calibration)| AnalysisOptions {
+                mode: None,
                 threads,
                 fuel,
                 verify,
@@ -332,11 +330,34 @@ fn request() -> impl Strategy<Value = AnalysisRequest> {
     })
 }
 
+/// A legacy `options.mode` string, or none. The kernel declares its
+/// trace mode, so the wire accepts these and drops them.
+fn legacy_mode() -> impl Strategy<Value = Option<&'static str>> {
+    option::of(prop_oneof![
+        Just("homogeneous"),
+        Just("per-block"),
+        Just("auto")
+    ])
+}
+
 proptest! {
     #[test]
-    fn requests_round_trip_bit_exactly(req in request()) {
+    fn requests_round_trip_bit_exactly(req in request(), mode in legacy_mode()) {
         let json = req.to_json();
-        let back = AnalysisRequest::from_json(&json).unwrap();
+        let mut doc = Value::parse(&json).unwrap();
+        let Value::Object(fields) = &mut doc else { panic!("a request is an object") };
+        let (_, Value::Object(options)) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "options")
+            .expect("options are always written")
+        else {
+            panic!("options are an object")
+        };
+        prop_assert!(options.iter().all(|(k, _)| k != "mode"), "mode is never written");
+        if let Some(mode) = mode {
+            options.push(("mode".into(), Value::from(mode)));
+        }
+        let back = AnalysisRequest::from_value(&doc).unwrap();
         prop_assert_eq!(&back, &req);
         prop_assert_eq!(back.to_json(), json);
     }

@@ -90,8 +90,8 @@ fn bench_timing(c: &mut Criterion) {
     let run = |threads: Threads| {
         let mut sim = TimingSim::new(&machine);
         sim.set_threads(threads);
-        let mut src = TraceSource::PerBlock(blocks.clone());
-        sim.run(&mut src, &launch, res)
+        let src = TraceSource::PerBlock(blocks.clone());
+        sim.run(&src, &launch, res)
     };
     assert_eq!(
         run(Threads::sequential()),

@@ -45,7 +45,7 @@
 //! runaway-loop guard, not a metered resource, and the deterministic
 //! alternative — splitting one budget across shards up front — would
 //! make parallel runs fail where sequential ones succeed. Layers that
-//! expose a fuel knob (`CaseOpts::fuel` in `gpa-apps`,
+//! expose a fuel knob (`run_study`'s `fuel` in `gpa-apps`,
 //! `AnalysisOptions::fuel` in `gpa-service`) document the same
 //! per-shard semantics.
 
@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker-thread selection, the one threading knob shared by every layer
 /// that shards independent work: block execution ([`SimEngine`],
-/// `CaseOpts` in `gpa-apps`), curve calibration (`MeasureOpts` in
+/// `run_study` in `gpa-apps`), curve calibration (`MeasureOpts` in
 /// `gpa-ubench`), and batch analysis (`AnalysisOptions` in `gpa-service`).
 ///
 /// Sharded results are **bit-identical at every thread count** throughout

@@ -241,7 +241,7 @@ impl<'a> FunctionalSim<'a> {
     /// [`Threads`](crate::engine::Threads) selector. The simulator itself
     /// defaults to the sequential walk (the deterministic low-level
     /// baseline, including fuel accounting); the options layers above
-    /// (`CaseOpts`, `MeasureOpts`, `gpa-service`) default to auto.
+    /// (`MeasureOpts`, `gpa-service`) default to auto.
     pub fn set_threads(&mut self, threads: crate::engine::Threads) -> &mut Self {
         self.set_num_threads(threads.raw())
     }

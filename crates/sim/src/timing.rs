@@ -92,69 +92,36 @@ impl Default for TimingConfig {
 /// Homogeneous grids (every block runs the same instruction stream with the
 /// same conflict degrees and transaction shapes — matmul, the tridiagonal
 /// solver, the microbenchmarks) can share one trace. Data-dependent
-/// kernels provide per-block traces, eagerly or lazily.
-pub enum TraceSource<'a> {
+/// kernels provide per-block traces.
+pub enum TraceSource {
     /// Every block replays the same trace.
     Homogeneous(Arc<BlockTrace>),
     /// `traces[b]` is block `b`'s trace.
     PerBlock(Vec<Arc<BlockTrace>>),
-    /// Traces fetched on demand (keeps memory bounded for huge grids).
-    /// Inherently stateful, so the parallel replay path falls back to
-    /// one worker for this variant.
-    Lazy(Box<dyn FnMut(u32) -> Arc<BlockTrace> + 'a>),
 }
 
-impl<'a> TraceSource<'a> {
+impl TraceSource {
     /// A [`TraceSource::PerBlock`] from already-collected traces in
     /// block-id order — the bridge from a parallel
     /// [`crate::engine::SimEngine`] run, which batches block execution per
     /// shard and returns the concatenated traces, to the timing replay.
-    pub fn from_blocks(traces: Vec<BlockTrace>) -> TraceSource<'static> {
+    pub fn from_blocks(traces: Vec<BlockTrace>) -> TraceSource {
         TraceSource::PerBlock(traces.into_iter().map(Arc::new).collect())
     }
 
-    fn fetch(&mut self, block: u32) -> Arc<BlockTrace> {
+    fn fetch(&self, block: u32) -> Arc<BlockTrace> {
         match self {
             TraceSource::Homogeneous(t) => Arc::clone(t),
             TraceSource::PerBlock(v) => Arc::clone(&v[block as usize]),
-            TraceSource::Lazy(f) => f(block),
-        }
-    }
-
-    /// A shareable immutable view for the parallel replay path; `None`
-    /// for the stateful [`TraceSource::Lazy`] variant.
-    fn view(&self) -> Option<TraceView<'_>> {
-        match self {
-            TraceSource::Homogeneous(t) => Some(TraceView::Homogeneous(t)),
-            TraceSource::PerBlock(v) => Some(TraceView::PerBlock(v)),
-            TraceSource::Lazy(_) => None,
         }
     }
 }
 
-/// Immutable, `Send + Sync` view of a [`TraceSource`] used to fetch
-/// traces from parallel cluster workers.
-#[derive(Clone, Copy)]
-enum TraceView<'s> {
-    Homogeneous(&'s Arc<BlockTrace>),
-    PerBlock(&'s [Arc<BlockTrace>]),
-}
-
-impl TraceView<'_> {
-    fn fetch(&self, block: u32) -> Arc<BlockTrace> {
-        match self {
-            TraceView::Homogeneous(t) => Arc::clone(t),
-            TraceView::PerBlock(v) => Arc::clone(&v[block as usize]),
-        }
-    }
-}
-
-impl std::fmt::Debug for TraceSource<'_> {
+impl std::fmt::Debug for TraceSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceSource::Homogeneous(_) => f.write_str("TraceSource::Homogeneous"),
             TraceSource::PerBlock(v) => write!(f, "TraceSource::PerBlock({} blocks)", v.len()),
-            TraceSource::Lazy(_) => f.write_str("TraceSource::Lazy"),
         }
     }
 }
@@ -240,8 +207,7 @@ impl<'m> TimingSim<'m> {
     /// pipe, own texture cache). The default is the sequential walk, like
     /// [`crate::FunctionalSim`]; the options layers above default to
     /// auto. Output is bit-identical for every thread count: outcomes are
-    /// merged in cluster-id order. [`TraceSource::Lazy`] is stateful and
-    /// always replays on one worker.
+    /// merged in cluster-id order.
     pub fn set_threads(&mut self, threads: Threads) -> &mut Self {
         self.threads = threads;
         self
@@ -268,7 +234,7 @@ impl<'m> TimingSim<'m> {
     /// barrier counts), which indicates a bug in trace generation.
     pub fn run(
         &self,
-        source: &mut TraceSource<'_>,
+        source: &TraceSource,
         launch: &LaunchConfig,
         resources: KernelResources,
     ) -> TimingResult {
@@ -359,43 +325,32 @@ impl<'m> TimingSim<'m> {
     fn run_clusters(
         &self,
         simulate: &[u32],
-        source: &mut TraceSource<'_>,
+        source: &TraceSource,
         nblocks: u32,
         blocks_per_sm: u32,
     ) -> Vec<ClusterOutcome> {
         let nclusters = self.machine.num_clusters();
-        let workers = match source.view() {
-            // A stateful fetch closure cannot be shared across workers.
-            None => 1,
-            Some(_) => self.threads.count().min(simulate.len()).max(1),
-        };
-        if workers <= 1 {
-            return simulate
+        let replay = |shard: &[u32]| -> Vec<ClusterOutcome> {
+            shard
                 .iter()
                 .map(|&c| {
                     let queue = ClusterQueue::new(c, nclusters, nblocks);
-                    let mut fetch = |b: u32| source.fetch(b);
-                    self.run_cluster(queue, &mut fetch, blocks_per_sm)
+                    self.run_cluster(queue, source, blocks_per_sm)
                 })
-                .collect();
+                .collect()
+        };
+        let workers = self.threads.count().min(simulate.len()).max(1);
+        if workers <= 1 {
+            return replay(simulate);
         }
-        let view = source.view().expect("checked above");
+        let replay = &replay;
         let plan = SimEngine::shard_plan(simulate.len() as u32, workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = plan
                 .into_iter()
                 .map(|shard| {
                     let shard = &simulate[shard.start as usize..shard.end as usize];
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|&c| {
-                                let queue = ClusterQueue::new(c, nclusters, nblocks);
-                                let mut fetch = |b: u32| view.fetch(b);
-                                self.run_cluster(queue, &mut fetch, blocks_per_sm)
-                            })
-                            .collect::<Vec<_>>()
-                    })
+                    scope.spawn(move || replay(shard))
                 })
                 .collect();
             handles
@@ -449,7 +404,7 @@ impl<'m> TimingSim<'m> {
     fn run_cluster(
         &self,
         queue: ClusterQueue,
-        fetch: &mut dyn FnMut(u32) -> Arc<BlockTrace>,
+        source: &TraceSource,
         blocks_per_sm: u32,
     ) -> ClusterOutcome {
         let cfg = &self.config;
@@ -474,7 +429,7 @@ impl<'m> TimingSim<'m> {
                 if next_block >= queue.len() {
                     break 'fill;
                 }
-                let trace = fetch(queue.get(next_block));
+                let trace = source.fetch(queue.get(next_block));
                 sm.blocks.push(BlockRun::new(trace, 0.0, &mut warp_pool));
                 next_block += 1;
             }
@@ -614,7 +569,7 @@ impl<'m> TimingSim<'m> {
                 retired.warps.clear();
                 warp_pool.push(retired.warps);
                 if next_block < queue.len() {
-                    let trace = fetch(queue.get(next_block));
+                    let trace = source.fetch(queue.get(next_block));
                     next_block += 1;
                     sm.blocks.push(BlockRun::new(
                         trace,

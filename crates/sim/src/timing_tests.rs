@@ -54,7 +54,7 @@ fn res(threads: u32) -> KernelResources {
     KernelResources::new(8, 0, threads)
 }
 
-fn one_block(warps: Vec<Vec<TraceEntry>>) -> TraceSource<'static> {
+fn one_block(warps: Vec<Vec<TraceEntry>>) -> TraceSource {
     TraceSource::Homogeneous(Arc::new(BlockTrace { warps }))
 }
 
@@ -63,8 +63,8 @@ fn dependent_chain_is_latency_bound() {
     let m = machine();
     let sim = TimingSim::new(&m);
     let n = 200;
-    let mut src = one_block(vec![dependent_chain(n)]);
-    let r = sim.run(&mut src, &LaunchConfig::new_1d(1, 32), res(32));
+    let src = one_block(vec![dependent_chain(n)]);
+    let r = sim.run(&src, &LaunchConfig::new_1d(1, 32), res(32));
     // One warp, RAW chain: ~alu_latency per instruction.
     let expect = n as f64 * sim.config().alu_latency;
     assert!(
@@ -79,8 +79,8 @@ fn independent_stream_is_issue_bound() {
     let m = machine();
     let sim = TimingSim::new(&m);
     let n = 400;
-    let mut src = one_block(vec![independent_stream(n)]);
-    let r = sim.run(&mut src, &LaunchConfig::new_1d(1, 32), res(32));
+    let src = one_block(vec![independent_stream(n)]);
+    let r = sim.run(&src, &LaunchConfig::new_1d(1, 32), res(32));
     let occ = 32.0 / 8.0 + sim.config().issue_overhead;
     let expect = n as f64 * occ;
     assert!(
@@ -98,9 +98,9 @@ fn warp_parallelism_hides_alu_latency() {
     let sim = TimingSim::new(&m);
     let n = 200;
     for (warps, saturated) in [(1usize, false), (2, false), (6, true), (8, true)] {
-        let mut src = one_block(vec![dependent_chain(n); warps]);
+        let src = one_block(vec![dependent_chain(n); warps]);
         let r = sim.run(
-            &mut src,
+            &src,
             &LaunchConfig::new_1d(1, 32 * warps as u32),
             res(32 * warps as u32),
         );
@@ -122,8 +122,8 @@ fn type_classes_have_table1_occupancies() {
     let mut cycles = Vec::new();
     for class in InstrClass::ALL {
         let stream: Vec<TraceEntry> = (0..n).map(|_| entry(class)).collect();
-        let mut src = one_block(vec![stream]);
-        let r = sim.run(&mut src, &LaunchConfig::new_1d(1, 32), res(32));
+        let src = one_block(vec![stream]);
+        let r = sim.run(&src, &LaunchConfig::new_1d(1, 32), res(32));
         cycles.push(r.cycles);
     }
     // Type I < Type II < Type III < Type IV issue cost.
@@ -150,10 +150,10 @@ fn bank_conflicts_serialize_the_smem_port() {
             .collect()
     };
     // Enough warps to saturate the port.
-    let mut free = one_block(vec![make(2); 8]);
-    let r_free = sim.run(&mut free, &LaunchConfig::new_1d(1, 256), res(256));
-    let mut conf = one_block(vec![make(4); 8]);
-    let r_conf = sim.run(&mut conf, &LaunchConfig::new_1d(1, 256), res(256));
+    let free = one_block(vec![make(2); 8]);
+    let r_free = sim.run(&free, &LaunchConfig::new_1d(1, 256), res(256));
+    let conf = one_block(vec![make(4); 8]);
+    let r_conf = sim.run(&conf, &LaunchConfig::new_1d(1, 256), res(256));
     let ratio = r_conf.cycles / r_free.cycles;
     // 2-way conflicts serialize the shared port *and* replay through the
     // issue stage (GT200 behaviour), so the slowdown exceeds 2×.
@@ -176,8 +176,8 @@ fn barrier_synchronizes_warps() {
     w1.push(bar);
     w0.extend(dependent_chain(10));
     w1.extend(dependent_chain(10));
-    let mut src = one_block(vec![w0, w1]);
-    let r = sim.run(&mut src, &LaunchConfig::new_1d(1, 64), res(64));
+    let src = one_block(vec![w0, w1]);
+    let r = sim.run(&src, &LaunchConfig::new_1d(1, 64), res(64));
     // Total dominated by the long warp: 100×24 + barrier + 10×24.
     let expect = 110.0 * 24.0;
     assert!(r.cycles > expect * 0.95, "cycles {} vs {expect}", r.cycles);
@@ -208,8 +208,8 @@ fn gmem_saturates_cluster_pipe_bandwidth() {
             })
             .collect()
     };
-    let mut src = one_block((0..8).map(|_| make_warp()).collect());
-    let r = sim.run(&mut src, &LaunchConfig::new_1d(1, 256), res(256));
+    let src = one_block((0..8).map(|_| make_warp()).collect());
+    let r = sim.run(&src, &LaunchConfig::new_1d(1, 256), res(256));
     // One cluster's share: peak × efficiency / 10, minus transaction
     // overhead effects.
     let cluster_bw = m.peak_global_bandwidth() * sim.config().dram_efficiency / 10.0;
@@ -228,14 +228,12 @@ fn blocks_fill_all_clusters() {
     // as 1 block (plus nothing), while 11 blocks make one cluster do two.
     let chain = vec![dependent_chain(100)];
     let t1 = {
-        let mut src = one_block(chain.clone());
-        sim.run(&mut src, &LaunchConfig::new_1d(10, 32), res(32))
-            .cycles
+        let src = one_block(chain.clone());
+        sim.run(&src, &LaunchConfig::new_1d(10, 32), res(32)).cycles
     };
     let t2 = {
-        let mut src = one_block(chain);
-        sim.run(&mut src, &LaunchConfig::new_1d(11, 32), res(32))
-            .cycles
+        let src = one_block(chain);
+        sim.run(&src, &LaunchConfig::new_1d(11, 32), res(32)).cycles
     };
     assert!(t2 > t1 * 0.99, "11th block must not be free: {t1} vs {t2}");
 }
@@ -248,22 +246,22 @@ fn waves_scale_with_occupancy() {
     // 30 blocks on cluster 0 (uniform mode) → 10 waves.
     let chain = vec![dependent_chain(50)];
     let one_wave = {
-        let mut src = one_block(chain.clone());
+        let src = one_block(chain.clone());
         let mut s = sim.clone();
         s.assume_uniform_clusters(true);
         s.run(
-            &mut src,
+            &src,
             &LaunchConfig::new_1d(30, 32),
             KernelResources::new(8, 9000, 32),
         )
         .cycles
     };
     let ten_waves = {
-        let mut src = one_block(chain);
+        let src = one_block(chain);
         let mut s = sim.clone();
         s.assume_uniform_clusters(true);
         s.run(
-            &mut src,
+            &src,
             &LaunchConfig::new_1d(300, 32),
             KernelResources::new(8, 9000, 32),
         )
@@ -279,14 +277,14 @@ fn uniform_cluster_mode_matches_full_simulation() {
     let base = TimingSim::new(&m);
     let chain: Vec<Vec<TraceEntry>> = vec![dependent_chain(80); 2];
     let full = {
-        let mut src = one_block(chain.clone());
-        base.run(&mut src, &LaunchConfig::new_1d(40, 64), res(64))
+        let src = one_block(chain.clone());
+        base.run(&src, &LaunchConfig::new_1d(40, 64), res(64))
     };
     let fast = {
-        let mut src = one_block(chain);
+        let src = one_block(chain);
         let mut s = base.clone();
         s.assume_uniform_clusters(true);
-        s.run(&mut src, &LaunchConfig::new_1d(40, 64), res(64))
+        s.run(&src, &LaunchConfig::new_1d(40, 64), res(64))
     };
     let rel = (full.cycles - fast.cycles).abs() / full.cycles;
     assert!(rel < 0.01, "uniform-mode divergence {rel}");
@@ -323,14 +321,14 @@ fn uniform_scaling_is_exact_on_divisible_grids() {
     let warps: Vec<Vec<TraceEntry>> = vec![make_warp(); 2];
     let launch = LaunchConfig::new_1d(20, 64);
     let full = {
-        let mut src = one_block(warps.clone());
-        TimingSim::new(&m).run(&mut src, &launch, res(64))
+        let src = one_block(warps.clone());
+        TimingSim::new(&m).run(&src, &launch, res(64))
     };
     let fast = {
-        let mut src = one_block(warps);
+        let src = one_block(warps);
         let mut s = TimingSim::new(&m);
         s.assume_uniform_clusters(true);
-        s.run(&mut src, &launch, res(64))
+        s.run(&src, &launch, res(64))
     };
     assert_eq!(fast.issued, full.issued, "issued must scale exactly");
     assert_eq!(fast.gmem_bytes, full.gmem_bytes, "bytes must scale exactly");
@@ -360,14 +358,14 @@ fn texture_cache_accelerates_reused_loads() {
     let warps: Vec<Vec<TraceEntry>> = (0..4).map(|w| make_warp(w as u64)).collect();
     let plain = {
         let sim = TimingSim::new(&m);
-        let mut src = one_block(warps.clone());
-        sim.run(&mut src, &LaunchConfig::new_1d(1, 128), res(128))
+        let src = one_block(warps.clone());
+        sim.run(&src, &LaunchConfig::new_1d(1, 128), res(128))
     };
     let cached = {
         let mut sim = TimingSim::new(&m);
         sim.set_texture_regions(vec![(4096, 1024)]);
-        let mut src = one_block(warps);
-        sim.run(&mut src, &LaunchConfig::new_1d(1, 128), res(128))
+        let src = one_block(warps);
+        sim.run(&src, &LaunchConfig::new_1d(1, 128), res(128))
     };
     assert!(
         cached.tex_hit_rate > 0.9,
@@ -393,25 +391,8 @@ fn texture_cache_accelerates_reused_loads() {
 fn empty_trace_finishes_instantly() {
     let m = machine();
     let sim = TimingSim::new(&m);
-    let mut src = one_block(vec![Vec::new()]);
-    let r = sim.run(&mut src, &LaunchConfig::new_1d(5, 32), res(32));
+    let src = one_block(vec![Vec::new()]);
+    let r = sim.run(&src, &LaunchConfig::new_1d(5, 32), res(32));
     assert_eq!(r.issued, 0);
     assert_eq!(r.cycles, 0.0);
-}
-
-#[test]
-fn lazy_source_is_called_per_block() {
-    let m = machine();
-    let sim = TimingSim::new(&m);
-    let mut calls = 0u32;
-    {
-        let mut src = TraceSource::Lazy(Box::new(|_b| {
-            calls += 1;
-            Arc::new(BlockTrace {
-                warps: vec![dependent_chain(5)],
-            })
-        }));
-        sim.run(&mut src, &LaunchConfig::new_1d(7, 32), res(32));
-    }
-    assert_eq!(calls, 7);
 }

@@ -60,13 +60,11 @@ pub fn give_block(trace: BlockTrace) {
 /// Return a finished trace source's buffers to the pool.
 ///
 /// Only traces the caller exclusively owns are recycled (a cloned-out
-/// `Arc` means someone still reads the trace, so it is left alone), and
-/// [`TraceSource::Lazy`] owns nothing by construction.
-pub fn reclaim(source: TraceSource<'_>) {
+/// `Arc` means someone still reads the trace, so it is left alone).
+pub fn reclaim(source: TraceSource) {
     match source {
         TraceSource::Homogeneous(t) => reclaim_arc(t),
         TraceSource::PerBlock(v) => v.into_iter().for_each(reclaim_arc),
-        TraceSource::Lazy(_) => {}
     }
 }
 

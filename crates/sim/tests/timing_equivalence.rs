@@ -134,12 +134,12 @@ proptest! {
             let reference = {
                 let mut sim = TimingSim::new(&m);
                 sim.set_threads(Threads::sequential());
-                sim.run(&mut TraceSource::PerBlock(traces.clone()), &launch, res)
+                sim.run(&TraceSource::PerBlock(traces.clone()), &launch, res)
             };
             for threads in THREAD_GRID {
                 let mut sim = TimingSim::new(&m);
                 sim.set_threads(threads);
-                let got = sim.run(&mut TraceSource::PerBlock(traces.clone()), &launch, res);
+                let got = sim.run(&TraceSource::PerBlock(traces.clone()), &launch, res);
                 prop_assert_eq!(
                     got.cycles.to_bits(),
                     reference.cycles.to_bits(),
@@ -169,50 +169,16 @@ proptest! {
                 let mut sim = TimingSim::new(&m);
                 sim.assume_uniform_clusters(uniform);
                 sim.set_threads(Threads::sequential());
-                sim.run(&mut TraceSource::Homogeneous(Arc::clone(&trace)), &launch, res)
+                sim.run(&TraceSource::Homogeneous(Arc::clone(&trace)), &launch, res)
             };
             for threads in THREAD_GRID {
                 let mut sim = TimingSim::new(&m);
                 sim.assume_uniform_clusters(uniform);
                 sim.set_threads(threads);
                 let got =
-                    sim.run(&mut TraceSource::Homogeneous(Arc::clone(&trace)), &launch, res);
+                    sim.run(&TraceSource::Homogeneous(Arc::clone(&trace)), &launch, res);
                 prop_assert_eq!(&got, &reference, "uniform={} {:?}", uniform, threads);
             }
         }
-    }
-
-    /// A lazy (stateful) source under a parallel thread selection must
-    /// fall back to one worker and still match — and keep fetching each
-    /// block exactly once.
-    #[test]
-    fn lazy_source_falls_back_to_sequential(
-        seed in 0u64..u64::MAX / 2,
-        nblocks in 1u32..16,
-    ) {
-        let mut rng = seed;
-        let traces: Vec<Arc<BlockTrace>> = (0..nblocks)
-            .map(|_| Arc::new(random_block(&mut rng, 2, 2)))
-            .collect();
-        let m = Machine::gtx285();
-        let res = KernelResources::new(8, 0, 64);
-        let launch = LaunchConfig::new_1d(nblocks, 64);
-        let reference = {
-            let mut sim = TimingSim::new(&m);
-            sim.set_threads(Threads::sequential());
-            sim.run(&mut TraceSource::PerBlock(traces.clone()), &launch, res)
-        };
-        let mut calls = 0u32;
-        let got = {
-            let mut src = TraceSource::Lazy(Box::new(|b| {
-                calls += 1;
-                Arc::clone(&traces[b as usize])
-            }));
-            let mut sim = TimingSim::new(&m);
-            sim.set_threads(Threads::Auto);
-            sim.run(&mut src, &launch, res)
-        };
-        prop_assert_eq!(calls, nblocks);
-        prop_assert_eq!(&got, &reference);
     }
 }

@@ -124,9 +124,9 @@ pub fn measure(machine: &Machine, cfg: GmemConfig) -> f64 {
 
     let mut timing = TimingSim::new(machine);
     timing.assume_uniform_clusters(true);
-    let mut src = TraceSource::Homogeneous(Arc::new(trace));
+    let src = TraceSource::Homogeneous(Arc::new(trace));
     let res = KernelResources::new(12, 0, cfg.threads);
-    let r = timing.run(&mut src, &launch, res);
+    let r = timing.run(&src, &launch, res);
     cfg.total_bytes() as f64 / r.seconds
 }
 

@@ -137,10 +137,10 @@ pub fn measure(
 
     let mut timing = TimingSim::new(machine);
     timing.assume_uniform_clusters(true);
-    let mut src = TraceSource::Homogeneous(Arc::new(trace));
+    let src = TraceSource::Homogeneous(Arc::new(trace));
     // Resources: declare enough so the requested blocks per SM are resident.
     let res = KernelResources::new(8, 0, threads);
-    let r = timing.run(&mut src, &launch, res);
+    let r = timing.run(&src, &launch, res);
 
     let chain_ops = u64::from(unroll)
         * u64::from(iters)

@@ -92,9 +92,9 @@ pub fn measure(machine: &Machine, warps_per_sm: u32, iters: u32) -> f64 {
 
     let mut timing = TimingSim::new(machine);
     timing.assume_uniform_clusters(true);
-    let mut src = TraceSource::Homogeneous(Arc::new(trace));
+    let src = TraceSource::Homogeneous(Arc::new(trace));
     let res = KernelResources::new(8, k.resources.smem_per_block, threads);
-    let r = timing.run(&mut src, &launch, res);
+    let r = timing.run(&src, &launch, res);
 
     let accesses = 2u64
         * u64::from(UNROLL)

@@ -2,20 +2,25 @@
 //! through the `Analyzer` session API.
 //!
 //! Builds a native-ISA kernel with `KernelBuilder`, calibrates an
-//! `Analyzer` for the GTX 285 once, and submits the kernel: the service
-//! runs the functional simulator (the Barra substitute), extracts dynamic
-//! statistics, "measures" on the timing simulator, runs the performance
-//! model, and returns the typed bottleneck report — with what-if advisor
-//! estimates riding along.
+//! `Analyzer` for the GTX 285 once, and submits the kernel in its portable
+//! encoding (`KernelSpec::Custom`: assembly text, launch, parameters, and
+//! a declarative memory image): the service runs the functional simulator
+//! (the Barra substitute), extracts dynamic statistics, "measures" on the
+//! timing simulator, runs the performance model, and returns the typed
+//! bottleneck report — with what-if advisor estimates and the output
+//! region's contents riding along.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use gpa::apps::workflow::Region;
 use gpa::hw::Machine;
+use gpa::isa::asm::kernel_to_asm;
 use gpa::isa::builder::KernelBuilder;
 use gpa::isa::instr::{CmpOp, MemAddr, NumTy, Pred, SpecialReg, Src, Width};
-use gpa::service::{AnalysisOptions, Analyzer, WhatIfSpec};
-use gpa::sim::{GlobalMemory, LaunchConfig};
+use gpa::service::{
+    AnalysisOptions, AnalysisRequest, Analyzer, CustomKernel, KernelSpec, MemInit, MemRegionSpec,
+    ParamValue, WhatIfSpec,
+};
+use gpa::sim::LaunchConfig;
 use gpa::ubench::MeasureOpts;
 
 fn main() {
@@ -67,46 +72,52 @@ fn main() {
     let kernel = b.finish().expect("kernel builds");
     println!("kernel: {kernel}");
 
-    // ---- 2. Set up device memory ----
-    let elems = 1 << 18;
-    let mut gmem = GlobalMemory::new();
+    // ---- 2. Describe device memory: x[k] = k/1000, y = 1.0, y read back ----
+    let elems: u32 = 1 << 18;
     let x: Vec<f32> = (0..elems).map(|k| k as f32 / 1000.0).collect();
-    let y: Vec<f32> = vec![1.0; elems];
-    let x_dev = gmem.alloc_f32(&x);
-    let y_dev = gmem.alloc_f32(&y);
-    let launch = LaunchConfig::new_1d(60, 256);
+    let region = |name: &str, init: MemInit, readback: bool| MemRegionSpec {
+        name: name.into(),
+        len: 4 * u64::from(elems),
+        init,
+        texture: false,
+        readback,
+    };
+    let custom = CustomKernel {
+        asm: kernel_to_asm(&kernel),
+        launch: LaunchConfig::new_1d(60, 256),
+        params: vec![
+            ParamValue::RegionBase("x".into()),
+            ParamValue::RegionBase("y".into()),
+            ParamValue::Word(elems),
+        ],
+        memory: vec![
+            region(
+                "x",
+                MemInit::Words(x.iter().map(|v| v.to_bits()).collect()),
+                false,
+            ),
+            region("y", MemInit::Fill(1.0f32.to_bits()), true),
+        ],
+    };
 
     // ---- 3. Calibrate the Analyzer once (the expensive step) ----
     let mut analyzer = Analyzer::new();
     analyzer.calibrate(machine, MeasureOpts::quick());
 
     // ---- 4. Submit the kernel: simulate, measure, model, report ----
-    let options = AnalysisOptions {
-        what_ifs: vec![
-            WhatIfSpec::PerfectCoalescing,
-            WhatIfSpec::Granularity4,
-            WhatIfSpec::MaxBlocks(16),
-        ],
-        ..AnalysisOptions::default()
-    };
-    let regions = [
-        Region::new("x", x_dev, 4 * elems as u64),
-        Region::new("y", y_dev, 4 * elems as u64),
-    ];
-    let report = analyzer
-        .analyze_kernel(
-            "gtx285",
-            &kernel,
-            launch,
-            &[x_dev as u32, y_dev as u32, elems as u32],
-            &mut gmem,
-            &regions,
-            &options,
-        )
-        .expect("saxpy analyzes");
+    let request = AnalysisRequest::new(KernelSpec::Custom(Box::new(custom)), "gtx285")
+        .with_options(AnalysisOptions {
+            what_ifs: vec![
+                WhatIfSpec::PerfectCoalescing,
+                WhatIfSpec::Granularity4,
+                WhatIfSpec::MaxBlocks(16),
+            ],
+            ..AnalysisOptions::default()
+        });
+    let report = analyzer.analyze(&request).expect("saxpy analyzes");
 
-    // Sanity: side effects landed in our memory (y[5] = 2·0.005 + 1).
-    let y5 = gmem.read_f32(y_dev + 20).unwrap();
+    // Sanity: the read-back y region holds the result (y[5] = 2·0.005 + 1).
+    let y5 = f32::from_bits(report.outputs[0].words[5]);
     assert!((y5 - (2.0 * x[5] + 1.0)).abs() < 1e-6);
     println!("functional result verified (y[5] = {y5})");
 

@@ -1,7 +1,8 @@
 //! Integration: the paper's headline accuracy claim — the model predicts
 //! the three case studies "with a 5–15% error". Our synthetic machine
 //! reproduces the bottleneck identities exactly and the accuracy within a
-//! wider but same-shape band (see EXPERIMENTS.md for the discussion).
+//! wider but same-shape band. The `table3` exhibit (`gpa-bench`) prints
+//! the per-SKU errors; ROADMAP.md open item 5 tracks the band.
 
 use gpa::apps::{matmul, spmv, tridiag};
 use gpa::hw::Machine;
