@@ -21,7 +21,7 @@
 //! assert_eq!(Value::parse(&text).unwrap(), v);
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,6 +268,40 @@ impl Value {
     }
 }
 
+/// The pretty-printed array of documents already written by
+/// [`Value::to_string_pretty`], without parsing them back: byte-identical
+/// to `Value::Array(parsed items).to_string_pretty()`.
+///
+/// Each item loses its trailing newline and moves one level in. The
+/// writer escapes every newline inside a string, so each raw `\n` in an
+/// item is structural and gets two more spaces of indentation.
+///
+/// ```
+/// use gpa_json::{pretty_array, Value};
+///
+/// let items = [Value::from(1.5), Value::Object(vec![("k".into(), Value::from("a\nb"))])];
+/// let texts: Vec<String> = items.iter().map(Value::to_string_pretty).collect();
+/// assert_eq!(
+///     pretty_array(texts.iter().map(String::as_str)),
+///     Value::Array(items.to_vec()).to_string_pretty()
+/// );
+/// ```
+pub fn pretty_array<'a>(items: impl IntoIterator<Item = &'a str>) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n  " } else { ",\n  " });
+        let item = item.strip_suffix('\n').unwrap_or(item);
+        for (k, line) in item.split('\n').enumerate() {
+            if k > 0 {
+                out.push_str("\n  ");
+            }
+            out.push_str(line);
+        }
+    }
+    out.push_str(if out.len() == 1 { "]\n" } else { "\n]\n" });
+    out
+}
+
 fn push_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
@@ -277,7 +311,7 @@ fn push_indent(out: &mut String, indent: usize) {
 fn write_number(out: &mut String, x: f64) {
     if x.is_finite() {
         // Rust's shortest-round-trip Display: parses back to the same bits.
-        out.push_str(&x.to_string());
+        write!(out, "{x}").expect("writing to a String cannot fail");
     } else {
         // JSON has no non-finite literals; null round-trips to an error on
         // read, which is the honest outcome for a corrupted measurement.
@@ -287,19 +321,25 @@ fn write_number(out: &mut String, x: f64) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // start and end on char boundaries and copy over as slices.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -493,12 +533,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::at("invalid UTF-8", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\`. Both
+                    // are ASCII, so the run ends on a char boundary of the
+                    // (valid UTF-8) input and only the run is validated.
+                    let end = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| start + n);
+                    let run = std::str::from_utf8(&self.bytes[start..end])
+                        .map_err(|_| Error::at("invalid UTF-8", start))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -538,6 +583,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn scalar_round_trips() {
@@ -631,5 +677,131 @@ mod tests {
         assert!(Value::parse("[1] trailing").is_err());
         assert!(Value::parse("nul").is_err());
         assert!(Value::parse("{\"a\" 1}").is_err());
+    }
+
+    /// Wall-clock ceiling for each adversarial document below, generous
+    /// for an unoptimized build. A string scan that re-validates the rest
+    /// of the input per character took ~16 s on the first one, optimized.
+    const BUDGET: Duration = Duration::from_secs(1);
+
+    const MIB: usize = 1 << 20;
+
+    fn parse_within_budget(text: &str) -> Result<Value, Error> {
+        let start = Instant::now();
+        let parsed = Value::parse(text);
+        let took = start.elapsed();
+        assert!(took <= BUDGET, "{} bytes took {took:?}", text.len());
+        parsed
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses_within_budget() {
+        let plain = "x".repeat(MIB);
+        let v = parse_within_budget(&format!("\"{plain}\"")).unwrap();
+        assert_eq!(v.as_str().unwrap(), plain);
+        // Multi-byte runs broken up by escapes every few bytes.
+        let mixed = "\u{e9}\u{20ac}\\n\u{1d11e}\\u00e9".repeat(MIB / 18);
+        let v = parse_within_budget(&format!("\"{mixed}\"")).unwrap();
+        assert_eq!(v.as_str().unwrap().chars().count(), 5 * (MIB / 18));
+    }
+
+    #[test]
+    fn a_mebibyte_of_numbers_parses_within_budget() {
+        let mut array = String::from("[");
+        while array.len() < MIB {
+            array.push_str("-12345.6789e-3, 7, ");
+        }
+        array.push_str("0]");
+        let v = parse_within_budget(&array).unwrap();
+        assert_eq!(v.as_array().unwrap()[0], Value::Number(-12.3456789));
+        // One number with a mebibyte of digits.
+        let long = format!("1{}", "0".repeat(MIB));
+        assert_eq!(
+            parse_within_budget(&long).unwrap(),
+            Value::Number(f64::INFINITY)
+        );
+    }
+
+    #[test]
+    fn the_nesting_limit_holds_within_budget() {
+        let at_limit = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(parse_within_budget(&at_limit).is_ok());
+        let objects = format!("{}1{}", "{\"k\": ".repeat(128), "}".repeat(128));
+        assert!(parse_within_budget(&objects).is_ok());
+        let err = parse_within_budget(&"[".repeat(MIB)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "nesting deeper than 128 levels at byte 129"
+        );
+    }
+
+    #[test]
+    fn multi_byte_runs_next_to_escapes_decode() {
+        let v = Value::parse(r#""\néé€𝄞\t漢字\"A""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "\n\u{e9}é€𝄞\t漢字\"A");
+        let v = Value::parse(r#"{"ключ": "знач\\ение"}"#).unwrap();
+        assert_eq!(v.get("ключ").unwrap().as_str().unwrap(), "знач\\ение");
+        // The writer copies the same runs back out.
+        let text = Value::from("é\u{1}€\"𝄞\\").to_string_pretty();
+        assert_eq!(text, "\"é\\u0001€\\\"𝄞\\\\\"\n");
+        assert_eq!(
+            Value::parse(text.trim()).unwrap(),
+            Value::from("é\u{1}€\"𝄞\\")
+        );
+    }
+
+    #[test]
+    fn a_string_of_only_escapes_decodes() {
+        let v = Value::parse(r#""\"\\\/\b\f\n\r\t\u0000ÿ""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "\"\\/\u{8}\u{c}\n\r\t\u{0}\u{ff}");
+        assert_eq!(Value::parse(r#""""#).unwrap(), Value::from(""));
+    }
+
+    #[test]
+    fn raw_control_bytes_inside_strings_are_accepted() {
+        let v = Value::parse("\"a\u{1}b\tc\nd\u{1f}\"").unwrap();
+        assert_eq!(v.as_str().unwrap(), "a\u{1}b\tc\nd\u{1f}");
+    }
+
+    #[test]
+    fn string_errors_report_their_byte_offset() {
+        let long = format!("\"{}", "é".repeat(5000));
+        let err = Value::parse(&long).unwrap_err();
+        assert_eq!(err.to_string(), "unterminated string at byte 10001");
+        let err = Value::parse(&format!("{long}\\")).unwrap_err();
+        assert_eq!(err.to_string(), "invalid escape at byte 10001");
+        let err = Value::parse("[\"ab\\q\"]").unwrap_err();
+        assert_eq!(err.to_string(), "invalid escape at byte 4");
+        let err = Value::parse("\"ab\\u00zz\"").unwrap_err();
+        assert_eq!(err.to_string(), "invalid \\u escape at byte 3");
+        let err = Value::parse("\"ab\\ud800\"").unwrap_err();
+        assert_eq!(err.to_string(), "invalid \\u code point at byte 3");
+        let err = Value::parse("\"ab\\u0").unwrap_err();
+        assert_eq!(err.to_string(), "truncated \\u escape at byte 3");
+    }
+
+    #[test]
+    fn pretty_array_splices_like_the_value_writer() {
+        let items = [
+            Value::Null,
+            Value::from("line\nbreak \"quoted\""),
+            Value::Array(vec![]),
+            Value::Object(vec![]),
+            Value::Object(vec![(
+                "nested".into(),
+                Value::Array(vec![
+                    Value::from(1.0),
+                    Value::Object(vec![("a".into(), Value::Null)]),
+                ]),
+            )]),
+        ];
+        for n in 0..=items.len() {
+            let texts: Vec<String> = items[..n].iter().map(Value::to_string_pretty).collect();
+            assert_eq!(
+                pretty_array(texts.iter().map(String::as_str)),
+                Value::Array(items[..n].to_vec()).to_string_pretty(),
+                "first {n} items"
+            );
+        }
     }
 }

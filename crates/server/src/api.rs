@@ -405,6 +405,33 @@ mod tests {
             .contains("calibration"));
     }
 
+    /// A body at the server's ceiling goes through the whole handler —
+    /// UTF-8 check, JSON decode, wire decode — and is refused as a wire
+    /// error within a wall-clock budget generous for an unoptimized
+    /// build.
+    #[test]
+    fn a_maximum_size_body_is_refused_within_budget() {
+        let body = format!(
+            "{{\"machine\": \"{}\"}}",
+            "x".repeat(crate::http::DEFAULT_MAX_BODY_BYTES - 15)
+        );
+        assert_eq!(body.len(), crate::http::DEFAULT_MAX_BODY_BYTES);
+        let req = Request {
+            method: "POST".into(),
+            target: "/v1/analyze".into(),
+            headers: Vec::new(),
+            body: body.into_bytes(),
+        };
+        let t = ServerTelemetry::new(IoModel::Threads, None);
+        let start = std::time::Instant::now();
+        let resp = api().handle(&req, &ctx(&t));
+        let took = start.elapsed();
+        assert_eq!(resp.status, 400);
+        let text = String::from_utf8(resp.body).unwrap();
+        assert!(text.contains("malformed wire payload"), "{text}");
+        assert!(took <= std::time::Duration::from_secs(1), "took {took:?}");
+    }
+
     #[test]
     fn analyze_rejects_bad_payloads_cleanly() {
         let api = api();

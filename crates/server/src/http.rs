@@ -392,6 +392,35 @@ mod tests {
         read_request(&mut BufReader::new(bytes), DEFAULT_MAX_BODY_BYTES)
     }
 
+    /// A request at the body ceiling parses within a wall-clock budget
+    /// generous for an unoptimized build: head and body are read in time
+    /// linear in their size.
+    #[test]
+    fn a_maximum_size_body_parses_within_budget() {
+        let body = format!(
+            "{{\"machine\": \"{}\"}}",
+            "x".repeat(DEFAULT_MAX_BODY_BYTES - 15)
+        );
+        assert_eq!(body.len(), DEFAULT_MAX_BODY_BYTES);
+        let mut raw = format!(
+            "POST /v1/analyze HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(body.as_bytes());
+        let start = std::time::Instant::now();
+        let outcome = parse_buffered(&raw, false, DEFAULT_MAX_BODY_BYTES);
+        let took = start.elapsed();
+        match outcome {
+            ParseOutcome::Request(req, used) => {
+                assert_eq!(used, raw.len());
+                assert_eq!(req.body, body.as_bytes());
+            }
+            other => panic!("expected a request, got {other:?}"),
+        }
+        assert!(took <= std::time::Duration::from_secs(1), "took {took:?}");
+    }
+
     #[test]
     fn parses_a_post_with_body() {
         let req = parse(b"POST /v1/analyze HTTP/1.1\r\nHost: x\r\ncontent-length: 4\r\n\r\n{\"a\"")

@@ -1106,7 +1106,7 @@ impl Analyzer {
     /// Answer one request. Every [`KernelSpec`] — the three case studies
     /// *and* [`KernelSpec::Custom`] — flows through the same prepared
     /// [`CaseStudy`] path, so a wire request and an in-process call are
-    /// bit-identical.
+    /// bit-identical. A report-cache hit is decoded from its stored JSON.
     ///
     /// # Errors
     ///
@@ -1114,13 +1114,27 @@ impl Analyzer {
     /// encodings, simulation or extraction failure, or a failed
     /// verification.
     pub fn analyze(&self, req: &AnalysisRequest) -> Result<AnalysisReport, ServiceError> {
+        match self.resolve(req)? {
+            Resolved::Stored(json) => AnalysisReport::from_json(&json),
+            Resolved::Computed(report, _) => Ok(*report),
+        }
+    }
+
+    /// The one report-cache path: look `req` up, or compute it. A hit is
+    /// the stored JSON, never decoded. A cacheable miss is serialized
+    /// once, under the `serialize` span, and that JSON is both stored and
+    /// returned.
+    pub(crate) fn resolve(&self, req: &AnalysisRequest) -> Result<Resolved, ServiceError> {
         let entry = {
             let _span = gpa_telemetry::PhaseSpan::start(gpa_telemetry::phase::CALIBRATION_FETCH);
             self.lookup(&req.machine)?
         };
         let cache = match &self.report_cache {
             Some(cache) if Self::cacheable(req) => cache,
-            _ => return self.analyze_resolved(entry, req),
+            _ => {
+                let report = self.analyze_resolved(entry, req)?;
+                return Ok(Resolved::Computed(Box::new(report), None));
+            }
         };
         let span = gpa_telemetry::PhaseSpan::start(gpa_telemetry::phase::CACHE_LOOKUP);
         let canonical =
@@ -1128,18 +1142,17 @@ impl Analyzer {
         let key = CacheKey::new(entry.identity, &canonical);
         let cached = cache.get(&key);
         drop(span);
+        gpa_telemetry::trace::set_cache_hit(cached.is_some());
         if let Some(json) = cached {
-            // A torn or foreign entry falls through to recompute (and
-            // gets overwritten below); a healthy one is the answer.
-            if let Ok(report) = AnalysisReport::from_json(&json) {
-                gpa_telemetry::trace::set_cache_hit(true);
-                return Ok(report);
-            }
+            return Ok(Resolved::Stored(json));
         }
-        gpa_telemetry::trace::set_cache_hit(false);
         let report = self.analyze_resolved(entry, req)?;
-        cache.put(&key, &report.to_json());
-        Ok(report)
+        let json = {
+            let _span = gpa_telemetry::PhaseSpan::start(gpa_telemetry::phase::SERIALIZE);
+            report.to_json()
+        };
+        cache.put(&key, &json);
+        Ok(Resolved::Computed(Box::new(report), Some(json)))
     }
 
     /// The uncached single-request path: build the study, run it with
@@ -1231,13 +1244,24 @@ impl Analyzer {
         reqs: &[AnalysisRequest],
         threads: Threads,
     ) -> Vec<Result<AnalysisReport, ServiceError>> {
+        self.batch(reqs, threads, Self::analyze)
+    }
+
+    /// Apply `each` to every request, in request order, sharded across
+    /// `threads` batch workers.
+    pub(crate) fn batch<T: Send>(
+        &self,
+        reqs: &[AnalysisRequest],
+        threads: Threads,
+        each: impl Fn(&Self, &AnalysisRequest) -> T + Sync,
+    ) -> Vec<T> {
         let n = reqs.len();
         // A lone request never asks the OS for its core count: resolving
         // `Threads::Auto` reads cgroup files, which costs more than a
         // report-cache hit.
         let workers = if n <= 1 { n } else { threads.count().min(n) };
         if workers <= 1 {
-            return reqs.iter().map(|r| self.analyze(r)).collect();
+            return reqs.iter().map(|r| each(self, r)).collect();
         }
         // Reuse the engine's contiguous near-equal sharding so batch
         // assignment is deterministic (not that it matters for results:
@@ -1253,6 +1277,7 @@ impl Analyzer {
         // report-cache key normalizes `threads` out.
         let inner = Threads::Fixed((Threads::Auto.count() / workers).max(1));
         let plan = SimEngine::shard_plan(n as u32, workers);
+        let each = &each;
         std::thread::scope(|scope| {
             let handles: Vec<_> = plan
                 .iter()
@@ -1265,9 +1290,9 @@ impl Analyzer {
                                 if matches!(r.options.threads, Threads::Auto) {
                                     let mut r = r.clone();
                                     r.options.threads = inner;
-                                    self.analyze(&r)
+                                    each(self, &r)
                                 } else {
-                                    self.analyze(r)
+                                    each(self, r)
                                 }
                             })
                             .collect::<Vec<_>>()
@@ -1279,6 +1304,26 @@ impl Analyzer {
                 .flat_map(|h| h.join().expect("batch worker panicked"))
                 .collect()
         })
+    }
+}
+
+/// How [`Analyzer::resolve`] answered one request.
+pub(crate) enum Resolved {
+    /// A report-cache hit: the stored report JSON.
+    Stored(Arc<str>),
+    /// A computed report, with its JSON when the report cache stored it.
+    Computed(Box<AnalysisReport>, Option<String>),
+}
+
+impl Resolved {
+    /// The report JSON: the stored or just-stored bytes when there are
+    /// any, otherwise the report serialized now.
+    pub(crate) fn json(&self) -> std::borrow::Cow<'_, str> {
+        match self {
+            Resolved::Stored(json) => json.as_ref().into(),
+            Resolved::Computed(_, Some(json)) => json.as_str().into(),
+            Resolved::Computed(report, None) => report.to_json().into(),
+        }
     }
 }
 

@@ -1,5 +1,4 @@
-//! Content-addressed cache of serialized
-//! [`AnalysisReport`](crate::AnalysisReport)s.
+//! Content-addressed cache of serialized [`AnalysisReport`]s.
 //!
 //! The paper's model is deterministic: identical requests against
 //! identical calibration always produce identical reports, so
@@ -63,7 +62,16 @@
 //! cache, so `gpa-analyze` runs and a `gpa-serve` next door share
 //! answers across processes; a disk entry that fails to read, parse, or
 //! fingerprint-match is a miss, never a panic.
+//!
+//! Memory entries are shared `Arc<str>`s: a hit is a reference-count
+//! bump under the shard lock. They hold only this process's own
+//! [`AnalysisReport::to_json`] output, so a hit is served as its stored
+//! bytes without decoding. The disk tier is where foreign bytes can
+//! enter: a disk entry is decoded once, when it is promoted into memory,
+//! and stored as the re-serialized report. One whose body is not a
+//! report is a miss, and the caller's recompute overwrites it.
 
+use crate::AnalysisReport;
 use gpa_json::Value;
 use gpa_telemetry::Counter;
 use gpa_ubench::cache::{fnv1a, CACHE_GENERATION};
@@ -71,7 +79,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// How a [`ReportCache`] is shaped. `Default` gives 64 MiB across 16
 /// shards with no disk tier.
@@ -157,7 +165,7 @@ impl CacheKey {
 #[derive(Debug)]
 struct Entry {
     fingerprint: String,
-    report_json: String,
+    report_json: Arc<str>,
     /// Logical timestamp of the last hit or insertion (LRU clock).
     last_used: u64,
 }
@@ -220,7 +228,7 @@ impl ReportCache {
     /// Look up the serialized report for `key`, consulting memory first
     /// and then the disk tier (a disk hit is promoted into memory).
     /// Every outcome is counted.
-    pub fn get(&self, key: &CacheKey) -> Option<String> {
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<str>> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         {
             let mut shard = self.shard(key).lock().expect("report cache poisoned");
@@ -230,13 +238,13 @@ impl ReportCache {
                 if entry.fingerprint == key.fingerprint {
                     entry.last_used = now;
                     self.hits.inc();
-                    return Some(entry.report_json.clone());
+                    return Some(Arc::clone(&entry.report_json));
                 }
             }
         }
         if let Some(json) = self.disk_load(key) {
             self.hits.inc();
-            self.insert(key, &json, now);
+            self.insert(key, Arc::clone(&json), now);
             return Some(json);
         }
         self.misses.inc();
@@ -247,14 +255,14 @@ impl ReportCache {
     /// entries past the shard budget) and, when configured, on disk.
     pub fn put(&self, key: &CacheKey, report_json: &str) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        self.insert(key, report_json, now);
+        self.insert(key, report_json.into(), now);
         self.disk_store(key, report_json);
     }
 
-    fn insert(&self, key: &CacheKey, report_json: &str, now: u64) {
+    fn insert(&self, key: &CacheKey, report_json: Arc<str>, now: u64) {
         let entry = Entry {
             fingerprint: key.fingerprint.clone(),
-            report_json: report_json.to_owned(),
+            report_json,
             last_used: now,
         };
         let mut shard = self.shard(key).lock().expect("report cache poisoned");
@@ -278,8 +286,10 @@ impl ReportCache {
     }
 
     /// Read `key` from the disk tier. Any failure — missing file, torn
-    /// write survivor, foreign JSON, fingerprint mismatch — is a miss.
-    fn disk_load(&self, key: &CacheKey) -> Option<String> {
+    /// write survivor, foreign JSON, fingerprint mismatch, a body that is
+    /// not a report — is a miss. A healthy body comes back re-serialized,
+    /// so memory only ever holds this process's own report JSON.
+    fn disk_load(&self, key: &CacheKey) -> Option<Arc<str>> {
         let dir = self.disk_dir.as_ref()?;
         let text = fs::read_to_string(dir.join(key.file_name())).ok()?;
         let doc = Value::parse(&text).ok()?;
@@ -287,7 +297,8 @@ impl ReportCache {
         if fingerprint != key.fingerprint {
             return None;
         }
-        Some(doc.get("report").ok()?.as_str().ok()?.to_owned())
+        let report = AnalysisReport::from_json(doc.get("report").ok()?.as_str().ok()?).ok()?;
+        Some(report.to_json().into())
     }
 
     /// Persist `key` atomically: stage to a process-unique temp file in
@@ -417,7 +428,7 @@ mod tests {
             ..ReportCacheConfig::default()
         };
         let k = key("{\"req\":\n \"with \\\"escapes\\\"\"}");
-        let report = "{\n  \"answer\": 42\n}";
+        let report = include_str!("../tests/golden/matmul_report.json");
         ReportCache::new(config.clone()).put(&k, report);
         // A fresh cache (a "new process") answers from disk and promotes
         // the entry into memory.
@@ -429,8 +440,13 @@ mod tests {
         // A torn or corrupted file reads as a miss, never a panic.
         let path = dir.join(k.file_name());
         fs::write(&path, "{\"fingerprint\": \"gen=").unwrap();
-        let corrupt = ReportCache::new(config);
+        let corrupt = ReportCache::new(config.clone());
         assert_eq!(corrupt.get(&k), None);
+        // So does a matching fingerprint over a body that is not a report.
+        ReportCache::new(config.clone()).put(&k, "{\n  \"answer\": 42\n}");
+        let foreign = ReportCache::new(config);
+        assert_eq!(foreign.get(&k), None);
+        assert_eq!((foreign.stats().misses, foreign.stats().entries), (1, 0));
         // No temp files left behind by the atomic store protocol.
         let stray: Vec<_> = fs::read_dir(&dir)
             .unwrap()

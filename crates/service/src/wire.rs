@@ -44,7 +44,7 @@ use gpa_core::{Analysis, Cause, Component, ComponentTimes, StageAnalysis, WhatIf
 use gpa_json::Value;
 use gpa_sim::{LaunchConfig, Threads};
 use gpa_telemetry::{phase, PhaseSpan};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
@@ -895,11 +895,13 @@ pub enum Answer {
 /// it sees every parsed request in order (and may rewrite them, e.g. to
 /// canonical machine names), and returns the analyzer to answer with
 /// plus one verdict per request. Refused requests keep their error; the
-/// admitted ones go through [`Analyzer::analyze_batch`] (a lone request
-/// runs inline, exactly like [`Analyzer::analyze`]). A batch degrades
-/// each failure to an `{"error"}` element so healthy answers still come
-/// back; a single request's failure is [`Answer::Refused`]. Serialization
-/// runs under the `serialize` phase span.
+/// admitted ones are answered like [`Analyzer::analyze_batch`] (a lone
+/// request runs inline), except that a report-cache hit answers with its
+/// stored JSON and is never decoded. A batch degrades each failure to an
+/// `{"error"}` element so healthy answers still come back, and splices
+/// each element's JSON into the array with [`gpa_json::pretty_array`]; a
+/// single request's failure is [`Answer::Refused`]. Serialization runs
+/// under the `serialize` phase span.
 ///
 /// # Panics
 ///
@@ -931,31 +933,40 @@ pub fn answer<A: Borrow<Analyzer>>(
         }
         refusals.push(verdict.err());
     }
-    let mut reports = analyzer.borrow().analyze_batch(&admitted).into_iter();
-    let mut answers = refusals.into_iter().map(|refusal| match refusal {
-        Some(e) => Err(e),
-        None => reports.next().expect("one answer per admitted request"),
-    });
+    let mut resolved = analyzer
+        .borrow()
+        .batch(&admitted, Threads::Auto, Analyzer::resolve)
+        .into_iter();
+    let answers: Vec<_> = refusals
+        .into_iter()
+        .map(|refusal| match refusal {
+            Some(e) => Err(e),
+            None => resolved.next().expect("one answer per admitted request"),
+        })
+        .collect();
 
     let _span = PhaseSpan::start(phase::SERIALIZE);
     if !batch {
-        return match answers.next().expect("one request") {
-            Ok(report) => Answer::Report(report.to_json()),
+        return match &answers[0] {
+            Ok(report) => Answer::Report(report.json().into_owned()),
             Err(e) => Answer::Refused(e.to_string()),
         };
     }
     let mut failed = false;
-    let items = answers
+    let items: Vec<Cow<str>> = answers
+        .iter()
         .map(|answer| match answer {
-            Ok(report) => report.to_value(),
+            Ok(report) => report.json(),
             Err(e) => {
                 failed = true;
-                obj(vec![("error", Value::from(e.to_string().as_str()))])
+                Cow::Owned(
+                    obj(vec![("error", Value::from(e.to_string().as_str()))]).to_string_pretty(),
+                )
             }
         })
         .collect();
     Answer::Batch {
-        json: Value::Array(items).to_string_pretty(),
+        json: gpa_json::pretty_array(items.iter().map(|item| &**item)),
         failed,
     }
 }

@@ -109,3 +109,44 @@ fn custom_report_matches_golden_file() {
     let parsed = gpa_service::AnalysisReport::from_json(&golden).unwrap();
     assert_eq!(parsed, report);
 }
+
+/// Every golden under `tests/golden/`, recursively, sorted by path.
+fn all_goldens() -> Vec<(PathBuf, String)> {
+    let mut dirs = vec![PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")];
+    let mut found = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                found.push((path, text));
+            }
+        }
+    }
+    found.sort();
+    found
+}
+
+/// The JSON writer is pinned byte for byte against every golden: a
+/// parse → write cycle, as a generic tree and as a typed report,
+/// reproduces each file exactly, and splicing the files into one array
+/// equals writing that array as a tree.
+#[test]
+fn every_golden_rewrites_byte_identically() {
+    let goldens = all_goldens();
+    assert!(goldens.len() >= 14, "found only {} goldens", goldens.len());
+    let mut trees = Vec::new();
+    for (path, text) in &goldens {
+        let tree = gpa_json::Value::parse(text).unwrap();
+        assert_eq!(&tree.to_string_pretty(), text, "{}", path.display());
+        let report = gpa_service::AnalysisReport::from_json(text).unwrap();
+        assert_eq!(&report.to_json(), text, "{}", path.display());
+        trees.push(tree);
+    }
+    assert_eq!(
+        gpa_json::pretty_array(goldens.iter().map(|(_, text)| text.as_str())),
+        gpa_json::Value::Array(trees).to_string_pretty()
+    );
+}

@@ -4,10 +4,14 @@
 //! exactly the fields the report provably does not depend on
 //! (`threads`, `calibration`, the ignored legacy `mode`) and nothing else, recalibration
 //! invalidates stale entries, verify/readback requests bypass the cache
-//! entirely, and the disk tier shares answers across processes.
+//! entirely, and the disk tier shares answers across processes. Through
+//! the wire front door, hits answer their stored bytes and batches
+//! splice them byte-equal to the value-tree writer.
 
 use gpa_apps::TraceMode;
 use gpa_hw::Machine;
+use gpa_json::Value;
+use gpa_service::wire::{self, Answer};
 use gpa_service::{
     AnalysisOptions, AnalysisRequest, Analyzer, Effort, KernelSpec, ReportCacheConfig, WhatIfSpec,
 };
@@ -370,4 +374,121 @@ proptest! {
             prop_assert_eq!(answer.unwrap().to_json(), oracle.clone());
         }
     }
+}
+
+/// Admit every request of a document, as `gpa-serve` does at full effort.
+fn answer_with(analyzer: &Analyzer, text: &str) -> Answer {
+    wire::answer(text, |reqs| {
+        (analyzer, reqs.iter().map(|_| Ok(())).collect())
+    })
+}
+
+#[test]
+fn wire_hits_answer_the_stored_bytes_of_a_fresh_report() {
+    let analyzer = cached_analyzer();
+    let req = matmul(64, 16);
+    let oracle = fresh_analyzer().analyze(&req).unwrap().to_json();
+    let text = req.to_json();
+    assert_eq!(
+        answer_with(&analyzer, &text),
+        Answer::Report(oracle.clone())
+    );
+    assert_eq!(answer_with(&analyzer, &text), Answer::Report(oracle));
+    let stats = analyzer.report_cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
+}
+
+#[test]
+fn spliced_batches_equal_the_value_writer() {
+    let analyzer = cached_analyzer();
+    let fresh = fresh_analyzer();
+    // The value-tree rendering every batch answer used to be built with.
+    let oracle = |reqs: &[AnalysisRequest]| {
+        let items = fresh
+            .analyze_batch(reqs)
+            .into_iter()
+            .map(|answer| match answer {
+                Ok(report) => report.to_value(),
+                Err(e) => {
+                    Value::Object(vec![("error".into(), Value::from(e.to_string().as_str()))])
+                }
+            })
+            .collect();
+        Value::Array(items).to_string_pretty()
+    };
+    let document = |reqs: &[AnalysisRequest]| {
+        let items: Vec<String> = reqs.iter().map(AnalysisRequest::to_json).collect();
+        format!("[{}]", items.join(","))
+    };
+    analyzer.analyze(&matmul(64, 16)).unwrap(); // a hit below
+    let unknown = AnalysisRequest::new(KernelSpec::Matmul { n: 64, tile: 16 }, "titan");
+    let batches = [
+        vec![],
+        vec![matmul(64, 16)],
+        vec![matmul(64, 8)],
+        vec![unknown.clone()],
+        vec![matmul(64, 16), unknown, matmul(64, 32), matmul(64, 7)],
+    ];
+    for reqs in &batches {
+        let failed = reqs.iter().any(|r| fresh.analyze(r).is_err());
+        assert_eq!(
+            answer_with(&analyzer, &document(reqs)),
+            Answer::Batch {
+                json: oracle(reqs),
+                failed
+            },
+            "{} requests",
+            reqs.len()
+        );
+    }
+    let stats = analyzer.report_cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (2, 4), "{stats:?}");
+}
+
+#[test]
+fn a_disk_entry_that_is_not_a_report_is_recomputed_and_overwritten() {
+    let dir = TempDir::new("foreign");
+    let config = || ReportCacheConfig {
+        disk_dir: Some(dir.0.clone()),
+        ..ReportCacheConfig::default()
+    };
+    let req = matmul(64, 16);
+    let oracle = fresh_analyzer().analyze(&req).unwrap().to_json();
+
+    let mut writer = fresh_analyzer();
+    writer.enable_report_cache(config());
+    writer.analyze(&req).unwrap();
+    let files: Vec<_> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "{files:?}");
+    // Keep the entry's fingerprint, replace its body with valid JSON
+    // that is not a report.
+    let entry = |path: &std::path::Path| {
+        let text = std::fs::read_to_string(path).unwrap();
+        let doc = Value::parse(&text).unwrap();
+        let fingerprint = doc.get("fingerprint").unwrap().as_str().unwrap().to_owned();
+        (
+            fingerprint,
+            doc.get("report").unwrap().as_str().unwrap().to_owned(),
+        )
+    };
+    let (fingerprint, report) = entry(&files[0]);
+    assert_eq!(report, oracle);
+    let foreign = Value::Object(vec![
+        ("fingerprint".into(), Value::from(fingerprint.as_str())),
+        ("report".into(), Value::from("{\"answer\": 42}")),
+    ]);
+    std::fs::write(&files[0], foreign.to_string_pretty()).unwrap();
+
+    let mut reader = fresh_analyzer();
+    reader.enable_report_cache(config());
+    assert_eq!(
+        answer_with(&reader, &req.to_json()),
+        Answer::Report(oracle.clone())
+    );
+    let stats = reader.report_cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
+    assert_eq!(entry(&files[0]), (fingerprint, oracle), "overwritten");
 }
