@@ -21,7 +21,8 @@
 //! where every site couples to itself and its eight ±1 neighbours with a
 //! 3×3 block — exactly the structural properties (block size, nine blocks
 //! per block-row, mixed near/far column distances) the paper's analysis
-//! depends on. See DESIGN.md §2 for this substitution.
+//! depends on. It stands in for the paper's lattice-QCD matrix, which is
+//! not published with the paper.
 //!
 //! All three kernels are global-memory-bound; the texture-cache variants
 //! of Figure 12 are produced by routing the vector region through the

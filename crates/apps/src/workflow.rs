@@ -15,7 +15,7 @@ use gpa_hw::Machine;
 use gpa_isa::Kernel;
 use gpa_sim::{
     FunctionalSim, GlobalMemory, LaunchConfig, SimError, Threads, TimingResult, TimingSim,
-    TraceSource,
+    TraceBlocks, TraceSource,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -299,20 +299,6 @@ pub fn run_study(
         ..
     } = study;
     let launch = *launch;
-    let configure = |sim: &mut FunctionalSim<'_>| {
-        sim.set_params(params).set_threads(threads);
-        if let Some(fuel) = fuel {
-            sim.set_fuel(fuel);
-        }
-        for r in regions.iter() {
-            if r.texture {
-                sim.add_texture_region(r.name.clone(), r.base, r.len);
-            } else {
-                sim.add_region(r.name.clone(), r.base, r.len);
-            }
-        }
-    };
-
     let mut timing = TimingSim::new(machine);
     // The same worker selection drives both phases: block execution in the
     // functional pass and cluster replay in the timing pass (a uniform
@@ -328,40 +314,47 @@ pub fn run_study(
         timing.set_texture_regions(tex);
     }
 
+    // One functional pass over every block: it verifies memory safety,
+    // mutates the study's memory image in place, gathers the dynamic
+    // statistics, and records the traces the timing replay needs.
+    let mut func = FunctionalSim::new(machine, kernel, launch)?;
+    func.set_params(params).set_threads(threads);
+    if let Some(fuel) = fuel {
+        func.set_fuel(fuel);
+    }
+    for r in regions.iter() {
+        if r.texture {
+            func.add_texture_region(r.name.clone(), r.base, r.len);
+        } else {
+            func.add_region(r.name.clone(), r.base, r.len);
+        }
+    }
     let (src, stats) = match mode {
         TraceMode::Homogeneous => {
-            // Trace block 0 from a pristine copy of memory, then run the
-            // functional pass (all blocks, real side effects) separately.
-            let mut trace_mem = gmem.clone();
-            let mut tracer = FunctionalSim::new(machine, kernel, launch)?;
-            configure(&mut tracer);
-            tracer.collect_traces(true);
-            let mut scratch = tracer.fresh_stats();
-            let trace = tracer
-                .run_block(&mut trace_mem, 0, &mut scratch)?
-                .expect("trace collection enabled");
+            // Block 0 runs first on pre-launch memory in every engine
+            // configuration, so tracing it inside the full pass records
+            // exactly the trace of a separate pass over a pristine copy.
+            func.collect_traces(TraceBlocks::First);
+            let out = func.run(gmem)?;
+            let trace = out.traces.and_then(|mut t| t.pop());
             timing.assume_uniform_clusters(true);
-
-            let mut func = FunctionalSim::new(machine, kernel, launch)?;
-            configure(&mut func);
-            let stats = func.run(gmem)?.stats;
-            (TraceSource::Homogeneous(Arc::new(trace)), stats)
+            (
+                TraceSource::Homogeneous(Arc::new(trace.expect("block 0 is traced"))),
+                out.stats,
+            )
         }
         TraceMode::Auto => {
             // One traced pass answers both questions at once: the
             // dynamic statistics, and whether the blocks actually
             // diverge.
-            let mut func = FunctionalSim::new(machine, kernel, launch)?;
-            configure(&mut func);
-            func.collect_traces(true);
+            func.collect_traces(TraceBlocks::All);
             let out = func.run(gmem)?;
             let mut traces = out.traces.expect("trace collection enabled");
             let uniform = !textured && traces.windows(2).all(|w| w[0].shape_eq(&w[1]));
             let src = if uniform {
-                // Block 0 executes against pre-launch memory in every
-                // engine configuration, so its trace here is exactly
-                // the trace the Homogeneous arm collects — this branch
-                // reproduces TraceMode::Homogeneous bit for bit.
+                // Block 0's trace here is exactly the trace the
+                // Homogeneous arm collects — this branch reproduces
+                // TraceMode::Homogeneous bit for bit.
                 timing.assume_uniform_clusters(true);
                 for extra in traces.split_off(1) {
                     gpa_sim::trace_pool::give_block(extra);

@@ -67,5 +67,5 @@ fn main() {
     println!("paper rows: 8x8: min(16,47,8)=8 blocks, 16 warps; 16x16: min(8,15,8)=8, 16;");
     println!("            32x32: min(3,3,8)=3 blocks, 6 warps.");
     println!("(our register column shows 4 where the paper lists 3 for 32x32; the shared-");
-    println!(" memory ceiling binds either way, so occupancy matches. See EXPERIMENTS.md.)");
+    println!(" memory ceiling binds either way, so occupancy matches.)");
 }

@@ -25,11 +25,13 @@
 //! release mode (`cargo run --release -p gpa-bench --bin fig4`). Passing
 //! `--paper` selects the paper's full problem sizes; `--threads N` (or
 //! `--par`) shards block simulation across worker threads with
-//! bit-identical output. `EXPERIMENTS.md` records a full transcript.
+//! bit-identical output.
 //!
 //! `benches/primitives.rs` holds Criterion microbenchmarks of the
 //! simulator substrate itself (coalescer, bank conflicts, functional and
-//! timing simulation, parallel engine sharding, model analysis).
+//! timing simulation, parallel engine sharding, model analysis);
+//! `benches/layers.rs` times one request phase per bench, named
+//! `layer/<phase>/<workload>` after the telemetry phase.
 
 use gpa_hw::Machine;
 use gpa_ubench::{MeasureOpts, ThroughputCurves};

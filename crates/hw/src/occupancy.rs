@@ -211,7 +211,8 @@ mod tests {
         // 58 regs, 4284 B smem. The paper's register column says 3; the
         // standard GT200 allocation rule (512-register units) gives 4, but
         // shared memory also gives 3, so the resulting occupancy — 3 blocks,
-        // 6 warps — matches the paper exactly. See EXPERIMENTS.md.
+        // 6 warps — matches the paper exactly (the `table2` exhibit prints
+        // the same comparison).
         let occ = occupancy(&m(), KernelResources::new(58, 4284, 64));
         assert_eq!(occ.blocks_by_smem, 3);
         assert_eq!(occ.blocks, 3);

@@ -57,45 +57,149 @@ impl Default for BankConfig {
 /// inactive lanes. Returns 0 when no lane is active, 1 for a conflict-free
 /// or broadcast access, and up to `banks` for the worst case.
 pub fn bank_transactions(addrs: &[Option<u64>], cfg: BankConfig) -> u32 {
-    debug_assert!(cfg.banks > 0 && cfg.width > 0);
-    // Distinct words per bank; same word in the same bank broadcasts.
-    // Half-warps are small (16 lanes), so the distinct-word set fits on
-    // the stack — this function runs twice per shared-memory instruction
-    // in the functional simulator and must not allocate.
-    const STACK_LANES: usize = 32;
-    if addrs.len() <= STACK_LANES {
-        let mut words = [0u64; STACK_LANES];
-        let mut banks = [0u64; STACK_LANES];
-        let mut n = 0usize;
-        for addr in addrs.iter().flatten() {
-            let word = addr / u64::from(cfg.width);
-            if !words[..n].contains(&word) {
-                words[n] = word;
-                banks[n] = word % u64::from(cfg.banks);
-                n += 1;
-            }
-        }
-        let mut worst = 0u32;
-        for i in 0..n {
-            let mut depth = 0u32;
-            for b in &banks[..n] {
-                if *b == banks[i] {
-                    depth += 1;
+    match lane_row(addrs) {
+        Some((row, active)) => bank_degree(&row[..addrs.len()], active, cfg),
+        None => {
+            let mut per_bank: Vec<Vec<u64>> = vec![Vec::new(); cfg.banks as usize];
+            for addr in addrs.iter().flatten() {
+                let word = addr / u64::from(cfg.width);
+                let bank = (word % u64::from(cfg.banks)) as usize;
+                if !per_bank[bank].contains(&word) {
+                    per_bank[bank].push(word);
                 }
             }
-            worst = worst.max(depth);
-        }
-        return worst;
-    }
-    let mut per_bank: Vec<Vec<u64>> = vec![Vec::new(); cfg.banks as usize];
-    for addr in addrs.iter().flatten() {
-        let word = addr / u64::from(cfg.width);
-        let bank = (word % u64::from(cfg.banks)) as usize;
-        if !per_bank[bank].contains(&word) {
-            per_bank[bank].push(word);
+            per_bank.iter().map(|v| v.len() as u32).max().unwrap_or(0)
         }
     }
-    per_bank.iter().map(|v| v.len() as u32).max().unwrap_or(0)
+}
+
+/// Lanes a row-wise degree function accepts (bits of its `active` mask).
+const ROW_LANES: usize = 32;
+
+/// Split an `Option` lane list into an address row and an active-lane
+/// mask, when it fits one: at most [`ROW_LANES`] lanes, 32-bit addresses.
+fn lane_row(addrs: &[Option<u64>]) -> Option<([u32; ROW_LANES], u32)> {
+    if addrs.len() > ROW_LANES {
+        return None;
+    }
+    let mut row = [0u32; ROW_LANES];
+    let mut active = 0u32;
+    for (i, a) in addrs.iter().enumerate() {
+        if let Some(a) = a {
+            row[i] = u32::try_from(*a).ok()?;
+            active |= 1 << i;
+        }
+    }
+    Some((row, active))
+}
+
+/// Word and bank arithmetic of a [`BankConfig`], with shifts and masks in
+/// place of division for the power-of-two geometries real parts have.
+struct Geometry {
+    width: u32,
+    banks: u32,
+    width_shift: Option<u32>,
+    bank_mask: Option<u32>,
+}
+
+impl Geometry {
+    fn new(cfg: BankConfig) -> Geometry {
+        let (width, banks) = (cfg.width, cfg.banks);
+        Geometry {
+            width,
+            banks,
+            width_shift: width.is_power_of_two().then(|| width.trailing_zeros()),
+            bank_mask: banks.is_power_of_two().then(|| banks - 1),
+        }
+    }
+
+    #[inline]
+    fn word(&self, addr: u32) -> u32 {
+        match self.width_shift {
+            Some(s) => addr >> s,
+            None => addr / self.width,
+        }
+    }
+
+    #[inline]
+    fn bank(&self, word: u32) -> u32 {
+        match self.bank_mask {
+            Some(m) => word & m,
+            None => word % self.banks,
+        }
+    }
+}
+
+/// Iterate the set bits of `mask`, lowest first.
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// [`bank_transactions`] for a half-warp given as a row of 32-bit byte
+/// addresses and a mask of its active lanes (bit *i* set: lane *i*
+/// accesses `addrs[i]`; inactive lanes' entries are ignored).
+///
+/// This is the functional simulator's form: it runs for every half-warp
+/// of every shared-memory instruction, so it never allocates, and the two
+/// common patterns — every lane on one word (broadcast) and every lane in
+/// its own bank — answer 1 after a single pass over the lanes.
+///
+/// # Panics
+///
+/// Panics if `addrs` has more than 32 lanes or `active` names a lane
+/// past its end.
+pub fn bank_degree(addrs: &[u32], active: u32, cfg: BankConfig) -> u32 {
+    debug_assert!(cfg.banks > 0 && cfg.width > 0);
+    assert!(addrs.len() <= ROW_LANES, "a half-warp has at most 32 lanes");
+    if active == 0 {
+        return 0;
+    }
+    let first = addrs[active.trailing_zeros() as usize];
+    let broadcast = if Some(active) == u32::MAX.checked_shr(32 - addrs.len() as u32) {
+        // Every lane active: a branch-free reduction.
+        addrs.iter().fold(0, |d, &a| d | (a ^ first)) == 0
+    } else {
+        lanes(active).all(|i| addrs[i] == first)
+    };
+    if broadcast {
+        return 1; // one address: a broadcast
+    }
+    let geometry = Geometry::new(cfg);
+    if cfg.banks <= 64 {
+        let mut seen = 0u64;
+        let distinct_banks = lanes(active).all(|i| {
+            let bit = 1u64 << geometry.bank(geometry.word(addrs[i]));
+            let fresh = seen & bit == 0;
+            seen |= bit;
+            fresh
+        });
+        if distinct_banks {
+            return 1;
+        }
+    }
+    // Distinct words per bank; same word in the same bank broadcasts.
+    let mut words = [0u32; ROW_LANES];
+    let mut word_banks = [0u32; ROW_LANES];
+    let mut n = 0usize;
+    for i in lanes(active) {
+        let word = geometry.word(addrs[i]);
+        if !words[..n].contains(&word) {
+            words[n] = word;
+            word_banks[n] = geometry.bank(word);
+            n += 1;
+        }
+    }
+    let mut worst = 0u32;
+    for b in &word_banks[..n] {
+        worst = worst.max(word_banks[..n].iter().filter(|x| *x == b).count() as u32);
+    }
+    worst
 }
 
 /// Number of serialized transactions for one **half-warp** of shared-memory
@@ -108,22 +212,46 @@ pub fn bank_transactions(addrs: &[Option<u64>], cfg: BankConfig) -> u32 {
 /// reaching the active-lane count when every lane hammers one address (the
 /// `atomic_hotspot` worst case).
 pub fn atomic_bank_transactions(addrs: &[Option<u64>], cfg: BankConfig) -> u32 {
-    debug_assert!(cfg.banks > 0 && cfg.width > 0);
-    const STACK_BANKS: usize = 64;
-    if (cfg.banks as usize) <= STACK_BANKS {
-        let mut depth = [0u32; STACK_BANKS];
-        for addr in addrs.iter().flatten() {
-            let word = addr / u64::from(cfg.width);
-            depth[(word % u64::from(cfg.banks)) as usize] += 1;
+    match lane_row(addrs) {
+        Some((row, active)) => atomic_bank_degree(&row[..addrs.len()], active, cfg),
+        None => {
+            let mut depth = vec![0u32; cfg.banks as usize];
+            for addr in addrs.iter().flatten() {
+                let word = addr / u64::from(cfg.width);
+                depth[(word % u64::from(cfg.banks)) as usize] += 1;
+            }
+            depth.into_iter().max().unwrap_or(0)
         }
-        return depth.iter().copied().max().unwrap_or(0);
     }
-    let mut depth = vec![0u32; cfg.banks as usize];
-    for addr in addrs.iter().flatten() {
-        let word = addr / u64::from(cfg.width);
-        depth[(word % u64::from(cfg.banks)) as usize] += 1;
+}
+
+/// [`atomic_bank_transactions`] for an address row and active-lane mask,
+/// like [`bank_degree`]. Never allocates.
+///
+/// # Panics
+///
+/// Panics if `addrs` has more than 32 lanes or `active` names a lane
+/// past its end.
+pub fn atomic_bank_degree(addrs: &[u32], active: u32, cfg: BankConfig) -> u32 {
+    debug_assert!(cfg.banks > 0 && cfg.width > 0);
+    assert!(addrs.len() <= ROW_LANES, "a half-warp has at most 32 lanes");
+    // At most 32 lanes land in at most 32 distinct banks.
+    let mut banks = [0u32; ROW_LANES];
+    let mut depth = [0u32; ROW_LANES];
+    let mut n = 0usize;
+    let geometry = Geometry::new(cfg);
+    for i in lanes(active) {
+        let bank = geometry.bank(geometry.word(addrs[i]));
+        match banks[..n].iter().position(|b| *b == bank) {
+            Some(k) => depth[k] += 1,
+            None => {
+                banks[n] = bank;
+                depth[n] = 1;
+                n += 1;
+            }
+        }
     }
-    depth.into_iter().max().unwrap_or(0)
+    depth[..n].iter().copied().max().unwrap_or(0)
 }
 
 /// Number of serialized **half-warp** transactions for a full-warp access:
@@ -281,6 +409,47 @@ mod tests {
         assert_eq!(warp_bank_transactions(&addrs, cfg), 4);
     }
 
+    /// The definition: per bank, count distinct words; per bank, count
+    /// lanes (atomics). Allocating and slow, but obviously right.
+    fn reference(addrs: &[Option<u64>], cfg: BankConfig) -> (u32, u32) {
+        let mut words: Vec<Vec<u64>> = vec![Vec::new(); cfg.banks as usize];
+        let mut lanes = vec![0u32; cfg.banks as usize];
+        for a in addrs.iter().flatten() {
+            let word = a / u64::from(cfg.width);
+            let bank = (word % u64::from(cfg.banks)) as usize;
+            if !words[bank].contains(&word) {
+                words[bank].push(word);
+            }
+            lanes[bank] += 1;
+        }
+        let load = words.iter().map(|w| w.len() as u32).max().unwrap_or(0);
+        (load, lanes.into_iter().max().unwrap_or(0))
+    }
+
+    #[test]
+    fn row_form_matches_option_form() {
+        let cfg = BankConfig::gt200();
+        let addrs: Vec<Option<u64>> = (0..16u64).map(|i| (i % 3 != 0).then_some(i * 8)).collect();
+        let row: Vec<u32> = addrs
+            .iter()
+            .map(|a| a.map_or(u32::MAX, |a| a as u32))
+            .collect();
+        let active = addrs
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.is_some())
+            .fold(0u32, |m, (i, _)| m | 1 << i);
+        assert_eq!(
+            bank_degree(&row, active, cfg),
+            bank_transactions(&addrs, cfg)
+        );
+        assert_eq!(
+            atomic_bank_degree(&row, active, cfg),
+            atomic_bank_transactions(&addrs, cfg)
+        );
+        assert_eq!(bank_degree(&row, 0, cfg), 0);
+    }
+
     // ---- Properties ----
 
     fn arb_addrs() -> impl Strategy<Value = Vec<Option<u64>>> {
@@ -310,6 +479,24 @@ mod tests {
             prop_assert!(atomic >= load);
             prop_assert!(atomic <= active);
             prop_assert_eq!(atomic == 0, active == 0);
+        }
+
+        /// The one-pass broadcast and distinct-bank answers, and the
+        /// general fallback, agree with the definition — on address sets
+        /// drawn from a few words so broadcasts and partial broadcasts are
+        /// common, under the GT200 and a prime bank count.
+        #[test]
+        fn degrees_match_the_definition(
+            picks in proptest::collection::vec(proptest::option::of(0usize..4), 16),
+            words in proptest::collection::vec(0u64..64, 4),
+            prime in any::<bool>(),
+        ) {
+            let cfg = if prime { BankConfig::with_banks(17) } else { BankConfig::gt200() };
+            let addrs: Vec<Option<u64>> =
+                picks.iter().map(|p| p.map(|k| words[k] * 4)).collect();
+            let (load, atomic) = reference(&addrs, cfg);
+            prop_assert_eq!(bank_transactions(&addrs, cfg), load);
+            prop_assert_eq!(atomic_bank_transactions(&addrs, cfg), atomic);
         }
 
         /// Lane permutation never changes the serialization degree.

@@ -117,10 +117,6 @@ pub fn coalesce_half_warp(
 /// [`coalesce_half_warp`] without the return-vector allocation: `emit` is
 /// invoked once per transaction, in issue order.
 ///
-/// This is the functional simulator's form — it runs the protocol three
-/// times (one per granularity) per global warp-instruction, so the half-warp
-/// working set lives on the stack.
-///
 /// # Panics
 ///
 /// Same contract as [`coalesce_half_warp`].
@@ -154,17 +150,83 @@ pub fn coalesce_half_warp_with(
             "access at {addr:#x} is not naturally aligned to {len}"
         );
     }
+    segment_spans(pending, cfg.max_segment, |span| {
+        emit(span.reduce(cfg.min_segment))
+    });
+}
 
+/// One segment of a half-warp request after steps 1–2 of the protocol:
+/// the aligned maximum-size segment, and the byte span `[lo, hi)` that
+/// the lanes it serves actually touch.
+///
+/// Steps 1–2 depend only on the maximum segment size, so one pass serves
+/// every minimum granularity that shares it (the functional simulator
+/// evaluates the 32-, 16- and 4-byte systems of paper Figure 11 from the
+/// same spans); [`SegmentSpan::reduce`] is step 3.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentSpan {
+    /// Base of the aligned maximum-size segment.
+    pub base: u64,
+    /// The maximum segment size, bytes.
+    pub size: u32,
+    /// Lowest byte a served lane touches.
+    pub lo: u64,
+    /// One past the highest byte a served lane touches.
+    pub hi: u64,
+}
+
+impl SegmentSpan {
+    /// Step 3: halve the segment while the used bytes fit in an aligned
+    /// half, down to `min_segment`.
+    pub fn reduce(self, min_segment: u32) -> Transaction {
+        let (mut base, mut size) = (self.base, self.size);
+        let used = (self.hi - self.lo) as u32;
+        while size > min_segment {
+            let half = size / 2;
+            let lower = Transaction { base, size: half };
+            let upper = Transaction {
+                base: base + u64::from(half),
+                size: half,
+            };
+            if lower.contains(self.lo, used) {
+                size = half;
+            } else if upper.contains(self.lo, used) {
+                base += u64::from(half);
+                size = half;
+            } else {
+                break;
+            }
+        }
+        Transaction { base, size }
+    }
+}
+
+/// Steps 1, 2 and 4 of the protocol for one half-warp: `pending` holds the
+/// active lanes' `(byte_address, width_bytes)` requests in lane order, and
+/// `emit` receives one [`SegmentSpan`] per segment, in issue order.
+/// `pending` is used as scratch (unserved requests are compacted in
+/// place).
+///
+/// Callers guarantee what [`coalesce_half_warp`] asserts: `max_segment`
+/// and every width are powers of two, no width exceeds `max_segment`,
+/// and every address is naturally aligned.
+pub fn segment_spans(
+    pending: &mut [(u64, u32)],
+    max_segment: u32,
+    mut emit: impl FnMut(SegmentSpan),
+) {
+    debug_assert!(max_segment.is_power_of_two());
     let mut n = pending.len();
     while n > 0 {
         // 1. Aligned max-size segment containing the lowest lane's address.
-        let seg_size = u64::from(cfg.max_segment);
-        let mut base = pending[0].0 / seg_size * seg_size;
-        let mut size = cfg.max_segment;
+        let base = pending[0].0 & !(u64::from(max_segment) - 1);
+        let seg = Transaction {
+            base,
+            size: max_segment,
+        };
 
         // 2. Serve every pending access that fits entirely in the segment,
         //    compacting the unserved ones in place (order preserved).
-        let seg = Transaction { base, size };
         let mut lo = u64::MAX;
         let mut hi = 0u64;
         let mut kept = 0usize;
@@ -178,27 +240,14 @@ pub fn coalesce_half_warp_with(
                 kept += 1;
             }
         }
-        debug_assert!(kept < n);
+        debug_assert!(kept < n, "the lowest pending lane is always served");
         n = kept;
-
-        // 3. Reduce the segment while the used bytes fit in an aligned half.
-        while size > cfg.min_segment {
-            let half = size / 2;
-            let lower = Transaction { base, size: half };
-            let upper = Transaction {
-                base: base + u64::from(half),
-                size: half,
-            };
-            if lower.contains(lo, (hi - lo) as u32) {
-                size = half;
-            } else if upper.contains(lo, (hi - lo) as u32) {
-                base += u64::from(half);
-                size = half;
-            } else {
-                break;
-            }
-        }
-        emit(Transaction { base, size });
+        emit(SegmentSpan {
+            base,
+            size: max_segment,
+            lo,
+            hi,
+        });
     }
 }
 
@@ -343,6 +392,39 @@ mod tests {
         let txs = coalesce_warp(&acc, 16, CoalesceConfig::gt200());
         assert_eq!(txs.len(), 2);
         assert_eq!(total_bytes(&txs), 128);
+    }
+
+    #[test]
+    fn one_span_reduces_to_every_granularity() {
+        // Steps 1–2 once, step 3 per granularity: the three transactions
+        // of a 16-lane broadcast at byte 400.
+        let mut pending = [(400u64, 4u32); 16];
+        let mut spans = Vec::new();
+        segment_spans(&mut pending, 128, |s| spans.push(s));
+        assert_eq!(
+            spans,
+            vec![SegmentSpan {
+                base: 384,
+                size: 128,
+                lo: 400,
+                hi: 404
+            }]
+        );
+        let reduced: Vec<Transaction> = [32, 16, 4].map(|m| spans[0].reduce(m)).to_vec();
+        assert_eq!(
+            reduced,
+            vec![
+                Transaction {
+                    base: 384,
+                    size: 32
+                },
+                Transaction {
+                    base: 400,
+                    size: 16
+                },
+                Transaction { base: 400, size: 4 },
+            ]
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   transactions does the 16-bank shared memory need?
 //! * [`texcache`] — a small set-associative read-only cache used to
 //!   reproduce the `+Cache` variants of Figure 12 (the paper measured these
-//!   on hardware; we model them, documented as an extension in DESIGN.md).
+//!   on hardware; modelling them is this reproduction's extension).
 //!
 //! # Example
 //!
@@ -33,6 +33,6 @@ pub mod bank;
 pub mod coalesce;
 pub mod texcache;
 
-pub use bank::{bank_transactions, warp_bank_transactions, BankConfig};
-pub use coalesce::{coalesce_half_warp, coalesce_warp, CoalesceConfig, Transaction};
+pub use bank::{bank_degree, bank_transactions, warp_bank_transactions, BankConfig};
+pub use coalesce::{coalesce_half_warp, coalesce_warp, CoalesceConfig, SegmentSpan, Transaction};
 pub use texcache::TexCache;

@@ -4,8 +4,8 @@
 //! ("+Cache" bars of Figure 12) but explicitly does *not* model the cache —
 //! it measures. To regenerate that figure end-to-end we provide a simple
 //! LRU set-associative model of the GT200 per-TPC texture L1 and attach it
-//! to the timing simulator's vector loads. DESIGN.md documents this as an
-//! extension.
+//! to the timing simulator's vector loads. The cache model is this
+//! reproduction's extension, not part of the paper's method.
 
 /// A set-associative, LRU, read-only cache.
 ///

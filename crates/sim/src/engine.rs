@@ -258,7 +258,7 @@ impl SimEngine {
         let mut traces = sim.is_collecting_traces().then(Vec::new);
         let mut fuel = sim.fuel_budget();
         for b in 0..sim.launch().num_blocks() {
-            let trace = sim.exec_block(gmem, b, &mut stats, &mut fuel)?;
+            let trace = sim.exec_grid_block(gmem, b, &mut stats, &mut fuel)?;
             if let (Some(ts), Some(t)) = (traces.as_mut(), trace) {
                 ts.push(t);
             }
@@ -285,7 +285,7 @@ impl SimEngine {
             if lowest_failed.load(Ordering::Relaxed) < shard_idx {
                 return None;
             }
-            match sim.exec_block(shard_mem, b, &mut stats, &mut fuel) {
+            match sim.exec_grid_block(shard_mem, b, &mut stats, &mut fuel) {
                 Ok(trace) => {
                     if let (Some(ts), Some(t)) = (traces.as_mut(), trace) {
                         ts.push(t);

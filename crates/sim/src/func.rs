@@ -8,115 +8,145 @@
 //! bank-conflict-weighted shared transactions, coalesced global
 //! transactions at three granularities, barrier stage splits) and — when
 //! asked — per-warp instruction traces for the timing simulator.
+//!
+//! # The warp-wide datapath
+//!
+//! Every instruction executes on whole warps. Each source operand is
+//! resolved once into a 32-lane register row; the operation computes all
+//! 32 lanes, inactive ones included; and the result row is written back
+//! under the instruction's execution mask. Inactive lanes therefore cost
+//! arithmetic but have no effect: integer arithmetic wraps and floating
+//! point never traps, so no value they hold can fault, write, or count.
+//!
+//! Memory instructions compute their lane addresses the same way and check
+//! bounds and alignment once over the active lanes. Only when that check
+//! fails are the lanes walked in order, so a fault raises exactly the
+//! error — variant, address, and (for global stores) the writes that land
+//! before it — of a lane-by-lane interpreter.
 
 use crate::error::SimError;
 use crate::grid::LaunchConfig;
 use crate::memory::GlobalMemory;
 use crate::stats::{
-    BlockTrace, DstLatency, DynamicStats, RegionStats, StageStats, TraceEntry, GRANULARITIES,
-    GRAN_GT200,
+    BlockTrace, DstLatency, DynamicStats, GmemGranStats, RegionStats, StageStats, TraceEntry,
+    GRANULARITIES, GRAN_GT200,
 };
 use gpa_hw::Machine;
 use gpa_isa::cfg::Cfg;
-use gpa_isa::instr::{Instruction, MemAddr, NumTy, Op, Reg, SpecialReg, Src};
+use gpa_isa::instr::{Instruction, MemAddr, NumTy, Op, Reg, SpecialReg, Src, Width};
 use gpa_isa::kernel::Kernel;
-use gpa_mem::bank::{atomic_bank_transactions, bank_transactions, BankConfig};
-use gpa_mem::coalesce::{coalesce_half_warp_with, CoalesceConfig};
+use gpa_mem::bank::{atomic_bank_degree, bank_degree, BankConfig};
+use gpa_mem::coalesce::{segment_spans, CoalesceConfig, Transaction};
 
-/// Hardware fused-multiply-add dispatch.
+const WARP: usize = 32;
+const PRED_BASE: u8 = 128;
+const NO_RECONV: usize = usize::MAX;
+
+/// One 32-bit value per lane of a warp.
+type Row = [u32; WARP];
+
+/// The implicit base of an address without a base register.
+const ZERO_ROW: Row = [0; WARP];
+
+/// Fused multiply-add over a whole warp.
 ///
 /// `f32::mul_add`/`f64::mul_add` lower to libm calls unless the build
 /// enables the FMA target feature, and the baseline x86-64 target does
 /// not. IEEE 754 `fusedMultiplyAdd` has exactly one correct answer, so
 /// the hardware instruction is bit-identical to the libm fallback — this
-/// module just picks the fast one at runtime.
+/// module only picks the fast one at runtime.
 mod fma {
-    #[cfg(target_arch = "x86_64")]
-    pub fn available() -> bool {
-        // Detection is cached by std; this is an atomic load after the
-        // first call.
-        std::arch::is_x86_feature_detected!("fma")
+    use super::{Row, WARP};
+
+    /// `a[l] * b[l] + c[l]` in `f32` with a single rounding, every lane.
+    pub fn f32_row(a: &Row, b: &Row, c: &Row) -> Row {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: the FMA target feature was detected at runtime.
+            return unsafe { f32_row_fma(a, b, c) };
+        }
+        f32_row_any(a, b, c)
     }
 
-    /// Fused `a * b + c`, single rounding.
+    /// `a[l] * b[l] + c[l]` in `f64` with a single rounding, every lane.
+    pub fn f64_row(a: &[f64; WARP], b: &[f64; WARP], c: &[f64; WARP]) -> [f64; WARP] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: the FMA target feature was detected at runtime.
+            return unsafe { f64_row_fma(a, b, c) };
+        }
+        f64_row_any(a, b, c)
+    }
+
+    /// Inside this function `mul_add` lowers to the hardware instruction
+    /// and the loop vectorizes.
     ///
     /// # Safety
     ///
-    /// The caller must ensure [`available`] returned `true`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "fma")]
-    pub unsafe fn f32_fma(a: f32, b: f32, c: f32) -> f32 {
-        use std::arch::x86_64::{_mm_cvtss_f32, _mm_fmadd_ss, _mm_set_ss};
-        _mm_cvtss_f32(_mm_fmadd_ss(_mm_set_ss(a), _mm_set_ss(b), _mm_set_ss(c)))
-    }
-
-    /// Fused `a * b + c`, single rounding.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure [`available`] returned `true`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "fma")]
-    pub unsafe fn f64_fma(a: f64, b: f64, c: f64) -> f64 {
-        use std::arch::x86_64::{_mm_cvtsd_f64, _mm_fmadd_sd, _mm_set_sd};
-        _mm_cvtsd_f64(_mm_fmadd_sd(_mm_set_sd(a), _mm_set_sd(b), _mm_set_sd(c)))
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    pub fn available() -> bool {
-        false
-    }
-
-    /// Portable stand-in (never reached: [`available`] is `false` here).
-    ///
-    /// # Safety
-    ///
-    /// Trivially safe; marked `unsafe` to match the x86-64 signature.
-    #[cfg(not(target_arch = "x86_64"))]
-    pub unsafe fn f32_fma(a: f32, b: f32, c: f32) -> f32 {
-        a.mul_add(b, c)
-    }
-
-    /// Portable stand-in (never reached: [`available`] is `false` here).
-    ///
-    /// # Safety
-    ///
-    /// Trivially safe; marked `unsafe` to match the x86-64 signature.
-    #[cfg(not(target_arch = "x86_64"))]
-    pub unsafe fn f64_fma(a: f64, b: f64, c: f64) -> f64 {
-        a.mul_add(b, c)
-    }
-
-    /// Fused multiply-add across a full warp: `out[l] = a[l] * b[l] + c[l]`
-    /// with a single rounding per lane. Inside an FMA-enabled function
-    /// `mul_add` lowers to the hardware instruction and the loop
-    /// vectorizes; the result is still IEEE 754 `fusedMultiplyAdd`,
-    /// bit-identical to the libm path.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure [`available`] returned `true`.
+    /// The CPU must support FMA.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "fma")]
-    pub unsafe fn fmad_warp(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32], out: &mut [u32; 32]) {
-        for l in 0..32 {
+    unsafe fn f32_row_fma(a: &Row, b: &Row, c: &Row) -> Row {
+        f32_row_any(a, b, c)
+    }
+
+    /// See [`f32_row_fma`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "fma")]
+    unsafe fn f64_row_fma(a: &[f64; WARP], b: &[f64; WARP], c: &[f64; WARP]) -> [f64; WARP] {
+        f64_row_any(a, b, c)
+    }
+
+    // Plain loops, not closures: a closure is a function of its own and
+    // would not inherit the FMA feature of the caller it is inlined into.
+    #[inline(always)]
+    fn f32_row_any(a: &Row, b: &Row, c: &Row) -> Row {
+        let mut out = [0u32; WARP];
+        for l in 0..WARP {
             out[l] = f32::from_bits(a[l])
                 .mul_add(f32::from_bits(b[l]), f32::from_bits(c[l]))
                 .to_bits();
         }
+        out
     }
 
-    /// Portable stand-in (never reached: [`available`] is `false` here).
-    ///
-    /// # Safety
-    ///
-    /// Trivially safe; marked `unsafe` to match the x86-64 signature.
-    #[cfg(not(target_arch = "x86_64"))]
-    pub unsafe fn fmad_warp(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32], out: &mut [u32; 32]) {
-        for l in 0..32 {
-            out[l] = f32::from_bits(a[l])
-                .mul_add(f32::from_bits(b[l]), f32::from_bits(c[l]))
-                .to_bits();
+    #[inline(always)]
+    fn f64_row_any(a: &[f64; WARP], b: &[f64; WARP], c: &[f64; WARP]) -> [f64; WARP] {
+        let mut out = [0f64; WARP];
+        for l in 0..WARP {
+            out[l] = a[l].mul_add(b[l], c[l]);
+        }
+        out
+    }
+}
+
+/// Which blocks of a launch record per-warp traces
+/// ([`FunctionalSim::collect_traces`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TraceBlocks {
+    /// No traces (the default).
+    #[default]
+    Off,
+    /// Block 0 only: all a uniform grid's timing replay needs. Block 0
+    /// runs first, on pre-launch memory, under every engine
+    /// configuration, so its trace is the one a separate pass over a
+    /// pristine copy of memory would record.
+    First,
+    /// Every block.
+    All,
+}
+
+impl From<bool> for TraceBlocks {
+    /// `true` traces every block, `false` none.
+    fn from(yes: bool) -> TraceBlocks {
+        if yes {
+            TraceBlocks::All
+        } else {
+            TraceBlocks::Off
         }
     }
 }
@@ -126,7 +156,8 @@ mod fma {
 pub struct RunOutput {
     /// Aggregated dynamic statistics.
     pub stats: DynamicStats,
-    /// Per-block traces, when trace collection was enabled.
+    /// The traced blocks' traces in block order, when trace collection
+    /// was enabled.
     pub traces: Option<Vec<BlockTrace>>,
 }
 
@@ -140,16 +171,16 @@ pub struct FunctionalSim<'a> {
     params: Vec<u32>,
     region_defs: Vec<(String, u64, u64, bool)>,
     fuel: u64,
-    collect_trace: bool,
+    trace_blocks: TraceBlocks,
     num_threads: usize,
     cfg: Cfg,
     bank_cfg: BankConfig,
-    coalesce_cfgs: [CoalesceConfig; 3],
+    /// Largest transaction, shared by every entry of [`GRANULARITIES`].
+    max_segment: u32,
+    /// Per instruction: its trace entry, complete except for the
+    /// per-execution shared conflict weight and global transactions.
+    skeletons: Vec<TraceEntry>,
 }
-
-const WARP: usize = 32;
-const PRED_BASE: u8 = 128;
-const NO_RECONV: usize = usize::MAX;
 
 impl<'a> FunctionalSim<'a> {
     /// Prepare a simulation of `kernel` with shape `launch` on `machine`.
@@ -171,6 +202,13 @@ impl<'a> FunctionalSim<'a> {
                 kernel.resources.smem_per_block, machine.smem_per_sm
             )));
         }
+        // Coalescing steps 1–2 run once per half-warp for all three
+        // granularities, which is exact only because they share the
+        // maximum segment.
+        let coalesce = GRANULARITIES.map(CoalesceConfig::with_min_segment);
+        assert!(coalesce
+            .iter()
+            .all(|c| c.max_segment == coalesce[0].max_segment));
         Ok(FunctionalSim {
             machine,
             kernel,
@@ -178,7 +216,7 @@ impl<'a> FunctionalSim<'a> {
             params: Vec::new(),
             region_defs: Vec::new(),
             fuel: 20_000_000_000,
-            collect_trace: false,
+            trace_blocks: TraceBlocks::Off,
             num_threads: 1,
             cfg: Cfg::build(&kernel.instrs),
             bank_cfg: BankConfig {
@@ -186,7 +224,8 @@ impl<'a> FunctionalSim<'a> {
                 width: machine.smem_bank_width,
                 half_warp: machine.half_warp as usize,
             },
-            coalesce_cfgs: GRANULARITIES.map(CoalesceConfig::with_min_segment),
+            max_segment: coalesce[0].max_segment,
+            skeletons: kernel.instrs.iter().map(skeleton).collect(),
         })
     }
 
@@ -221,9 +260,11 @@ impl<'a> FunctionalSim<'a> {
         self
     }
 
-    /// Record per-warp traces for the timing simulator.
-    pub fn collect_traces(&mut self, yes: bool) -> &mut Self {
-        self.collect_trace = yes;
+    /// Record per-warp traces for the timing simulator: `true` or
+    /// [`TraceBlocks::All`] for every block, [`TraceBlocks::First`] for
+    /// block 0 only.
+    pub fn collect_traces(&mut self, blocks: impl Into<TraceBlocks>) -> &mut Self {
+        self.trace_blocks = blocks.into();
         self
     }
 
@@ -256,9 +297,9 @@ impl<'a> FunctionalSim<'a> {
         &self.launch
     }
 
-    /// Whether per-warp traces are being recorded.
+    /// Whether any block's per-warp traces are being recorded.
     pub fn is_collecting_traces(&self) -> bool {
-        self.collect_trace
+        self.trace_blocks != TraceBlocks::Off
     }
 
     /// Configured fuel budget (shared by a whole sequential run; applied
@@ -289,9 +330,10 @@ impl<'a> FunctionalSim<'a> {
         crate::engine::SimEngine::new(self.num_threads).run(self, gmem)
     }
 
-    /// Execute a single block (used by the timing simulator's lazy trace
-    /// sources). Statistics accumulate into `stats`; `stats.blocks` is
-    /// *not* advanced.
+    /// Execute a single block with a fresh fuel budget, as the
+    /// microbenchmarks do to trace one representative block. Statistics
+    /// accumulate into `stats`; `stats.blocks` is *not* advanced. The
+    /// block is traced unless trace collection is off.
     ///
     /// # Errors
     ///
@@ -303,7 +345,7 @@ impl<'a> FunctionalSim<'a> {
         stats: &mut DynamicStats,
     ) -> Result<Option<BlockTrace>, SimError> {
         let mut fuel = self.fuel;
-        self.exec_block(gmem, block, stats, &mut fuel)
+        self.exec_block(gmem, block, self.is_collecting_traces(), stats, &mut fuel)
     }
 
     /// Empty statistics with region definitions installed.
@@ -328,26 +370,50 @@ impl<'a> FunctionalSim<'a> {
         }
     }
 
-    pub(crate) fn exec_block(
+    /// Execute block `block` of a full-grid run, traced as
+    /// [`FunctionalSim::collect_traces`] selects.
+    pub(crate) fn exec_grid_block(
         &self,
         gmem: &mut GlobalMemory,
         block: u32,
         stats: &mut DynamicStats,
         fuel: &mut u64,
     ) -> Result<Option<BlockTrace>, SimError> {
+        let traced = match self.trace_blocks {
+            TraceBlocks::Off => false,
+            TraceBlocks::First => block == 0,
+            TraceBlocks::All => true,
+        };
+        self.exec_block(gmem, block, traced, stats, fuel)
+    }
+
+    fn exec_block(
+        &self,
+        gmem: &mut GlobalMemory,
+        block: u32,
+        traced: bool,
+        stats: &mut DynamicStats,
+        fuel: &mut u64,
+    ) -> Result<Option<BlockTrace>, SimError> {
         let threads = self.launch.threads_per_block();
         let nwarps = threads.div_ceil(WARP as u32) as usize;
-        let mut smem = vec![0u8; self.kernel.resources.smem_per_block as usize];
+        // Shared accesses are word-aligned (checked per instruction), so
+        // the arena is kept as words.
+        let smem_bytes = self.kernel.resources.smem_per_block as usize;
+        let mut smem = Shared {
+            words: vec![0u32; smem_bytes.div_ceil(4)],
+            bytes: smem_bytes,
+        };
 
         let mut warps: Vec<WarpState> = (0..nwarps)
             .map(|w| WarpState::new(w as u32, threads))
             .collect();
-        if self.collect_trace {
+        if traced {
             // Pooled buffers: repeated traced runs (a serving process, a
             // calibration sweep) grow each warp's trace once and then
             // recycle the capacity instead of reallocating per block.
             for w in &mut warps {
-                w.trace = crate::trace_pool::take();
+                w.trace = Some(crate::trace_pool::take());
             }
         }
 
@@ -369,13 +435,12 @@ impl<'a> FunctionalSim<'a> {
             }
         }
 
-        if self.collect_trace {
-            Ok(Some(BlockTrace {
-                warps: warps.into_iter().map(|w| w.trace).collect(),
-            }))
-        } else {
-            Ok(None)
-        }
+        Ok(traced.then(|| BlockTrace {
+            warps: warps
+                .into_iter()
+                .map(|w| w.trace.expect("traced warps carry a buffer"))
+                .collect(),
+        }))
     }
 
     /// Run one warp until it parks at a barrier or exits.
@@ -384,7 +449,7 @@ impl<'a> FunctionalSim<'a> {
         w: &mut WarpState,
         block: u32,
         gmem: &mut GlobalMemory,
-        smem: &mut [u8],
+        smem: &mut Shared,
         stats: &mut DynamicStats,
         fuel: &mut u64,
     ) -> Result<(), SimError> {
@@ -431,7 +496,7 @@ impl<'a> FunctionalSim<'a> {
 
             let pc = w.pc;
             let ins = &self.kernel.instrs[pc];
-            let exec_mask = self.guard_mask(w, ins);
+            let exec_mask = w.guard_mask(ins);
 
             match ins.op {
                 Op::Bar => {
@@ -441,9 +506,7 @@ impl<'a> FunctionalSim<'a> {
                     let stage = w.stage;
                     self.stage_mut(stats, stage).barriers += 1;
                     self.count_issue(stats, w, ins);
-                    if self.collect_trace {
-                        w.trace.push(bar_entry());
-                    }
+                    self.record(w, pc, 0, None);
                     w.stage += 1;
                     w.pc += 1;
                     w.at_barrier = true;
@@ -464,9 +527,7 @@ impl<'a> FunctionalSim<'a> {
                 }
                 Op::Bra { target } => {
                     self.count_issue(stats, w, ins);
-                    if self.collect_trace {
-                        w.trace.push(self.alu_entry(ins));
-                    }
+                    self.record(w, pc, 0, None);
                     let taken = exec_mask;
                     let fall = w.mask & !exec_mask;
                     if ins.guard.is_none() || fall == 0 {
@@ -500,25 +561,6 @@ impl<'a> FunctionalSim<'a> {
         }
     }
 
-    /// Lanes of `w.mask` whose guard predicate passes.
-    fn guard_mask(&self, w: &WarpState, ins: &Instruction) -> u32 {
-        match ins.guard {
-            None => w.mask,
-            Some(g) => {
-                let mut m = 0u32;
-                for lane in 0..WARP {
-                    if w.mask & (1 << lane) != 0 {
-                        let v = w.pred(lane, g.pred.0);
-                        if v != g.negate {
-                            m |= 1 << lane;
-                        }
-                    }
-                }
-                m
-            }
-        }
-    }
-
     fn stage_mut<'s>(&self, stats: &'s mut DynamicStats, stage: usize) -> &'s mut StageStats {
         if stats.stages.len() <= stage {
             stats.stages.resize(stage + 1, StageStats::default());
@@ -541,22 +583,41 @@ impl<'a> FunctionalSim<'a> {
         }
     }
 
+    /// Append instruction `pc`'s trace entry, if this warp is traced.
+    fn record(
+        &self,
+        w: &mut WarpState,
+        pc: usize,
+        smem_half_txns: u16,
+        gmem: Option<Box<[Transaction]>>,
+    ) {
+        if let Some(trace) = w.trace.as_mut() {
+            let mut e = self.skeletons[pc].clone();
+            e.smem_half_txns = smem_half_txns;
+            e.gmem = gmem;
+            trace.push(e);
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn exec_datapath(
         &self,
         w: &mut WarpState,
         ins: &Instruction,
-        exec_mask: u32,
+        exec: u32,
         block: u32,
         gmem: &mut GlobalMemory,
-        smem: &mut [u8],
+        smem: &mut Shared,
         stats: &mut DynamicStats,
     ) -> Result<(), SimError> {
         let pc = w.pc;
-        let stage = w.stage;
         self.count_issue(stats, w, ins);
+        if exec == 0 {
+            // Fully masked: issued, but no lane reads, writes, or counts.
+            self.record(w, pc, 0, None);
+            return Ok(());
+        }
 
-        // Per-op FLOP weight (counted per active lane).
         let lane_flops = match ins.op {
             Op::FAdd { .. } | Op::FMul { .. } | Op::DAdd { .. } | Op::DMul { .. } => 1u64,
             Op::FMad { .. } | Op::DFma { .. } => 2,
@@ -569,626 +630,638 @@ impl<'a> FunctionalSim<'a> {
             _ => 0,
         };
         if lane_flops > 0 {
-            self.stage_mut(stats, stage).flops += lane_flops * u64::from(exec_mask.count_ones());
+            self.stage_mut(stats, w.stage).flops += lane_flops * u64::from(exec.count_ones());
         }
 
-        // Shared-memory traffic: explicit ld/st or an ALU shared operand.
-        let mut smem_half_txns_entry: u16 = 0;
-        let is_smem_ldst = matches!(ins.op, Op::LdShared { .. } | Op::StShared { .. });
-        let smem_access: Option<(MemAddr, u32)> = match ins.op {
-            Op::LdShared { addr, width, .. } | Op::StShared { addr, width, .. } => {
-                Some((addr, width.bytes()))
-            }
-            _ => ins.op.smem_operand().map(|a| (a, 4)),
-        };
-        // ALU shared operands are addressed, checked, and loaded here,
-        // once per lane, and the word values handed to the semantic step
-        // below — these ops only read shared memory, so preloading is
-        // order-equivalent to fetching during execution.
-        let mut smem_pre = SmemPre {
-            addr: None,
-            vals: [0u32; WARP],
-        };
-        if let Some((addr, width)) = smem_access {
-            if exec_mask != 0 {
-                let mut half_txns = 0u32;
-                let mut half_accesses = 0u32;
-                // Wide shared accesses proceed in 4-byte phases.
-                for phase in 0..(width / 4) {
-                    let mut addrs = [None::<u64>; WARP];
-                    for (lane, slot) in addrs.iter_mut().enumerate() {
-                        if exec_mask & (1 << lane) != 0 {
-                            let a = self.smem_lane_addr(w, lane, addr)? + i64::from(phase * 4);
-                            self.check_smem(a, 4, smem.len(), pc)?;
-                            *slot = Some(a as u64);
-                            if !is_smem_ldst {
-                                let i = a as usize;
-                                smem_pre.vals[lane] =
-                                    u32::from_le_bytes(smem[i..i + 4].try_into().unwrap());
-                            }
-                        }
-                    }
-                    for hw_chunk in addrs.chunks(self.bank_cfg.half_warp) {
-                        let d = bank_transactions(hw_chunk, self.bank_cfg);
-                        half_txns += d;
-                        if d > 0 {
-                            half_accesses += 1;
-                        }
-                    }
-                }
-                if !is_smem_ldst {
-                    smem_pre.addr = Some(addr);
-                }
-                let s = self.stage_mut(stats, stage);
-                s.smem_half_txns += u64::from(half_txns);
-                s.smem_half_accesses += u64::from(half_accesses);
-                s.smem_instrs += 1;
-                if w.counted_smem != Some(stage) {
-                    w.counted_smem = Some(stage);
-                    s.warps_smem += 1;
-                }
-                smem_half_txns_entry = half_txns.min(u32::from(u16::MAX)) as u16;
-            }
-        }
-
-        // Shared-memory atomic traffic: lanes of a half-warp hitting the
-        // same word (or the same bank) serialize lane by lane — there is
-        // no broadcast for a read-modify-write. The serialized weight
-        // occupies the shared-memory pipeline (folded into the smem
-        // counters and the trace entry) and is additionally attributed to
-        // the atomic counters so the analysis can tell contention apart
-        // from ordinary bank conflicts.
-        if ins.op.is_atomic() && exec_mask != 0 {
-            let addr = match ins.op {
-                Op::AtomSharedAdd { addr, .. } | Op::AtomSharedCas { addr, .. } => addr,
-                _ => unreachable!("is_atomic covers exactly the atomic ops"),
-            };
-            let mut addrs = [None::<u64>; WARP];
-            for (lane, slot) in addrs.iter_mut().enumerate() {
-                if exec_mask & (1 << lane) != 0 {
-                    let a = self.smem_lane_addr(w, lane, addr)?;
-                    self.check_smem(a, 4, smem.len(), pc)?;
-                    *slot = Some(a as u64);
-                }
-            }
-            let mut half_txns = 0u32;
-            let mut half_accesses = 0u32;
-            for hw_chunk in addrs.chunks(self.bank_cfg.half_warp) {
-                let d = atomic_bank_transactions(hw_chunk, self.bank_cfg);
-                half_txns += d;
-                if d > 0 {
-                    half_accesses += 1;
-                }
-            }
-            let s = self.stage_mut(stats, stage);
-            s.smem_half_txns += u64::from(half_txns);
-            s.smem_half_accesses += u64::from(half_accesses);
-            s.smem_instrs += 1;
-            s.atomic_half_txns += u64::from(half_txns);
-            s.atomic_half_accesses += u64::from(half_accesses);
-            s.atomic_instrs += 1;
-            if w.counted_smem != Some(stage) {
-                w.counted_smem = Some(stage);
-                s.warps_smem += 1;
-            }
-            if w.counted_atomic != Some(stage) {
-                w.counted_atomic = Some(stage);
-                s.warps_atomic += 1;
-            }
-            smem_half_txns_entry = half_txns.min(u32::from(u16::MAX)) as u16;
-        }
-
-        // Global-memory traffic.
-        let mut gmem_txns: Option<Box<[gpa_mem::coalesce::Transaction]>> = None;
-        if let Op::LdGlobal { addr, width, .. } | Op::StGlobal { addr, width, .. } = ins.op {
-            if exec_mask != 0 {
-                let mut accesses = [None::<(u64, u32)>; WARP];
-                let mut requested = 0u64;
-                for (lane, slot) in accesses.iter_mut().enumerate() {
-                    if exec_mask & (1 << lane) != 0 {
-                        let a = self.gmem_lane_addr(w, lane, addr);
-                        let a = u64::try_from(a).map_err(|_| SimError::GlobalOutOfBounds {
-                            addr: a as u64,
-                            len: width.bytes(),
-                            pc,
-                        })?;
-                        if a % u64::from(width.bytes()) != 0 {
-                            return Err(SimError::Misaligned {
-                                addr: a,
-                                len: width.bytes(),
-                                pc,
-                            });
-                        }
-                        *slot = Some((a, width.bytes()));
-                        requested += u64::from(width.bytes());
-                    }
-                }
-                // The GT200-granularity transaction list is only kept for
-                // the timing trace; the statistics fold in-place.
-                let mut all_txs = Vec::new();
-                let collect_txs = self.collect_trace;
-                for (g, cfg) in self.coalesce_cfgs.iter().enumerate() {
-                    for hw_chunk in accesses.chunks(self.machine.half_warp as usize) {
-                        coalesce_half_warp_with(hw_chunk, *cfg, &mut |t| {
-                            let st = self.stage_mut(stats, stage);
-                            st.gmem[g].transactions += 1;
-                            st.gmem[g].bytes += u64::from(t.size);
-                            if let Some(r) = stats.regions.iter_mut().find(|r| r.contains(t.base)) {
-                                r.gmem[g].transactions += 1;
-                                r.gmem[g].bytes += u64::from(t.size);
-                            }
-                            if g == GRAN_GT200 && collect_txs {
-                                all_txs.push(t);
-                            }
-                        });
-                    }
-                }
-                for (a, l) in accesses.iter().flatten() {
-                    if let Some(r) = stats.regions.iter_mut().find(|r| r.contains(*a)) {
-                        r.requested_bytes += u64::from(*l);
-                    }
-                }
-                let st = self.stage_mut(stats, stage);
-                st.gmem_requested_bytes += requested;
-                st.gmem_instrs += 1;
-                gmem_txns = Some(all_txs.into_boxed_slice());
-            }
-        }
-
-        // Semantics.
-        self.apply_semantics(w, ins, exec_mask, block, gmem, smem, pc, &smem_pre)?;
-
-        // Trace.
-        if self.collect_trace {
-            let mut e = self.alu_entry(ins);
-            e.smem_half_txns = smem_half_txns_entry;
-            if smem_access.is_some() || ins.op.is_atomic() {
-                e.dst_lat = DstLatency::Smem;
-            }
-            if let Op::LdGlobal { .. } = ins.op {
-                e.dst_lat = DstLatency::Gmem;
-                e.gmem_load = true;
-            }
-            e.gmem = gmem_txns;
-            w.trace.push(e);
-        }
-        Ok(())
-    }
-
-    /// Byte offset into shared memory for one lane (bounds unchecked).
-    fn smem_lane_addr(&self, w: &WarpState, lane: usize, addr: MemAddr) -> Result<i64, SimError> {
-        let base = match addr.base {
-            Some(r) => i64::from(w.reg(lane, r.0) as i32),
-            None => 0,
-        };
-        Ok(base + i64::from(addr.offset))
-    }
-
-    fn check_smem(&self, addr: i64, len: u32, smem_len: usize, pc: usize) -> Result<(), SimError> {
-        if addr < 0 || (addr + i64::from(len)) as usize > smem_len {
-            return Err(SimError::SharedOutOfBounds {
-                offset: addr,
-                len,
-                pc,
-            });
-        }
-        if addr % i64::from(len) != 0 {
-            return Err(SimError::Misaligned {
-                addr: addr as u64,
-                len,
-                pc,
-            });
-        }
-        Ok(())
-    }
-
-    /// Device address for one lane of a global access.
-    fn gmem_lane_addr(&self, w: &WarpState, lane: usize, addr: MemAddr) -> i64 {
-        let base = match addr.base {
-            Some(r) => i64::from(w.reg(lane, r.0)),
-            None => 0,
-        };
-        base + i64::from(addr.offset)
-    }
-
-    /// Execute one warp-instruction's semantics for every active lane.
-    ///
-    /// The op is matched **once per warp** and each arm loops over the
-    /// active lanes — this (not the arithmetic) is the interpreter's hot
-    /// shape: per-lane dispatch costs more than the lane's work.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_semantics(
-        &self,
-        w: &mut WarpState,
-        ins: &Instruction,
-        exec_mask: u32,
-        block: u32,
-        gmem: &mut GlobalMemory,
-        smem: &mut [u8],
-        pc: usize,
-        pre: &SmemPre,
-    ) -> Result<(), SimError> {
-        use Op::*;
-
-        macro_rules! lanes {
-            (|$lane:ident| $body:expr) => {
-                for $lane in 0..WARP {
-                    if exec_mask & (1 << $lane) != 0 {
-                        $body;
-                    }
-                }
-            };
-        }
-        macro_rules! get {
-            ($lane:ident, $s:expr) => {
-                self.fetch(w, $lane, $s, smem, pc, pre)?
-            };
-        }
-        macro_rules! set {
-            ($lane:ident, $d:expr, $v:expr) => {{
-                let v = $v;
-                w.set_reg($lane, $d.0, v);
-            }};
-        }
-        let f = f32::from_bits;
-        let fb = |x: f32| x.to_bits();
-
+        let mut smem_half_txns = 0u16;
+        let mut gmem_txns = None;
         match ins.op {
-            FMul { d, a, b } => lanes!(|l| set!(l, d, fb(f(get!(l, a)) * f(get!(l, b))))),
-            FAdd { d, a, b } => lanes!(|l| set!(l, d, fb(f(get!(l, a)) + f(get!(l, b))))),
-            FMad { d, a, b, c } => {
-                // Full-warp vector path: resolve each operand into a
-                // contiguous row, fuse all 32 lanes at once.
-                if exec_mask == u32::MAX && fma::available() {
-                    let mut va = [0u32; WARP];
-                    let mut vb = [0u32; WARP];
-                    let mut vc = [0u32; WARP];
-                    if self.resolve_full(w, a, pre, &mut va)
-                        && self.resolve_full(w, b, pre, &mut vb)
-                        && self.resolve_full(w, c, pre, &mut vc)
-                    {
-                        // SAFETY: `fma::available()` confirmed the FMA
-                        // target feature at runtime.
-                        unsafe { fma::fmad_warp(&va, &vb, &vc, w.reg_row_mut(d.0)) };
-                        return Ok(());
-                    }
-                }
-                if fma::available() {
-                    lanes!(|l| {
-                        let (va, vb, vc) = (f(get!(l, a)), f(get!(l, b)), f(get!(l, c)));
-                        // SAFETY: `fma::available()` confirmed the FMA
-                        // target feature at runtime.
-                        set!(l, d, fb(unsafe { fma::f32_fma(va, vb, vc) }));
-                    })
-                } else {
-                    lanes!(|l| set!(
-                        l,
-                        d,
-                        fb(f(get!(l, a)).mul_add(f(get!(l, b)), f(get!(l, c))))
-                    ))
+            Op::LdShared { d, addr, width } => {
+                let (a, txns) = self.shared_access(w, addr, width.bytes(), exec, smem, stats)?;
+                smem_half_txns = txns;
+                for k in 0..width.regs() {
+                    w.write_row(d.0 + k, &smem.gather(&a, k), exec);
                 }
             }
-            IAdd { d, a, b } => {
-                lanes!(|l| set!(
-                    l,
-                    d,
-                    (get!(l, a) as i32).wrapping_add(get!(l, b) as i32) as u32
-                ))
-            }
-            ISub { d, a, b } => {
-                lanes!(|l| set!(
-                    l,
-                    d,
-                    (get!(l, a) as i32).wrapping_sub(get!(l, b) as i32) as u32
-                ))
-            }
-            IMul { d, a, b } => {
-                lanes!(|l| set!(
-                    l,
-                    d,
-                    (get!(l, a) as i32).wrapping_mul(get!(l, b) as i32) as u32
-                ))
-            }
-            IMad { d, a, b, c } => {
-                lanes!(|l| set!(
-                    l,
-                    d,
-                    (get!(l, a) as i32)
-                        .wrapping_mul(get!(l, b) as i32)
-                        .wrapping_add(get!(l, c) as i32) as u32
-                ))
-            }
-            IMin { d, a, b } => {
-                lanes!(|l| set!(l, d, (get!(l, a) as i32).min(get!(l, b) as i32) as u32))
-            }
-            IMax { d, a, b } => {
-                lanes!(|l| set!(l, d, (get!(l, a) as i32).max(get!(l, b) as i32) as u32))
-            }
-            Shl { d, a, b } => lanes!(|l| set!(l, d, get!(l, a) << (get!(l, b) & 31))),
-            Shr { d, a, b } => lanes!(|l| set!(l, d, get!(l, a) >> (get!(l, b) & 31))),
-            And { d, a, b } => lanes!(|l| set!(l, d, get!(l, a) & get!(l, b))),
-            Or { d, a, b } => lanes!(|l| set!(l, d, get!(l, a) | get!(l, b))),
-            Xor { d, a, b } => lanes!(|l| set!(l, d, get!(l, a) ^ get!(l, b))),
-            Mov { d, a } => lanes!(|l| set!(l, d, get!(l, a))),
-            MovImm { d, imm } => lanes!(|l| set!(l, d, imm)),
-            S2R { d, sr } => lanes!(|l| set!(l, d, self.special_value(w, l, block, sr))),
-            SetP { p, cmp, ty, a, b } => {
-                lanes!(|l| {
-                    let va = get!(l, a);
-                    let vb = get!(l, b);
-                    let r = match ty {
-                        NumTy::S32 => cmp.eval_i32(va as i32, vb as i32),
-                        NumTy::F32 => cmp.eval_f32(f(va), f(vb)),
-                    };
-                    w.set_pred(l, p.0, r);
-                })
-            }
-            Sel { d, p, a, b } => {
-                lanes!(|l| {
-                    let v = if w.pred(l, p.0) {
-                        get!(l, a)
-                    } else {
-                        get!(l, b)
-                    };
-                    set!(l, d, v);
-                })
-            }
-            I2F { d, a } => lanes!(|l| set!(l, d, fb(get!(l, a) as i32 as f32))),
-            F2I { d, a } => lanes!(|l| set!(l, d, (f(get!(l, a)) as i32) as u32)),
-            Rcp { d, a } => lanes!(|l| set!(l, d, fb(1.0 / f(get!(l, a))))),
-            Rsq { d, a } => lanes!(|l| set!(l, d, fb(1.0 / f(get!(l, a)).sqrt()))),
-            Sin { d, a } => lanes!(|l| set!(l, d, fb(f(get!(l, a)).sin()))),
-            Cos { d, a } => lanes!(|l| set!(l, d, fb(f(get!(l, a)).cos()))),
-            Lg2 { d, a } => lanes!(|l| set!(l, d, fb(f(get!(l, a)).log2()))),
-            Ex2 { d, a } => lanes!(|l| set!(l, d, fb(f(get!(l, a)).exp2()))),
-            DAdd { d, a, b } => {
-                lanes!(|l| {
-                    let v = w.read_f64(l, a) + w.read_f64(l, b);
-                    w.write_f64(l, d, v);
-                })
-            }
-            DMul { d, a, b } => {
-                lanes!(|l| {
-                    let v = w.read_f64(l, a) * w.read_f64(l, b);
-                    w.write_f64(l, d, v);
-                })
-            }
-            DFma { d, a, b, c } => {
-                if fma::available() {
-                    lanes!(|l| {
-                        let (va, vb, vc) = (w.read_f64(l, a), w.read_f64(l, b), w.read_f64(l, c));
-                        // SAFETY: `fma::available()` confirmed the FMA
-                        // target feature at runtime.
-                        let v = unsafe { fma::f64_fma(va, vb, vc) };
-                        w.write_f64(l, d, v);
-                    })
-                } else {
-                    lanes!(|l| {
-                        let v = w.read_f64(l, a).mul_add(w.read_f64(l, b), w.read_f64(l, c));
-                        w.write_f64(l, d, v);
-                    })
+            Op::StShared { addr, src, width } => {
+                let (a, txns) = self.shared_access(w, addr, width.bytes(), exec, smem, stats)?;
+                smem_half_txns = txns;
+                // Lane order: the highest lane wins a same-address race.
+                for l in lanes(exec) {
+                    for k in 0..width.regs() {
+                        smem.words[a[l] as usize / 4 + usize::from(k)] = w.row(src.0 + k)[l];
+                    }
                 }
             }
-            LdShared { d, addr, width } => {
-                lanes!(|l| {
-                    let a = self.smem_lane_addr(w, l, addr)?;
-                    self.check_smem(a, width.bytes(), smem.len(), pc)?;
-                    for k in 0..width.regs() {
-                        let i = a as usize + usize::from(k) * 4;
-                        let v = u32::from_le_bytes(smem[i..i + 4].try_into().unwrap());
-                        w.set_reg(l, d.0 + k, v);
-                    }
-                })
-            }
-            StShared { addr, src, width } => {
-                lanes!(|l| {
-                    let a = self.smem_lane_addr(w, l, addr)?;
-                    self.check_smem(a, width.bytes(), smem.len(), pc)?;
-                    for k in 0..width.regs() {
-                        let i = a as usize + usize::from(k) * 4;
-                        let v = w.reg(l, src.0 + k);
-                        smem[i..i + 4].copy_from_slice(&v.to_le_bytes());
-                    }
-                })
-            }
-            LdGlobal { d, addr, width } => {
-                lanes!(|l| {
-                    let a = self.gmem_lane_addr(w, l, addr) as u64;
-                    for k in 0..width.regs() {
-                        let v = gmem.read_u32(a + u64::from(k) * 4).map_err(|_| {
-                            SimError::GlobalOutOfBounds {
-                                addr: a,
-                                len: width.bytes(),
-                                pc,
-                            }
-                        })?;
-                        w.set_reg(l, d.0 + k, v);
-                    }
-                })
-            }
-            StGlobal { addr, src, width } => {
-                lanes!(|l| {
-                    let a = self.gmem_lane_addr(w, l, addr) as u64;
-                    for k in 0..width.regs() {
-                        let v = w.reg(l, src.0 + k);
-                        gmem.write_u32(a + u64::from(k) * 4, v).map_err(|_| {
-                            SimError::GlobalOutOfBounds {
-                                addr: a,
-                                len: width.bytes(),
-                                pc,
-                            }
-                        })?;
-                    }
-                })
-            }
-            AtomSharedAdd { d, addr, src } => {
+            Op::AtomSharedAdd { d, addr, src } => {
+                let (a, txns) = self.atomic_access(w, addr, exec, smem, stats)?;
+                smem_half_txns = txns;
                 // Same-word lanes serialize in lane order, so the returned
                 // old values are deterministic.
-                lanes!(|l| {
-                    let a = self.smem_lane_addr(w, l, addr)?;
-                    self.check_smem(a, 4, smem.len(), pc)?;
-                    let i = a as usize;
-                    let old = u32::from_le_bytes(smem[i..i + 4].try_into().unwrap());
-                    let add = w.reg(l, src.0);
-                    let new = (old as i32).wrapping_add(add as i32) as u32;
-                    smem[i..i + 4].copy_from_slice(&new.to_le_bytes());
-                    set!(l, d, old);
-                })
-            }
-            AtomSharedCas { d, addr, cmp, src } => {
-                lanes!(|l| {
-                    let a = self.smem_lane_addr(w, l, addr)?;
-                    self.check_smem(a, 4, smem.len(), pc)?;
-                    let i = a as usize;
-                    let old = u32::from_le_bytes(smem[i..i + 4].try_into().unwrap());
-                    if old == w.reg(l, cmp.0) {
-                        let v = w.reg(l, src.0);
-                        smem[i..i + 4].copy_from_slice(&v.to_le_bytes());
-                    }
-                    set!(l, d, old);
-                })
-            }
-            LdParam { d, offset } => {
-                if exec_mask != 0 {
-                    let idx = usize::from(offset) / 4;
-                    let v = *self
-                        .params
-                        .get(idx)
-                        .ok_or(SimError::ParamOutOfBounds { offset })?;
-                    lanes!(|l| set!(l, d, v));
+                for l in lanes(exec) {
+                    let i = a[l] as usize / 4;
+                    let old = smem.words[i];
+                    smem.words[i] = (old as i32).wrapping_add(w.row(src.0)[l] as i32) as u32;
+                    w.row_mut(d.0)[l] = old;
                 }
             }
-            Bar | Bra { .. } | Exit | Nop => {}
+            Op::AtomSharedCas { d, addr, cmp, src } => {
+                let (a, txns) = self.atomic_access(w, addr, exec, smem, stats)?;
+                smem_half_txns = txns;
+                for l in lanes(exec) {
+                    let i = a[l] as usize / 4;
+                    let old = smem.words[i];
+                    if old == w.row(cmp.0)[l] {
+                        smem.words[i] = w.row(src.0)[l];
+                    }
+                    w.row_mut(d.0)[l] = old;
+                }
+            }
+            Op::LdGlobal { d, addr, width } => {
+                let (a, txs) = self.global_access(w, addr, width, exec, None, gmem, stats)?;
+                gmem_txns = Some(txs);
+                for k in 0..width.regs() {
+                    let row = w.row_mut(d.0 + k);
+                    for l in lanes(exec) {
+                        row[l] = gmem
+                            .read_u32(a[l] + u64::from(k) * 4)
+                            .expect("global access checked");
+                    }
+                }
+            }
+            Op::StGlobal { addr, src, width } => {
+                let (a, txs) = self.global_access(w, addr, width, exec, Some(src), gmem, stats)?;
+                gmem_txns = Some(txs);
+                for l in lanes(exec) {
+                    for k in 0..width.regs() {
+                        gmem.write_u32(a[l] + u64::from(k) * 4, w.row(src.0 + k)[l])
+                            .expect("global access checked");
+                    }
+                }
+            }
+            Op::LdParam { d, offset } => {
+                let v = *self
+                    .params
+                    .get(usize::from(offset) / 4)
+                    .ok_or(SimError::ParamOutOfBounds { offset })?;
+                w.write_row(d.0, &[v; WARP], exec);
+            }
+            op => {
+                // ALU: a shared operand is addressed, checked, counted, and
+                // loaded before the operation (these ops only read shared
+                // memory, so loading first is order-equivalent).
+                let pre = match op.smem_operand() {
+                    Some(addr) => {
+                        let (a, txns) = self.shared_access(w, addr, 4, exec, smem, stats)?;
+                        smem_half_txns = txns;
+                        Some(smem.gather(&a, 0))
+                    }
+                    None => None,
+                };
+                self.alu(w, op, exec, block, pre.as_ref());
+            }
         }
+        self.record(w, pc, smem_half_txns, gmem_txns);
         Ok(())
     }
 
-    /// Resolve one operand for **all 32 lanes** of a fully-active warp
-    /// into `out`. Returns `false` (leaving `out` unspecified) when the
-    /// operand is a shared-memory word that was not preloaded — the
-    /// caller falls back to the per-lane path.
-    #[inline]
-    fn resolve_full(&self, w: &WarpState, s: Src, pre: &SmemPre, out: &mut [u32; WARP]) -> bool {
-        match s {
-            Src::Reg(r) => {
-                out.copy_from_slice(w.reg_row(r.0));
-                true
-            }
-            Src::Imm(v) => {
-                out.fill(v as u32);
-                true
-            }
-            Src::SMem(a) => {
-                if pre.addr == Some(a) {
-                    out.copy_from_slice(&pre.vals);
-                    true
-                } else {
-                    false
-                }
-            }
+    /// Address, check, and bank-account a shared load, store, or ALU
+    /// operand of `width` bytes per lane. Returns each active lane's byte
+    /// address and the serialized half-warp transaction count.
+    fn shared_access(
+        &self,
+        w: &mut WarpState,
+        addr: MemAddr,
+        width: u32,
+        exec: u32,
+        smem: &Shared,
+        stats: &mut DynamicStats,
+    ) -> Result<([u32; WARP], u16), SimError> {
+        let a = checked_smem_addrs(w, addr, width, exec, smem)?;
+        // Wide shared accesses proceed in 4-byte phases.
+        let (mut half_txns, mut half_accesses) = self.per_half_warp(&a, exec, bank_degree);
+        for phase in 1..width / 4 {
+            let shifted = a.map(|x| x.wrapping_add(phase * 4));
+            let (t, n) = self.per_half_warp(&shifted, exec, bank_degree);
+            half_txns += t;
+            half_accesses += n;
         }
+        self.count_shared(w, stats, half_txns, half_accesses);
+        Ok((a, saturate_u16(half_txns)))
     }
 
-    /// Fetch one operand for one lane. Shared-memory operands normally
-    /// come pre-loaded from the accounting pass (`pre`); the fallback
-    /// path reads shared memory directly.
-    #[inline(always)]
-    fn fetch(
+    /// Address, check, and account a shared-memory atomic. Lanes of a
+    /// half-warp hitting the same word (or the same bank) serialize lane
+    /// by lane — there is no broadcast for a read-modify-write. The
+    /// serialized weight occupies the shared-memory pipeline (folded into
+    /// the smem counters and the trace entry) and is also attributed to
+    /// the atomic counters, so the analysis can tell contention apart from
+    /// ordinary bank conflicts.
+    fn atomic_access(
+        &self,
+        w: &mut WarpState,
+        addr: MemAddr,
+        exec: u32,
+        smem: &Shared,
+        stats: &mut DynamicStats,
+    ) -> Result<([u32; WARP], u16), SimError> {
+        let a = checked_smem_addrs(w, addr, 4, exec, smem)?;
+        let (half_txns, half_accesses) = self.per_half_warp(&a, exec, atomic_bank_degree);
+        let stage = w.stage;
+        let s = self.count_shared(w, stats, half_txns, half_accesses);
+        s.atomic_half_txns += u64::from(half_txns);
+        s.atomic_half_accesses += u64::from(half_accesses);
+        s.atomic_instrs += 1;
+        if w.counted_atomic != Some(stage) {
+            w.counted_atomic = Some(stage);
+            s.warps_atomic += 1;
+        }
+        Ok((a, saturate_u16(half_txns)))
+    }
+
+    /// Count one shared-memory warp-instruction and its serialized
+    /// half-warp transactions; returns the stage's statistics.
+    fn count_shared<'s>(
+        &self,
+        w: &mut WarpState,
+        stats: &'s mut DynamicStats,
+        half_txns: u32,
+        half_accesses: u32,
+    ) -> &'s mut StageStats {
+        let stage = w.stage;
+        let s = self.stage_mut(stats, stage);
+        s.smem_half_txns += u64::from(half_txns);
+        s.smem_half_accesses += u64::from(half_accesses);
+        s.smem_instrs += 1;
+        if w.counted_smem != Some(stage) {
+            w.counted_smem = Some(stage);
+            s.warps_smem += 1;
+        }
+        s
+    }
+
+    /// Sum a bank-conflict degree over the half-warps of `addrs`: the
+    /// serialized transactions, and the half-warps that access at all.
+    fn per_half_warp(
+        &self,
+        addrs: &[u32; WARP],
+        exec: u32,
+        degree: impl Fn(&[u32], u32, BankConfig) -> u32,
+    ) -> (u32, u32) {
+        let hw = self.bank_cfg.half_warp;
+        let (mut txns, mut accesses) = (0u32, 0u32);
+        for (c, chunk) in addrs.chunks(hw).enumerate() {
+            let d = degree(chunk, chunk_mask(exec, c, hw), self.bank_cfg);
+            txns += d;
+            accesses += u32::from(d > 0);
+        }
+        (txns, accesses)
+    }
+
+    /// Address, check, and coalesce a global load or store (`store` names
+    /// its first source register). Returns each active lane's address and
+    /// the GT200-granularity transactions, which are kept only when the
+    /// warp is traced.
+    #[allow(clippy::too_many_arguments)]
+    fn global_access(
         &self,
         w: &WarpState,
-        lane: usize,
-        s: Src,
-        smem: &[u8],
-        pc: usize,
-        pre: &SmemPre,
-    ) -> Result<u32, SimError> {
-        match s {
-            Src::Reg(r) => Ok(w.reg(lane, r.0)),
-            Src::Imm(v) => Ok(v as u32),
-            Src::SMem(a) => {
-                if pre.addr == Some(a) {
-                    return Ok(pre.vals[lane]);
-                }
-                let addr = self.smem_lane_addr(w, lane, a)?;
-                self.check_smem(addr, 4, smem.len(), pc)?;
-                let i = addr as usize;
-                Ok(u32::from_le_bytes(smem[i..i + 4].try_into().unwrap()))
+        addr: MemAddr,
+        width: Width,
+        exec: u32,
+        store: Option<Reg>,
+        gmem: &mut GlobalMemory,
+        stats: &mut DynamicStats,
+    ) -> Result<([u64; WARP], Box<[Transaction]>), SimError> {
+        let len = width.bytes();
+        let base = addr.base.map_or(&ZERO_ROW, |r| w.row(r.0));
+        let off = i64::from(addr.offset);
+        let mut a = [0u64; WARP];
+        let mut bad = 0u32;
+        for l in 0..WARP {
+            let x = i64::from(base[l]) + off;
+            // Widths are powers of two.
+            let ok = x >= 0 && x & i64::from(len - 1) == 0 && gmem.in_bounds(x as u64, len);
+            bad |= u32::from(!ok) << l;
+            a[l] = x as u64;
+        }
+        if bad & exec != 0 {
+            return Err(global_fault(w, &a, exec, width, store, gmem));
+        }
+
+        let stage = w.stage;
+        let st = self.stage_mut(stats, stage);
+        st.gmem_requested_bytes += u64::from(len) * u64::from(exec.count_ones());
+        st.gmem_instrs += 1;
+        let mut region = None;
+        for l in lanes(exec) {
+            region = find_region(&stats.regions, region, a[l]);
+            if let Some(r) = region {
+                stats.regions[r].requested_bytes += u64::from(len);
             }
         }
-    }
 
-    fn special_value(&self, w: &WarpState, lane: usize, block: u32, sr: SpecialReg) -> u32 {
-        let tid = w.first_thread + lane as u32;
-        let (tx, ty) = self.launch.thread_coords(tid);
-        let (bx, by) = self.launch.block_coords(block);
-        match sr {
-            SpecialReg::TidX => tx,
-            SpecialReg::TidY => ty,
-            SpecialReg::CtaIdX => bx,
-            SpecialReg::CtaIdY => by,
-            SpecialReg::NTidX => self.launch.block.0,
-            SpecialReg::NTidY => self.launch.block.1,
-            SpecialReg::NCtaIdX => self.launch.grid.0,
-            SpecialReg::NCtaIdY => self.launch.grid.1,
-        }
-    }
-
-    /// Trace skeleton for an instruction: class, dependencies, destination.
-    fn alu_entry(&self, ins: &Instruction) -> TraceEntry {
-        let mut srcs = [0xFFu8; 8];
-        let mut n = 0usize;
-        let mut push = |id: u8| {
-            if n < srcs.len() && !srcs[..n].contains(&id) {
-                srcs[n] = id;
+        // Steps 1–2 of the coalescing protocol once per half-warp, step 3
+        // once per granularity.
+        let mut grans = [GmemGranStats::default(); 3];
+        let mut txs = Vec::new();
+        let traced = w.trace.is_some();
+        let hw = self.machine.half_warp as usize;
+        for (c, chunk) in a.chunks(hw).enumerate() {
+            let mut pending = [(0u64, 0u32); WARP];
+            let mut n = 0;
+            for l in lanes(chunk_mask(exec, c, hw)) {
+                pending[n] = (chunk[l], len);
                 n += 1;
             }
+            segment_spans(&mut pending[..n], self.max_segment, |span| {
+                for (g, &min) in GRANULARITIES.iter().enumerate() {
+                    let t = span.reduce(min);
+                    grans[g].transactions += 1;
+                    grans[g].bytes += u64::from(t.size);
+                    region = find_region(&stats.regions, region, t.base);
+                    if let Some(r) = region {
+                        let r = &mut stats.regions[r].gmem[g];
+                        r.transactions += 1;
+                        r.bytes += u64::from(t.size);
+                    }
+                    if g == GRAN_GT200 && traced {
+                        txs.push(t);
+                    }
+                }
+            });
+        }
+        let st = self.stage_mut(stats, stage);
+        for (total, g) in st.gmem.iter_mut().zip(grans) {
+            total.transactions += g.transactions;
+            total.bytes += g.bytes;
+        }
+        Ok((a, txs.into_boxed_slice()))
+    }
+
+    /// Execute an ALU instruction on all 32 lanes and write the result
+    /// under `exec`. `pre` is the instruction's shared operand, already
+    /// checked and loaded for the active lanes.
+    fn alu(&self, w: &mut WarpState, op: Op, exec: u32, block: u32, pre: Option<&Row>) {
+        use Op::*;
+        let src = |s: Src| operand(w, s, pre);
+        let f = f32::from_bits;
+        let (d, out) = match op {
+            FMul { d, a, b } => (d, map2(&src(a), &src(b), |x, y| (f(x) * f(y)).to_bits())),
+            FAdd { d, a, b } => (d, map2(&src(a), &src(b), |x, y| (f(x) + f(y)).to_bits())),
+            FMad { d, a, b, c } => {
+                let (a, b, c) = (src(a), src(b), src(c));
+                (d, fma::f32_row(&a, &b, &c))
+            }
+            IAdd { d, a, b } => (d, map2(&src(a), &src(b), u32::wrapping_add)),
+            ISub { d, a, b } => (d, map2(&src(a), &src(b), u32::wrapping_sub)),
+            IMul { d, a, b } => (d, map2(&src(a), &src(b), u32::wrapping_mul)),
+            IMad { d, a, b, c } => {
+                let (a, b, c) = (src(a), src(b), src(c));
+                let ab = map2(&a, &b, u32::wrapping_mul);
+                (d, map2(&ab, &c, u32::wrapping_add))
+            }
+            IMin { d, a, b } => (
+                d,
+                map2(&src(a), &src(b), |x, y| (x as i32).min(y as i32) as u32),
+            ),
+            IMax { d, a, b } => (
+                d,
+                map2(&src(a), &src(b), |x, y| (x as i32).max(y as i32) as u32),
+            ),
+            Shl { d, a, b } => (d, map2(&src(a), &src(b), |x, y| x << (y & 31))),
+            Shr { d, a, b } => (d, map2(&src(a), &src(b), |x, y| x >> (y & 31))),
+            And { d, a, b } => (d, map2(&src(a), &src(b), |x, y| x & y)),
+            Or { d, a, b } => (d, map2(&src(a), &src(b), |x, y| x | y)),
+            Xor { d, a, b } => (d, map2(&src(a), &src(b), |x, y| x ^ y)),
+            Mov { d, a } => (d, src(a)),
+            MovImm { d, imm } => (d, [imm; WARP]),
+            S2R { d, sr } => (d, self.special_row(w, block, sr)),
+            SetP { p, cmp, ty, a, b } => {
+                let (a, b) = (src(a), src(b));
+                let mut bits = 0u32;
+                for l in 0..WARP {
+                    let r = match ty {
+                        NumTy::S32 => cmp.eval_i32(a[l] as i32, b[l] as i32),
+                        NumTy::F32 => cmp.eval_f32(f(a[l]), f(b[l])),
+                    };
+                    bits |= u32::from(r) << l;
+                }
+                let pr = &mut w.preds[usize::from(p.0)];
+                *pr = (*pr & !exec) | (bits & exec);
+                return;
+            }
+            Sel { d, p, a, b } => {
+                let taken = w.preds[usize::from(p.0)];
+                let (a, b) = (src(a), src(b));
+                (
+                    d,
+                    std::array::from_fn(|l| if taken >> l & 1 != 0 { a[l] } else { b[l] }),
+                )
+            }
+            I2F { d, a } => (d, src(a).map(|x| (x as i32 as f32).to_bits())),
+            F2I { d, a } => (d, src(a).map(|x| f(x) as i32 as u32)),
+            Rcp { d, a } => (d, src(a).map(|x| (1.0 / f(x)).to_bits())),
+            Rsq { d, a } => (d, src(a).map(|x| (1.0 / f(x).sqrt()).to_bits())),
+            Sin { d, a } => (d, src(a).map(|x| f(x).sin().to_bits())),
+            Cos { d, a } => (d, src(a).map(|x| f(x).cos().to_bits())),
+            Lg2 { d, a } => (d, src(a).map(|x| f(x).log2().to_bits())),
+            Ex2 { d, a } => (d, src(a).map(|x| f(x).exp2().to_bits())),
+            DAdd { d, a, b } => {
+                let (a, b) = (w.f64_row(a), w.f64_row(b));
+                w.write_f64_row(d, &std::array::from_fn(|l| a[l] + b[l]), exec);
+                return;
+            }
+            DMul { d, a, b } => {
+                let (a, b) = (w.f64_row(a), w.f64_row(b));
+                w.write_f64_row(d, &std::array::from_fn(|l| a[l] * b[l]), exec);
+                return;
+            }
+            DFma { d, a, b, c } => {
+                let v = fma::f64_row(&w.f64_row(a), &w.f64_row(b), &w.f64_row(c));
+                w.write_f64_row(d, &v, exec);
+                return;
+            }
+            Nop => return,
+            LdShared { .. }
+            | StShared { .. }
+            | LdGlobal { .. }
+            | StGlobal { .. }
+            | LdParam { .. }
+            | AtomSharedAdd { .. }
+            | AtomSharedCas { .. }
+            | Bar
+            | Bra { .. }
+            | Exit => unreachable!("{op:?} is not an ALU instruction"),
         };
-        for r in ins.op.src_regs() {
-            push(r.0);
-        }
-        if let Some(g) = ins.guard {
-            push(PRED_BASE + g.pred.0);
-        }
-        match ins.op {
-            Op::Sel { p, .. } => push(PRED_BASE + p.0),
-            Op::SetP { .. } => {}
-            _ => {}
-        }
-        let (dst, dst_n) = match ins.op {
-            Op::SetP { p, .. } => (PRED_BASE + p.0, 1),
-            _ => match ins.op.dst() {
-                Some((r, k)) => (r.0, k),
-                None => (0, 0),
-            },
-        };
-        TraceEntry {
-            class: ins.op.class(),
-            dst,
-            dst_n,
-            srcs,
-            nsrcs: n as u8,
-            dst_lat: DstLatency::Alu,
-            smem_half_txns: 0,
-            gmem: None,
-            gmem_load: false,
-            bar: false,
+        w.write_row(d.0, &out, exec);
+    }
+
+    /// A special register across all 32 lanes.
+    fn special_row(&self, w: &WarpState, block: u32, sr: SpecialReg) -> Row {
+        let (bx, by) = self.launch.block_coords(block);
+        let tid = |l: usize| self.launch.thread_coords(w.first_thread + l as u32);
+        match sr {
+            SpecialReg::TidX => std::array::from_fn(|l| tid(l).0),
+            SpecialReg::TidY => std::array::from_fn(|l| tid(l).1),
+            SpecialReg::CtaIdX => [bx; WARP],
+            SpecialReg::CtaIdY => [by; WARP],
+            SpecialReg::NTidX => [self.launch.block.0; WARP],
+            SpecialReg::NTidY => [self.launch.block.1; WARP],
+            SpecialReg::NCtaIdX => [self.launch.grid.0; WARP],
+            SpecialReg::NCtaIdY => [self.launch.grid.1; WARP],
         }
     }
 }
 
-fn bar_entry() -> TraceEntry {
+/// The trace entry of `ins` with everything known before it executes:
+/// class, register dependencies, destination and its latency source.
+fn skeleton(ins: &Instruction) -> TraceEntry {
+    if matches!(ins.op, Op::Bar) {
+        return TraceEntry {
+            class: gpa_hw::InstrClass::TypeII,
+            dst: 0,
+            dst_n: 0,
+            srcs: [0xFF; 8],
+            nsrcs: 0,
+            dst_lat: DstLatency::Alu,
+            smem_half_txns: 0,
+            gmem: None,
+            gmem_load: false,
+            bar: true,
+        };
+    }
+    let mut srcs = [0xFFu8; 8];
+    let mut n = 0usize;
+    let mut push = |id: u8| {
+        if n < srcs.len() && !srcs[..n].contains(&id) {
+            srcs[n] = id;
+            n += 1;
+        }
+    };
+    for r in ins.op.src_regs() {
+        push(r.0);
+    }
+    if let Some(g) = ins.guard {
+        push(PRED_BASE + g.pred.0);
+    }
+    if let Op::Sel { p, .. } = ins.op {
+        push(PRED_BASE + p.0);
+    }
+    let (dst, dst_n) = match ins.op {
+        Op::SetP { p, .. } => (PRED_BASE + p.0, 1),
+        _ => match ins.op.dst() {
+            Some((r, k)) => (r.0, k),
+            None => (0, 0),
+        },
+    };
+    let shared = matches!(ins.op, Op::LdShared { .. } | Op::StShared { .. })
+        || ins.op.smem_operand().is_some()
+        || ins.op.is_atomic();
+    let load = matches!(ins.op, Op::LdGlobal { .. });
     TraceEntry {
-        class: gpa_hw::InstrClass::TypeII,
-        dst: 0,
-        dst_n: 0,
-        srcs: [0xFF; 8],
-        nsrcs: 0,
-        dst_lat: DstLatency::Alu,
+        class: ins.op.class(),
+        dst,
+        dst_n,
+        srcs,
+        nsrcs: n as u8,
+        dst_lat: if load {
+            DstLatency::Gmem
+        } else if shared {
+            DstLatency::Smem
+        } else {
+            DstLatency::Alu
+        },
         smem_half_txns: 0,
         gmem: None,
-        gmem_load: false,
-        bar: true,
+        gmem_load: load,
+        bar: false,
     }
+}
+
+/// The block's shared-memory arena, as words, with its size in bytes.
+struct Shared {
+    words: Vec<u32>,
+    bytes: usize,
+}
+
+impl Shared {
+    /// Word `k` of each lane's access at byte address `addrs[l]`. Lanes
+    /// whose address was not checked (inactive ones) read an unspecified
+    /// value, never out of bounds.
+    fn gather(&self, addrs: &[u32; WARP], k: u8) -> Row {
+        std::array::from_fn(|l| {
+            let i = addrs[l] as usize / 4 + usize::from(k);
+            self.words.get(i).copied().unwrap_or(0)
+        })
+    }
+}
+
+/// Source operand `s` across all 32 lanes. A validated instruction has at
+/// most one shared operand (it occupies the immediate field), already
+/// checked and loaded into `pre`.
+fn operand(w: &WarpState, s: Src, pre: Option<&Row>) -> Row {
+    match s {
+        Src::Reg(r) => *w.row(r.0),
+        Src::Imm(v) => [v as u32; WARP],
+        Src::SMem(_) => *pre.expect("the shared operand is loaded before the operation"),
+    }
+}
+
+/// Byte addresses of a shared access of `len` bytes per lane, checked for
+/// bounds and alignment over the active lanes. Inactive lanes hold
+/// unchecked values.
+fn checked_smem_addrs(
+    w: &WarpState,
+    addr: MemAddr,
+    len: u32,
+    exec: u32,
+    smem: &Shared,
+) -> Result<[u32; WARP], SimError> {
+    debug_assert!(len.is_power_of_two());
+    let base = addr.base.map_or(&ZERO_ROW, |r| w.row(r.0));
+    let off = addr.offset as u32;
+    // The last valid start, if one access fits the arena at all.
+    let (last, fits) = match u32::try_from(smem.bytes)
+        .ok()
+        .and_then(|b| b.checked_sub(len))
+    {
+        Some(last) => (last, true),
+        None => (0, false),
+    };
+    let mut out = [0u32; WARP];
+    let mut bad = 0u32;
+    for l in 0..WARP {
+        // The base register is a signed word. The exact sum lies in
+        // [0, last] iff the 32-bit signed addition does not overflow and
+        // its bits, read unsigned, are at most `last` (negative sums read
+        // as at least 2^31).
+        let a = base[l].wrapping_add(off);
+        let overflow = ((base[l] ^ a) & (off ^ a)) >> 31 != 0;
+        let ok = fits && !overflow && a <= last && a & (len - 1) == 0;
+        bad |= u32::from(!ok) << l;
+        out[l] = a;
+    }
+    if bad & exec != 0 {
+        return Err(smem_fault(w, addr, exec, len, smem.bytes));
+    }
+    Ok(out)
+}
+
+/// The error a lane-order walk raises for a shared access that failed
+/// the row check: the accounting pass checks each 4-byte phase over the
+/// lanes, then the access itself checks each lane's full width.
+fn smem_fault(w: &WarpState, addr: MemAddr, exec: u32, width: u32, smem_bytes: usize) -> SimError {
+    let pc = w.pc;
+    let lane_addr = |l: usize| {
+        let base = addr.base.map_or(0, |r| i64::from(w.row(r.0)[l] as i32));
+        base + i64::from(addr.offset)
+    };
+    let check = |a: i64, len: u32| {
+        if a < 0 || (a + i64::from(len)) as usize > smem_bytes {
+            Err(SimError::SharedOutOfBounds { offset: a, len, pc })
+        } else if a % i64::from(len) != 0 {
+            Err(SimError::Misaligned {
+                addr: a as u64,
+                len,
+                pc,
+            })
+        } else {
+            Ok(())
+        }
+    };
+    let phases = (0..i64::from(width / 4)).flat_map(|p| lanes(exec).map(move |l| (l, p * 4, 4)));
+    let whole = lanes(exec).map(|l| (l, 0, width));
+    phases
+        .chain(whole)
+        .find_map(|(l, off, len)| check(lane_addr(l) + off, len).err())
+        .expect("a lane failed the shared-memory check")
+}
+
+/// The error a lane-order walk raises for a global access (addresses as
+/// wrapped `i64`s) that failed the row check: first every lane's address
+/// is validated (sign, then alignment), then the lanes access memory in
+/// order — a store lands every word before the faulting one, exactly as
+/// the walk would.
+fn global_fault(
+    w: &WarpState,
+    addrs: &[u64; WARP],
+    exec: u32,
+    width: Width,
+    store: Option<Reg>,
+    gmem: &mut GlobalMemory,
+) -> SimError {
+    let (len, pc) = (width.bytes(), w.pc);
+    for l in lanes(exec) {
+        let a = addrs[l] as i64;
+        if a < 0 {
+            return SimError::GlobalOutOfBounds {
+                addr: a as u64,
+                len,
+                pc,
+            };
+        }
+        if a % i64::from(len) != 0 {
+            return SimError::Misaligned {
+                addr: a as u64,
+                len,
+                pc,
+            };
+        }
+    }
+    for l in lanes(exec) {
+        let a = addrs[l];
+        for k in 0..width.regs() {
+            let at = a + u64::from(k) * 4;
+            let ok = match store {
+                Some(src) => gmem.write_u32(at, w.row(src.0 + k)[l]).is_ok(),
+                None => gmem.in_bounds(at, 4),
+            };
+            if !ok {
+                return SimError::GlobalOutOfBounds { addr: a, len, pc };
+            }
+        }
+    }
+    unreachable!("a lane failed the global-memory check")
+}
+
+/// Index of the region containing `addr`, trying `last` first.
+fn find_region(regions: &[RegionStats], last: Option<usize>, addr: u64) -> Option<usize> {
+    match last {
+        Some(r) if regions[r].contains(addr) => Some(r),
+        _ => regions.iter().position(|r| r.contains(addr)),
+    }
+}
+
+fn saturate_u16(v: u32) -> u16 {
+    v.min(u32::from(u16::MAX)) as u16
+}
+
+/// The bits of `exec` that belong to chunk `c` of `size` lanes, shifted
+/// down to bit 0.
+fn chunk_mask(exec: u32, c: usize, size: usize) -> u32 {
+    let shifted = exec.checked_shr((c * size) as u32).unwrap_or(0);
+    if size >= WARP {
+        shifted
+    } else {
+        shifted & ((1u32 << size) - 1)
+    }
+}
+
+/// The set lanes of `mask`, lowest first.
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
+#[inline(always)]
+fn map2(a: &Row, b: &Row, f: impl Fn(u32, u32) -> u32) -> Row {
+    std::array::from_fn(|l| f(a[l], b[l]))
 }
 
 /// A divergence-stack frame.
@@ -1199,26 +1272,16 @@ struct Frame {
     merged: u32,
 }
 
-/// Pre-resolved shared-memory operand of an ALU instruction: the word
-/// each lane would read, loaded once during the bank-accounting pass.
-struct SmemPre {
-    /// The operand this covers, or `None` when nothing was preloaded.
-    addr: Option<MemAddr>,
-    /// Per-lane word values (valid for lanes in the exec mask).
-    vals: [u32; WARP],
-}
-
 /// Architectural registers per lane (the GT200 register-file slice a
 /// kernel may address).
 const LANE_REGS: usize = 128;
 /// Predicate registers per lane.
 const LANE_PREDS: usize = 4;
 
-/// Execution state of one warp. The register file is one flat slab in
-/// **register-major** order (`reg * WARP + lane`) rather than per-lane
-/// boxes: one architectural register across all 32 lanes is contiguous,
-/// which is both the locality the per-lane interpreter loop wants and
-/// the layout the vectorized full-warp fast paths require.
+/// Execution state of one warp. The register file is **register-major**:
+/// one architectural register across all 32 lanes is one contiguous
+/// [`Row`], the unit the datapath reads and writes. Predicates are one
+/// bit per lane.
 #[derive(Debug)]
 struct WarpState {
     pc: usize,
@@ -1229,9 +1292,11 @@ struct WarpState {
     done: bool,
     stage: usize,
     first_thread: u32,
-    regs: Box<[u32; WARP * LANE_REGS]>,
-    preds: [bool; WARP * LANE_PREDS],
-    trace: Vec<TraceEntry>,
+    regs: Box<[Row; LANE_REGS]>,
+    /// Bit `l` of `preds[p]` is lane `l`'s predicate `p`.
+    preds: [u32; LANE_PREDS],
+    /// The warp's trace, when its block is traced.
+    trace: Option<Vec<TraceEntry>>,
     counted_any: Option<usize>,
     counted_smem: Option<usize>,
     counted_atomic: Option<usize>,
@@ -1255,64 +1320,64 @@ impl WarpState {
             done: false,
             stage: 0,
             first_thread,
-            regs: vec![0u32; WARP * LANE_REGS]
+            regs: vec![[0u32; WARP]; LANE_REGS]
                 .into_boxed_slice()
                 .try_into()
-                .expect("fixed-size register slab"),
-            preds: [false; WARP * LANE_PREDS],
-            trace: Vec::new(),
+                .expect("fixed-size register file"),
+            preds: [0; LANE_PREDS],
+            trace: None,
             counted_any: None,
             counted_smem: None,
             counted_atomic: None,
         }
     }
 
-    #[inline]
-    fn reg(&self, lane: usize, r: u8) -> u32 {
-        self.regs[r as usize * WARP + lane]
+    /// Lanes of the active mask whose guard predicate passes.
+    fn guard_mask(&self, ins: &Instruction) -> u32 {
+        match ins.guard {
+            None => self.mask,
+            Some(g) => {
+                let p = self.preds[usize::from(g.pred.0)];
+                self.mask & if g.negate { !p } else { p }
+            }
+        }
     }
 
     #[inline]
-    fn set_reg(&mut self, lane: usize, r: u8, v: u32) {
-        self.regs[r as usize * WARP + lane] = v;
-    }
-
-    /// One register across all 32 lanes.
-    #[inline]
-    fn reg_row(&self, r: u8) -> &[u32; WARP] {
-        self.regs[r as usize * WARP..(r as usize + 1) * WARP]
-            .try_into()
-            .expect("warp-sized register row")
-    }
-
-    /// One register across all 32 lanes, mutably.
-    #[inline]
-    fn reg_row_mut(&mut self, r: u8) -> &mut [u32; WARP] {
-        (&mut self.regs[r as usize * WARP..(r as usize + 1) * WARP])
-            .try_into()
-            .expect("warp-sized register row")
+    fn row(&self, r: u8) -> &Row {
+        &self.regs[usize::from(r)]
     }
 
     #[inline]
-    fn pred(&self, lane: usize, p: u8) -> bool {
-        self.preds[lane * LANE_PREDS + p as usize]
+    fn row_mut(&mut self, r: u8) -> &mut Row {
+        &mut self.regs[usize::from(r)]
     }
 
+    /// Write `vals` into register `r` for the lanes in `exec`.
     #[inline]
-    fn set_pred(&mut self, lane: usize, p: u8, v: bool) {
-        self.preds[lane * LANE_PREDS + p as usize] = v;
+    fn write_row(&mut self, r: u8, vals: &Row, exec: u32) {
+        let row = self.row_mut(r);
+        if exec == u32::MAX {
+            *row = *vals;
+        } else {
+            for (l, (dst, v)) in row.iter_mut().zip(vals).enumerate() {
+                if exec >> l & 1 != 0 {
+                    *dst = *v;
+                }
+            }
+        }
     }
 
-    fn read_f64(&self, lane: usize, r: Reg) -> f64 {
-        let lo = self.reg(lane, r.0);
-        let hi = self.reg(lane, r.0 + 1);
-        f64::from_bits(u64::from(lo) | (u64::from(hi) << 32))
+    /// The double in register pair `(r, r + 1)` across all 32 lanes.
+    fn f64_row(&self, r: Reg) -> [f64; WARP] {
+        let (lo, hi) = (self.row(r.0), self.row(r.0 + 1));
+        std::array::from_fn(|l| f64::from_bits(u64::from(lo[l]) | (u64::from(hi[l]) << 32)))
     }
 
-    fn write_f64(&mut self, lane: usize, r: Reg, v: f64) {
-        let bits = v.to_bits();
-        self.set_reg(lane, r.0, bits as u32);
-        self.set_reg(lane, r.0 + 1, (bits >> 32) as u32);
+    fn write_f64_row(&mut self, r: Reg, vals: &[f64; WARP], exec: u32) {
+        let bits = vals.map(f64::to_bits);
+        self.write_row(r.0, &bits.map(|b| b as u32), exec);
+        self.write_row(r.0 + 1, &bits.map(|b| (b >> 32) as u32), exec);
     }
 }
 

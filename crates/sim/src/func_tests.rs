@@ -744,3 +744,544 @@ fn atomic_cas_takes_only_first_lane() {
         assert_eq!(gmem.read_u32(out + lane * 4).unwrap(), 1, "lane {lane}");
     }
 }
+
+// ---- Masked lanes and fault precedence ----
+//
+// The datapath computes all 32 lanes of every instruction. These tests pin
+// down that lanes outside the execution mask stay invisible whatever they
+// hold, and that a faulting access reports exactly the error a lane-order
+// interpreter would.
+
+/// Lanes `0..ACTIVE` take the branch body / pass the guard.
+const ACTIVE: u32 = 13;
+/// Sentinel each result register holds before the body.
+const SENTINEL: u32 = 0xDEAD_0000;
+
+/// Poison for the inactive lanes: a shared byte address, a global
+/// address, and an operand value.
+#[derive(Clone, Copy)]
+struct Poison {
+    smem: u32,
+    gmem: u32,
+    value: u32,
+}
+
+/// A kernel whose lanes `ACTIVE..32` first load poison into their shared
+/// address, global address, and operand registers, then sit out a body of
+/// FMad, IMad, SetP, Sel and shared/global loads and stores — masked by a
+/// divergent branch, or by a guard predicate on every body instruction.
+/// Afterwards every lane writes its result registers (still holding
+/// `SENTINEL + k` where the body did not run) through a clean address.
+///
+/// Params: `[data, out, poison_smem, poison_gmem, poison_value]`. `data`
+/// holds 32 input words, then room for the body's 32 stores; `out` holds
+/// 6 × 32 result words.
+fn masked_body_kernel(guarded: bool) -> Kernel {
+    let mut b = KernelBuilder::new("masked_body");
+    b.set_threads(32);
+    let smem = b.smem_alloc(32 * 4, 4).unwrap() as i32;
+    let [data_p, out_p, ps_p, pg_p, pv_p] = [(); 5].map(|_| b.param_alloc());
+    let [tid, t4, sa, ga, oa, x, tmp] = [(); 7].map(|_| b.alloc_reg().unwrap());
+    let results = [(); 6].map(|_| b.alloc_reg().unwrap());
+    let [v, f, i, s, g, sel_p] = results;
+    b.s2r(tid, SpecialReg::TidX);
+    b.shl(t4, Src::Reg(tid), Src::Imm(2));
+    b.iadd(sa, Src::Reg(t4), Src::Imm(smem));
+    b.ld_param(tmp, data_p);
+    b.iadd(ga, Src::Reg(t4), Src::Reg(tmp));
+    b.ld_param(tmp, out_p);
+    b.iadd(oa, Src::Reg(t4), Src::Reg(tmp));
+    b.i2f(x, Src::Reg(tid));
+    b.fadd(x, Src::Reg(x), Src::Imm(0.5f32.to_bits() as i32));
+    for (k, reg) in results.iter().enumerate() {
+        b.mov_imm(*reg, SENTINEL + k as u32);
+    }
+    b.setp(
+        Pred(0),
+        CmpOp::Lt,
+        NumTy::S32,
+        Src::Reg(tid),
+        Src::Imm(ACTIVE as i32),
+    );
+    // Poison the lanes that sit the body out.
+    b.set_guard(Pred(0), true);
+    b.ld_param(sa, ps_p);
+    b.ld_param(ga, pg_p);
+    b.ld_param(x, pv_p);
+    b.clear_guard();
+
+    if guarded {
+        b.set_guard(Pred(0), false);
+    } else {
+        b.bra_if(Pred(0), true, "join");
+    }
+    b.st_shared(MemAddr::new(Some(sa), 0), x, Width::B32);
+    b.ld_shared(v, MemAddr::new(Some(sa), 0), Width::B32);
+    b.fmad(f, Src::Reg(x), Src::smem(Some(sa), 0), Src::Reg(x));
+    b.imad(i, Src::Reg(x), Src::Reg(x), Src::Reg(x));
+    b.setp(Pred(1), CmpOp::Lt, NumTy::F32, Src::Reg(x), Src::Reg(f));
+    b.sel(s, Pred(1), Src::Reg(x), Src::smem(Some(sa), 0));
+    b.ld_global(g, MemAddr::new(Some(ga), 0), Width::B32);
+    b.st_global(MemAddr::new(Some(ga), 32 * 4), f, Width::B32);
+    if guarded {
+        b.clear_guard();
+    } else {
+        b.label("join");
+    }
+    b.mov_imm(tmp, 1);
+    b.sel(sel_p, Pred(1), Src::Reg(tmp), Src::Imm(0));
+    for (k, reg) in results.iter().enumerate() {
+        b.st_global(MemAddr::new(Some(oa), k as i32 * 128), *reg, Width::B32);
+    }
+    b.exit();
+    b.finish().unwrap()
+}
+
+/// Run `masked_body_kernel` under `poison`, traced, returning stats,
+/// traces, and the final memory with its `data`/`out` bases.
+fn run_masked(guarded: bool, poison: Poison) -> (RunOutput, GlobalMemory, u64, u64) {
+    let m = machine();
+    let k = masked_body_kernel(guarded);
+    let mut gmem = GlobalMemory::new();
+    let inputs: Vec<u32> = (0..64).map(|t| if t < 32 { t * 7 } else { 0 }).collect();
+    let data = gmem.alloc_u32(&inputs);
+    let out = gmem.alloc(6 * 128, 4);
+    let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(1, 32)).unwrap();
+    // A zero global poison stands for the data base itself.
+    let poison_gmem = if poison.gmem == 0 {
+        data as u32
+    } else {
+        poison.gmem
+    };
+    sim.set_params(&[
+        data as u32,
+        out as u32,
+        poison.smem,
+        poison_gmem,
+        poison.value,
+    ])
+    .add_region("data", data, 64 * 4)
+    .collect_traces(true);
+    let res = sim.run(&mut gmem).expect("masked lanes never fault");
+    (res, gmem, data, out)
+}
+
+#[test]
+fn inactive_lanes_never_fault_write_or_count() {
+    let benign = Poison {
+        smem: 0,
+        gmem: 0, // replaced by the data base: a valid, aligned address
+        value: 1.0f32.to_bits(),
+    };
+    let poisons = [
+        // Out of range, both directions, and misaligned.
+        Poison {
+            smem: 1 << 20,
+            gmem: 8, // below the first allocation
+            value: f32::NAN.to_bits(),
+        },
+        Poison {
+            smem: (-6i32) as u32,
+            gmem: u32::MAX - 3,
+            value: f32::MAX.to_bits(), // x·x + x overflows to +inf
+        },
+        Poison {
+            smem: 6,
+            gmem: 0x1000_0002,
+            value: i32::MAX as u32, // integer overflow in IMad
+        },
+    ];
+    for guarded in [false, true] {
+        let (base, base_mem, data, out) = run_masked(guarded, benign);
+        for poison in poisons {
+            let (res, mem, _, _) = run_masked(guarded, poison);
+            assert_eq!(res.stats, base.stats, "guarded={guarded}");
+            assert_eq!(res.traces, base.traces, "guarded={guarded}");
+            assert_eq!(mem, base_mem, "guarded={guarded}");
+        }
+
+        // Active lanes computed the body; the others kept every sentinel,
+        // and SetP left their predicate alone.
+        for lane in 0..32u32 {
+            let word = |k: u64| {
+                base_mem
+                    .read_u32(out + k * 128 + u64::from(lane) * 4)
+                    .unwrap()
+            };
+            let x = lane as f32 + 0.5;
+            let fx = x.mul_add(x, x);
+            if lane < ACTIVE {
+                let xb = x.to_bits();
+                assert_eq!(word(0), xb, "v, lane {lane}");
+                assert_eq!(word(1), fx.to_bits(), "f, lane {lane}");
+                assert_eq!(
+                    word(2),
+                    xb.wrapping_mul(xb).wrapping_add(xb),
+                    "i, lane {lane}"
+                );
+                assert_eq!(word(3), xb, "sel, lane {lane}");
+                assert_eq!(word(4), lane * 7, "g, lane {lane}");
+                assert_eq!(word(5), 1, "setp, lane {lane}");
+                let stored = base_mem.read_u32(data + 128 + u64::from(lane) * 4).unwrap();
+                assert_eq!(stored, fx.to_bits(), "st.global, lane {lane}");
+            } else {
+                for k in 0..5 {
+                    assert_eq!(word(k), SENTINEL + k as u32, "result {k}, lane {lane}");
+                }
+                assert_eq!(word(5), 0, "setp leaked into lane {lane}");
+                let stored = base_mem.read_u32(data + 128 + u64::from(lane) * 4).unwrap();
+                assert_eq!(stored, 0, "st.global leaked from lane {lane}");
+            }
+        }
+
+        // The body's statistics count the active lanes only.
+        let t = base.stats.total();
+        // One FMad over the active lanes, after one FAdd over all 32.
+        assert_eq!(t.flops, 2 * u64::from(ACTIVE) + 32);
+        // ld + st of 4 B each over the body, plus 6 × 32 result stores.
+        assert_eq!(
+            t.gmem_requested_bytes,
+            2 * 4 * u64::from(ACTIVE) + 6 * 32 * 4
+        );
+        let region = &base.stats.regions[0];
+        assert_eq!(region.requested_bytes, 2 * 4 * u64::from(ACTIVE));
+        // st, ld, the FMad and Sel shared operands: one conflict-free
+        // half-warp transaction each (13 lanes fit the first half-warp).
+        assert_eq!(t.smem_half_txns, 4);
+        assert_eq!(t.smem_half_accesses, 4);
+    }
+}
+
+/// Run a one-instruction fault probe: every lane loads its address from
+/// `addrs` and its enable bit from `active`, then executes `op` under
+/// that mask. `op` gets the builder, the address register, a second
+/// address register (from `addrs2`), and a value register (`tid + 100`),
+/// and returns the probed instruction's pc.
+fn probe(
+    smem_bytes: u32,
+    addrs: &[u32; 32],
+    addrs2: &[u32; 32],
+    active: u32,
+    op: impl Fn(&mut KernelBuilder, Reg, Reg, Reg) -> usize,
+) -> (Result<RunOutput, SimError>, usize, GlobalMemory) {
+    let mut b = KernelBuilder::new("probe");
+    b.set_threads(32);
+    if smem_bytes > 0 {
+        b.smem_alloc(smem_bytes, 4).unwrap();
+    }
+    let tab_p = b.param_alloc();
+    let [tid, ta, a, a2, m, val] = [(); 6].map(|_| b.alloc_reg().unwrap());
+    b.s2r(tid, SpecialReg::TidX);
+    b.shl(ta, Src::Reg(tid), Src::Imm(2));
+    b.ld_param(m, tab_p);
+    b.iadd(ta, Src::Reg(ta), Src::Reg(m));
+    b.ld_global(a, MemAddr::new(Some(ta), 0), Width::B32);
+    b.ld_global(a2, MemAddr::new(Some(ta), 128), Width::B32);
+    b.ld_global(m, MemAddr::new(Some(ta), 256), Width::B32);
+    b.iadd(val, Src::Reg(tid), Src::Imm(100));
+    b.setp(Pred(0), CmpOp::Ne, NumTy::S32, Src::Reg(m), Src::Imm(0));
+    b.set_guard(Pred(0), false);
+    let pc = op(&mut b, a, a2, val);
+    b.clear_guard();
+    b.exit();
+    let k = b.finish().unwrap();
+
+    let m = machine();
+    let mut gmem = GlobalMemory::new();
+    let mut table: Vec<u32> = addrs.to_vec();
+    table.extend(addrs2);
+    table.extend((0..32).map(|l| active >> l & 1));
+    // One pad word, so memory ends 4 bytes past a double-word boundary.
+    table.push(0);
+    let tab = gmem.alloc_u32(&table);
+    let sim_res = {
+        let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(1, 32)).unwrap();
+        sim.set_params(&[tab as u32]);
+        sim.run(&mut gmem)
+    };
+    (sim_res, pc, gmem)
+}
+
+fn probe_err(
+    smem_bytes: u32,
+    addrs: &[u32; 32],
+    addrs2: &[u32; 32],
+    active: u32,
+    op: impl Fn(&mut KernelBuilder, Reg, Reg, Reg) -> usize,
+) -> (SimError, usize) {
+    let (res, pc, _) = probe(smem_bytes, addrs, addrs2, active, op);
+    (res.expect_err("the probe faults"), pc)
+}
+
+/// Lane `l` at `base + l * stride`, then the listed overrides.
+fn lane_addrs(base: u32, stride: u32, overrides: &[(usize, u32)]) -> [u32; 32] {
+    let mut a: [u32; 32] = std::array::from_fn(|l| base + l as u32 * stride);
+    for &(l, v) in overrides {
+        a[l] = v;
+    }
+    a
+}
+
+fn emit(b: &mut KernelBuilder, f: impl FnOnce(&mut KernelBuilder)) -> usize {
+    let pc = b.pc() as usize;
+    f(b);
+    pc
+}
+
+#[test]
+fn shared_faults_follow_lane_order() {
+    let ok = lane_addrs(0, 4, &[]);
+    let ld = |w: Width| {
+        move |b: &mut KernelBuilder, a: Reg, _: Reg, v: Reg| {
+            emit(b, |b| {
+                b.ld_shared(v, MemAddr::new(Some(a), 0), w);
+            })
+        }
+    };
+
+    // The lowest faulting lane wins, whatever the later lanes do.
+    let addrs = lane_addrs(0, 4, &[(3, 14), (9, 4096)]);
+    let (err, pc) = probe_err(128, &addrs, &ok, u32::MAX, ld(Width::B32));
+    assert_eq!(
+        err,
+        SimError::Misaligned {
+            addr: 14,
+            len: 4,
+            pc
+        }
+    );
+
+    // A masked lane's bad address is ignored.
+    let addrs = lane_addrs(0, 4, &[(3, 4096), (9, 38)]);
+    let (err, pc) = probe_err(128, &addrs, &ok, !(1 << 3), ld(Width::B32));
+    assert_eq!(
+        err,
+        SimError::Misaligned {
+            addr: 38,
+            len: 4,
+            pc
+        }
+    );
+
+    // Wide accesses: the 4-byte phases are checked over all lanes before
+    // any lane's full width, so lane 7's out-of-range first word beats
+    // lane 2's 8-byte misalignment.
+    let addrs = lane_addrs(0, 8, &[(2, 4), (7, 256)]);
+    let (err, pc) = probe_err(256, &addrs, &ok, u32::MAX, ld(Width::B64));
+    assert_eq!(
+        err,
+        SimError::SharedOutOfBounds {
+            offset: 256,
+            len: 4,
+            pc
+        }
+    );
+    // ... and a second-phase overrun beats it too.
+    let addrs = lane_addrs(0, 8, &[(1, 12), (3, 252)]);
+    let (err, pc) = probe_err(256, &addrs, &ok, 0xFF, ld(Width::B64));
+    assert_eq!(
+        err,
+        SimError::SharedOutOfBounds {
+            offset: 256,
+            len: 4,
+            pc
+        }
+    );
+    // With every phase in range, the full-width check reports.
+    let addrs = lane_addrs(0, 8, &[(6, 20)]);
+    let (err, pc) = probe_err(256, &addrs, &ok, u32::MAX, |b, a, _, _| {
+        emit(b, |b| {
+            b.st_shared(MemAddr::new(Some(a), 0), a, Width::B64);
+        })
+    });
+    assert_eq!(
+        err,
+        SimError::Misaligned {
+            addr: 20,
+            len: 8,
+            pc
+        }
+    );
+
+    // An ALU shared operand: a negative offset in an active lane.
+    let addrs = lane_addrs(0, 4, &[(2, 4096), (4, (-4i32) as u32)]);
+    let (err, pc) = probe_err(128, &addrs, &ok, !(1 << 2), |b, a, _, v| {
+        emit(b, |b| {
+            b.fmad(v, Src::Reg(v), Src::smem(Some(a), 0), Src::Reg(v));
+        })
+    });
+    assert_eq!(
+        err,
+        SimError::SharedOutOfBounds {
+            offset: -4,
+            len: 4,
+            pc
+        }
+    );
+
+    // SetP reads its shared operand like any ALU op.
+    let addrs = lane_addrs(0, 4, &[(11, 128)]);
+    let (err, pc) = probe_err(128, &addrs, &ok, u32::MAX, |b, a, _, v| {
+        emit(b, |b| {
+            b.setp(
+                Pred(1),
+                CmpOp::Lt,
+                NumTy::F32,
+                Src::Reg(v),
+                Src::smem(Some(a), 0),
+            );
+        })
+    });
+    assert_eq!(
+        err,
+        SimError::SharedOutOfBounds {
+            offset: 128,
+            len: 4,
+            pc
+        }
+    );
+
+    // Atomics check every active lane before touching memory.
+    let addrs = lane_addrs(0, 0, &[(5, 130)]);
+    let (err, pc) = probe_err(128, &addrs, &ok, u32::MAX, |b, a, _, v| {
+        emit(b, |b| {
+            b.atom_shared_add(v, MemAddr::new(Some(a), 0), v);
+        })
+    });
+    assert_eq!(
+        err,
+        SimError::SharedOutOfBounds {
+            offset: 130,
+            len: 4,
+            pc
+        }
+    );
+}
+
+#[test]
+fn sel_checks_its_shared_operand_on_every_active_lane() {
+    // Sel's shared operand is addressed, checked, and bank-counted for
+    // every active lane before the select, so a bad address faults even
+    // in a lane whose predicate picks the other operand (lane 20 here).
+    let sel = |b: &mut KernelBuilder, a: Reg, _: Reg, v: Reg| {
+        b.setp(Pred(1), CmpOp::Lt, NumTy::S32, Src::Reg(v), Src::Imm(116));
+        emit(b, |b| {
+            b.sel(v, Pred(1), Src::Reg(v), Src::smem(Some(a), 0));
+        })
+    };
+    let ok = lane_addrs(0, 4, &[]);
+    let addrs = lane_addrs(0, 4, &[(20, 4098)]);
+    let (err, pc) = probe_err(128, &addrs, &ok, u32::MAX, sel);
+    assert_eq!(
+        err,
+        SimError::SharedOutOfBounds {
+            offset: 4098,
+            len: 4,
+            pc
+        }
+    );
+    // Masked out, the same lane is ignored.
+    let (res, _, _) = probe(128, &addrs, &ok, !(1 << 20), sel);
+    res.expect("a masked lane's address is never checked");
+}
+
+#[test]
+fn global_faults_follow_lane_order() {
+    // The probe's own table (3 × 32 words) is the only allocation.
+    let (_, _, gmem) = probe(0, &[0; 32], &[0; 32], 0, |b, _, _, _| b.pc() as usize);
+    let base = 256u32; // first allocation
+    let extent = gmem.extent() as u32;
+    let ok = lane_addrs(base, 4, &[]);
+    let ld = |off: i32| {
+        move |b: &mut KernelBuilder, a: Reg, _: Reg, v: Reg| {
+            emit(b, |b| {
+                b.ld_global(v, MemAddr::new(Some(a), off), Width::B32);
+            })
+        }
+    };
+
+    // Addresses are validated (sign, alignment) over every lane before
+    // any lane is bounds-checked: lane 4's negative address beats lane
+    // 2's overrun.
+    let addrs = lane_addrs(base + 8, 4, &[(2, extent + 8), (4, 0)]);
+    let (err, pc) = probe_err(0, &addrs, &ok, u32::MAX, ld(-8));
+    assert_eq!(
+        err,
+        SimError::GlobalOutOfBounds {
+            addr: (-8i64) as u64,
+            len: 4,
+            pc
+        }
+    );
+    let addrs = lane_addrs(base, 4, &[(3, extent), (6, base + 2)]);
+    let (err, pc) = probe_err(0, &addrs, &ok, u32::MAX, ld(0));
+    assert_eq!(
+        err,
+        SimError::Misaligned {
+            addr: u64::from(base + 2),
+            len: 4,
+            pc
+        }
+    );
+    // Masked lanes are ignored; the lowest active overrun reports.
+    let addrs = lane_addrs(base, 4, &[(1, 2), (5, extent), (7, extent + 64)]);
+    let (err, pc) = probe_err(0, &addrs, &ok, !0b10, ld(0));
+    assert_eq!(
+        err,
+        SimError::GlobalOutOfBounds {
+            addr: u64::from(extent),
+            len: 4,
+            pc
+        }
+    );
+}
+
+#[test]
+fn faulting_global_store_lands_the_lanes_before_it() {
+    // A wide store whose lane 10 starts on the last allocated word: lanes
+    // 0..10 land, lane 10's first word lands, nothing after it does.
+    let (_, _, gmem) = probe(0, &[0; 32], &[0; 32], 0, |b, _, _, _| b.pc() as usize);
+    let base = 256u32;
+    let last = gmem.extent() as u32 - 4;
+    assert_eq!(
+        last % 8,
+        0,
+        "memory ends 4 bytes past a double-word boundary"
+    );
+    // Lanes store [v, v + 1000] pairs over the table's first 64 words,
+    // except lane 10, whose pair straddles the end of memory.
+    let addrs = lane_addrs(base, 8, &[(10, last)]);
+    // The memory image is the probe's table: both address tables, the
+    // enable bits, and the pad word.
+    let table: Vec<u32> = [&addrs[..], &addrs[..], &[1; 32], &[0]].concat();
+    let untouched = |a: u64| table[(a - u64::from(base)) as usize / 4];
+    let (res, pc, after) = probe(0, &addrs, &addrs, u32::MAX, |b, a, _, v| {
+        let pair = b.alloc_contig(2).unwrap();
+        b.mov(pair, Src::Reg(v));
+        b.iadd(Reg(pair.0 + 1), Src::Reg(v), Src::Imm(1000));
+        emit(b, |b| {
+            b.st_global(MemAddr::new(Some(a), 0), pair, Width::B64);
+        })
+    });
+    assert_eq!(
+        res.unwrap_err(),
+        SimError::GlobalOutOfBounds {
+            addr: u64::from(last),
+            len: 8,
+            pc
+        }
+    );
+    for l in 0..32u32 {
+        let a = u64::from(addrs[l as usize]);
+        let (lo, hi) = (l + 100, l + 1100);
+        if l < 10 {
+            assert_eq!(after.read_u32(a).unwrap(), lo, "lane {l}");
+            assert_eq!(after.read_u32(a + 4).unwrap(), hi, "lane {l}");
+        } else if l == 10 {
+            assert_eq!(after.read_u32(a).unwrap(), lo, "lane 10's first word");
+        } else {
+            assert_eq!(after.read_u32(a).unwrap(), untouched(a), "lane {l}");
+            assert_eq!(after.read_u32(a + 4).unwrap(), untouched(a + 4), "lane {l}");
+        }
+    }
+}

@@ -24,8 +24,10 @@
 //!   published machine description — so model-vs-measured comparisons are
 //!   meaningful, as in the paper.
 //!
-//! See DESIGN.md §4.2 for the calibration of the timing parameters against
-//! the paper's published curves.
+//! The timing parameters ([`timing::TimingConfig::gt200`]) are calibrated
+//! against the paper's published throughput curves (Figures 2–3);
+//! `tests/microbench_properties.rs` at the workspace root checks the
+//! calibrated curves against the paper's peaks and plateaus.
 
 pub mod engine;
 pub mod error;
@@ -38,7 +40,7 @@ pub mod trace_pool;
 
 pub use engine::{SimEngine, Threads};
 pub use error::SimError;
-pub use func::FunctionalSim;
+pub use func::{FunctionalSim, TraceBlocks};
 pub use grid::LaunchConfig;
 pub use memory::GlobalMemory;
 pub use stats::{BlockTrace, DynamicStats, StageStats};

@@ -22,8 +22,8 @@
 //!   texture-bound (Figure 12's `+Cache` variants);
 //! * an occupancy-limited **block scheduler**.
 //!
-//! Calibration constants live in [`TimingConfig::gt200`] and are justified
-//! in DESIGN.md §6.
+//! Calibration constants live in [`TimingConfig::gt200`], each documented
+//! on its field; they are fitted to the paper's Figure 2–3 curves.
 
 use crate::engine::{SimEngine, Threads};
 use crate::grid::LaunchConfig;
@@ -63,7 +63,7 @@ pub struct TimingConfig {
 }
 
 impl TimingConfig {
-    /// Calibration against the paper's published curves (DESIGN.md §6).
+    /// Calibration against the paper's published curves (Figures 2–3).
     pub fn gt200() -> TimingConfig {
         TimingConfig {
             alu_latency: 24.0,
