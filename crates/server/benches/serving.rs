@@ -1,8 +1,7 @@
 //! Criterion benchmarks of the serving hot path: HTTP parsing in
 //! isolation, full loopback round trips (connect → parse → dispatch →
 //! serialize → close) against a running server, and dispatch latency
-//! through a crowd of parked keep-alive connections under each I/O
-//! model — the scenario the reactor engine exists for.
+//! through a crowd of parked keep-alive connections.
 //!
 //! As everywhere in the workspace, `GPA_BENCH_SAMPLES=<n>` overrides the
 //! sample counts (CI smokes these with `GPA_BENCH_SAMPLES=1`).
@@ -12,7 +11,7 @@ use gpa_hw::Machine;
 use gpa_server::api::AnalyzeApi;
 use gpa_server::client::Client;
 use gpa_server::http;
-use gpa_server::server::{IoModel, Server, ServerConfig};
+use gpa_server::server::{Server, ServerConfig};
 use gpa_service::wire::{self, Answer};
 use gpa_service::{AnalysisRequest, Analyzer, KernelSpec, ReportCacheConfig};
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
@@ -115,62 +114,49 @@ fn bench_loopback(c: &mut Criterion) {
 }
 
 /// One keep-alive `healthz` round trip while 32 idle keep-alive
-/// connections sit parked on the server, under each I/O model.
+/// connections sit parked on the server.
 ///
-/// The two engines pay for the parked crowd in different currencies:
-/// the threaded model must be provisioned with a worker **per parked
-/// connection** (each one blocks a thread in `read`), so its server
-/// gets `PARKED + 2` workers; the reactor holds them all in one poll
-/// set and serves the probe with 2 workers. The tracked numbers keep
-/// the *latency* of threading a request through the crowd comparable —
-/// a reactor dispatch regression shows up as `idle_burst_reactor`
-/// drifting away from `idle_burst_threads`.
+/// Every parked connection blocks a worker in `read`, so the server is
+/// provisioned with a worker per parked connection plus two for the
+/// probe.
 fn bench_idle_burst(c: &mut Criterion) {
     const PARKED: usize = 32;
-    let mut models = vec![("serve/idle_burst_threads", IoModel::Threads, PARKED + 2)];
-    if cfg!(unix) {
-        models.push(("serve/idle_burst_reactor", IoModel::Reactor, 2));
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: PARKED + 2,
+            // Far past the bench duration: the crowd stays parked.
+            keep_alive_idle: std::time::Duration::from_secs(300),
+            keep_alive_requests: usize::MAX,
+            ..ServerConfig::default()
+        },
+        Arc::new(AnalyzeApi::new(Arc::new(Analyzer::new()))),
+    )
+    .expect("bind loopback");
+    let client = Client::new(server.local_addr().to_string());
+
+    // Park the crowd: serve one request per connection, keep it open.
+    let mut crowd = Vec::with_capacity(PARKED);
+    for _ in 0..PARKED {
+        let mut conn = client.connect().expect("park connect");
+        assert_eq!(conn.get("/healthz").expect("park request").status, 200);
+        crowd.push(conn);
     }
-    for (name, io, workers) in models {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                io_model: io,
-                workers,
-                // Far past the bench duration: the crowd stays parked.
-                keep_alive_idle: std::time::Duration::from_secs(300),
-                keep_alive_requests: usize::MAX,
-                max_connections: 4096,
-                ..ServerConfig::default()
-            },
-            Arc::new(AnalyzeApi::new(Arc::new(Analyzer::new()))),
-        )
-        .expect("bind loopback");
-        let client = Client::new(server.local_addr().to_string());
 
-        // Park the crowd: serve one request per connection, keep it open.
-        let mut crowd = Vec::with_capacity(PARKED);
-        for _ in 0..PARKED {
-            let mut conn = client.connect().expect("park connect");
-            assert_eq!(conn.get("/healthz").expect("park request").status, 200);
-            crowd.push(conn);
-        }
+    let mut probe = client.connect().expect("probe connect");
+    c.bench_function("serve/idle_burst", |b| {
+        b.iter(|| {
+            let resp = probe.get("/healthz").unwrap();
+            assert_eq!(resp.status, 200);
+            resp
+        })
+    });
 
-        let mut probe = client.connect().expect("probe connect");
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let resp = probe.get("/healthz").unwrap();
-                assert_eq!(resp.status, 200);
-                resp
-            })
-        });
-
-        // Close the crowd before shutdown so threaded workers parked in
-        // blocking reads see EOF now rather than an idle timeout later.
-        drop(probe);
-        drop(crowd);
-        server.shutdown();
-    }
+    // Close the crowd before shutdown so the parked workers see EOF now
+    // rather than an idle timeout later.
+    drop(probe);
+    drop(crowd);
+    server.shutdown();
 }
 
 fn bench_report_cache(c: &mut Criterion) {

@@ -7,7 +7,7 @@
 //! | `GET /v1/machines` | `{"machines": [...]}`, the calibrated machine names |
 //! | `GET /v1/workloads` | `{"workloads": [{"name", "description", "default_n"}, ...]}`, the workload zoo addressable via `{"case": "named"}` |
 //! | `GET /healthz` | `{"status": "ok", "machines": N}` |
-//! | `GET /v1/stats` | served/error/rejected/timeout/deadline/admission counters, queue depth, open/idle connection gauges, workers, uptime, build version, the selected io model |
+//! | `GET /v1/stats` | served/error/rejected/timeout counters, queue depth, open/idle connection gauges, workers, uptime, build version |
 //! | `GET /v1/metrics` | Prometheus text exposition (see [`gpa_telemetry::Registry::render`]): request counter, latency and per-phase histograms, server counters/gauges, report-cache counters when enabled |
 //!
 //! Unknown paths answer 404, known paths with the wrong method 405
@@ -144,14 +144,6 @@ impl AnalyzeApi {
             ("rejected".into(), Value::Number(stats.rejected as f64)),
             ("timeouts".into(), Value::Number(stats.timeouts as f64)),
             (
-                "deadline_expired".into(),
-                Value::Number(stats.deadline_expired as f64),
-            ),
-            (
-                "admission_rejected".into(),
-                Value::Number(stats.admission_rejected as f64),
-            ),
-            (
                 "queue_depth".into(),
                 Value::Number(stats.queue_depth as f64),
             ),
@@ -169,7 +161,6 @@ impl AnalyzeApi {
                 Value::Number(ctx.telemetry.uptime_seconds() as f64),
             ),
             ("version".into(), Value::from(ServerTelemetry::version())),
-            ("io_model".into(), Value::from(ctx.telemetry.io_model_str())),
         ];
         // Only present when the analyzer memoizes reports, so a scraper
         // can tell "cache off" from "cache cold".
@@ -232,7 +223,7 @@ impl Handler for AnalyzeApi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{IoModel, StatsSnapshot};
+    use crate::server::StatsSnapshot;
 
     fn api() -> AnalyzeApi {
         AnalyzeApi::new(Arc::new(Analyzer::new()))
@@ -253,8 +244,6 @@ mod tests {
             errors: 2,
             rejected: 1,
             timeouts: 7,
-            deadline_expired: 6,
-            admission_rejected: 8,
             queue_depth: 3,
             open_connections: 9,
             idle_connections: 1,
@@ -272,7 +261,7 @@ mod tests {
     #[test]
     fn routes_without_an_analyzer_entry() {
         let api = api();
-        let t = ServerTelemetry::new(IoModel::Threads, None);
+        let t = ServerTelemetry::new(None);
         assert_eq!(api.handle(&get("/healthz"), &ctx(&t)).status, 200);
         assert_eq!(api.handle(&get("/v1/machines"), &ctx(&t)).status, 200);
         assert_eq!(api.handle(&get("/nope"), &ctx(&t)).status, 404);
@@ -288,26 +277,43 @@ mod tests {
     #[test]
     fn stats_serialize_every_counter() {
         let api = api();
-        let t = ServerTelemetry::new(IoModel::Reactor, None);
+        let t = ServerTelemetry::new(None);
         let resp = api.handle(&get("/v1/stats"), &ctx(&t));
         let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(v.get("served").unwrap().as_u64().unwrap(), 5);
         assert_eq!(v.get("errors").unwrap().as_u64().unwrap(), 2);
         assert_eq!(v.get("rejected").unwrap().as_u64().unwrap(), 1);
         assert_eq!(v.get("timeouts").unwrap().as_u64().unwrap(), 7);
-        assert_eq!(v.get("deadline_expired").unwrap().as_u64().unwrap(), 6);
-        assert_eq!(v.get("admission_rejected").unwrap().as_u64().unwrap(), 8);
         assert_eq!(v.get("queue_depth").unwrap().as_u64().unwrap(), 3);
         assert_eq!(v.get("open_connections").unwrap().as_u64().unwrap(), 9);
         assert_eq!(v.get("idle_connections").unwrap().as_u64().unwrap(), 1);
         assert_eq!(v.get("workers").unwrap().as_u64().unwrap(), 4);
-        // The identity satellite: uptime, build version, io model.
+        // Identity: uptime and build version.
         assert!(v.get("uptime_seconds").unwrap().as_u64().is_ok());
         assert_eq!(
             v.get("version").unwrap().as_str().unwrap(),
             env!("CARGO_PKG_VERSION")
         );
-        assert_eq!(v.get("io_model").unwrap().as_str().unwrap(), "reactor");
+        // The whole document, in order: nothing beyond the fields above.
+        let Value::Object(fields) = &v else {
+            panic!("stats is not an object: {v:?}")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "served",
+                "errors",
+                "rejected",
+                "timeouts",
+                "queue_depth",
+                "open_connections",
+                "idle_connections",
+                "workers",
+                "uptime_seconds",
+                "version",
+            ]
+        );
         // No report cache enabled: the section is absent, not zeroed.
         assert!(v.get("report_cache").is_err());
     }
@@ -317,7 +323,7 @@ mod tests {
         let mut analyzer = Analyzer::new();
         analyzer.enable_report_cache(gpa_service::ReportCacheConfig::default());
         let api = AnalyzeApi::new(Arc::new(analyzer));
-        let t = ServerTelemetry::new(IoModel::Threads, None);
+        let t = ServerTelemetry::new(None);
         let resp = api.handle(&get("/v1/stats"), &ctx(&t));
         let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         let cache = v.get("report_cache").unwrap();
@@ -331,7 +337,7 @@ mod tests {
         let mut analyzer = Analyzer::new();
         analyzer.enable_report_cache(gpa_service::ReportCacheConfig::default());
         let api = AnalyzeApi::new(Arc::new(analyzer));
-        let t = ServerTelemetry::new(IoModel::Threads, None);
+        let t = ServerTelemetry::new(None);
         let resp = api.handle(&get("/v1/metrics"), &ctx(&t));
         assert_eq!(resp.status, 200);
         assert!(resp.content_type.starts_with("text/plain"));
@@ -373,7 +379,7 @@ mod tests {
             headers: Vec::new(),
             body: payload.into_bytes(),
         };
-        let t = ServerTelemetry::new(IoModel::Threads, None);
+        let t = ServerTelemetry::new(None);
         // Paper-effort request on a quick-effort server: refused with a
         // message naming both efforts.
         let resp = api.handle(&post(body("paper")), &ctx(&t));
@@ -422,7 +428,7 @@ mod tests {
             headers: Vec::new(),
             body: body.into_bytes(),
         };
-        let t = ServerTelemetry::new(IoModel::Threads, None);
+        let t = ServerTelemetry::new(None);
         let start = std::time::Instant::now();
         let resp = api().handle(&req, &ctx(&t));
         let took = start.elapsed();
@@ -435,7 +441,7 @@ mod tests {
     #[test]
     fn analyze_rejects_bad_payloads_cleanly() {
         let api = api();
-        let t = ServerTelemetry::new(IoModel::Threads, None);
+        let t = ServerTelemetry::new(None);
         for (body, want) in [
             (&b"\xff\xfe"[..], "not valid UTF-8"),
             (b"{", "malformed JSON"),

@@ -16,7 +16,7 @@
 //! ephemeral port.
 
 use gpa_server::api::AnalyzeApi;
-use gpa_server::server::{IoModel, Server, ServerConfig};
+use gpa_server::server::{Server, ServerConfig};
 use gpa_service::{find_builtin, Analyzer, Effort, ReportCacheConfig};
 use gpa_telemetry::log::{self, Level, LogFormat};
 use std::io::Write;
@@ -28,21 +28,13 @@ const USAGE: &str = "\
 usage: gpa-serve [options]
 
 Serve the calibrated analysis model over HTTP (POST /v1/analyze,
-GET /v1/machines, GET /healthz, GET /v1/stats).
+GET /v1/machines, GET /v1/workloads, GET /healthz, GET /v1/stats,
+GET /v1/metrics). Each connection is served by one worker thread.
 
 Options:
   --addr HOST:PORT   listen address (default 127.0.0.1:7070; port 0 = ephemeral)
-  --io-model MODEL   connection engine: threads | reactor (default threads);
-                     reactor multiplexes every connection over poll(2) so
-                     parked keep-alive clients don't pin worker threads
   --workers N        worker threads (default 0 = one per CPU core)
   --queue-depth N    pending connections beyond in-flight before 503 (default 64)
-  --max-connections N
-                     reactor only: open-connection ceiling before new accepts
-                     get 503 (default 4096; 0 = unlimited)
-  --request-deadline-ms N
-                     reactor only: max queue wait before a parsed request is
-                     answered 503 (default 0 = disabled)
   --machines LIST    comma-separated machine selectors to calibrate
                      (default gtx285; also: 8800gt, 9800gtx)
   --effort LEVEL     calibration effort: quick | paper (default quick)
@@ -104,20 +96,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.config.queue_depth = value(&mut i, "--queue-depth")?
                     .parse()
                     .map_err(|_| "--queue-depth requires a count".to_owned())?;
-            }
-            "--io-model" => {
-                opts.config.io_model = IoModel::parse(&value(&mut i, "--io-model")?)?;
-            }
-            "--max-connections" => {
-                opts.config.max_connections = value(&mut i, "--max-connections")?
-                    .parse()
-                    .map_err(|_| "--max-connections requires a count (0 = unlimited)".to_owned())?;
-            }
-            "--request-deadline-ms" => {
-                let ms: u64 = value(&mut i, "--request-deadline-ms")?
-                    .parse()
-                    .map_err(|_| "--request-deadline-ms requires milliseconds".to_owned())?;
-                opts.config.request_deadline = std::time::Duration::from_millis(ms);
             }
             "--machines" => {
                 let list = value(&mut i, "--machines")?;
@@ -255,7 +233,6 @@ fn main() -> ExitCode {
             ("machines", opts.machines.len().into()),
             ("workers", server.stats().workers.into()),
             ("queue_depth", opts.config.queue_depth.into()),
-            ("io_model", server.telemetry().io_model_str().into()),
         ],
     );
 

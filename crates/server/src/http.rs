@@ -280,7 +280,8 @@ pub fn write_response(writer: &mut impl Write, resp: &Response) -> io::Result<()
 /// [`write_response`] with an explicit connection disposition: the
 /// response always carries `Content-Length` framing, so `keep_alive`
 /// only switches the advertised `Connection:` header (the server's
-/// keep-alive loop relies on this — see `gpa_server::server`).
+/// keep-alive loop relies on this — see `gpa_server::server`). Head and
+/// body go to `writer` as one buffer.
 ///
 /// # Errors
 ///
@@ -290,14 +291,6 @@ pub fn write_response_with(
     resp: &Response,
     keep_alive: bool,
 ) -> io::Result<()> {
-    writer.write_all(&response_bytes(resp, keep_alive))?;
-    writer.flush()
-}
-
-/// The exact bytes [`write_response_with`] would put on the wire, as one
-/// buffer. The reactor path serializes through this so that both I/O
-/// models emit byte-identical responses by construction.
-pub fn response_bytes(resp: &Response, keep_alive: bool) -> Vec<u8> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
@@ -312,15 +305,15 @@ pub fn response_bytes(resp: &Response, keep_alive: bool) -> Vec<u8> {
     head.push_str("\r\n");
     let mut out = head.into_bytes();
     out.extend_from_slice(&resp.body);
-    out
+    writer.write_all(&out)?;
+    writer.flush()
 }
 
-/// A [`BufRead`] over the bytes buffered so far from a nonblocking
-/// socket. While `eof` is false, running out of buffered bytes raises
-/// [`io::ErrorKind::WouldBlock`] instead of reporting end-of-stream, so
-/// [`read_request`] run over it either finishes on the buffered prefix
-/// exactly as it would on a blocking socket, or surfaces "need more
-/// bytes" as a distinguishable error.
+/// A [`BufRead`] over bytes already in memory. While `eof` is false,
+/// running out of bytes raises [`io::ErrorKind::WouldBlock`] instead of
+/// reporting end-of-stream, so [`read_request`] run over it either
+/// finishes on the prefix exactly as it would on a socket, or surfaces
+/// "need more bytes" as a distinguishable error.
 struct PartialInput<'a> {
     data: &'a [u8],
     pos: usize,
@@ -353,27 +346,26 @@ impl BufRead for PartialInput<'_> {
     }
 }
 
-/// Verdict of [`parse_buffered`] on the bytes accumulated so far.
+/// Verdict of [`parse_buffered`] on the bytes at hand.
 #[derive(Debug)]
 pub enum ParseOutcome {
     /// A complete request, plus how many buffered bytes it consumed
     /// (trailing bytes belong to the next pipelined request).
     Request(Request, usize),
-    /// The buffered prefix is consistent with a request still in
-    /// flight; more bytes must arrive before there is a verdict.
+    /// The bytes are a prefix consistent with a request still in
+    /// flight; more bytes are needed before there is a verdict.
     Incomplete,
-    /// The buffered bytes already doom the request — same error, at the
-    /// same point, as the blocking parser would report.
+    /// The bytes already doom the request — same error, at the same
+    /// point, as [`read_request`] on a socket would report.
     Failed(HttpError),
 }
 
-/// Run the request parser over the bytes buffered from a nonblocking
-/// socket. `eof` says the peer half-closed, i.e. no more bytes can
-/// arrive. Because [`read_request`] is deterministic on the byte prefix
-/// it consumes, calling this after every arrival and acting on the first
-/// non-[`Incomplete`](ParseOutcome::Incomplete) outcome yields exactly
-/// the blocking path's verdicts — including early 400s on malformed
-/// lines that precede the end of the head.
+/// Run the request parser over bytes already in memory. `eof` says no
+/// more bytes will follow. Because [`read_request`] is deterministic on
+/// the byte prefix it consumes, the verdict on any prefix is either
+/// [`Incomplete`](ParseOutcome::Incomplete) or exactly what
+/// [`read_request`] reports on the whole stream — including early 400s
+/// on malformed lines that precede the end of the head.
 pub fn parse_buffered(data: &[u8], eof: bool, max_body: usize) -> ParseOutcome {
     let mut input = PartialInput { data, pos: 0, eof };
     match read_request(&mut input, max_body) {
@@ -612,17 +604,6 @@ mod tests {
         match parse_buffered(&junk, false, DEFAULT_MAX_BODY_BYTES) {
             ParseOutcome::Failed(e) => assert_eq!(e.status(), 400),
             other => panic!("expected head-budget 400, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn response_bytes_matches_writer() {
-        for keep in [false, true] {
-            let resp = Response::error(503, "server is at capacity, retry later")
-                .with_header("Allow", "GET");
-            let mut via_writer = Vec::new();
-            write_response_with(&mut via_writer, &resp, keep).unwrap();
-            assert_eq!(via_writer, response_bytes(&resp, keep));
         }
     }
 

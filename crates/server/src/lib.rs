@@ -13,18 +13,13 @@
 //!   **bounded queue** and a worker thread pool sharing one calibrated
 //!   [`Analyzer`](gpa_service::Analyzer) behind an `Arc`. Queue-full
 //!   answers 503 so overload degrades predictably; shutdown drains
-//!   queued and in-flight work before returning.
-//! * [`reactor`] — the event-driven alternative to thread-per-connection
-//!   (`ServerConfig::io_model = IoModel::Reactor`): one thread
-//!   multiplexes every connection over `poll(2)` via direct FFI, parses
-//!   requests incrementally, enforces read/idle/request deadlines, and
-//!   hands ready requests to the same worker pool — byte-identical
-//!   responses, but parked keep-alive connections no longer pin
-//!   threads.
+//!   queued and in-flight work before returning. Each connection is
+//!   served by one worker thread from accept to close.
 //! * [`api`] — the route table: `POST /v1/analyze` (single object or
 //!   batch array, the same `gpa_service::wire` JSON as `gpa-analyze`,
 //!   byte-identical output at matching calibration effort),
-//!   `GET /v1/machines`, `GET /healthz`, `GET /v1/stats`.
+//!   `GET /v1/machines`, `GET /v1/workloads`, `GET /healthz`,
+//!   `GET /v1/stats`, `GET /v1/metrics`.
 //! * [`client`] — a minimal blocking HTTP client (tests, CI, and the
 //!   `gpa-http` binary drive the server with it; no curl required).
 //! * [`telemetry`] — the observability bundle behind `GET /v1/metrics`:
@@ -62,13 +57,11 @@
 pub mod api;
 pub mod client;
 pub mod http;
-#[cfg(unix)]
-pub mod reactor;
 pub mod server;
 pub mod telemetry;
 
 pub use api::AnalyzeApi;
 pub use client::{Client, HttpResponse};
 pub use http::{Request, Response};
-pub use server::{Handler, IoModel, RequestContext, Server, ServerConfig, StatsSnapshot};
+pub use server::{Handler, RequestContext, Server, ServerConfig, StatsSnapshot};
 pub use telemetry::ServerTelemetry;

@@ -2,21 +2,11 @@
 //! accepted connections, and a worker thread pool that parses, routes,
 //! and answers them.
 //!
-//! Two interchangeable I/O models sit in front of the worker pool,
-//! selected by [`ServerConfig::io_model`]:
-//!
-//! * [`IoModel::Threads`] (the default): each accepted connection is
-//!   handed to a worker thread, which blocks on it until the
-//!   connection closes — simple, and the right shape when connections
-//!   are short-lived.
-//! * [`IoModel::Reactor`]: a single event-loop thread multiplexes every
-//!   connection over `poll(2)` (see [`crate::reactor`]) and hands only
-//!   fully-parsed requests to the workers, so thousands of parked
-//!   keep-alive connections cost one thread and a few pollfds.
-//!
-//! Both models answer every request with **byte-identical** responses;
-//! the reactor adds admission control ([`ServerConfig::max_connections`])
-//! and a queued-request deadline ([`ServerConfig::request_deadline`]).
+//! Each accepted connection is handed to one worker thread, which
+//! blocks on it until the connection closes. Open connections are
+//! therefore bounded by `workers + queue_depth`; a parked keep-alive
+//! client holds its worker for at most
+//! [`ServerConfig::keep_alive_idle`].
 //!
 //! # Overload and shutdown semantics
 //!
@@ -52,44 +42,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which connection engine fronts the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// Thread-per-connection: workers block on sockets directly. The
-    /// default, and the only model on non-unix targets.
-    #[default]
-    Threads,
-    /// Readiness-based event loop ([`crate::reactor`]): one thread
-    /// multiplexes all connections over `poll(2)` and workers only ever
-    /// run ready, fully-parsed requests. Unix-only.
-    Reactor,
-}
-
-impl IoModel {
-    /// Parse the `--io-model` flag spelling.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the accepted values.
-    pub fn parse(s: &str) -> Result<IoModel, String> {
-        match s {
-            "threads" => Ok(IoModel::Threads),
-            "reactor" => Ok(IoModel::Reactor),
-            other => Err(format!(
-                "unknown io model `{other}` (expected `threads` or `reactor`)"
-            )),
-        }
-    }
-}
-
 /// How the pool is shaped. `Default` gives a small general-purpose
-/// server: thread-per-connection I/O, auto-sized workers, a
-/// 64-connection queue, 1 MiB bodies, keep-alive capped at 64 requests
-/// per connection with a 5-second idle window.
+/// server: auto-sized workers, a 64-connection queue, 1 MiB bodies,
+/// keep-alive capped at 64 requests per connection with a 5-second idle
+/// window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Which connection engine to run (see [`IoModel`]).
-    pub io_model: IoModel,
     /// Worker threads (`0` = one per available CPU core).
     pub workers: usize,
     /// Connections held beyond the ones being served; the 503 threshold.
@@ -109,18 +67,6 @@ pub struct ServerConfig {
     /// (and counted in [`StatsSnapshot::timeouts`]); a connection that
     /// never sent a byte is closed silently.
     pub read_timeout: Duration,
-    /// Reactor-only admission control: the most connections held open at
-    /// once (`0` = unlimited). At the ceiling, newly accepted sockets
-    /// are answered **503** immediately and counted in
-    /// [`StatsSnapshot::admission_rejected`]. The threaded model bounds
-    /// connections by `workers + queue_depth` instead.
-    pub max_connections: usize,
-    /// Reactor-only bound on how long a parsed request may wait in the
-    /// job queue before a worker picks it up (`Duration::ZERO` =
-    /// disabled). Expired requests are answered **503** and counted in
-    /// [`StatsSnapshot::deadline_expired`]; requests a worker already
-    /// started always run to completion.
-    pub request_deadline: Duration,
     /// Requests slower than this many milliseconds end-to-end are
     /// promoted from INFO to WARN in the access log, carrying their
     /// full per-phase span breakdown (`None` = never promote).
@@ -130,22 +76,19 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            io_model: IoModel::Threads,
             workers: 0,
             queue_depth: 64,
             max_body_bytes: http::DEFAULT_MAX_BODY_BYTES,
             keep_alive_requests: 64,
             keep_alive_idle: Duration::from_secs(5),
             read_timeout: Duration::from_secs(30),
-            max_connections: 4096,
-            request_deadline: Duration::ZERO,
             slow_request_ms: None,
         }
     }
 }
 
 impl ServerConfig {
-    pub(crate) fn worker_count(&self) -> usize {
+    fn worker_count(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
         }
@@ -170,16 +113,7 @@ pub struct StatsSnapshot {
     /// [`ServerConfig::read_timeout`] and were answered 408 (also
     /// counted in `errors`).
     pub timeouts: u64,
-    /// Parsed requests that waited in the job queue past
-    /// [`ServerConfig::request_deadline`] and were answered 503 without
-    /// running (reactor only; a separate ledger from `errors`, like
-    /// `rejected`).
-    pub deadline_expired: u64,
-    /// Connections refused with 503 at accept time because
-    /// [`ServerConfig::max_connections`] was reached (reactor only;
-    /// also a separate ledger from `errors`).
-    pub admission_rejected: u64,
-    /// Connections (or queued requests) waiting for a worker right now.
+    /// Connections waiting for a worker right now.
     pub queue_depth: usize,
     /// Connections currently open, gauges not counters: accepted and
     /// not yet closed, whatever state they are in.
@@ -193,9 +127,8 @@ pub struct StatsSnapshot {
 
 /// Everything the serving engine hands a [`Handler`] beyond the request
 /// itself: a stats snapshot taken just before dispatch, and the
-/// server's [`ServerTelemetry`] (the `/v1/metrics` registry, uptime,
-/// and io-model identity). Both engines build it the same way, which is
-/// what keeps `/v1/stats` and `/v1/metrics` identical across io models.
+/// server's [`ServerTelemetry`] (the `/v1/metrics` registry and
+/// uptime).
 pub struct RequestContext<'a> {
     /// Counters and gauges at dispatch time.
     pub stats: StatsSnapshot,
@@ -221,44 +154,36 @@ where
     }
 }
 
-/// Counters plus the connection queue, shared by acceptor and workers —
-/// and, under [`IoModel::Reactor`], by the event loop (which keeps the
-/// same counters so `/v1/stats` means the same thing in both models).
+/// Counters plus the connection queue, shared by acceptor and workers.
 pub(crate) struct Shared {
-    pub(crate) queue: Mutex<QueueState>,
-    pub(crate) ready: Condvar,
-    pub(crate) served: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) timeouts: AtomicU64,
-    pub(crate) deadline_expired: AtomicU64,
-    pub(crate) admission_rejected: AtomicU64,
+    queue: Mutex<QueueState>,
+    ready: Condvar,
+    served: AtomicU64,
+    errors: AtomicU64,
+    rejected: AtomicU64,
+    timeouts: AtomicU64,
     /// Live 503-rejector threads (bounded by [`MAX_REJECTORS`]).
-    pub(crate) rejectors: AtomicUsize,
+    rejectors: AtomicUsize,
     /// Set by [`Server::shutdown`]; checked by the acceptor between
     /// accepts and by workers between jobs.
-    pub(crate) stopping: AtomicBool,
-    /// Open-connection gauge (threaded: connections a worker holds;
-    /// reactor: connections in the event loop's table).
-    pub(crate) open_conns: AtomicUsize,
+    stopping: AtomicBool,
+    /// Open-connection gauge: connections a worker holds.
+    open_conns: AtomicUsize,
     /// Idle-parked-connection gauge (subset of `open_conns`).
-    pub(crate) idle_conns: AtomicUsize,
-    /// Parsed requests sitting in the reactor's job queue; folded into
-    /// the `queue_depth` stat so both models report queued work there.
-    pub(crate) jobs_queued: AtomicUsize,
-    pub(crate) workers: usize,
-    pub(crate) config: ServerConfig,
-    /// Metrics registry + request finishing, shared by both engines.
-    pub(crate) telemetry: ServerTelemetry,
+    idle_conns: AtomicUsize,
+    workers: usize,
+    config: ServerConfig,
+    /// Metrics registry + request finishing.
+    telemetry: ServerTelemetry,
 }
 
-pub(crate) struct QueueState {
+struct QueueState {
     /// Accepted connections with their enqueue instants (the `queue`
     /// phase of the first request on each).
-    pub(crate) pending: VecDeque<(TcpStream, Instant)>,
+    pending: VecDeque<(TcpStream, Instant)>,
     /// Mirrors `stopping` under the queue lock so workers can't miss the
     /// wake-up between their emptiness check and their `wait`.
-    pub(crate) closed: bool,
+    closed: bool,
 }
 
 impl Shared {
@@ -273,21 +198,18 @@ impl Shared {
             errors: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            admission_rejected: AtomicU64::new(0),
             rejectors: AtomicUsize::new(0),
             stopping: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
             idle_conns: AtomicUsize::new(0),
-            jobs_queued: AtomicUsize::new(0),
             workers,
             config,
-            telemetry: ServerTelemetry::new(config.io_model, config.slow_request_ms),
+            telemetry: ServerTelemetry::new(config.slow_request_ms),
         }
     }
 
     /// The context handed to the handler for one dispatch.
-    pub(crate) fn request_context(&self) -> RequestContext<'_> {
+    fn request_context(&self) -> RequestContext<'_> {
         RequestContext {
             stats: self.snapshot(),
             telemetry: &self.telemetry,
@@ -300,17 +222,14 @@ impl Shared {
             errors: self.errors.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            admission_rejected: self.admission_rejected.load(Ordering::Relaxed),
-            queue_depth: self.queue.lock().expect("queue poisoned").pending.len()
-                + self.jobs_queued.load(Ordering::Relaxed),
+            queue_depth: self.queue.lock().expect("queue poisoned").pending.len(),
             open_connections: self.open_conns.load(Ordering::Relaxed),
             idle_connections: self.idle_conns.load(Ordering::Relaxed),
             workers: self.workers,
         }
     }
 
-    pub(crate) fn count_response(&self, status: u16) {
+    fn count_response(&self, status: u16) {
         if status < 400 {
             self.served.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -320,11 +239,11 @@ impl Shared {
 }
 
 /// Decrements a gauge on drop, so connection counts survive every early
-/// return (and handler panics) on the threaded path.
-pub(crate) struct GaugeGuard<'a>(&'a AtomicUsize);
+/// return (and handler panics).
+struct GaugeGuard<'a>(&'a AtomicUsize);
 
 impl<'a> GaugeGuard<'a> {
-    pub(crate) fn acquire(gauge: &'a AtomicUsize) -> GaugeGuard<'a> {
+    fn acquire(gauge: &'a AtomicUsize) -> GaugeGuard<'a> {
         gauge.fetch_add(1, Ordering::Relaxed);
         GaugeGuard(gauge)
     }
@@ -336,16 +255,6 @@ impl Drop for GaugeGuard<'_> {
     }
 }
 
-/// How [`Server::shutdown`] unblocks the accepting thread.
-enum WakeHow {
-    /// The threaded acceptor blocks in `accept`; a throwaway connection
-    /// to ourselves unblocks it.
-    Connect,
-    /// The reactor blocks in `poll`; a byte down its self-pipe wakes it.
-    #[cfg(unix)]
-    Pipe(Arc<crate::reactor::Waker>),
-}
-
 /// A running HTTP server. Dropping it without calling
 /// [`Server::shutdown`] detaches the threads (the process exit reaps
 /// them); call `shutdown` for a drained, joined stop.
@@ -354,19 +263,14 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    wake: WakeHow,
 }
 
 impl Server {
-    /// Bind `addr` and start the configured engine: acceptor plus
-    /// worker threads ([`IoModel::Threads`]) or event loop plus worker
-    /// threads ([`IoModel::Reactor`]).
+    /// Bind `addr` and start the acceptor and worker threads.
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure (address in use, permission); under
-    /// [`IoModel::Reactor`], also self-pipe creation failures, and
-    /// [`std::io::ErrorKind::Unsupported`] on non-unix targets.
+    /// Propagates the bind failure (address in use, permission).
     pub fn start(
         addr: impl ToSocketAddrs,
         config: ServerConfig,
@@ -377,52 +281,31 @@ impl Server {
         let workers = config.worker_count();
         let shared = Arc::new(Shared::new(workers, config));
 
-        match config.io_model {
-            IoModel::Threads => {
-                let worker_handles: Vec<JoinHandle<()>> = (0..workers)
-                    .map(|i| {
-                        let shared = Arc::clone(&shared);
-                        let handler = Arc::clone(&handler);
-                        std::thread::Builder::new()
-                            .name(format!("gpa-serve-worker-{i}"))
-                            .spawn(move || worker_loop(&shared, handler.as_ref()))
-                            .expect("spawn worker thread")
-                    })
-                    .collect();
+        let worker_handles: Vec<JoinHandle<()>> = (0..workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                let handler = Arc::clone(&handler);
+                std::thread::Builder::new()
+                    .name(format!("gpa-serve-worker-{i}"))
+                    .spawn(move || worker_loop(&shared, handler.as_ref()))
+                    .expect("spawn worker thread")
+            })
+            .collect();
 
-                let acceptor = {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name("gpa-serve-acceptor".into())
-                        .spawn(move || accept_loop(&listener, &shared))
-                        .expect("spawn acceptor thread")
-                };
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("gpa-serve-acceptor".into())
+                .spawn(move || accept_loop(&listener, &shared))
+                .expect("spawn acceptor thread")
+        };
 
-                Ok(Server {
-                    addr: local,
-                    shared,
-                    acceptor: Some(acceptor),
-                    workers: worker_handles,
-                    wake: WakeHow::Connect,
-                })
-            }
-            #[cfg(unix)]
-            IoModel::Reactor => {
-                let started = crate::reactor::start(listener, Arc::clone(&shared), handler)?;
-                Ok(Server {
-                    addr: local,
-                    shared,
-                    acceptor: Some(started.event_loop),
-                    workers: started.workers,
-                    wake: WakeHow::Pipe(started.waker),
-                })
-            }
-            #[cfg(not(unix))]
-            IoModel::Reactor => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "IoModel::Reactor requires poll(2); use IoModel::Threads on this target",
-            )),
-        }
+        Ok(Server {
+            addr: local,
+            shared,
+            acceptor: Some(acceptor),
+            workers: worker_handles,
+        })
     }
 
     /// The bound address (useful with port `0`).
@@ -435,37 +318,24 @@ impl Server {
         self.shared.snapshot()
     }
 
-    /// The server's metrics registry and identity (what `/v1/metrics`
-    /// renders); useful for in-process scraping and tests.
-    pub fn telemetry(&self) -> &ServerTelemetry {
-        &self.shared.telemetry
-    }
-
     /// Stop accepting, drain every queued connection, finish in-flight
     /// requests, and join all threads. Consumes the server; the final
     /// counters come back so a caller can log them.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        match &self.wake {
-            WakeHow::Connect => {
-                // `accept` has no cancellation in std; a throwaway
-                // connection to ourselves unblocks it so it can observe
-                // `stopping`. A wildcard bind address (0.0.0.0 / ::) is
-                // not connectable everywhere, so aim the wake-up at the
-                // matching loopback instead.
-                let mut wake = self.addr;
-                if wake.ip().is_unspecified() {
-                    wake.set_ip(match wake {
-                        SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                        SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-                    });
-                }
-                if let Ok(stream) = TcpStream::connect_timeout(&wake, Duration::from_secs(2)) {
-                    drop(stream);
-                }
-            }
-            #[cfg(unix)]
-            WakeHow::Pipe(waker) => waker.wake(),
+        // `accept` has no cancellation in std; a throwaway connection to
+        // ourselves unblocks it so it can observe `stopping`. A wildcard
+        // bind address (0.0.0.0 / ::) is not connectable everywhere, so
+        // aim the wake-up at the matching loopback instead.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
+            });
+        }
+        if let Ok(stream) = TcpStream::connect_timeout(&wake, Duration::from_secs(2)) {
+            drop(stream);
         }
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
@@ -512,10 +382,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             // stop accepting. Queued connections still get drained.
             return;
         }
-        // Responses are written head-then-body: without TCP_NODELAY,
-        // Nagle holds the second write until the first is acked, and a
-        // keep-alive peer's delayed ACK turns every exchange after the
-        // kernel's quickack quota into a ~40 ms stall.
+        // A response goes out as one buffer, but one larger than a
+        // segment leaves a partial last segment: without TCP_NODELAY,
+        // Nagle holds it until the earlier segments are acked, and a
+        // keep-alive peer's delayed ACK turns such an exchange into a
+        // ~40 ms stall.
         let _ = stream.set_nodelay(true);
         let over_quota = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -534,9 +405,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 /// Most concurrent rejector threads; above this a flood gets the cheap
-/// best-effort 503 so rejection cost stays bounded. The reactor uses
-/// the same bound for its admission-rejection overflow slots.
-pub(crate) const MAX_REJECTORS: usize = 64;
+/// best-effort 503 so rejection cost stays bounded.
+const MAX_REJECTORS: usize = 64;
 
 /// Decrements the rejector count when the thread finishes — or when the
 /// closure is dropped unrun because spawning failed.
@@ -625,7 +495,7 @@ fn worker_loop(shared: &Shared, handler: &dyn Handler) {
 /// `close` token anywhere (even `keep-alive, close`) is authoritative —
 /// the client is withdrawing the offer, and honoring the stronger
 /// disposition is always framing-safe.
-pub(crate) fn wants_keep_alive(req: &Request) -> bool {
+fn wants_keep_alive(req: &Request) -> bool {
     let mut keep = false;
     for token in req
         .headers
@@ -675,7 +545,7 @@ fn consumed(reader: &BufReader<MeteredStream>) -> u64 {
 }
 
 /// Whole microseconds of a duration, saturating (traces carry `u64` µs).
-pub(crate) fn micros(d: Duration) -> u64 {
+fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -896,15 +766,7 @@ mod tests {
         shared.count_response(500);
         let snap = shared.snapshot();
         assert_eq!((snap.served, snap.errors, snap.rejected), (1, 2, 0));
-        assert_eq!((snap.deadline_expired, snap.admission_rejected), (0, 0));
         assert_eq!(snap.workers, 2);
-    }
-
-    #[test]
-    fn io_model_parses_flag_spellings() {
-        assert_eq!(IoModel::parse("threads"), Ok(IoModel::Threads));
-        assert_eq!(IoModel::parse("reactor"), Ok(IoModel::Reactor));
-        assert!(IoModel::parse("epoll").is_err());
     }
 
     #[test]
@@ -916,7 +778,5 @@ mod tests {
             assert_eq!(shared.snapshot().open_connections, 2);
         }
         assert_eq!(shared.snapshot().open_connections, 0);
-        shared.jobs_queued.fetch_add(3, Ordering::Relaxed);
-        assert_eq!(shared.snapshot().queue_depth, 3);
     }
 }

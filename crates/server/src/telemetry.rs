@@ -3,12 +3,10 @@
 //! slow-request promotion), and build/uptime identity.
 //!
 //! One [`ServerTelemetry`] is created per [`crate::Server`] and shared
-//! by both io models, which is what guarantees `/v1/metrics` exposes an
-//! identical set of metric names and labels whichever engine is
-//! selected. See [`gpa_telemetry::Registry::render`] for the exposition
-//! format contract.
+//! by its worker threads. See [`gpa_telemetry::Registry::render`] for
+//! the exposition format contract.
 
-use crate::server::{IoModel, StatsSnapshot};
+use crate::server::StatsSnapshot;
 use gpa_service::ReportCacheStats;
 use gpa_telemetry::{log, phase, AdHoc, Counter, Histogram, Registry, RequestTrace};
 use std::time::{Duration, Instant};
@@ -36,12 +34,11 @@ pub struct ServerTelemetry {
     request_duration: Histogram,
     phases: Vec<(&'static str, &'static str, Histogram)>,
     started: Instant,
-    io_model: IoModel,
     slow_request: Option<Duration>,
 }
 
 /// Everything known about one finished request, fed to
-/// [`ServerTelemetry::finish_request`] by both engines at the moment
+/// [`ServerTelemetry::finish_request`] by the serving engine at the moment
 /// the response bytes are fully on the socket.
 pub(crate) struct RequestOutcome<'a> {
     /// The trace carried through the request, when one was created
@@ -62,7 +59,7 @@ pub(crate) struct RequestOutcome<'a> {
 impl ServerTelemetry {
     /// A fresh registry with every serving metric pre-registered, so
     /// the exposed label set does not depend on traffic.
-    pub fn new(io_model: IoModel, slow_request_ms: Option<u64>) -> ServerTelemetry {
+    pub fn new(slow_request_ms: Option<u64>) -> ServerTelemetry {
         let registry = Registry::new();
         let requests_total = registry.counter(
             "gpa_requests_total",
@@ -96,16 +93,7 @@ impl ServerTelemetry {
             request_duration,
             phases,
             started: Instant::now(),
-            io_model,
             slow_request: slow_request_ms.map(Duration::from_millis),
-        }
-    }
-
-    /// The engine this server runs, as the `--io-model` flag spelling.
-    pub fn io_model_str(&self) -> &'static str {
-        match self.io_model {
-            IoModel::Threads => "threads",
-            IoModel::Reactor => "reactor",
         }
     }
 
@@ -149,19 +137,21 @@ impl ServerTelemetry {
                 "Requests that stalled mid-transfer and were answered 408.",
                 stats.timeouts,
             ),
+            // Nothing advances these two; they are rendered at 0 so the
+            // exposed name set stays stable for scrapers.
             AdHoc::counter(
                 "gpa_server_deadline_expired_total",
-                "Queued requests answered 503 after the request deadline.",
-                stats.deadline_expired,
+                "Always 0; kept so the exposed metric names stay stable.",
+                0,
             ),
             AdHoc::counter(
                 "gpa_server_admission_rejected_total",
-                "Connections refused 503 at accept by admission control.",
-                stats.admission_rejected,
+                "Always 0; kept so the exposed metric names stay stable.",
+                0,
             ),
             AdHoc::gauge(
                 "gpa_server_queue_depth",
-                "Connections or parsed requests waiting for a worker.",
+                "Connections waiting for a worker.",
                 stats.queue_depth as u64,
             ),
             AdHoc::gauge(
@@ -221,7 +211,7 @@ impl ServerTelemetry {
     /// the duration and phase histograms, and emit the access-log line
     /// (promoted to WARN past the `--slow-request-ms` threshold).
     ///
-    /// Both engines call this exactly once per response written through
+    /// The serving engine calls this exactly once per response written through
     /// the normal serving path, at the same point the counter and the
     /// histogram are advanced — which is why bucket counts always sum
     /// to the counter.
@@ -275,8 +265,8 @@ mod tests {
 
     #[test]
     fn metrics_names_are_traffic_independent() {
-        let quiet = ServerTelemetry::new(IoModel::Threads, None);
-        let busy = ServerTelemetry::new(IoModel::Reactor, Some(1));
+        let quiet = ServerTelemetry::new(None);
+        let busy = ServerTelemetry::new(Some(1));
         let mut trace = RequestTrace::new();
         trace.record(phase::PARSE, 10);
         busy.finish_request(&RequestOutcome {
@@ -303,7 +293,7 @@ mod tests {
 
     #[test]
     fn duration_bucket_total_tracks_the_counter() {
-        let t = ServerTelemetry::new(IoModel::Threads, None);
+        let t = ServerTelemetry::new(None);
         for us in [3, 70, 9_000] {
             t.finish_request(&RequestOutcome {
                 trace: None,

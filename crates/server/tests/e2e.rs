@@ -187,60 +187,6 @@ fn binary_serves_custom_kernels_byte_identically() {
 }
 
 #[test]
-#[cfg(unix)]
-fn reactor_binary_answers_byte_identically_to_threads() {
-    // The acceptance bar for `--io-model reactor`: the same request
-    // posted to both engines yields byte-identical bodies — report
-    // JSON, batch arrays, and error documents alike. The two children
-    // share one curve-cache directory, so calibration happens once.
-    let threads = ServeGuard::spawn(&["--io-model", "threads"]);
-    let reactor = ServeGuard::spawn(&["--io-model", "reactor"]);
-
-    let sample = std::fs::read_to_string(sample_path()).expect("sample request");
-    let custom = std::fs::read_to_string(sample_custom_path()).expect("custom sample");
-    let bad = AnalysisRequest::new(KernelSpec::Matmul { n: 64, tile: 16 }, "no-such-gpu");
-    let batch = Value::Array(vec![
-        AnalysisRequest::new(KernelSpec::Matmul { n: 64, tile: 16 }, "gtx285").to_value(),
-        bad.to_value(),
-    ])
-    .to_string_pretty();
-
-    for (label, path, body) in [
-        ("healthz", "/healthz", None),
-        ("machines", "/v1/machines", None),
-        ("sample", "/v1/analyze", Some(&sample)),
-        ("custom", "/v1/analyze", Some(&custom)),
-        ("batch", "/v1/analyze", Some(&batch)),
-        ("garbage", "/v1/analyze", Some(&"not json".to_string())),
-    ] {
-        let (a, b) = match body {
-            Some(body) => (
-                threads.client().post_json(path, body).expect(label),
-                reactor.client().post_json(path, body).expect(label),
-            ),
-            None => (
-                threads.client().get(path).expect(label),
-                reactor.client().get(path).expect(label),
-            ),
-        };
-        assert_eq!(a.status, b.status, "{label}");
-        assert_eq!(
-            a.body_str().unwrap(),
-            b.body_str().unwrap(),
-            "{label}: bodies must be byte-identical across io models"
-        );
-    }
-
-    // The reactor's stats document carries the connection gauges.
-    let stats = reactor.client().get("/v1/stats").expect("stats");
-    let doc = Value::parse(stats.body_str().unwrap()).unwrap();
-    assert!(doc.get("open_connections").unwrap().as_u64().unwrap() >= 1);
-    assert!(doc.get("idle_connections").is_ok());
-    assert_eq!(doc.get("deadline_expired").unwrap().as_u64().unwrap(), 0);
-    assert_eq!(doc.get("admission_rejected").unwrap().as_u64().unwrap(), 0);
-}
-
-#[test]
 fn batch_arrays_mirror_gpa_analyze_output() {
     let server = ServeGuard::spawn(&[]);
     let client = server.client();

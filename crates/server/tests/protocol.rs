@@ -3,35 +3,18 @@
 //! unknown paths, wrong methods, queue-full 503s, and graceful-shutdown
 //! draining. No analysis work happens here — the analyzer-specific
 //! behavior is covered by `e2e.rs`.
-//!
-//! Every test runs under **both** I/O models ([`IoModel::Threads`] and,
-//! on unix, [`IoModel::Reactor`]): the reactor's contract is that no
-//! client — well-behaved or hostile — can tell the engines apart, down
-//! to the stats counters.
 
 use gpa_json::Value;
 use gpa_server::api::AnalyzeApi;
 use gpa_server::client::Client;
 use gpa_server::http::{Request, Response};
-use gpa_server::server::{IoModel, RequestContext, Server, ServerConfig};
+use gpa_server::server::{RequestContext, Server, ServerConfig};
 use gpa_service::Analyzer;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Run `test` once per available I/O model. The reactor only exists on
-/// unix; elsewhere the thread engine is the whole matrix.
-fn for_each_model(test: impl Fn(IoModel)) {
-    let mut models = vec![IoModel::Threads];
-    if cfg!(unix) {
-        models.push(IoModel::Reactor);
-    }
-    for model in models {
-        test(model);
-    }
-}
 
 /// An API server over an uncalibrated analyzer (routing behavior only).
 fn api_server(config: ServerConfig) -> Server {
@@ -57,47 +40,44 @@ fn raw_roundtrip(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
 
 #[test]
 fn malformed_and_oversized_requests_get_correct_statuses() {
-    for_each_model(|io| {
-        let server = api_server(ServerConfig {
-            max_body_bytes: 1024,
-            io_model: io,
-            ..ServerConfig::default()
-        });
-        let addr = server.local_addr();
-
-        // Not HTTP at all → 400.
-        let resp = raw_roundtrip(addr, b"NOT-HTTP\r\n\r\n");
-        assert!(resp.starts_with("HTTP/1.1 400 "), "{io:?}: {resp}");
-
-        // Unsupported framing → 400.
-        let resp = raw_roundtrip(
-            addr,
-            b"POST /v1/analyze HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-        );
-        assert!(resp.starts_with("HTTP/1.1 400 "), "{io:?}: {resp}");
-
-        // A body over the ceiling → 413, even though the body was sent.
-        let mut oversized = b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 2048\r\n\r\n".to_vec();
-        oversized.extend(vec![b'x'; 2048]);
-        let resp = raw_roundtrip(addr, &oversized);
-        assert!(resp.starts_with("HTTP/1.1 413 "), "{io:?}: {resp}");
-        assert!(resp.contains("exceeds the 1024-byte limit"), "{resp}");
-
-        let client = Client::new(addr.to_string());
-        // Unknown path → 404.
-        assert_eq!(client.get("/v2/analyze").unwrap().status, 404);
-        // Known path, wrong method → 405 with Allow.
-        let resp = client.post_json("/healthz", "{}").unwrap();
-        assert_eq!(resp.status, 405);
-        assert_eq!(resp.header("allow"), Some("GET"));
-        let resp = client.get("/v1/analyze").unwrap();
-        assert_eq!(resp.status, 405);
-        assert_eq!(resp.header("allow"), Some("POST"));
-
-        let stats = server.shutdown();
-        assert_eq!(stats.served, 0, "{io:?}");
-        assert_eq!(stats.errors, 6, "{io:?}");
+    let server = api_server(ServerConfig {
+        max_body_bytes: 1024,
+        ..ServerConfig::default()
     });
+    let addr = server.local_addr();
+
+    // Not HTTP at all → 400.
+    let resp = raw_roundtrip(addr, b"NOT-HTTP\r\n\r\n");
+    assert!(resp.starts_with("HTTP/1.1 400 "), "{resp}");
+
+    // Unsupported framing → 400.
+    let resp = raw_roundtrip(
+        addr,
+        b"POST /v1/analyze HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+    );
+    assert!(resp.starts_with("HTTP/1.1 400 "), "{resp}");
+
+    // A body over the ceiling → 413, even though the body was sent.
+    let mut oversized = b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 2048\r\n\r\n".to_vec();
+    oversized.extend(vec![b'x'; 2048]);
+    let resp = raw_roundtrip(addr, &oversized);
+    assert!(resp.starts_with("HTTP/1.1 413 "), "{resp}");
+    assert!(resp.contains("exceeds the 1024-byte limit"), "{resp}");
+
+    let client = Client::new(addr.to_string());
+    // Unknown path → 404.
+    assert_eq!(client.get("/v2/analyze").unwrap().status, 404);
+    // Known path, wrong method → 405 with Allow.
+    let resp = client.post_json("/healthz", "{}").unwrap();
+    assert_eq!(resp.status, 405);
+    assert_eq!(resp.header("allow"), Some("GET"));
+    let resp = client.get("/v1/analyze").unwrap();
+    assert_eq!(resp.status, 405);
+    assert_eq!(resp.header("allow"), Some("POST"));
+
+    let stats = server.shutdown();
+    assert_eq!(stats.served, 0);
+    assert_eq!(stats.errors, 6);
 }
 
 /// A trivial 200-everything handler for connection-behavior tests.
@@ -109,135 +89,158 @@ fn echo_handler() -> Arc<dyn gpa_server::server::Handler> {
 
 #[test]
 fn keep_alive_answers_many_requests_on_one_socket() {
-    for_each_model(|io| {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                io_model: io,
-                ..ServerConfig::default()
-            },
-            echo_handler(),
-        )
-        .expect("bind loopback");
-        let client = Client::new(server.local_addr().to_string());
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        echo_handler(),
+    )
+    .expect("bind loopback");
+    let client = Client::new(server.local_addr().to_string());
 
-        let mut conn = client.connect().expect("keep-alive connect");
-        for i in 0..10 {
-            let resp = conn.get(&format!("/req{i}")).expect("keep-alive roundtrip");
-            assert_eq!(resp.status, 200);
-            assert_eq!(
-                resp.header("connection"),
-                Some("keep-alive"),
-                "{io:?} req {i}"
-            );
-            assert_eq!(
-                resp.body_str().unwrap(),
-                format!("{{\"path\": \"/req{i}\"}}")
-            );
-        }
+    let mut conn = client.connect().expect("keep-alive connect");
+    for i in 0..10 {
+        let resp = conn.get(&format!("/req{i}")).expect("keep-alive roundtrip");
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("connection"), Some("keep-alive"), "req {i}");
+        assert_eq!(
+            resp.body_str().unwrap(),
+            format!("{{\"path\": \"/req{i}\"}}")
+        );
+    }
 
-        let stats = server.shutdown();
-        assert_eq!((stats.served, stats.errors), (10, 0), "{io:?}");
-    });
+    let stats = server.shutdown();
+    assert_eq!((stats.served, stats.errors), (10, 0));
 }
 
 #[test]
 fn keep_alive_request_cap_closes_the_connection() {
-    for_each_model(|io| {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                keep_alive_requests: 3,
-                io_model: io,
-                ..ServerConfig::default()
-            },
-            echo_handler(),
-        )
-        .expect("bind loopback");
-        let client = Client::new(server.local_addr().to_string());
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            keep_alive_requests: 3,
+            ..ServerConfig::default()
+        },
+        echo_handler(),
+    )
+    .expect("bind loopback");
+    let client = Client::new(server.local_addr().to_string());
 
-        let mut conn = client.connect().expect("keep-alive connect");
-        for i in 0..2 {
-            let resp = conn.get("/again").unwrap();
-            assert_eq!(
-                resp.header("connection"),
-                Some("keep-alive"),
-                "{io:?} req {i}"
-            );
-        }
-        // The capped (3rd) response still succeeds but announces the close…
-        let resp = conn.get("/last").unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("connection"), Some("close"), "{io:?}");
-        // …and the socket is then really closed: the next roundtrip fails.
-        assert!(conn.get("/dead").is_err(), "{io:?}");
+    let mut conn = client.connect().expect("keep-alive connect");
+    for i in 0..2 {
+        let resp = conn.get("/again").unwrap();
+        assert_eq!(resp.header("connection"), Some("keep-alive"), "req {i}");
+    }
+    // The capped (3rd) response still succeeds but announces the close…
+    let resp = conn.get("/last").unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("connection"), Some("close"));
+    // …and the socket is then really closed: the next roundtrip fails.
+    assert!(conn.get("/dead").is_err());
 
-        let stats = server.shutdown();
-        assert_eq!((stats.served, stats.errors), (3, 0), "{io:?}");
-    });
+    let stats = server.shutdown();
+    assert_eq!((stats.served, stats.errors), (3, 0));
 }
 
 #[test]
 fn keep_alive_idle_timeout_reclaims_the_worker() {
-    for_each_model(|io| {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                keep_alive_idle: Duration::from_millis(100),
-                io_model: io,
-                ..ServerConfig::default()
-            },
-            echo_handler(),
-        )
-        .expect("bind loopback");
-        let client = Client::new(server.local_addr().to_string());
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            keep_alive_idle: Duration::from_millis(100),
+            ..ServerConfig::default()
+        },
+        echo_handler(),
+    )
+    .expect("bind loopback");
+    let client = Client::new(server.local_addr().to_string());
 
-        let mut conn = client.connect().expect("keep-alive connect");
-        assert_eq!(conn.get("/first").unwrap().status, 200);
-        // Sit idle past the window; the server hangs up…
-        std::thread::sleep(Duration::from_millis(400));
-        assert!(conn.get("/tardy").is_err(), "{io:?}");
-        // …and the (single) worker is free again for new connections.
-        assert_eq!(client.get("/fresh").unwrap().status, 200, "{io:?}");
+    let mut conn = client.connect().expect("keep-alive connect");
+    assert_eq!(conn.get("/first").unwrap().status, 200);
+    // Sit idle past the window; the server hangs up…
+    std::thread::sleep(Duration::from_millis(400));
+    assert!(conn.get("/tardy").is_err());
+    // …and the (single) worker is free again for new connections.
+    assert_eq!(client.get("/fresh").unwrap().status, 200);
 
-        server.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn parked_keep_alive_connections_show_in_the_gauges_then_drain() {
+    // Two workers: one parks with the keep-alive client, one answers
+    // the stats probes.
+    let server = api_server(ServerConfig {
+        workers: 2,
+        keep_alive_idle: Duration::from_millis(300),
+        ..ServerConfig::default()
     });
+    let client = Client::new(server.local_addr().to_string());
+    let mut parked = client.connect().expect("keep-alive connect");
+    assert_eq!(parked.get("/healthz").unwrap().status, 200);
+
+    // The worker marks the connection idle just after the response
+    // leaves, so poll until /v1/stats sees it parked.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = client.get("/v1/stats").unwrap();
+        let doc = Value::parse(stats.body_str().unwrap()).unwrap();
+        let gauge = |key: &str| doc.get(key).unwrap().as_u64().unwrap();
+        if gauge("idle_connections") >= 1 {
+            assert!(gauge("open_connections") >= 1, "{doc:?}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "never parked: {doc:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Past keep_alive_idle the worker hangs up and both gauges drain.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = server.stats();
+        if (stats.open_connections, stats.idle_connections) == (0, 0) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "gauges never drained: {stats:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(parked.get("/healthz").is_err(), "the server hung up");
+
+    server.shutdown();
 }
 
 #[test]
 fn errors_close_even_under_keep_alive() {
-    for_each_model(|io| {
-        let server = api_server(ServerConfig {
-            workers: 1,
-            io_model: io,
-            ..ServerConfig::default()
-        });
-        let addr = server.local_addr();
-
-        // Two well-formed keep-alive requests to an unknown path on one
-        // socket: the 404 must carry Connection: close, and everything after
-        // the first request must go unanswered (read_to_string sees exactly
-        // one response before EOF).
-        let two = b"GET /nope HTTP/1.1\r\nConnection: keep-alive\r\n\r\n\
-                    GET /nope HTTP/1.1\r\nConnection: keep-alive\r\n\r\n";
-        let resp = raw_roundtrip(addr, two);
-        assert!(resp.starts_with("HTTP/1.1 404 "), "{io:?}: {resp}");
-        assert!(resp.contains("Connection: close"), "{io:?}: {resp}");
-        assert_eq!(resp.matches("HTTP/1.1").count(), 1, "{io:?}: {resp}");
-
-        // Clients that do not opt in keep the one-request contract even on a
-        // healthy exchange.
-        let plain = b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n";
-        let resp = raw_roundtrip(addr, plain);
-        assert!(resp.starts_with("HTTP/1.1 200 "), "{io:?}: {resp}");
-        assert!(resp.contains("Connection: close"), "{io:?}: {resp}");
-        assert_eq!(resp.matches("HTTP/1.1").count(), 1, "{io:?}: {resp}");
-
-        server.shutdown();
+    let server = api_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
     });
+    let addr = server.local_addr();
+
+    // Two well-formed keep-alive requests to an unknown path on one
+    // socket: the 404 must carry Connection: close, and everything after
+    // the first request must go unanswered (read_to_string sees exactly
+    // one response before EOF).
+    let two = b"GET /nope HTTP/1.1\r\nConnection: keep-alive\r\n\r\n\
+                GET /nope HTTP/1.1\r\nConnection: keep-alive\r\n\r\n";
+    let resp = raw_roundtrip(addr, two);
+    assert!(resp.starts_with("HTTP/1.1 404 "), "{resp}");
+    assert!(resp.contains("Connection: close"), "{resp}");
+    assert_eq!(resp.matches("HTTP/1.1").count(), 1, "{resp}");
+
+    // Clients that do not opt in keep the one-request contract even on a
+    // healthy exchange.
+    let plain = b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n";
+    let resp = raw_roundtrip(addr, plain);
+    assert!(resp.starts_with("HTTP/1.1 200 "), "{resp}");
+    assert!(resp.contains("Connection: close"), "{resp}");
+    assert_eq!(resp.matches("HTTP/1.1").count(), 1, "{resp}");
+
+    server.shutdown();
 }
 
 #[test]
@@ -245,112 +248,103 @@ fn connection_token_lists_negotiate_keep_alive() {
     // RFC 7230 §6.1: Connection carries a comma-separated token list.
     // `keep-alive, TE` opts in; a `close` token anywhere is
     // authoritative no matter what else rides along.
-    for_each_model(|io| {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                keep_alive_idle: Duration::from_millis(100),
-                io_model: io,
-                ..ServerConfig::default()
-            },
-            echo_handler(),
-        )
-        .expect("bind loopback");
-        let addr = server.local_addr();
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            keep_alive_idle: Duration::from_millis(100),
+            ..ServerConfig::default()
+        },
+        echo_handler(),
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
 
-        // Two pipelined requests whose Connection header lists extra
-        // tokens: both must be answered on the one socket, the first with
-        // an explicit keep-alive acknowledgement.
-        let two = b"GET /a HTTP/1.1\r\nConnection: keep-alive, TE\r\n\r\n\
-                    GET /b HTTP/1.1\r\nConnection: Keep-Alive , trailers\r\n\r\n";
-        let resp = raw_roundtrip(addr, two);
-        assert_eq!(resp.matches("HTTP/1.1 200").count(), 2, "{io:?}: {resp}");
-        assert!(resp.contains("Connection: keep-alive"), "{io:?}: {resp}");
+    // Two pipelined requests whose Connection header lists extra
+    // tokens: both must be answered on the one socket, the first with
+    // an explicit keep-alive acknowledgement.
+    let two = b"GET /a HTTP/1.1\r\nConnection: keep-alive, TE\r\n\r\n\
+                GET /b HTTP/1.1\r\nConnection: Keep-Alive , trailers\r\n\r\n";
+    let resp = raw_roundtrip(addr, two);
+    assert_eq!(resp.matches("HTTP/1.1 200").count(), 2, "{resp}");
+    assert!(resp.contains("Connection: keep-alive"), "{resp}");
 
-        // `close` wins even when keep-alive is also present: exactly one
-        // answer, marked close, then EOF.
-        let mixed = b"GET /a HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n\
-                      GET /b HTTP/1.1\r\n\r\n";
-        let resp = raw_roundtrip(addr, mixed);
-        assert_eq!(resp.matches("HTTP/1.1 200").count(), 1, "{io:?}: {resp}");
-        assert!(resp.contains("Connection: close"), "{io:?}: {resp}");
+    // `close` wins even when keep-alive is also present: exactly one
+    // answer, marked close, then EOF.
+    let mixed = b"GET /a HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n\
+                  GET /b HTTP/1.1\r\n\r\n";
+    let resp = raw_roundtrip(addr, mixed);
+    assert_eq!(resp.matches("HTTP/1.1 200").count(), 1, "{resp}");
+    assert!(resp.contains("Connection: close"), "{resp}");
 
-        let stats = server.shutdown();
-        assert_eq!((stats.served, stats.errors), (3, 0), "{io:?}");
-    });
+    let stats = server.shutdown();
+    assert_eq!((stats.served, stats.errors), (3, 0));
 }
 
 #[test]
 fn stalled_request_heads_get_408_and_idle_sockets_do_not() {
-    for_each_model(|io| {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                read_timeout: Duration::from_millis(300),
-                io_model: io,
-                ..ServerConfig::default()
-            },
-            echo_handler(),
-        )
-        .expect("bind loopback");
-        let addr = server.local_addr();
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            read_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        },
+        echo_handler(),
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
 
-        // A connection that sends part of a request head and stalls: the
-        // server owes the client a diagnosis, not a silent hangup.
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream.write_all(b"GET /x HT").expect("partial head");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read response");
-        assert!(response.starts_with("HTTP/1.1 408 "), "{io:?}: {response}");
-        assert!(response.contains("timed out"), "{io:?}: {response}");
-        drop(stream);
+    // A connection that sends part of a request head and stalls: the
+    // server owes the client a diagnosis, not a silent hangup.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(b"GET /x HT").expect("partial head");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 408 "), "{response}");
+    assert!(response.contains("timed out"), "{response}");
+    drop(stream);
 
-        // A connection that sends *nothing* is just a speculative socket
-        // (browser preconnect, health probe): closed silently, not counted.
-        let mut idle = TcpStream::connect(addr).expect("connect");
-        idle.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut nothing = String::new();
-        idle.read_to_string(&mut nothing).expect("read EOF");
-        assert_eq!(nothing, "", "{io:?}: idle close must carry no bytes");
+    // A connection that sends *nothing* is just a speculative socket
+    // (browser preconnect, health probe): closed silently, not counted.
+    let mut idle = TcpStream::connect(addr).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut nothing = String::new();
+    idle.read_to_string(&mut nothing).expect("read EOF");
+    assert_eq!(nothing, "", "idle close must carry no bytes");
 
-        let stats = server.shutdown();
-        assert_eq!(stats.timeouts, 1, "{io:?}: only the mid-head stall counts");
-        assert_eq!(stats.served, 0, "{io:?}");
-    });
+    let stats = server.shutdown();
+    assert_eq!(stats.timeouts, 1, "only the mid-head stall counts");
+    assert_eq!(stats.served, 0);
 }
 
 #[test]
 fn handler_panics_become_500s_and_the_worker_survives() {
-    for_each_model(|io| {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                io_model: io,
-                ..ServerConfig::default()
-            },
-            Arc::new(|req: &Request, _: &RequestContext| {
-                if req.target == "/boom" {
-                    panic!("handler exploded");
-                }
-                Response::json(200, "{}")
-            }),
-        )
-        .expect("bind loopback");
-        let client = Client::new(server.local_addr().to_string());
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        Arc::new(|req: &Request, _: &RequestContext| {
+            if req.target == "/boom" {
+                panic!("handler exploded");
+            }
+            Response::json(200, "{}")
+        }),
+    )
+    .expect("bind loopback");
+    let client = Client::new(server.local_addr().to_string());
 
-        assert_eq!(client.get("/boom").unwrap().status, 500, "{io:?}");
-        // The single worker must still be alive to answer this.
-        assert_eq!(client.get("/fine").unwrap().status, 200, "{io:?}");
-        let stats = server.shutdown();
-        assert_eq!((stats.served, stats.errors), (1, 1), "{io:?}");
-    });
+    assert_eq!(client.get("/boom").unwrap().status, 500);
+    // The single worker must still be alive to answer this.
+    assert_eq!(client.get("/fine").unwrap().status, 200);
+    let stats = server.shutdown();
+    assert_eq!((stats.served, stats.errors), (1, 1));
 }
 
 /// A handler whose requests block until the test opens the gate —
@@ -412,220 +406,12 @@ fn await_queue_depth(server: &Server, n: usize) {
 
 #[test]
 fn queue_full_rejects_with_503_and_overload_is_counted() {
-    for_each_model(|io| {
-        let gate = Gate::new();
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                queue_depth: 1,
-                io_model: io,
-                ..ServerConfig::default()
-            },
-            gate.handler(),
-        )
-        .expect("bind loopback");
-        let addr = server.local_addr().to_string();
-
-        std::thread::scope(|scope| {
-            // A: occupies the single worker (blocked inside the handler).
-            let a = {
-                let addr = addr.clone();
-                scope.spawn(move || Client::new(addr).get("/a").unwrap().status)
-            };
-            gate.await_entered(1);
-
-            // B: occupies the single queue slot.
-            let b = {
-                let addr = addr.clone();
-                scope.spawn(move || Client::new(addr).get("/b").unwrap().status)
-            };
-            await_queue_depth(&server, 1);
-
-            // C: over quota → an immediate 503, no queueing, no handler work.
-            let c = Client::new(addr.clone()).get("/c").unwrap();
-            assert_eq!(c.status, 503, "{io:?}");
-            let doc = Value::parse(c.body_str().unwrap()).unwrap();
-            assert!(doc
-                .get("error")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .contains("capacity"));
-
-            // The flood is over: let A and B complete normally.
-            gate.release();
-            assert_eq!(a.join().unwrap(), 200, "{io:?}");
-            assert_eq!(b.join().unwrap(), 200, "{io:?}");
-        });
-        assert_eq!(
-            gate.entered.load(Ordering::SeqCst),
-            2,
-            "{io:?}: only A and B may reach the handler"
-        );
-
-        let stats = server.shutdown();
-        assert_eq!(stats.served, 2, "{io:?}");
-        assert_eq!(stats.rejected, 1, "{io:?}");
-        assert_eq!(stats.errors, 0, "{io:?}");
-    });
-}
-
-#[test]
-fn malformed_custom_kernels_are_http_400s_never_500s() {
-    use gpa_hw::Machine;
-    use gpa_ubench::ThroughputCurves;
-
-    for_each_model(|io| {
-        // Synthetic curves suffice: every request below fails validation
-        // before the model would consult them.
-        let curves = ThroughputCurves {
-            machine_name: "GeForce GTX 285".into(),
-            warps: vec![1, 32],
-            instr: std::array::from_fn(|_| vec![1e9, 1e10]),
-            smem: vec![1e10, 1e11],
-        };
-        let mut analyzer = Analyzer::new();
-        analyzer.install(Machine::gtx285(), curves).unwrap();
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                io_model: io,
-                ..ServerConfig::default()
-            },
-            Arc::new(AnalyzeApi::new(Arc::new(analyzer))),
-        )
-        .expect("bind loopback");
-        let client = Client::new(server.local_addr().to_string());
-
-        let wrap = |kernel: &str| format!(r#"{{"kernel": {kernel}, "machine": "gtx285"}}"#);
-        for (body, want) in [
-            // Unknown mnemonic: an AsmError with its source line, not a panic.
-            (
-                wrap(
-                    r#"{"case": "custom",
-                        "asm": ".kernel x\n.threads 32\n    warp.drive r0\n    exit\n",
-                        "launch": {"grid": 1, "block": 32}}"#,
-                ),
-                "warp.drive",
-            ),
-            // Branch-target overflow caught by the hardened parser.
-            (
-                wrap(
-                    r#"{"case": "custom",
-                        "asm": ".kernel x\n.threads 32\n    bra 4294967296\n    exit\n",
-                        "launch": {"grid": 1, "block": 32}}"#,
-                ),
-                "out of range",
-            ),
-            // Oversized memory region: rejected before any allocation.
-            (
-                wrap(
-                    r#"{"case": "custom", "asm": "    exit\n",
-                        "launch": {"grid": 1, "block": 32},
-                        "memory": [{"name": "m", "len": 1099511627776,
-                                    "init": {"kind": "zero"}}]}"#,
-                ),
-                "limit",
-            ),
-            // Parameter/register mismatch: ld.param past the declared block.
-            (
-                wrap(
-                    r#"{"case": "custom",
-                        "asm": ".kernel x\n.threads 32\n.param 4\n    ld.param.b32 r0, c[0x8]\n    exit\n",
-                        "launch": {"grid": 1, "block": 32}, "params": [0]}"#,
-                ),
-                "param",
-            ),
-            // Wire-level garbage in the memory image.
-            (
-                wrap(
-                    r#"{"case": "custom", "asm": "    exit\n",
-                        "launch": {"grid": 1, "block": 32},
-                        "memory": [{"name": "m", "len": 64, "init": {"kind": "entropy"}}]}"#,
-                ),
-                "entropy",
-            ),
-        ] {
-            let resp = client.post_json("/v1/analyze", &body).unwrap();
-            // 400 (typed error), never 500 (which would mean catch_unwind
-            // swallowed a panic).
-            assert_eq!(resp.status, 400, "{want}: {}", resp.body_str().unwrap());
-            assert!(
-                resp.body_str().unwrap().contains(want),
-                "`{}` does not mention `{want}`",
-                resp.body_str().unwrap()
-            );
-        }
-
-        let stats = server.shutdown();
-        assert_eq!(stats.served, 0, "{io:?}");
-    });
-}
-
-#[test]
-fn graceful_shutdown_drains_queued_work() {
-    for_each_model(|io| {
-        let gate = Gate::new();
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 1,
-                queue_depth: 4,
-                io_model: io,
-                ..ServerConfig::default()
-            },
-            gate.handler(),
-        )
-        .expect("bind loopback");
-        let addr = server.local_addr().to_string();
-
-        std::thread::scope(|scope| {
-            // A in-flight, B queued.
-            let a = {
-                let addr = addr.clone();
-                scope.spawn(move || Client::new(addr).get("/a").unwrap().status)
-            };
-            gate.await_entered(1);
-            let b = {
-                let addr = addr.clone();
-                scope.spawn(move || Client::new(addr).get("/b").unwrap().status)
-            };
-            await_queue_depth(&server, 1);
-
-            // Open the gate a beat after shutdown starts, so the drain
-            // provably begins while work is still queued and in flight.
-            let release = {
-                let gate = Arc::clone(&gate);
-                scope.spawn(move || {
-                    std::thread::sleep(Duration::from_millis(100));
-                    gate.release();
-                })
-            };
-            let stats = server.shutdown();
-            release.join().unwrap();
-
-            // Both the in-flight and the queued request got real answers.
-            assert_eq!(a.join().unwrap(), 200, "{io:?}");
-            assert_eq!(b.join().unwrap(), 200, "{io:?}");
-            assert_eq!(stats.served, 2, "{io:?}");
-            assert_eq!(stats.queue_depth, 0, "{io:?}");
-        });
-    });
-}
-
-/// Reactor-only semantics: the open-connection ceiling answers 503 at
-/// accept time and counts separately from queue-full rejections.
-#[cfg(unix)]
-#[test]
-fn reactor_admission_control_rejects_excess_connections() {
     let gate = Gate::new();
     let server = Server::start(
         "127.0.0.1:0",
         ServerConfig {
             workers: 1,
-            max_connections: 2,
-            io_model: IoModel::Reactor,
+            queue_depth: 1,
             ..ServerConfig::default()
         },
         gate.handler(),
@@ -634,8 +420,154 @@ fn reactor_admission_control_rejects_excess_connections() {
     let addr = server.local_addr().to_string();
 
     std::thread::scope(|scope| {
-        // Two connections occupy the whole admission budget: one in the
-        // handler, one queued.
+        // A: occupies the single worker (blocked inside the handler).
+        let a = {
+            let addr = addr.clone();
+            scope.spawn(move || Client::new(addr).get("/a").unwrap().status)
+        };
+        gate.await_entered(1);
+
+        // B: occupies the single queue slot.
+        let b = {
+            let addr = addr.clone();
+            scope.spawn(move || Client::new(addr).get("/b").unwrap().status)
+        };
+        await_queue_depth(&server, 1);
+
+        // C: over quota → an immediate 503, no queueing, no handler work.
+        let c = Client::new(addr.clone()).get("/c").unwrap();
+        assert_eq!(c.status, 503);
+        let doc = Value::parse(c.body_str().unwrap()).unwrap();
+        assert!(doc
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("capacity"));
+
+        // The flood is over: let A and B complete normally.
+        gate.release();
+        assert_eq!(a.join().unwrap(), 200);
+        assert_eq!(b.join().unwrap(), 200);
+    });
+    assert_eq!(
+        gate.entered.load(Ordering::SeqCst),
+        2,
+        "only A and B may reach the handler"
+    );
+
+    let stats = server.shutdown();
+    assert_eq!(stats.served, 2);
+    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.errors, 0);
+}
+
+#[test]
+fn malformed_custom_kernels_are_http_400s_never_500s() {
+    use gpa_hw::Machine;
+    use gpa_ubench::ThroughputCurves;
+
+    // Synthetic curves suffice: every request below fails validation
+    // before the model would consult them.
+    let curves = ThroughputCurves {
+        machine_name: "GeForce GTX 285".into(),
+        warps: vec![1, 32],
+        instr: std::array::from_fn(|_| vec![1e9, 1e10]),
+        smem: vec![1e10, 1e11],
+    };
+    let mut analyzer = Analyzer::new();
+    analyzer.install(Machine::gtx285(), curves).unwrap();
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            ..ServerConfig::default()
+        },
+        Arc::new(AnalyzeApi::new(Arc::new(analyzer))),
+    )
+    .expect("bind loopback");
+    let client = Client::new(server.local_addr().to_string());
+
+    let wrap = |kernel: &str| format!(r#"{{"kernel": {kernel}, "machine": "gtx285"}}"#);
+    for (body, want) in [
+        // Unknown mnemonic: an AsmError with its source line, not a panic.
+        (
+            wrap(
+                r#"{"case": "custom",
+                    "asm": ".kernel x\n.threads 32\n    warp.drive r0\n    exit\n",
+                    "launch": {"grid": 1, "block": 32}}"#,
+            ),
+            "warp.drive",
+        ),
+        // Branch-target overflow caught by the hardened parser.
+        (
+            wrap(
+                r#"{"case": "custom",
+                    "asm": ".kernel x\n.threads 32\n    bra 4294967296\n    exit\n",
+                    "launch": {"grid": 1, "block": 32}}"#,
+            ),
+            "out of range",
+        ),
+        // Oversized memory region: rejected before any allocation.
+        (
+            wrap(
+                r#"{"case": "custom", "asm": "    exit\n",
+                    "launch": {"grid": 1, "block": 32},
+                    "memory": [{"name": "m", "len": 1099511627776,
+                                "init": {"kind": "zero"}}]}"#,
+            ),
+            "limit",
+        ),
+        // Parameter/register mismatch: ld.param past the declared block.
+        (
+            wrap(
+                r#"{"case": "custom",
+                    "asm": ".kernel x\n.threads 32\n.param 4\n    ld.param.b32 r0, c[0x8]\n    exit\n",
+                    "launch": {"grid": 1, "block": 32}, "params": [0]}"#,
+            ),
+            "param",
+        ),
+        // Wire-level garbage in the memory image.
+        (
+            wrap(
+                r#"{"case": "custom", "asm": "    exit\n",
+                    "launch": {"grid": 1, "block": 32},
+                    "memory": [{"name": "m", "len": 64, "init": {"kind": "entropy"}}]}"#,
+            ),
+            "entropy",
+        ),
+    ] {
+        let resp = client.post_json("/v1/analyze", &body).unwrap();
+        // 400 (typed error), never 500 (which would mean catch_unwind
+        // swallowed a panic).
+        assert_eq!(resp.status, 400, "{want}: {}", resp.body_str().unwrap());
+        assert!(
+            resp.body_str().unwrap().contains(want),
+            "`{}` does not mention `{want}`",
+            resp.body_str().unwrap()
+        );
+    }
+
+    let stats = server.shutdown();
+    assert_eq!(stats.served, 0);
+}
+
+#[test]
+fn graceful_shutdown_drains_queued_work() {
+    let gate = Gate::new();
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            queue_depth: 4,
+            ..ServerConfig::default()
+        },
+        gate.handler(),
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr().to_string();
+
+    std::thread::scope(|scope| {
+        // A in-flight, B queued.
         let a = {
             let addr = addr.clone();
             scope.spawn(move || Client::new(addr).get("/a").unwrap().status)
@@ -647,182 +579,105 @@ fn reactor_admission_control_rejects_excess_connections() {
         };
         await_queue_depth(&server, 1);
 
-        // A third connection is over the ceiling: 503 before a single
-        // request byte is read.
-        let c = Client::new(addr.clone()).get("/c").unwrap();
-        assert_eq!(c.status, 503);
-        assert!(c.body_str().unwrap().contains("capacity"));
+        // Open the gate a beat after shutdown starts, so the drain
+        // provably begins while work is still queued and in flight.
+        let release = {
+            let gate = Arc::clone(&gate);
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(100));
+                gate.release();
+            })
+        };
+        let stats = server.shutdown();
+        release.join().unwrap();
 
-        gate.release();
+        // Both the in-flight and the queued request got real answers.
         assert_eq!(a.join().unwrap(), 200);
         assert_eq!(b.join().unwrap(), 200);
+        assert_eq!(stats.served, 2);
+        assert_eq!(stats.queue_depth, 0);
     });
-
-    let stats = server.shutdown();
-    assert_eq!(stats.served, 2);
-    assert_eq!(stats.admission_rejected, 1);
-    assert_eq!(stats.rejected, 0, "admission is not a queue-full rejection");
-}
-
-/// Reactor-only semantics: a parsed request that waits in the queue past
-/// `request_deadline` is answered 503 and counted as expired, without
-/// reaching the handler.
-#[cfg(unix)]
-#[test]
-fn reactor_request_deadline_expires_queued_work() {
-    let gate = Gate::new();
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 1,
-            queue_depth: 4,
-            request_deadline: Duration::from_millis(150),
-            io_model: IoModel::Reactor,
-            ..ServerConfig::default()
-        },
-        gate.handler(),
-    )
-    .expect("bind loopback");
-    let addr = server.local_addr().to_string();
-
-    std::thread::scope(|scope| {
-        // A pins the single worker well past B's deadline.
-        let a = {
-            let addr = addr.clone();
-            scope.spawn(move || Client::new(addr).get("/a").unwrap().status)
-        };
-        gate.await_entered(1);
-
-        // B parses, queues, and can only age: its deadline must fire
-        // while A still holds the worker.
-        let b = Client::new(addr.clone()).get("/b").unwrap();
-        assert_eq!(b.status, 503, "{}", b.body_str().unwrap());
-        assert!(b.body_str().unwrap().contains("deadline"));
-
-        gate.release();
-        assert_eq!(a.join().unwrap(), 200);
-    });
-    assert_eq!(
-        gate.entered.load(Ordering::SeqCst),
-        1,
-        "the expired request must never reach the handler"
-    );
-
-    let stats = server.shutdown();
-    assert_eq!(stats.served, 1);
-    assert_eq!(stats.deadline_expired, 1);
-    assert_eq!(stats.errors, 0, "expiry is its own ledger, not an error");
 }
 
 #[test]
 fn every_handled_response_carries_a_unique_request_id() {
-    for_each_model(|io| {
-        let server = api_server(ServerConfig {
-            io_model: io,
-            ..ServerConfig::default()
-        });
-        let client = Client::new(server.local_addr().to_string());
-
-        let mut ids = std::collections::HashSet::new();
-        for i in 0..5 {
-            let resp = client.get("/healthz").unwrap();
-            let id = resp
-                .header("x-request-id")
-                .expect("X-Request-Id on every handled response")
-                .to_string();
-            assert!(!id.is_empty(), "{io:?}");
-            assert!(ids.insert(id), "{io:?} req {i}: request ids must be unique");
-        }
-
-        // Server-Timing is opt-in: absent by default, present (with the
-        // server phases) when the request carries x-gpa-server-timing.
-        let plain = client.get("/healthz").unwrap();
-        assert_eq!(plain.header("server-timing"), None, "{io:?}");
-        let resp = raw_roundtrip(
-            server.local_addr(),
-            b"GET /healthz HTTP/1.1\r\nx-gpa-server-timing: 1\r\n\r\n",
-        );
-        assert!(resp.contains("X-Request-Id: "), "{io:?}: {resp}");
-        assert!(resp.contains("Server-Timing: "), "{io:?}: {resp}");
-        assert!(resp.contains("handle;dur="), "{io:?}: {resp}");
-
-        server.shutdown();
+    let server = api_server(ServerConfig {
+        ..ServerConfig::default()
     });
+    let client = Client::new(server.local_addr().to_string());
+
+    let mut ids = std::collections::HashSet::new();
+    for i in 0..5 {
+        let resp = client.get("/healthz").unwrap();
+        let id = resp
+            .header("x-request-id")
+            .expect("X-Request-Id on every handled response")
+            .to_string();
+        assert!(!id.is_empty());
+        assert!(ids.insert(id), "req {i}: request ids must be unique");
+    }
+
+    // Server-Timing is opt-in: absent by default, present (with the
+    // server phases) when the request carries x-gpa-server-timing.
+    let plain = client.get("/healthz").unwrap();
+    assert_eq!(plain.header("server-timing"), None);
+    let resp = raw_roundtrip(
+        server.local_addr(),
+        b"GET /healthz HTTP/1.1\r\nx-gpa-server-timing: 1\r\n\r\n",
+    );
+    assert!(resp.contains("X-Request-Id: "), "{resp}");
+    assert!(resp.contains("Server-Timing: "), "{resp}");
+    assert!(resp.contains("handle;dur="), "{resp}");
+
+    server.shutdown();
 }
 
 #[test]
-fn metrics_exposition_is_identical_across_io_models() {
-    // One series-name shape per model; compared at the end.
-    let shapes: std::cell::RefCell<Vec<Vec<String>>> = std::cell::RefCell::new(Vec::new());
-    for_each_model(|io| {
-        let server = api_server(ServerConfig {
-            io_model: io,
-            workers: 2,
-            ..ServerConfig::default()
-        });
-        let client = Client::new(server.local_addr().to_string());
-        for _ in 0..3 {
-            assert_eq!(client.get("/healthz").unwrap().status, 200);
-        }
-        assert_eq!(client.get("/nope").unwrap().status, 404); // error path too
-
-        // finish_request lands a hair after the response bytes reach the
-        // client (and each scrape counts itself once finished), so poll
-        // until a scrape shows the books balanced: at least the 4
-        // requests above, with the histogram agreeing with the counter.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let (text, requests) = loop {
-            let text = client
-                .get("/v1/metrics")
-                .unwrap()
-                .body_str()
-                .unwrap()
-                .to_string();
-            let value = |prefix: &str| -> Option<u64> {
-                text.lines()
-                    .find(|l| l.starts_with(prefix))
-                    .and_then(|l| l.rsplit(' ').next())
-                    .and_then(|v| v.parse().ok())
-            };
-            let requests = value("gpa_requests_total ").unwrap_or(0);
-            if requests >= 4
-                && value("gpa_request_duration_us_count ") == Some(requests)
-                && value("gpa_request_duration_us_bucket{le=\"+Inf\"} ") == Some(requests)
-            {
-                break (text, requests);
-            }
-            assert!(
-                Instant::now() < deadline,
-                "{io:?}: books never balanced:\n{text}"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        assert!(requests >= 4, "{io:?}");
-        shapes.borrow_mut().push(
-            text.lines()
-                .filter(|l| !l.starts_with('#'))
-                .map(|l| {
-                    l.rsplit_once(' ')
-                        .map_or(l, |(series, _)| series)
-                        .to_string()
-                })
-                .collect(),
-        );
-        server.shutdown();
+fn metrics_exposition_balances_its_books() {
+    let server = api_server(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
     });
-    let shapes = shapes.into_inner();
-    if shapes.len() == 2 {
-        assert_eq!(
-            shapes[0], shapes[1],
-            "metric names and labels must not depend on the io model"
-        );
+    let client = Client::new(server.local_addr().to_string());
+    for _ in 0..3 {
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
     }
+    assert_eq!(client.get("/nope").unwrap().status, 404); // error path too
+
+    // finish_request lands a hair after the response bytes reach the
+    // client (and each scrape counts itself once finished), so poll
+    // until a scrape shows the books balanced: at least the 4
+    // requests above, with the histogram agreeing with the counter.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let text = client
+            .get("/v1/metrics")
+            .unwrap()
+            .body_str()
+            .unwrap()
+            .to_string();
+        let value = |prefix: &str| -> Option<u64> {
+            text.lines()
+                .find(|l| l.starts_with(prefix))
+                .and_then(|l| l.rsplit(' ').next())
+                .and_then(|v| v.parse().ok())
+        };
+        let requests = value("gpa_requests_total ").unwrap_or(0);
+        if requests >= 4
+            && value("gpa_request_duration_us_count ") == Some(requests)
+            && value("gpa_request_duration_us_bucket{le=\"+Inf\"} ") == Some(requests)
+        {
+            break;
+        }
+        assert!(Instant::now() < deadline, "books never balanced:\n{text}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.shutdown();
 }
 
 #[test]
 fn slow_requests_warn_with_a_phase_breakdown_that_adds_up() {
-    // One model suffices: the WARN promotion and span accounting live in
-    // finish_request, which both engines share.
+    // The WARN promotion and span accounting live in finish_request.
     let capture = Arc::new(Mutex::new(Vec::new()));
     gpa_telemetry::log::set_capture(Some(Arc::clone(&capture)));
     let server = Server::start(

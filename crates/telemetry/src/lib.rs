@@ -33,13 +33,14 @@ pub use trace::{PhaseSpan, RequestTrace};
 /// Canonical phase names used across the serving stack.
 ///
 /// The server pre-registers one latency histogram per phase so that the
-/// `/v1/metrics` label set is identical across io models and independent
-/// of traffic. Spans recorded under any other name are still carried in
-/// the trace (and the access log) but get no histogram.
+/// `/v1/metrics` label set is independent of traffic. Spans recorded
+/// under any other name are still carried in the trace (and the access
+/// log) but get no histogram.
 pub mod phase {
     /// Reading + parsing the request head and body off the socket.
     pub const PARSE: &str = "parse";
-    /// Time spent queued between the acceptor/reactor and a worker.
+    /// Time an accepted connection waits in the queue for a worker
+    /// (first request on a connection only).
     pub const QUEUE: &str = "queue";
     /// Total time inside the application handler.
     pub const HANDLE: &str = "handle";
