@@ -8,7 +8,7 @@ use gpa_core::{extract, Model};
 use gpa_hw::{KernelResources, Machine};
 use gpa_mem::bank::{bank_transactions, BankConfig};
 use gpa_mem::coalesce::{coalesce_half_warp, CoalesceConfig};
-use gpa_sim::{FunctionalSim, GlobalMemory, LaunchConfig, TimingSim, TraceSource};
+use gpa_sim::{FunctionalSim, GlobalMemory, LaunchConfig, Threads, TimingSim, TraceSource};
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -74,15 +74,15 @@ fn bench_engine_sharding(c: &mut Criterion) {
     let data = matmul::setup(&mut gmem0, 256);
     let params = [data.a_dev as u32, data.b_dev as u32, data.c_dev as u32];
     for (name, threads) in [
-        ("engine/matmul256_seq", 1usize),
-        ("engine/matmul256_par", 0),
+        ("engine/matmul256_seq", Threads::sequential()),
+        ("engine/matmul256_par", Threads::Auto),
     ] {
         c.bench_function(name, |b| {
             b.iter_batched(
                 || gmem0.clone(),
                 |mut gmem| {
                     let mut sim = FunctionalSim::new(&machine, &kernel, launch).unwrap();
-                    sim.set_params(&params).set_num_threads(threads);
+                    sim.set_params(&params).set_threads(threads);
                     sim.run(&mut gmem).unwrap()
                 },
                 BatchSize::LargeInput,

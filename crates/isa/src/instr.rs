@@ -94,7 +94,7 @@ pub enum SpecialReg {
 }
 
 impl SpecialReg {
-    /// All special registers, in encoding order.
+    /// All special registers.
     pub const ALL: [SpecialReg; 8] = [
         SpecialReg::TidX,
         SpecialReg::TidY,
@@ -105,16 +105,6 @@ impl SpecialReg {
         SpecialReg::NCtaIdX,
         SpecialReg::NCtaIdY,
     ];
-
-    /// Dense index, stable across releases (used by the binary encoding).
-    pub fn index(self) -> u8 {
-        Self::ALL.iter().position(|s| *s == self).unwrap() as u8
-    }
-
-    /// Inverse of [`SpecialReg::index`].
-    pub fn from_index(i: u8) -> Option<SpecialReg> {
-        Self::ALL.get(usize::from(i)).copied()
-    }
 
     /// Assembly mnemonic, e.g. `%tid.x`.
     pub fn mnemonic(self) -> &'static str {
@@ -140,7 +130,7 @@ impl fmt::Display for SpecialReg {
 /// A memory address expression `[base + offset]`.
 ///
 /// With `base == None` the address is absolute (`offset` only). Offsets are
-/// byte offsets; the binary encoding limits them to 18 signed bits.
+/// byte offsets; the ISA's 18-bit signed offset field limits them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemAddr {
     /// Optional base register (per-lane value).
@@ -150,19 +140,14 @@ pub struct MemAddr {
 }
 
 impl MemAddr {
-    /// Maximum encodable offset magnitude (18-bit signed field).
+    /// Largest offset the ISA's 18-bit signed offset field holds.
     pub const MAX_OFFSET: i32 = (1 << 17) - 1;
-    /// Minimum encodable offset.
+    /// Smallest offset the ISA's 18-bit signed offset field holds.
     pub const MIN_OFFSET: i32 = -(1 << 17);
 
     /// Address with a base register and byte offset.
     pub fn new(base: Option<Reg>, offset: i32) -> MemAddr {
         MemAddr { base, offset }
-    }
-
-    /// Returns `true` if the offset fits the binary encoding.
-    pub fn offset_encodable(self) -> bool {
-        (Self::MIN_OFFSET..=Self::MAX_OFFSET).contains(&self.offset)
     }
 }
 
@@ -186,13 +171,15 @@ impl fmt::Display for MemAddr {
 /// word (`s[base+off]`, the GT200 shared-operand idiom).
 ///
 /// At most one `Imm` **or** one `SMem` operand may appear per instruction
-/// (they share the immediate field of the binary encoding); this is checked
+/// (they share the instruction's one 14-bit immediate field); this is checked
 /// by [`crate::kernel::Kernel::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Src {
     /// A general-purpose register.
     Reg(Reg),
-    /// A signed immediate; must fit in 14 bits for the binary encoding.
+    /// A signed immediate; the ISA's immediate field is 14 bits
+    /// ([`Src::MAX_IMM`]), though [`crate::kernel::Kernel::validate`] does
+    /// not enforce the width.
     /// Full 32-bit constants are materialized with [`Op::MovImm`].
     Imm(i32),
     /// A 4-byte shared-memory operand.
@@ -200,9 +187,9 @@ pub enum Src {
 }
 
 impl Src {
-    /// Maximum encodable inline immediate (14-bit signed field).
+    /// Largest inline immediate the ISA's 14-bit signed field holds.
     pub const MAX_IMM: i32 = (1 << 13) - 1;
-    /// Minimum encodable inline immediate.
+    /// Smallest inline immediate the ISA's 14-bit signed field holds.
     pub const MIN_IMM: i32 = -(1 << 13);
 
     /// Shorthand for a shared-memory operand.
@@ -254,7 +241,7 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// All comparison operators, in encoding order.
+    /// All comparison operators.
     pub const ALL: [CmpOp; 6] = [
         CmpOp::Eq,
         CmpOp::Ne,
@@ -901,14 +888,6 @@ mod tests {
             "@!p1"
         );
         assert_eq!(SpecialReg::TidX.mnemonic(), "%tid.x");
-    }
-
-    #[test]
-    fn special_reg_index_round_trips() {
-        for sr in SpecialReg::ALL {
-            assert_eq!(SpecialReg::from_index(sr.index()), Some(sr));
-        }
-        assert_eq!(SpecialReg::from_index(8), None);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The kernel container: an instruction stream plus declared resources.
 
-use crate::encode::{decode_kernel, encode_kernel, DecodeError, EncodeError};
 use crate::instr::{Instruction, Op, Reg, Src};
 use gpa_hw::KernelResources;
 use std::error::Error;
@@ -210,35 +209,6 @@ impl Kernel {
         }
     }
 
-    /// Serialize to the binary form ("CUBIN").
-    ///
-    /// # Errors
-    ///
-    /// Returns the instruction index and cause for the first instruction
-    /// that cannot be encoded.
-    pub fn to_binary(&self) -> Result<Vec<u64>, (usize, EncodeError)> {
-        encode_kernel(&self.instrs)
-    }
-
-    /// Deserialize from the binary form.
-    ///
-    /// # Errors
-    ///
-    /// Returns the word index and cause for the first malformed word.
-    pub fn from_binary(
-        name: impl Into<String>,
-        words: &[u64],
-        resources: KernelResources,
-        param_bytes: u32,
-    ) -> Result<Kernel, (usize, DecodeError)> {
-        Ok(Kernel {
-            name: name.into(),
-            instrs: decode_kernel(words)?,
-            resources,
-            param_bytes,
-        })
-    }
-
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.instrs.len()
@@ -377,17 +347,6 @@ mod tests {
             kernel.validate(),
             Err(ValidateError::MisalignedPair { at: 0, reg: 1 })
         );
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let kernel = k(vec![
-            Instruction::new(Op::MovImm { d: Reg(0), imm: 42 }),
-            Instruction::new(Op::Exit),
-        ]);
-        let words = kernel.to_binary().unwrap();
-        let back = Kernel::from_binary("t", &words, res(), 16).unwrap();
-        assert_eq!(back.instrs, kernel.instrs);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * [`instr`] — the instruction set itself: a decuda-flavoured, structured
 //!   representation of GT200-style native instructions, each tagged with its
 //!   Table 1 [`gpa_hw::InstrClass`];
-//! * [`encode`] — a fixed 64-bit binary encoding with exact round-tripping
-//!   (the "CUBIN generator" substitute);
-//! * [`asm`] — a textual assembler and disassembler;
+//! * [`asm`] — a textual assembler and disassembler. Its text is the one
+//!   serialized kernel form: the service's custom-kernel wire format and
+//!   `gpa-analyze --kernel-asm` carry it. The simulators run the in-memory
+//!   [`Instruction`] stream directly, with no binary form in between;
 //! * [`kernel`] — the kernel container (instructions + declared resources)
 //!   and its validator;
 //! * [`mod@cfg`] — control-flow analysis: basic blocks, postdominators, and the
@@ -46,7 +47,6 @@
 pub mod asm;
 pub mod builder;
 pub mod cfg;
-pub mod encode;
 pub mod instr;
 pub mod kernel;
 

@@ -137,18 +137,6 @@ impl ServerTelemetry {
                 "Requests that stalled mid-transfer and were answered 408.",
                 stats.timeouts,
             ),
-            // Nothing advances these two; they are rendered at 0 so the
-            // exposed name set stays stable for scrapers.
-            AdHoc::counter(
-                "gpa_server_deadline_expired_total",
-                "Always 0; kept so the exposed metric names stay stable.",
-                0,
-            ),
-            AdHoc::counter(
-                "gpa_server_admission_rejected_total",
-                "Always 0; kept so the exposed metric names stay stable.",
-                0,
-            ),
             AdHoc::gauge(
                 "gpa_server_queue_depth",
                 "Connections waiting for a worker.",

@@ -1066,12 +1066,6 @@ impl Analyzer {
         self
     }
 
-    /// Drop the report cache (requests always recompute).
-    pub fn disable_report_cache(&mut self) -> &mut Self {
-        self.report_cache = None;
-        self
-    }
-
     /// Counters of the report cache, if one is enabled.
     pub fn report_cache_stats(&self) -> Option<ReportCacheStats> {
         self.report_cache.as_ref().map(|cache| cache.stats())

@@ -92,14 +92,6 @@ impl Threads {
             Threads::Fixed(n) => n.max(1),
         }
     }
-
-    /// The legacy `usize` encoding: `0` = auto, `n` = exactly `n` workers.
-    pub fn raw(self) -> usize {
-        match self {
-            Threads::Auto => 0,
-            Threads::Fixed(n) => n,
-        }
-    }
 }
 
 impl From<usize> for Threads {
@@ -115,10 +107,9 @@ impl From<usize> for Threads {
 
 /// Executes a [`FunctionalSim`]'s grid across worker threads.
 ///
-/// Construct with an explicit thread count ([`SimEngine::new`]) or one
-/// worker per available CPU core ([`SimEngine::auto`]). The engine is
-/// cheap to build; all simulation state lives in the `FunctionalSim` and
-/// the per-run shard workers.
+/// Construct from a [`Threads`] selection ([`SimEngine::with_threads`]).
+/// The engine is cheap to build; all simulation state lives in the
+/// `FunctionalSim` and the per-run shard workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimEngine {
     num_threads: usize,
@@ -133,22 +124,6 @@ struct ShardOutput {
 }
 
 impl SimEngine {
-    /// An engine with `num_threads` workers. `0` means "auto" (one worker
-    /// per available CPU core); `1` is the sequential special case.
-    pub fn new(num_threads: usize) -> SimEngine {
-        let n = if num_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            num_threads
-        };
-        SimEngine { num_threads: n }
-    }
-
-    /// One worker per available CPU core.
-    pub fn auto() -> SimEngine {
-        SimEngine::new(0)
-    }
-
     /// An engine from a [`Threads`] selection.
     pub fn with_threads(threads: Threads) -> SimEngine {
         SimEngine {
@@ -303,12 +278,6 @@ impl SimEngine {
     }
 }
 
-impl Default for SimEngine {
-    fn default() -> Self {
-        SimEngine::auto()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,7 +321,7 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn run_with_threads(threads: usize, trace: bool) -> (RunOutput, GlobalMemory) {
+    fn run_with_threads(threads: Threads, trace: bool) -> (RunOutput, GlobalMemory) {
         let m = Machine::gtx285();
         let k = staged_kernel(64);
         let launch = LaunchConfig::new_1d(37, 64);
@@ -361,7 +330,7 @@ mod tests {
         let mut sim = FunctionalSim::new(&m, &k, launch).unwrap();
         sim.set_params(&[out as u32])
             .collect_traces(trace)
-            .set_num_threads(threads);
+            .set_threads(threads);
         sim.add_region("out", out, u64::from(37u32 * 64) * 4);
         let output = sim.run(&mut gmem).unwrap();
         (output, gmem)
@@ -390,22 +359,24 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_bitwise() {
-        let (seq, seq_mem) = run_with_threads(1, true);
-        for threads in [2usize, 3, 4, 0] {
+        let (seq, seq_mem) = run_with_threads(Threads::sequential(), true);
+        for threads in [
+            Threads::Fixed(2),
+            Threads::Fixed(3),
+            Threads::Fixed(4),
+            Threads::Auto,
+        ] {
             let (par, par_mem) = run_with_threads(threads, true);
-            assert_eq!(seq.stats, par.stats, "stats diverge at {threads} threads");
-            assert_eq!(
-                seq.traces, par.traces,
-                "traces diverge at {threads} threads"
-            );
-            assert_eq!(seq_mem, par_mem, "memory diverges at {threads} threads");
+            assert_eq!(seq.stats, par.stats, "stats diverge at {threads:?}");
+            assert_eq!(seq.traces, par.traces, "traces diverge at {threads:?}");
+            assert_eq!(seq_mem, par_mem, "memory diverges at {threads:?}");
         }
     }
 
     #[test]
     fn parallel_without_traces_matches_too() {
-        let (seq, seq_mem) = run_with_threads(1, false);
-        let (par, par_mem) = run_with_threads(3, false);
+        let (seq, seq_mem) = run_with_threads(Threads::sequential(), false);
+        let (par, par_mem) = run_with_threads(Threads::Fixed(3), false);
         assert!(seq.traces.is_none() && par.traces.is_none());
         assert_eq!(seq.stats, par.stats);
         assert_eq!(seq_mem, par_mem);
@@ -420,7 +391,8 @@ mod tests {
             let mut gmem = GlobalMemory::new();
             let out = gmem.alloc(u64::from(9u32 * 64) * 4, 128);
             let mut sim = FunctionalSim::new(&m, &k, launch).unwrap();
-            sim.set_params(&[out as u32]).set_num_threads(threads);
+            sim.set_params(&[out as u32])
+                .set_threads(Threads::Fixed(threads));
             gmem.begin_write_capture();
             sim.run(&mut gmem).unwrap();
             gmem.take_captured_writes()
@@ -449,7 +421,8 @@ mod tests {
             let out = gmem.alloc(2 * 32 * 4, 128);
             let pristine = gmem.clone();
             let mut sim = FunctionalSim::new(&m, &k, launch).unwrap();
-            sim.set_params(&[out as u32]).set_num_threads(threads);
+            sim.set_params(&[out as u32])
+                .set_threads(Threads::Fixed(threads));
             let err = sim.run(&mut gmem).unwrap_err();
             assert_eq!(
                 format!("{err:?}"),
@@ -462,9 +435,8 @@ mod tests {
 
     #[test]
     fn auto_resolves_to_at_least_one_worker() {
-        assert!(SimEngine::auto().num_threads() >= 1);
-        assert_eq!(SimEngine::new(5).num_threads(), 5);
-        assert_eq!(SimEngine::default(), SimEngine::auto());
+        assert!(SimEngine::with_threads(Threads::Auto).num_threads() >= 1);
+        assert_eq!(SimEngine::with_threads(Threads::Fixed(5)).num_threads(), 5);
     }
 
     #[test]
@@ -477,11 +449,5 @@ mod tests {
         assert!(Threads::Auto.count() >= 1);
         assert_eq!(Threads::from(0usize), Threads::Auto);
         assert_eq!(Threads::from(3usize), Threads::Fixed(3));
-        assert_eq!(Threads::Auto.raw(), 0);
-        assert_eq!(Threads::Fixed(3).raw(), 3);
-        assert_eq!(
-            SimEngine::with_threads(Threads::Fixed(4)),
-            SimEngine::new(4)
-        );
     }
 }

@@ -24,6 +24,7 @@
 //! error — variant, address, and (for global stores) the writes that land
 //! before it — of a lane-by-lane interpreter.
 
+use crate::engine::{SimEngine, Threads};
 use crate::error::SimError;
 use crate::grid::LaunchConfig;
 use crate::memory::GlobalMemory;
@@ -172,7 +173,7 @@ pub struct FunctionalSim<'a> {
     region_defs: Vec<(String, u64, u64, bool)>,
     fuel: u64,
     trace_blocks: TraceBlocks,
-    num_threads: usize,
+    threads: Threads,
     cfg: Cfg,
     bank_cfg: BankConfig,
     /// Largest transaction, shared by every entry of [`GRANULARITIES`].
@@ -217,7 +218,7 @@ impl<'a> FunctionalSim<'a> {
             region_defs: Vec::new(),
             fuel: 20_000_000_000,
             trace_blocks: TraceBlocks::Off,
-            num_threads: 1,
+            threads: Threads::sequential(),
             cfg: Cfg::build(&kernel.instrs),
             bank_cfg: BankConfig {
                 banks: machine.smem_banks,
@@ -268,28 +269,16 @@ impl<'a> FunctionalSim<'a> {
         self
     }
 
-    /// Shard the grid's blocks across `n` worker threads in
-    /// [`FunctionalSim::run`] (the `par` knob). `1` — the default — is the
-    /// plain sequential path; `0` means "auto": one worker per available
-    /// CPU core. Output is bit-identical for every thread count; see
+    /// Shard the grid's blocks across worker threads in
+    /// [`FunctionalSim::run`] (the `par` knob). The simulator defaults to
+    /// [`Threads::sequential`], the plain sequential walk (the
+    /// deterministic low-level baseline, including fuel accounting); the
+    /// options layers above (`MeasureOpts`, `gpa-service`) default to
+    /// [`Threads::Auto`]. Output is bit-identical for every selection; see
     /// [`crate::engine`] for the sharding/merge contract.
-    pub fn set_num_threads(&mut self, n: usize) -> &mut Self {
-        self.num_threads = n;
+    pub fn set_threads(&mut self, threads: Threads) -> &mut Self {
+        self.threads = threads;
         self
-    }
-
-    /// [`set_num_threads`](FunctionalSim::set_num_threads) via the shared
-    /// [`Threads`](crate::engine::Threads) selector. The simulator itself
-    /// defaults to the sequential walk (the deterministic low-level
-    /// baseline, including fuel accounting); the options layers above
-    /// (`MeasureOpts`, `gpa-service`) default to auto.
-    pub fn set_threads(&mut self, threads: crate::engine::Threads) -> &mut Self {
-        self.set_num_threads(threads.raw())
-    }
-
-    /// Configured worker-thread count (`0` = auto).
-    pub fn num_threads(&self) -> usize {
-        self.num_threads
     }
 
     /// The launch shape being simulated.
@@ -310,7 +299,7 @@ impl<'a> FunctionalSim<'a> {
 
     /// Execute every block of the grid, in block-id order.
     ///
-    /// With the default single worker thread ([`FunctionalSim::set_num_threads`])
+    /// With the default single worker thread ([`FunctionalSim::set_threads`])
     /// blocks run sequentially on the calling thread; with more, the
     /// [`crate::engine::SimEngine`] shards blocks across workers and merges
     /// the results into the same (bit-identical) output. Blocks must be
@@ -327,7 +316,7 @@ impl<'a> FunctionalSim<'a> {
     /// between thread counts.
     pub fn run(&self, gmem: &mut GlobalMemory) -> Result<RunOutput, SimError> {
         let _span = gpa_telemetry::PhaseSpan::start(gpa_telemetry::phase::FUNCTIONAL_SIM);
-        crate::engine::SimEngine::new(self.num_threads).run(self, gmem)
+        SimEngine::with_threads(self.threads).run(self, gmem)
     }
 
     /// Execute a single block with a fresh fuel budget, as the

@@ -13,7 +13,8 @@
 //!   It can also record per-warp instruction traces for the timing
 //!   simulator. Grids can execute sequentially or sharded across worker
 //!   threads by [`engine::SimEngine`] with bit-identical output
-//!   ([`func::FunctionalSim::set_num_threads`]).
+//!   ([`func::FunctionalSim::set_threads`] with an [`engine::Threads`]
+//!   selection).
 //! * [`timing::TimingSim`] — the **hardware substitute**: a coarse
 //!   cycle-level model of the GTX 285 (scoreboarded in-order warp issue,
 //!   per-class port occupancy, a 16-bank shared-memory port, TPC clusters

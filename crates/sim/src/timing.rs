@@ -81,12 +81,6 @@ impl TimingConfig {
     }
 }
 
-impl Default for TimingConfig {
-    fn default() -> Self {
-        TimingConfig::gt200()
-    }
-}
-
 /// Where block traces come from.
 ///
 /// Homogeneous grids (every block runs the same instruction stream with the
@@ -171,7 +165,7 @@ pub struct TimingSim<'m> {
 }
 
 impl<'m> TimingSim<'m> {
-    /// A timing simulator with the default GT200 calibration.
+    /// A timing simulator with the GT200 calibration ([`TimingConfig::gt200`]).
     pub fn new(machine: &'m Machine) -> TimingSim<'m> {
         TimingSim {
             machine,
@@ -180,12 +174,6 @@ impl<'m> TimingSim<'m> {
             uniform_clusters: false,
             threads: Threads::sequential(),
         }
-    }
-
-    /// Override the calibration.
-    pub fn with_config(mut self, config: TimingConfig) -> TimingSim<'m> {
-        self.config = config;
-        self
     }
 
     /// Address ranges whose loads go through the per-cluster texture cache.

@@ -2,13 +2,14 @@
 //! is **observationally identical** to the sequential walk. For random
 //! kernels and launch shapes, a run sharded across worker threads must
 //! produce exactly the same `DynamicStats`, the same per-warp traces, and
-//! the same final global-memory image as `num_threads = 1` — bit for bit.
+//! the same final global-memory image as `Threads::sequential()` — bit for
+//! bit.
 
 use gpa::hw::Machine;
 use gpa::isa::instr::{CmpOp, MemAddr, NumTy, SpecialReg, Width};
 use gpa::isa::{Kernel, KernelBuilder, Pred, Src};
 use gpa::sim::func::RunOutput;
-use gpa::sim::{FunctionalSim, GlobalMemory, LaunchConfig};
+use gpa::sim::{FunctionalSim, GlobalMemory, LaunchConfig, Threads};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -116,14 +117,14 @@ fn random_kernel(seed: u64, threads: u32) -> Kernel {
     b.finish().expect("generated kernel is structurally valid")
 }
 
-fn run(kernel: &Kernel, launch: LaunchConfig, num_threads: usize) -> (RunOutput, GlobalMemory) {
+fn run(kernel: &Kernel, launch: LaunchConfig, threads: Threads) -> (RunOutput, GlobalMemory) {
     let total = u64::from(launch.num_blocks()) * u64::from(launch.threads_per_block());
     let mut gmem = GlobalMemory::new();
     let out = gmem.alloc(total * 4, 128);
     let mut sim = FunctionalSim::new(machine(), kernel, launch).expect("launchable");
     sim.set_params(&[out as u32])
         .collect_traces(true)
-        .set_num_threads(num_threads);
+        .set_threads(threads);
     sim.add_region("out", out, total * 4);
     let output = sim.run(&mut gmem).expect("kernel runs");
     (output, gmem)
@@ -139,8 +140,8 @@ proptest! {
     ) {
         let kernel = random_kernel(seed, threads);
         let launch = LaunchConfig::new_1d(grid, threads);
-        let (seq, seq_mem) = run(&kernel, launch, 1);
-        let (par, par_mem) = run(&kernel, launch, workers);
+        let (seq, seq_mem) = run(&kernel, launch, Threads::sequential());
+        let (par, par_mem) = run(&kernel, launch, Threads::Fixed(workers));
         prop_assert_eq!(
             &seq.stats, &par.stats,
             "stats diverge (seed {:#x}, {} blocks, {} workers)", seed, grid, workers

@@ -1,17 +1,17 @@
-//! Integration: every case-study kernel survives the full representation
-//! cycle — binary encode/decode (the "CUBIN") and assembly text
-//! parse/print — and the recovered kernel behaves identically in the
-//! functional simulator.
+//! Integration: every case-study and microbenchmark kernel survives the
+//! one serialized kernel form — assembly text print/parse — and the
+//! recovered kernel behaves identically in the functional simulator.
 
 use gpa::apps::{matmul, spmv, tridiag};
-use gpa::hw::Machine;
+use gpa::hw::{InstrClass, Machine};
 use gpa::isa::asm::{kernel_to_asm, parse_kernel};
 use gpa::isa::Kernel;
 use gpa::sim::{FunctionalSim, GlobalMemory, LaunchConfig};
+use gpa::ubench::{gmem, instr, smem};
 
 fn all_kernels() -> Vec<Kernel> {
     let qcd = spmv::qcd_like(4, 1);
-    vec![
+    let mut kernels = vec![
         matmul::kernel(128, 8).unwrap(),
         matmul::kernel(128, 16).unwrap(),
         matmul::kernel(1024, 32).unwrap(),
@@ -20,20 +20,15 @@ fn all_kernels() -> Vec<Kernel> {
         spmv::ell_kernel(&qcd).unwrap(),
         spmv::bell_kernel(&qcd, false).unwrap(),
         spmv::bell_kernel(&qcd, true).unwrap(),
-    ]
-}
-
-#[test]
-fn binary_round_trip_preserves_every_kernel() {
-    for k in all_kernels() {
-        let words = k
-            .to_binary()
-            .unwrap_or_else(|e| panic!("{}: encode {e:?}", k.name));
-        let back = Kernel::from_binary(k.name.clone(), &words, k.resources, k.param_bytes)
-            .unwrap_or_else(|e| panic!("{}: decode {e:?}", k.name));
-        assert_eq!(back.instrs, k.instrs, "{} binary round-trip", k.name);
-        assert!(back.validate().is_ok());
+        smem::kernel(16, 256).unwrap(),
+        // x4 and x2 unrolled bodies of the global-memory microbenchmark.
+        gmem::kernel(gmem::GmemConfig::new(30, 256, 8)).unwrap(),
+        gmem::kernel(gmem::GmemConfig::new(30, 256, 2)).unwrap(),
+    ];
+    for class in InstrClass::ALL {
+        kernels.push(instr::kernel(class, 8, 16, 256).unwrap());
     }
+    kernels
 }
 
 #[test]
@@ -43,6 +38,8 @@ fn assembly_round_trip_preserves_every_kernel() {
         let back = parse_kernel(&text).unwrap_or_else(|e| panic!("{}: parse {e}", k.name));
         assert_eq!(back.instrs, k.instrs, "{} asm round-trip", k.name);
         assert_eq!(back.resources, k.resources);
+        assert_eq!(back.name, k.name);
+        assert_eq!(back.param_bytes, k.param_bytes);
     }
 }
 
