@@ -360,12 +360,11 @@ pub fn run(
     tile: u32,
     verify: bool,
 ) -> Result<CaseRun, CaseError> {
-    run_with_threads(machine, model, n, tile, verify, 1)
+    run_with_threads(machine, model, n, tile, verify, Threads::sequential())
 }
 
 /// Like [`run`], with block execution sharded across `threads` worker
-/// threads (plain counts convert: `0` = auto). Results are bit-identical
-/// to [`run`].
+/// threads. Results are bit-identical to [`run`].
 ///
 /// # Errors
 ///
@@ -380,10 +379,10 @@ pub fn run_with_threads(
     n: u32,
     tile: u32,
     verify: bool,
-    threads: impl Into<Threads>,
+    threads: Threads,
 ) -> Result<CaseRun, CaseError> {
     let mut study = case(n, tile);
-    let run = run_study(machine, model, &mut study, threads.into(), None)?;
+    let run = run_study(machine, model, &mut study, threads, None)?;
     if verify {
         study.check().unwrap_or_else(|e| panic!("{e}"));
     }

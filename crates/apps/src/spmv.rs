@@ -560,12 +560,20 @@ pub fn run(
     texture: bool,
     verify: bool,
 ) -> Result<CaseRun, CaseError> {
-    run_with_threads(machine, model, m, format, texture, verify, 1)
+    run_with_threads(
+        machine,
+        model,
+        m,
+        format,
+        texture,
+        verify,
+        Threads::sequential(),
+    )
 }
 
 /// Like [`run`], with block execution (and the per-block trace pass)
-/// sharded across `threads` worker threads (plain counts convert: `0` =
-/// auto). Results are bit-identical to [`run`].
+/// sharded across `threads` worker threads. Results are bit-identical to
+/// [`run`].
 ///
 /// # Errors
 ///
@@ -581,10 +589,10 @@ pub fn run_with_threads(
     format: Format,
     texture: bool,
     verify: bool,
-    threads: impl Into<Threads>,
+    threads: Threads,
 ) -> Result<CaseRun, CaseError> {
     let mut study = case(m, format, texture);
-    let run = run_study(machine, model, &mut study, threads.into(), None)?;
+    let run = run_study(machine, model, &mut study, threads, None)?;
     if verify {
         study.check().unwrap_or_else(|e| panic!("{e}"));
     }

@@ -480,12 +480,19 @@ pub fn run(
     padded: bool,
     verify: bool,
 ) -> Result<CaseRun, CaseError> {
-    run_with_threads(machine, model, n, nsys, padded, verify, 1)
+    run_with_threads(
+        machine,
+        model,
+        n,
+        nsys,
+        padded,
+        verify,
+        Threads::sequential(),
+    )
 }
 
 /// Like [`run`], with block execution sharded across `threads` worker
-/// threads (plain counts convert: `0` = auto). Results are bit-identical
-/// to [`run`].
+/// threads. Results are bit-identical to [`run`].
 ///
 /// # Errors
 ///
@@ -501,10 +508,10 @@ pub fn run_with_threads(
     nsys: u32,
     padded: bool,
     verify: bool,
-    threads: impl Into<Threads>,
+    threads: Threads,
 ) -> Result<CaseRun, CaseError> {
     let mut study = case(n, nsys, padded);
-    let run = run_study(machine, model, &mut study, threads.into(), None)?;
+    let run = run_study(machine, model, &mut study, threads, None)?;
     if verify {
         study.check().unwrap_or_else(|e| panic!("{e}"));
     }

@@ -301,8 +301,8 @@ pub fn run_study(
     let launch = *launch;
     let mut timing = TimingSim::new(machine);
     // The same worker selection drives both phases: block execution in the
-    // functional pass and cluster replay in the timing pass (a uniform
-    // grid replays one cluster, so it stays single-worker regardless).
+    // functional pass and cluster replay in the timing pass (a homogeneous
+    // source replays one cluster, so it stays single-worker regardless).
     timing.set_threads(threads);
     let tex: Vec<(u64, u64)> = regions
         .iter()
@@ -337,7 +337,6 @@ pub fn run_study(
             func.collect_traces(TraceBlocks::First);
             let out = func.run(gmem)?;
             let trace = out.traces.and_then(|mut t| t.pop());
-            timing.assume_uniform_clusters(true);
             (
                 TraceSource::Homogeneous(Arc::new(trace.expect("block 0 is traced"))),
                 out.stats,
@@ -355,10 +354,7 @@ pub fn run_study(
                 // Block 0's trace here is exactly the trace the
                 // Homogeneous arm collects — this branch reproduces
                 // TraceMode::Homogeneous bit for bit.
-                timing.assume_uniform_clusters(true);
-                for extra in traces.split_off(1) {
-                    gpa_sim::trace_pool::give_block(extra);
-                }
+                traces.truncate(1);
                 TraceSource::Homogeneous(Arc::new(
                     traces.pop().expect("a launch has at least one block"),
                 ))
@@ -369,9 +365,6 @@ pub fn run_study(
         }
     };
     let timing_result = timing.run(&src, &launch, kernel.resources);
-    // The replay is done with the traces: recycle their buffers for the
-    // next traced run (a no-op if anyone still holds them).
-    gpa_sim::trace_pool::reclaim(src);
 
     let input = extract(machine, &kernel.name, launch, kernel.resources, stats)?;
     let analysis = model.analyze(&input);
@@ -399,31 +392,6 @@ mod tests {
                 smem: vec![1e10, 1e11],
             },
         )
-    }
-
-    #[test]
-    fn repeated_runs_recycle_trace_buffers() {
-        let machine = Machine::gtx285();
-        let mut model = model(&machine);
-
-        // Two warm-up rounds: the first analyze lazily builds model
-        // state that itself runs a traced simulation and retains those
-        // buffers, so steady-state recycling starts one round later.
-        for _ in 0..2 {
-            let mut study = crate::matmul::case(64, 16);
-            run_study(&machine, &mut model, &mut study, Threads::from(1), None).unwrap();
-        }
-
-        // The steady-state run must draw from the pool rather than
-        // allocate fresh buffers. The counter is global and monotone, so
-        // assert the delta (any concurrent reuse only increases it).
-        let before = gpa_sim::trace_pool::reuses();
-        let mut study = crate::matmul::case(64, 16);
-        run_study(&machine, &mut model, &mut study, Threads::from(1), None).unwrap();
-        assert!(
-            gpa_sim::trace_pool::reuses() > before,
-            "a repeated traced run must recycle at least one buffer"
-        );
     }
 
     /// Matmul and tridiag declare the block-0 path because their blocks

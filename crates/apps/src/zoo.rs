@@ -1024,7 +1024,7 @@ mod tests {
                 _ => 1024,
             };
             let mut study = case(w.name, n, 7);
-            run_study(machine(), &mut m, &mut study, Threads::from(1), None)
+            run_study(machine(), &mut m, &mut study, Threads::sequential(), None)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
             study.check().unwrap_or_else(|e| panic!("{}: {e}", w.name));
         }
@@ -1069,7 +1069,7 @@ mod tests {
     fn atomic_workloads_report_contention() {
         let mut m = model();
         let mut study = case("atomic_hotspot", 1024, 1);
-        let run = run_study(machine(), &mut m, &mut study, Threads::from(1), None).unwrap();
+        let run = run_study(machine(), &mut m, &mut study, Threads::sequential(), None).unwrap();
         assert!(
             run.analysis.atomic_contention_factor > 8.0,
             "hotspot contention ×{:.2}",
@@ -1082,7 +1082,7 @@ mod tests {
             run.analysis.bottleneck
         );
         let mut study = case("histogram", 1024, 1);
-        let run = run_study(machine(), &mut m, &mut study, Threads::from(1), None).unwrap();
+        let run = run_study(machine(), &mut m, &mut study, Threads::sequential(), None).unwrap();
         assert!(
             run.analysis.atomic_contention_factor > 1.1,
             "histogram contention ×{:.2}",
@@ -1094,7 +1094,7 @@ mod tests {
     fn bank_conflict_workload_is_conflicted() {
         let mut m = model();
         let mut study = case("shared_bank_conflict", 1024, 1);
-        let run = run_study(machine(), &mut m, &mut study, Threads::from(1), None).unwrap();
+        let run = run_study(machine(), &mut m, &mut study, Threads::sequential(), None).unwrap();
         assert!(
             run.analysis.bank_conflict_factor > 1.5,
             "factor {:.2}",

@@ -41,12 +41,7 @@ fn bench_functional_sim(c: &mut Criterion) {
                         for r in &study.regions {
                             sim.add_region(r.name.clone(), r.base, r.len);
                         }
-                        let out = sim.run(&mut gmem).unwrap();
-                        // Recycle trace buffers, as a serving process does.
-                        for block in out.traces.into_iter().flatten() {
-                            gpa_sim::trace_pool::give_block(block);
-                        }
-                        out.stats
+                        sim.run(&mut gmem).unwrap().stats
                     },
                     BatchSize::LargeInput,
                 )

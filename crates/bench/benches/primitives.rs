@@ -104,8 +104,7 @@ fn bench_timing_sim(c: &mut Criterion) {
     let trace = Arc::new(sim.run_block(&mut gmem, 0, &mut stats).unwrap().unwrap());
     c.bench_function("timing_sim/matmul128", |b| {
         b.iter(|| {
-            let mut timing = TimingSim::new(&machine);
-            timing.assume_uniform_clusters(true);
+            let timing = TimingSim::new(&machine);
             let src = TraceSource::Homogeneous(Arc::clone(&trace));
             timing.run(
                 &src,

@@ -17,9 +17,6 @@ fn main() {
         "Figure 12: SpMV GFLOPS, QCD-like operator, L = {l} ({} nnz; paper matrix: 1.9M nnz)",
         mat.nnz()
     );
-    if threads != 1 {
-        println!("(simulating with --threads {threads}; results are thread-count-invariant)");
-    }
     rule(64);
     println!("{:>18} {:>12} {:>14}", "variant", "GFLOPS", "paper GFLOPS");
     rule(64);
@@ -53,7 +50,7 @@ fn main() {
     );
     println!("paper: vector interleaving wins even without the texture cache.");
     eprintln!(
-        "[fig12] simulated in {:.2}s with --threads {threads} (try --par)",
+        "[fig12] simulated in {:.2}s with {threads:?} (try --par)",
         start.elapsed().as_secs_f64()
     );
 }

@@ -11,7 +11,6 @@
 use gpa_bench::{curves_with, paper_scale, rule, threads_arg, vs_paper};
 use gpa_hw::Machine;
 use gpa_service::{AnalysisRequest, Analyzer, Effort, KernelSpec};
-use gpa_sim::Threads;
 
 fn main() {
     let paper = paper_scale();
@@ -63,7 +62,7 @@ fn main() {
                 .map(|(_, spec)| AnalysisRequest::new(spec.clone(), &sku.name))
         })
         .collect();
-    let reports = analyzer.analyze_batch_with(&requests, Threads::from(threads));
+    let reports = analyzer.analyze_batch_with(&requests, threads);
 
     println!("Table 3: per-SKU model predictions (ms, measured = timing simulator)");
     rule(30 + 26 * skus.len());

@@ -13,7 +13,6 @@ use gpa_bench::{curves_with, paper_scale, rule, threads_arg};
 use gpa_core::Component;
 use gpa_hw::Machine;
 use gpa_service::{zoo, AnalysisRequest, Analyzer, Effort, KernelSpec};
-use gpa_sim::Threads;
 
 fn main() {
     let paper = paper_scale();
@@ -58,7 +57,7 @@ fn main() {
             })
         })
         .collect();
-    let reports = analyzer.analyze_batch_with(&requests, Threads::from(threads));
+    let reports = analyzer.analyze_batch_with(&requests, threads);
     let mut it = reports.into_iter();
 
     println!("Workload zoo: bottleneck and GFLOPS per Table 3 SKU");

@@ -34,6 +34,7 @@
 //! `layer/<phase>/<workload>` after the telemetry phase.
 
 use gpa_hw::Machine;
+use gpa_sim::Threads;
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
 use std::fs;
 use std::path::PathBuf;
@@ -87,33 +88,40 @@ pub fn paper_scale() -> bool {
 }
 
 /// Worker threads requested on the command line: `--threads N`
-/// (`0` = auto, one per CPU core) or `--par` as shorthand for auto.
-/// Defaults to `1` (sequential). Exhibits produce bit-identical numbers
-/// for every thread count; only wall-clock changes.
-pub fn threads_arg() -> usize {
+/// (`0` = [`Threads::Auto`], one per CPU core) or `--par` as shorthand
+/// for auto. Defaults to [`Threads::sequential`]. Exhibits produce
+/// bit-identical numbers for every thread count; only wall-clock changes.
+pub fn threads_arg() -> Threads {
     let args: Vec<String> = std::env::args().collect();
     let bad = || -> ! {
         eprintln!("error: --threads requires a count (0 = one worker per core)");
         std::process::exit(2);
     };
+    let count = |n: usize| {
+        if n == 0 {
+            Threads::Auto
+        } else {
+            Threads::Fixed(n)
+        }
+    };
     for (i, arg) in args.iter().enumerate() {
         if arg == "--threads" {
             match args.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(n) => return n,
+                Some(n) => return count(n),
                 None => bad(),
             }
         }
         if let Some(v) = arg.strip_prefix("--threads=") {
             match v.parse() {
-                Ok(n) => return n,
+                Ok(n) => return count(n),
                 Err(_) => bad(),
             }
         }
     }
     if args.iter().any(|a| a == "--par") {
-        0
+        Threads::Auto
     } else {
-        1
+        Threads::sequential()
     }
 }
 
@@ -164,7 +172,10 @@ mod tests {
         perturbed.max_blocks_per_sm = 16;
         assert_ne!(base, curves_cache_path(&perturbed, &paper));
         // Thread count does not affect results, so it shares the key.
-        assert_eq!(base, curves_cache_path(&gtx285, &paper.with_threads(8)));
+        assert_eq!(
+            base,
+            curves_cache_path(&gtx285, &paper.with_threads(Threads::Fixed(8)))
+        );
         // Stable across calls.
         assert_eq!(
             base,

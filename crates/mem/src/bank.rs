@@ -8,9 +8,10 @@
 //!
 //! The paper counts shared-memory traffic in **warp-equivalent
 //! transactions**: a conflict-free full-warp access (two conflict-free
-//! half-warps) counts as 1. [`warp_bank_transactions`] returns half-warp
-//! transactions; divide by 2 for the paper's unit (the simulator's
-//! statistics do this normalization).
+//! half-warps) counts as 1. [`bank_transactions`] returns half-warp
+//! transactions; a full warp costs the sum of its two half-warps, divided
+//! by 2 for the paper's unit (the simulator's statistics do this
+//! normalization).
 
 /// Shared-memory geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,41 +57,37 @@ impl Default for BankConfig {
 /// `addrs[i]` is lane *i*'s byte address into shared memory, `None` for
 /// inactive lanes. Returns 0 when no lane is active, 1 for a conflict-free
 /// or broadcast access, and up to `banks` for the worst case.
+///
+/// # Panics
+///
+/// Panics if `addrs` has more than 32 lanes or an address does not fit
+/// 32 bits.
 pub fn bank_transactions(addrs: &[Option<u64>], cfg: BankConfig) -> u32 {
-    match lane_row(addrs) {
-        Some((row, active)) => bank_degree(&row[..addrs.len()], active, cfg),
-        None => {
-            let mut per_bank: Vec<Vec<u64>> = vec![Vec::new(); cfg.banks as usize];
-            for addr in addrs.iter().flatten() {
-                let word = addr / u64::from(cfg.width);
-                let bank = (word % u64::from(cfg.banks)) as usize;
-                if !per_bank[bank].contains(&word) {
-                    per_bank[bank].push(word);
-                }
-            }
-            per_bank.iter().map(|v| v.len() as u32).max().unwrap_or(0)
-        }
-    }
+    let (row, active) = lane_row(addrs);
+    bank_degree(&row[..addrs.len()], active, cfg)
 }
 
 /// Lanes a row-wise degree function accepts (bits of its `active` mask).
 const ROW_LANES: usize = 32;
 
 /// Split an `Option` lane list into an address row and an active-lane
-/// mask, when it fits one: at most [`ROW_LANES`] lanes, 32-bit addresses.
-fn lane_row(addrs: &[Option<u64>]) -> Option<([u32; ROW_LANES], u32)> {
-    if addrs.len() > ROW_LANES {
-        return None;
-    }
+/// mask.
+///
+/// # Panics
+///
+/// Panics if `addrs` has more than [`ROW_LANES`] lanes or an address
+/// does not fit 32 bits.
+fn lane_row(addrs: &[Option<u64>]) -> ([u32; ROW_LANES], u32) {
+    assert!(addrs.len() <= ROW_LANES, "a half-warp has at most 32 lanes");
     let mut row = [0u32; ROW_LANES];
     let mut active = 0u32;
     for (i, a) in addrs.iter().enumerate() {
         if let Some(a) = a {
-            row[i] = u32::try_from(*a).ok()?;
+            row[i] = u32::try_from(*a).expect("shared-memory addresses fit 32 bits");
             active |= 1 << i;
         }
     }
-    Some((row, active))
+    (row, active)
 }
 
 /// Word and bank arithmetic of a [`BankConfig`], with shifts and masks in
@@ -211,18 +208,13 @@ pub fn bank_degree(addrs: &[u32], active: u32, cfg: BankConfig) -> u32 {
 /// lane by lane. The degree is therefore the deepest bank's *lane* count,
 /// reaching the active-lane count when every lane hammers one address (the
 /// `atomic_hotspot` worst case).
+///
+/// # Panics
+///
+/// Same contract as [`bank_transactions`].
 pub fn atomic_bank_transactions(addrs: &[Option<u64>], cfg: BankConfig) -> u32 {
-    match lane_row(addrs) {
-        Some((row, active)) => atomic_bank_degree(&row[..addrs.len()], active, cfg),
-        None => {
-            let mut depth = vec![0u32; cfg.banks as usize];
-            for addr in addrs.iter().flatten() {
-                let word = addr / u64::from(cfg.width);
-                depth[(word % u64::from(cfg.banks)) as usize] += 1;
-            }
-            depth.into_iter().max().unwrap_or(0)
-        }
-    }
+    let (row, active) = lane_row(addrs);
+    atomic_bank_degree(&row[..addrs.len()], active, cfg)
 }
 
 /// [`atomic_bank_transactions`] for an address row and active-lane mask,
@@ -252,18 +244,6 @@ pub fn atomic_bank_degree(addrs: &[u32], active: u32, cfg: BankConfig) -> u32 {
         }
     }
     depth[..n].iter().copied().max().unwrap_or(0)
-}
-
-/// Number of serialized **half-warp** transactions for a full-warp access:
-/// the sum of both half-warps' serialization degrees.
-///
-/// A conflict-free full warp returns 2 (= 1 warp-equivalent transaction in
-/// the paper's unit).
-pub fn warp_bank_transactions(addrs: &[Option<u64>], cfg: BankConfig) -> u32 {
-    addrs
-        .chunks(cfg.half_warp.max(1))
-        .map(|hw| bank_transactions(hw, cfg))
-        .sum()
 }
 
 #[cfg(test)]
@@ -396,17 +376,6 @@ mod tests {
         let addrs: Vec<Option<u64>> = (0..16u64).map(|i| Some((i / 2) * 4)).collect();
         assert_eq!(atomic_bank_transactions(&addrs, cfg), 2);
         assert_eq!(atomic_bank_transactions(&[None; 16], cfg), 0);
-    }
-
-    #[test]
-    fn warp_level_sums_half_warps() {
-        let cfg = BankConfig::gt200();
-        // Conflict-free full warp: 2 half-warp transactions.
-        let addrs: Vec<Option<u64>> = (0..32u64).map(|i| Some(i * 4)).collect();
-        assert_eq!(warp_bank_transactions(&addrs, cfg), 2);
-        // Stride-2 full warp: 2 + 2.
-        let addrs: Vec<Option<u64>> = (0..32u64).map(|i| Some(i * 8)).collect();
-        assert_eq!(warp_bank_transactions(&addrs, cfg), 4);
     }
 
     /// The definition: per bank, count distinct words; per bank, count

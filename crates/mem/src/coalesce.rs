@@ -95,51 +95,29 @@ impl fmt::Display for Transaction {
 /// Run the coalescing protocol for one half-warp.
 ///
 /// `accesses[i]` is lane *i*'s request as `(byte_address, width_bytes)`,
-/// or `None` for an inactive lane. Typically 16 entries; fewer or more are
-/// accepted (the protocol itself is size-agnostic).
+/// or `None` for an inactive lane. Typically 16 entries, at most 32.
 ///
 /// Returns the hardware transactions in issue order.
 ///
 /// # Panics
 ///
-/// Panics if an access is wider than `cfg.max_segment` or not naturally
-/// aligned — the GT200 requires natural alignment for global accesses, and
-/// the functional simulator enforces it before calling here.
+/// Panics if `accesses` has more than 32 lanes, or an access is wider
+/// than `cfg.max_segment` or not naturally aligned — the GT200 requires
+/// natural alignment for global accesses, and the functional simulator
+/// enforces it before calling here.
 pub fn coalesce_half_warp(
     accesses: &[Option<(u64, u32)>],
     cfg: CoalesceConfig,
 ) -> Vec<Transaction> {
-    let mut out = Vec::new();
-    coalesce_half_warp_with(accesses, cfg, &mut |t| out.push(t));
-    out
-}
-
-/// [`coalesce_half_warp`] without the return-vector allocation: `emit` is
-/// invoked once per transaction, in issue order.
-///
-/// # Panics
-///
-/// Same contract as [`coalesce_half_warp`].
-pub fn coalesce_half_warp_with(
-    accesses: &[Option<(u64, u32)>],
-    cfg: CoalesceConfig,
-    emit: &mut dyn FnMut(Transaction),
-) {
     cfg.check();
-    const STACK_LANES: usize = 32;
-    let mut stack = [(0u64, 0u32); STACK_LANES];
-    let mut heap: Vec<(u64, u32)>;
-    let pending: &mut [(u64, u32)] = if accesses.len() <= STACK_LANES {
-        let mut n = 0usize;
-        for a in accesses.iter().flatten() {
-            stack[n] = *a;
-            n += 1;
-        }
-        &mut stack[..n]
-    } else {
-        heap = accesses.iter().flatten().copied().collect();
-        &mut heap[..]
-    };
+    assert!(accesses.len() <= 32, "a half-warp has at most 32 lanes");
+    let mut lanes = [(0u64, 0u32); 32];
+    let mut n = 0usize;
+    for a in accesses.iter().flatten() {
+        lanes[n] = *a;
+        n += 1;
+    }
+    let pending = &mut lanes[..n];
     for &(addr, len) in pending.iter() {
         assert!(
             len > 0 && len <= cfg.max_segment,
@@ -150,9 +128,11 @@ pub fn coalesce_half_warp_with(
             "access at {addr:#x} is not naturally aligned to {len}"
         );
     }
+    let mut out = Vec::new();
     segment_spans(pending, cfg.max_segment, |span| {
-        emit(span.reduce(cfg.min_segment))
+        out.push(span.reduce(cfg.min_segment))
     });
+    out
 }
 
 /// One segment of a half-warp request after steps 1–2 of the protocol:
@@ -249,20 +229,6 @@ pub fn segment_spans(
             hi,
         });
     }
-}
-
-/// Coalesce a full warp as two half-warps (the GT200 transaction issue
-/// granularity, paper §4.3) and return all transactions.
-pub fn coalesce_warp(
-    accesses: &[Option<(u64, u32)>],
-    half_warp: usize,
-    cfg: CoalesceConfig,
-) -> Vec<Transaction> {
-    let mut out = Vec::new();
-    for chunk in accesses.chunks(half_warp.max(1)) {
-        out.extend(coalesce_half_warp(chunk, cfg));
-    }
-    out
 }
 
 /// Total bytes moved by a transaction list.
@@ -384,14 +350,6 @@ mod tests {
                 }
             ]
         );
-    }
-
-    #[test]
-    fn warp_level_is_two_half_warps() {
-        let acc: Vec<_> = (0..32u64).map(|i| Some((i * 4, 4u32))).collect();
-        let txs = coalesce_warp(&acc, 16, CoalesceConfig::gt200());
-        assert_eq!(txs.len(), 2);
-        assert_eq!(total_bytes(&txs), 128);
     }
 
     #[test]

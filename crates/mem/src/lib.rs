@@ -33,6 +33,6 @@ pub mod bank;
 pub mod coalesce;
 pub mod texcache;
 
-pub use bank::{bank_degree, bank_transactions, warp_bank_transactions, BankConfig};
-pub use coalesce::{coalesce_half_warp, coalesce_warp, CoalesceConfig, SegmentSpan, Transaction};
+pub use bank::{bank_degree, bank_transactions, BankConfig};
+pub use coalesce::{coalesce_half_warp, CoalesceConfig, SegmentSpan, Transaction};
 pub use texcache::TexCache;

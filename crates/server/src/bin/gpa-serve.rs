@@ -41,9 +41,9 @@ Options:
   --cache-dir DIR    curve/report cache directory (default: shared workspace results/)
   --no-cache         always measure; do not touch the on-disk cache
   --max-body BYTES   request body ceiling (default 1048576)
-  --report-cache     memoize whole answers, content-addressed (default on);
-                     persisted under the cache dir unless --no-cache
-  --no-report-cache  recompute every answer
+  --no-report-cache  recompute every answer instead of memoizing whole
+                     answers, content-addressed (the default; persisted
+                     under the cache dir unless --no-cache)
   --report-cache-bytes BYTES
                      in-memory report cache budget (default 67108864)
   --slow-request-ms N
@@ -118,7 +118,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value(&mut i, "--cache-dir")?)),
             "--no-cache" => opts.cache_dir = None,
-            "--report-cache" => opts.report_cache = true,
             "--no-report-cache" => opts.report_cache = false,
             "--report-cache-bytes" => {
                 opts.report_cache_bytes = value(&mut i, "--report-cache-bytes")?

@@ -47,11 +47,9 @@ Options:
   --cache-dir DIR   load/store calibration curves (and cached reports)
                     under DIR (default: the shared workspace results/)
   --no-cache        always measure; do not touch the on-disk cache
-  --report-cache    memoize whole answers, content-addressed, persisted
-                    under the cache dir (default on; byte-identical to
-                    recomputing, so only --no-report-cache changes speed,
-                    never output)
-  --no-report-cache recompute every answer
+  --no-report-cache recompute every answer instead of memoizing whole
+                    answers under the cache dir (the default; either way
+                    the output is byte-identical, only speed changes)
   --kernel-asm FILE wrap a bare `.asm` kernel into a custom request:
                     the block shape comes from the file's `.threads`
                     directive, the grid from --grid (default 1), the
@@ -281,25 +279,12 @@ fn extract_cache_dir(args: &mut Vec<String>) -> Result<Option<PathBuf>, String> 
     Ok(dir)
 }
 
-/// Strip `--report-cache`/`--no-report-cache` out of `args`, returning
-/// whether answers should be memoized (default yes; last flag wins).
+/// Strip `--no-report-cache` out of `args`, returning whether answers
+/// should be memoized (default yes).
 fn extract_report_cache(args: &mut Vec<String>) -> bool {
-    let mut enabled = true;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--report-cache" => {
-                enabled = true;
-                args.remove(i);
-            }
-            "--no-report-cache" => {
-                enabled = false;
-                args.remove(i);
-            }
-            _ => i += 1,
-        }
-    }
-    enabled
+    let before = args.len();
+    args.retain(|a| a != "--no-report-cache");
+    args.len() == before
 }
 
 /// Handle `--workload NAME [--n N] [--seed S] [--machine SEL]`: wrap a

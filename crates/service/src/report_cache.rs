@@ -74,7 +74,7 @@
 use crate::AnalysisReport;
 use gpa_json::Value;
 use gpa_telemetry::Counter;
-use gpa_ubench::cache::{fnv1a, CACHE_GENERATION};
+use gpa_ubench::cache::{fnv1a, write_atomic, CACHE_GENERATION};
 use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
@@ -301,13 +301,11 @@ impl ReportCache {
         Some(report.to_json().into())
     }
 
-    /// Persist `key` atomically: stage to a process-unique temp file in
-    /// the target directory, then `rename` into place (atomic on POSIX;
-    /// concurrent writers race benignly — identical content, last
+    /// Persist `key` atomically with [`gpa_ubench::cache::write_atomic`]
+    /// (concurrent writers race benignly — identical content, last
     /// rename wins). Errors are swallowed: the report is already in
     /// hand, the disk tier is an optimization.
     fn disk_store(&self, key: &CacheKey, report_json: &str) {
-        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let Some(dir) = self.disk_dir.as_ref() else {
             return;
         };
@@ -317,16 +315,7 @@ impl ReportCache {
             ("report".into(), Value::from(report_json)),
         ])
         .to_string_pretty();
-        let path = dir.join(key.file_name());
-        let temp = dir.join(format!(
-            "{}.tmp.{}.{}",
-            key.file_name(),
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        if fs::write(&temp, wrapper).is_ok() && fs::rename(&temp, &path).is_err() {
-            let _ = fs::remove_file(&temp);
-        }
+        write_atomic(&dir.join(key.file_name()), wrapper.as_bytes());
     }
 
     /// Current counters and memory occupancy.

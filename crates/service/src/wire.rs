@@ -102,8 +102,11 @@ fn threads_to_value(t: Threads) -> Value {
 fn threads_from_value(v: &Value) -> Result<Threads, ServiceError> {
     match v {
         Value::String(s) if s == "auto" => Ok(Threads::Auto),
-        // Legacy numeric encoding: 0 = auto, n = exactly n workers.
-        Value::Number(_) => Ok(Threads::from(v.as_u64()? as usize)),
+        // Numeric encoding: 0 = auto, n = exactly n workers.
+        Value::Number(_) => Ok(match v.as_u64()? {
+            0 => Threads::Auto,
+            n => Threads::Fixed(n as usize),
+        }),
         _ => Err(wire_err("threads must be \"auto\" or a worker count")),
     }
 }

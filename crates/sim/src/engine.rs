@@ -67,8 +67,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// profiling matters. (The exception is fuel accounting: a parallel run
 /// budgets fuel per shard — see the [module docs](crate::engine).)
 ///
-/// The legacy `usize` encoding (`0` = auto, `n` = exactly `n` workers)
-/// converts via `From`, so call sites may pass plain counts.
+/// This enum is the one in-process thread encoding. The wire's numeric
+/// `threads` (`0` = auto, `n` = exactly `n` workers) is decoded by
+/// `gpa-service`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Threads {
     /// One worker per available CPU core.
@@ -90,17 +91,6 @@ impl Threads {
         match self {
             Threads::Auto => std::thread::available_parallelism().map_or(1, |p| p.get()),
             Threads::Fixed(n) => n.max(1),
-        }
-    }
-}
-
-impl From<usize> for Threads {
-    /// Legacy encoding: `0` = auto, `n` = exactly `n` workers.
-    fn from(n: usize) -> Threads {
-        if n == 0 {
-            Threads::Auto
-        } else {
-            Threads::Fixed(n)
         }
     }
 }
@@ -447,7 +437,5 @@ mod tests {
         assert_eq!(Threads::Fixed(0).count(), 1);
         assert_eq!(Threads::Fixed(7).count(), 7);
         assert!(Threads::Auto.count() >= 1);
-        assert_eq!(Threads::from(0usize), Threads::Auto);
-        assert_eq!(Threads::from(3usize), Threads::Fixed(3));
     }
 }

@@ -395,16 +395,8 @@ impl<'a> FunctionalSim<'a> {
         };
 
         let mut warps: Vec<WarpState> = (0..nwarps)
-            .map(|w| WarpState::new(w as u32, threads))
+            .map(|w| WarpState::new(w as u32, threads, traced))
             .collect();
-        if traced {
-            // Pooled buffers: repeated traced runs (a serving process, a
-            // calibration sweep) grow each warp's trace once and then
-            // recycle the capacity instead of reallocating per block.
-            for w in &mut warps {
-                w.trace = Some(crate::trace_pool::take());
-            }
-        }
 
         loop {
             let mut all_done = true;
@@ -1292,7 +1284,7 @@ struct WarpState {
 }
 
 impl WarpState {
-    fn new(warp_idx: u32, block_threads: u32) -> WarpState {
+    fn new(warp_idx: u32, block_threads: u32, traced: bool) -> WarpState {
         let first_thread = warp_idx * WARP as u32;
         let live = (block_threads - first_thread).min(WARP as u32);
         let mask = if live >= 32 {
@@ -1314,7 +1306,7 @@ impl WarpState {
                 .try_into()
                 .expect("fixed-size register file"),
             preds: [0; LANE_PREDS],
-            trace: None,
+            trace: traced.then(Vec::new),
             counted_any: None,
             counted_smem: None,
             counted_atomic: None,

@@ -25,6 +25,13 @@
 //!   published machine description — so model-vs-measured comparisons are
 //!   meaningful, as in the paper.
 //!
+//! A trace is an ordinary value: the functional simulator allocates it,
+//! the timing replay reads it through a [`timing::TraceSource`], and the
+//! caller drops it. The source is also the one statement of how much of
+//! the chip to replay: [`timing::TraceSource::Homogeneous`] (every block
+//! the same) replays the most-loaded cluster and scales from it,
+//! [`timing::TraceSource::PerBlock`] replays every cluster.
+//!
 //! The timing parameters ([`timing::TimingConfig::gt200`]) are calibrated
 //! against the paper's published throughput curves (Figures 2–3);
 //! `tests/microbench_properties.rs` at the workspace root checks the
@@ -37,7 +44,6 @@ pub mod grid;
 pub mod memory;
 pub mod stats;
 pub mod timing;
-pub mod trace_pool;
 
 pub use engine::{SimEngine, Threads};
 pub use error::SimError;

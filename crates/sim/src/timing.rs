@@ -81,16 +81,22 @@ impl TimingConfig {
     }
 }
 
-/// Where block traces come from.
+/// Where block traces come from, and so how much of the chip
+/// [`TimingSim::run`] replays.
 ///
 /// Homogeneous grids (every block runs the same instruction stream with the
 /// same conflict degrees and transaction shapes — matmul, the tridiagonal
-/// solver, the microbenchmarks) can share one trace. Data-dependent
-/// kernels provide per-block traces.
+/// solver, the microbenchmarks) share one trace. Data-dependent kernels
+/// provide per-block traces.
 pub enum TraceSource {
-    /// Every block replays the same trace.
+    /// Every block replays the same trace. The replay simulates only the
+    /// most-loaded cluster (cluster 0) and scales from it: every cluster
+    /// that got blocks reports cluster 0's time, and the aggregate
+    /// counters scale by `blocks / cluster-0 blocks` (exactly, in integer
+    /// arithmetic, for the integer counters).
     Homogeneous(Arc<BlockTrace>),
-    /// `traces[b]` is block `b`'s trace.
+    /// `traces[b]` is block `b`'s trace. The replay simulates every
+    /// cluster.
     PerBlock(Vec<Arc<BlockTrace>>),
 }
 
@@ -160,7 +166,6 @@ pub struct TimingSim<'m> {
     machine: &'m Machine,
     config: TimingConfig,
     tex_regions: Vec<(u64, u64)>,
-    uniform_clusters: bool,
     threads: Threads,
 }
 
@@ -171,7 +176,6 @@ impl<'m> TimingSim<'m> {
             machine,
             config: TimingConfig::gt200(),
             tex_regions: Vec::new(),
-            uniform_clusters: false,
             threads: Threads::sequential(),
         }
     }
@@ -179,14 +183,6 @@ impl<'m> TimingSim<'m> {
     /// Address ranges whose loads go through the per-cluster texture cache.
     pub fn set_texture_regions(&mut self, regions: Vec<(u64, u64)>) -> &mut Self {
         self.tex_regions = regions;
-        self
-    }
-
-    /// Declare the workload homogeneous across clusters: only the most
-    /// loaded cluster is simulated and the result is scaled accordingly.
-    /// Exact for grids of identical blocks; a large speedup for big grids.
-    pub fn assume_uniform_clusters(&mut self, yes: bool) -> &mut Self {
-        self.uniform_clusters = yes;
         self
     }
 
@@ -201,11 +197,6 @@ impl<'m> TimingSim<'m> {
         self
     }
 
-    /// Configured worker-thread selector for cluster replay.
-    pub fn threads(&self) -> Threads {
-        self.threads
-    }
-
     /// Timing parameters in use.
     pub fn config(&self) -> &TimingConfig {
         &self.config
@@ -214,7 +205,9 @@ impl<'m> TimingSim<'m> {
     /// Replay a launch and return its simulated time.
     ///
     /// `resources` determines occupancy (resident blocks per SM) exactly as
-    /// paper Table 2 computes it.
+    /// paper Table 2 computes it. The source decides how much is replayed:
+    /// one cluster, scaled to the chip, for [`TraceSource::Homogeneous`];
+    /// every cluster for [`TraceSource::PerBlock`].
     ///
     /// # Panics
     ///
@@ -232,7 +225,8 @@ impl<'m> TimingSim<'m> {
         let occ = occupancy(self.machine, resources);
         assert!(occ.blocks > 0, "kernel does not fit on an SM");
 
-        let simulate: Vec<u32> = if self.uniform_clusters {
+        let uniform = matches!(source, TraceSource::Homogeneous(_));
+        let simulate: Vec<u32> = if uniform {
             // The first cluster always has the most blocks.
             vec![0]
         } else {
@@ -265,7 +259,7 @@ impl<'m> TimingSim<'m> {
             tex_total += r.tex_total;
         }
 
-        if self.uniform_clusters {
+        if uniform {
             // Unsimulated clusters take at most as long as cluster 0.
             let t0 = per_cluster[0];
             for (c, slot) in per_cluster.iter_mut().enumerate().skip(1) {

@@ -58,6 +58,12 @@ fn one_block(warps: Vec<Vec<TraceEntry>>) -> TraceSource {
     TraceSource::Homogeneous(Arc::new(BlockTrace { warps }))
 }
 
+/// `n` blocks sharing one trace, replayed on every cluster.
+fn every_block(warps: Vec<Vec<TraceEntry>>, n: usize) -> TraceSource {
+    let t = Arc::new(BlockTrace { warps });
+    TraceSource::PerBlock(vec![Arc::clone(&t); n])
+}
+
 #[test]
 fn dependent_chain_is_latency_bound() {
     let m = machine();
@@ -228,11 +234,11 @@ fn blocks_fill_all_clusters() {
     // as 1 block (plus nothing), while 11 blocks make one cluster do two.
     let chain = vec![dependent_chain(100)];
     let t1 = {
-        let src = one_block(chain.clone());
+        let src = every_block(chain.clone(), 10);
         sim.run(&src, &LaunchConfig::new_1d(10, 32), res(32)).cycles
     };
     let t2 = {
-        let src = one_block(chain);
+        let src = every_block(chain, 11);
         sim.run(&src, &LaunchConfig::new_1d(11, 32), res(32)).cycles
     };
     assert!(t2 > t1 * 0.99, "11th block must not be free: {t1} vs {t2}");
@@ -247,9 +253,7 @@ fn waves_scale_with_occupancy() {
     let chain = vec![dependent_chain(50)];
     let one_wave = {
         let src = one_block(chain.clone());
-        let mut s = sim.clone();
-        s.assume_uniform_clusters(true);
-        s.run(
+        sim.run(
             &src,
             &LaunchConfig::new_1d(30, 32),
             KernelResources::new(8, 9000, 32),
@@ -258,9 +262,7 @@ fn waves_scale_with_occupancy() {
     };
     let ten_waves = {
         let src = one_block(chain);
-        let mut s = sim.clone();
-        s.assume_uniform_clusters(true);
-        s.run(
+        sim.run(
             &src,
             &LaunchConfig::new_1d(300, 32),
             KernelResources::new(8, 9000, 32),
@@ -277,14 +279,12 @@ fn uniform_cluster_mode_matches_full_simulation() {
     let base = TimingSim::new(&m);
     let chain: Vec<Vec<TraceEntry>> = vec![dependent_chain(80); 2];
     let full = {
-        let src = one_block(chain.clone());
+        let src = every_block(chain.clone(), 40);
         base.run(&src, &LaunchConfig::new_1d(40, 64), res(64))
     };
     let fast = {
         let src = one_block(chain);
-        let mut s = base.clone();
-        s.assume_uniform_clusters(true);
-        s.run(&src, &LaunchConfig::new_1d(40, 64), res(64))
+        base.run(&src, &LaunchConfig::new_1d(40, 64), res(64))
     };
     let rel = (full.cycles - fast.cycles).abs() / full.cycles;
     assert!(rel < 0.01, "uniform-mode divergence {rel}");
@@ -321,20 +321,46 @@ fn uniform_scaling_is_exact_on_divisible_grids() {
     let warps: Vec<Vec<TraceEntry>> = vec![make_warp(); 2];
     let launch = LaunchConfig::new_1d(20, 64);
     let full = {
-        let src = one_block(warps.clone());
+        let src = every_block(warps.clone(), 20);
         TimingSim::new(&m).run(&src, &launch, res(64))
     };
     let fast = {
         let src = one_block(warps);
-        let mut s = TimingSim::new(&m);
-        s.assume_uniform_clusters(true);
-        s.run(&src, &launch, res(64))
+        TimingSim::new(&m).run(&src, &launch, res(64))
     };
     assert_eq!(fast.issued, full.issued, "issued must scale exactly");
     assert_eq!(fast.gmem_bytes, full.gmem_bytes, "bytes must scale exactly");
     // Identical blocks: the totals divide evenly by the grid size.
     assert_eq!(fast.issued % 20, 0);
     assert_eq!(fast.gmem_bytes % 20, 0);
+}
+
+#[test]
+fn the_source_decides_the_replay() {
+    // 31 identical blocks at one block per SM: cluster 0 gets 4 blocks
+    // (two waves on its 3 SMs), every other cluster 3 (one wave).
+    let m = machine();
+    let sim = TimingSim::new(&m);
+    let launch = LaunchConfig::new_1d(31, 32);
+    let resources = KernelResources::new(8, 9000, 32);
+    let chain = vec![dependent_chain(50)];
+    let full = sim.run(&every_block(chain.clone(), 31), &launch, resources);
+    let fast = sim.run(&one_block(chain), &launch, resources);
+    // PerBlock replays every cluster, so the lighter ones finish first.
+    assert!(
+        full.per_cluster_cycles[1] < full.per_cluster_cycles[0],
+        "{:?}",
+        full.per_cluster_cycles
+    );
+    // Homogeneous replays cluster 0 and reports its time everywhere.
+    let t0 = fast.per_cluster_cycles[0];
+    assert!(
+        fast.per_cluster_cycles.iter().all(|&t| t == t0),
+        "{:?}",
+        fast.per_cluster_cycles
+    );
+    assert_eq!(fast.cycles.to_bits(), full.cycles.to_bits());
+    assert_eq!(fast.issued, full.issued);
 }
 
 #[test]

@@ -150,8 +150,9 @@ proptest! {
         }
     }
 
-    /// Homogeneous sources shard the same way; the uniform-cluster fast
-    /// path must also be insensitive to the thread knob (it replays one
+    /// One shared trace, replayed on every cluster (`PerBlock`) or on the
+    /// most-loaded cluster and scaled (`Homogeneous`): both must be
+    /// insensitive to the thread knob (the uniform replay walks one
     /// cluster, so parallel and sequential collapse to the same walk).
     #[test]
     fn homogeneous_and_uniform_replay_are_bit_identical(
@@ -165,18 +166,20 @@ proptest! {
         let res = KernelResources::new(8, 0, 32 * nwarps as u32);
         let launch = LaunchConfig::new_1d(nblocks, 32 * nwarps as u32);
         for uniform in [false, true] {
+            let source = if uniform {
+                TraceSource::Homogeneous(Arc::clone(&trace))
+            } else {
+                TraceSource::PerBlock(vec![Arc::clone(&trace); nblocks as usize])
+            };
             let reference = {
                 let mut sim = TimingSim::new(&m);
-                sim.assume_uniform_clusters(uniform);
                 sim.set_threads(Threads::sequential());
-                sim.run(&TraceSource::Homogeneous(Arc::clone(&trace)), &launch, res)
+                sim.run(&source, &launch, res)
             };
             for threads in THREAD_GRID {
                 let mut sim = TimingSim::new(&m);
-                sim.assume_uniform_clusters(uniform);
                 sim.set_threads(threads);
-                let got =
-                    sim.run(&TraceSource::Homogeneous(Arc::clone(&trace)), &launch, res);
+                let got = sim.run(&source, &launch, res);
                 prop_assert_eq!(&got, &reference, "uniform={} {:?}", uniform, threads);
             }
         }

@@ -83,16 +83,14 @@ fn load(path: &Path, machine: &Machine) -> Option<ThroughputCurves> {
     (curves.machine_name == machine.name).then_some(curves)
 }
 
-/// Persist `curves` at `path` atomically: write a process-unique temp
-/// file in the target directory, then `rename` over `path` (atomic on
-/// POSIX — concurrent writers race benignly, last rename wins, and no
-/// reader ever sees a partial file). Errors are swallowed: the cache is
-/// an optimization, and the measured curves are already in hand.
-fn store(path: &Path, curves: &ThroughputCurves) {
+/// Write `bytes` to `path` atomically: stage them in a process-unique
+/// temp file in the target directory, then `rename` over `path` (atomic
+/// on POSIX — concurrent writers race benignly, last rename wins, and no
+/// reader ever sees a partial file). Errors are swallowed: every caller
+/// is a cache whose value is already in hand. The report cache in
+/// `gpa-service` persists its disk tier through this too.
+pub fn write_atomic(path: &Path, bytes: &[u8]) {
     static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let Ok(json) = curves.to_json() else {
-        return; // non-finite measurement: not representable, skip caching
-    };
     let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
         return;
     };
@@ -101,8 +99,16 @@ fn store(path: &Path, curves: &ThroughputCurves) {
         std::process::id(),
         TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    if fs::write(&temp, json).is_ok() && fs::rename(&temp, path).is_err() {
+    if fs::write(&temp, bytes).is_ok() && fs::rename(&temp, path).is_err() {
         let _ = fs::remove_file(&temp);
+    }
+}
+
+/// Persist `curves` at `path` with [`write_atomic`].
+fn store(path: &Path, curves: &ThroughputCurves) {
+    // A non-finite measurement is not representable: skip caching.
+    if let Ok(json) = curves.to_json() {
+        write_atomic(path, json.as_bytes());
     }
 }
 

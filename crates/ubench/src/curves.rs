@@ -50,10 +50,9 @@ impl MeasureOpts {
         }
     }
 
-    /// The same effort, measured on an explicit [`Threads`] selection
-    /// (plain `usize` counts convert: `0` = auto, `n` = exactly `n`).
-    pub fn with_threads(mut self, threads: impl Into<Threads>) -> MeasureOpts {
-        self.threads = threads.into();
+    /// The same effort, measured on an explicit [`Threads`] selection.
+    pub fn with_threads(mut self, threads: Threads) -> MeasureOpts {
+        self.threads = threads;
         self
     }
 
@@ -370,11 +369,14 @@ mod tests {
     #[test]
     fn parallel_measurement_is_bit_identical() {
         let m = Machine::gtx285();
-        let seq = ThroughputCurves::measure_with(&m, MeasureOpts::quick());
-        for threads in [2usize, 3, 0] {
+        let seq = ThroughputCurves::measure_with(
+            &m,
+            MeasureOpts::quick().with_threads(Threads::sequential()),
+        );
+        for threads in [Threads::Fixed(2), Threads::Fixed(3), Threads::Auto] {
             let par =
                 ThroughputCurves::measure_with(&m, MeasureOpts::quick().with_threads(threads));
-            assert_eq!(seq, par, "curves diverge at {threads} threads");
+            assert_eq!(seq, par, "curves diverge at {threads:?}");
         }
     }
 

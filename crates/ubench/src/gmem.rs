@@ -122,8 +122,7 @@ pub fn measure(machine: &Machine, cfg: GmemConfig) -> f64 {
         .expect("block 0 runs")
         .expect("trace collected");
 
-    let mut timing = TimingSim::new(machine);
-    timing.assume_uniform_clusters(true);
+    let timing = TimingSim::new(machine);
     let src = TraceSource::Homogeneous(Arc::new(trace));
     let res = KernelResources::new(12, 0, cfg.threads);
     let r = timing.run(&src, &launch, res);

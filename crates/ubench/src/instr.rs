@@ -135,8 +135,7 @@ pub fn measure(
         .expect("block 0 runs")
         .expect("trace collected");
 
-    let mut timing = TimingSim::new(machine);
-    timing.assume_uniform_clusters(true);
+    let timing = TimingSim::new(machine);
     let src = TraceSource::Homogeneous(Arc::new(trace));
     // Resources: declare enough so the requested blocks per SM are resident.
     let res = KernelResources::new(8, 0, threads);

@@ -90,8 +90,7 @@ pub fn measure(machine: &Machine, warps_per_sm: u32, iters: u32) -> f64 {
         .expect("block 0 runs")
         .expect("trace collected");
 
-    let mut timing = TimingSim::new(machine);
-    timing.assume_uniform_clusters(true);
+    let timing = TimingSim::new(machine);
     let src = TraceSource::Homogeneous(Arc::new(trace));
     let res = KernelResources::new(8, k.resources.smem_per_block, threads);
     let r = timing.run(&src, &launch, res);

@@ -171,19 +171,28 @@ fn case_studies_are_thread_count_invariant() {
     let mut model = Model::new(m, curves);
 
     let seq = matmul::run(m, &mut model, 256, 16, true).unwrap();
-    let par = matmul::run_with_threads(m, &mut model, 256, 16, true, 0).unwrap();
+    let par = matmul::run_with_threads(m, &mut model, 256, 16, true, Threads::Auto).unwrap();
     assert_eq!(seq.input.stats, par.input.stats);
     assert_eq!(seq.timing, par.timing);
 
     let seq = tridiag::run(m, &mut model, 512, 16, false, true).unwrap();
-    let par = tridiag::run_with_threads(m, &mut model, 512, 16, false, true, 3).unwrap();
+    let par =
+        tridiag::run_with_threads(m, &mut model, 512, 16, false, true, Threads::Fixed(3)).unwrap();
     assert_eq!(seq.input.stats, par.input.stats);
     assert_eq!(seq.timing, par.timing);
 
     let qcd = spmv::qcd_like(4, 7);
     let seq = spmv::run(m, &mut model, &qcd, spmv::Format::BellIm, true, true).unwrap();
-    let par =
-        spmv::run_with_threads(m, &mut model, &qcd, spmv::Format::BellIm, true, true, 4).unwrap();
+    let par = spmv::run_with_threads(
+        m,
+        &mut model,
+        &qcd,
+        spmv::Format::BellIm,
+        true,
+        true,
+        Threads::Fixed(4),
+    )
+    .unwrap();
     assert_eq!(seq.input.stats, par.input.stats);
     assert_eq!(seq.timing, par.timing);
 }
