@@ -5,6 +5,8 @@
 //! sequentially, on the GTX 285: untraced (statistics only) and
 //! `_traced` (every block's per-warp trace recorded too). Setup (kernel
 //! build and the device-memory image) is excluded from the timing.
+//! `tridiag256_unpadded` is the one workload whose shared accesses
+//! conflict (2- to 16-way), so it times the bank-conflict path.
 //!
 //! ```sh
 //! cargo bench -p gpa-bench --bench layers
@@ -21,6 +23,7 @@ fn bench_functional_sim(c: &mut Criterion) {
     let workloads = [
         ("matmul256_t16", matmul::case(256, 16)),
         ("tridiag256_padded", tridiag::case(512, 256, true)),
+        ("tridiag256_unpadded", tridiag::case(512, 256, false)),
         (
             "spmv_ell",
             spmv::case(&spmv::qcd_like(8, 1), Format::Ell, false),

@@ -481,6 +481,11 @@ pub enum Op {
     Nop,
 }
 
+/// The registers `r, r + 1, …` of an `n`-register operand, up to `r255`.
+fn reg_range(r: Reg, n: u8) -> impl Iterator<Item = Reg> {
+    (0..n).map_while(move |i| r.0.checked_add(i).map(Reg))
+}
+
 impl Op {
     /// The paper Table 1 class of this operation.
     ///
@@ -543,7 +548,9 @@ impl Op {
     }
 
     /// Registers read by this operation (including address bases and store
-    /// sources), expanded for multi-register operands.
+    /// sources), expanded for multi-register operands. A range that would
+    /// run past `r255` stops there; it starts out of range itself, which
+    /// [`crate::Kernel::validate`] reports.
     pub fn src_regs(&self) -> Vec<Reg> {
         let mut out = Vec::with_capacity(4);
         let mut push_src = |s: &Src| {
@@ -584,19 +591,21 @@ impl Op {
             | Op::Lg2 { a, .. }
             | Op::Ex2 { a, .. } => push_src(a),
             Op::DAdd { a, b, .. } | Op::DMul { a, b, .. } => {
-                out.extend([*a, Reg(a.0 + 1), *b, Reg(b.0 + 1)]);
+                for r in [a, b] {
+                    out.extend(reg_range(*r, 2));
+                }
             }
             Op::DFma { a, b, c, .. } => {
-                out.extend([*a, Reg(a.0 + 1), *b, Reg(b.0 + 1), *c, Reg(c.0 + 1)]);
+                for r in [a, b, c] {
+                    out.extend(reg_range(*r, 2));
+                }
             }
             Op::LdShared { addr, .. } | Op::LdGlobal { addr, .. } => {
                 out.extend(addr.base);
             }
             Op::StShared { addr, src, width } | Op::StGlobal { addr, src, width } => {
                 out.extend(addr.base);
-                for i in 0..width.regs() {
-                    out.push(Reg(src.0 + i));
-                }
+                out.extend(reg_range(*src, width.regs()));
             }
             Op::AtomSharedAdd { addr, src, .. } => {
                 out.extend(addr.base);

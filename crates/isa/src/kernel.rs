@@ -163,14 +163,14 @@ impl Kernel {
             }
             // Static shared offsets must fall inside the declared region
             // (dynamic base registers are checked at execution time).
-            let smem_limit = self.resources.smem_per_block as i32;
+            let smem_limit = i64::from(self.resources.smem_per_block);
             let static_smem = match ins.op {
                 Op::LdShared { addr, width, .. }
                 | Op::StShared {
                     addr,
                     src: _,
                     width,
-                } if addr.base.is_none() => Some((addr.offset, width.bytes() as i32)),
+                } if addr.base.is_none() => Some((addr.offset, width.bytes())),
                 _ => ins
                     .op
                     .smem_operand()
@@ -178,7 +178,9 @@ impl Kernel {
                     .map(|a| (a.offset, 4)),
             };
             if let Some((off, len)) = static_smem {
-                if off < 0 || off + len > smem_limit {
+                // In i64: an offset near `i32::MAX` plus the width must
+                // not wrap back into range.
+                if off < 0 || i64::from(off) + i64::from(len) > smem_limit {
                     return Err(ValidateError::SMemOutOfDeclared { at, offset: off });
                 }
             }
@@ -313,6 +315,48 @@ mod tests {
         assert_eq!(
             kernel.validate(),
             Err(ValidateError::ParamOutOfRange { at: 0, offset: 14 })
+        );
+    }
+
+    #[test]
+    fn wide_store_from_the_last_registers_is_out_of_range() {
+        // The register range of a wide store from r254/r255 runs past
+        // r255; validation reports it instead of overflowing.
+        for text in [
+            ".smem 64\n st.shared.b64 s[r0], r255\n exit\n",
+            ".smem 64\n st.global.b128 g[r0], r254\n exit\n",
+        ] {
+            let kernel = crate::asm::parse_kernel(text).unwrap();
+            let reg = match kernel.instrs[0].op {
+                Op::StShared { src, .. } | Op::StGlobal { src, .. } => src.0,
+                _ => unreachable!(),
+            };
+            assert_eq!(
+                kernel.validate(),
+                Err(ValidateError::RegOutOfRange { at: 0, reg }),
+                "{text}"
+            );
+        }
+        // Double-precision pairs at r254/r255 likewise.
+        let kernel = crate::asm::parse_kernel("add.f64 r0, r255, r2\n exit\n").unwrap();
+        assert_eq!(
+            kernel.validate(),
+            Err(ValidateError::RegOutOfRange { at: 0, reg: 255 })
+        );
+    }
+
+    #[test]
+    fn static_smem_offset_near_i32_max_is_out_of_declared() {
+        // `offset + width` must not wrap back into the declared range.
+        let kernel =
+            crate::asm::parse_kernel(".smem 64\n ld.shared.b32 r0, s[0x7ffffffe]\n exit\n")
+                .unwrap();
+        assert_eq!(
+            kernel.validate(),
+            Err(ValidateError::SMemOutOfDeclared {
+                at: 0,
+                offset: 0x7fff_fffe
+            })
         );
     }
 

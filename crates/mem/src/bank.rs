@@ -145,7 +145,9 @@ fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
 /// This is the functional simulator's form: it runs for every half-warp
 /// of every shared-memory instruction, so it never allocates, and the two
 /// common patterns — every lane on one word (broadcast) and every lane in
-/// its own bank — answer 1 after a single pass over the lanes.
+/// its own bank — answer 1 after a single pass over the lanes. A
+/// conflicted access sorts one key per active lane, so no access costs
+/// more than a sort of 32 keys, whatever the geometry.
 ///
 /// # Panics
 ///
@@ -180,21 +182,28 @@ pub fn bank_degree(addrs: &[u32], active: u32, cfg: BankConfig) -> u32 {
             return 1;
         }
     }
-    // Distinct words per bank; same word in the same bank broadcasts.
-    let mut words = [0u32; ROW_LANES];
-    let mut word_banks = [0u32; ROW_LANES];
+    // The most distinct words in one bank. Same-word lanes broadcast, so
+    // sort one `bank << 32 | word` key per lane and drop duplicates: each
+    // bank's distinct words are then one run of keys.
+    let mut keys = [0u64; ROW_LANES];
     let mut n = 0usize;
     for i in lanes(active) {
         let word = geometry.word(addrs[i]);
-        if !words[..n].contains(&word) {
-            words[n] = word;
-            word_banks[n] = geometry.bank(word);
-            n += 1;
-        }
+        keys[n] = u64::from(geometry.bank(word)) << 32 | u64::from(word);
+        n += 1;
     }
-    let mut worst = 0u32;
-    for b in &word_banks[..n] {
-        worst = worst.max(word_banks[..n].iter().filter(|x| *x == b).count() as u32);
+    let keys = &mut keys[..n];
+    keys.sort_unstable();
+    let (mut worst, mut run) = (1u32, 1u32);
+    for pair in keys.windows(2) {
+        if pair[0] != pair[1] {
+            run = if pair[0] >> 32 == pair[1] >> 32 {
+                run + 1
+            } else {
+                1
+            };
+            worst = worst.max(run);
+        }
     }
     worst
 }
@@ -421,6 +430,19 @@ mod tests {
 
     // ---- Properties ----
 
+    /// `(banks, width)` pairs: GT200, prime and composite non-power-of-two
+    /// bank counts, more banks than a 64-bit mask holds, and
+    /// non-power-of-two widths.
+    const GEOMETRIES: [(u32, u32); 7] = [
+        (16, 4),
+        (17, 4),
+        (12, 4),
+        (96, 4),
+        (16, 8),
+        (16, 12),
+        (7, 6),
+    ];
+
     fn arb_addrs() -> impl Strategy<Value = Vec<Option<u64>>> {
         proptest::collection::vec(proptest::option::of((0u64..4096).prop_map(|w| w * 4)), 16)
     }
@@ -466,6 +488,29 @@ mod tests {
             let (load, atomic) = reference(&addrs, cfg);
             prop_assert_eq!(bank_transactions(&addrs, cfg), load);
             prop_assert_eq!(atomic_bank_transactions(&addrs, cfg), atomic);
+        }
+
+        /// The sorted conflict path agrees with the definition on every
+        /// geometry — bank counts and widths that are not powers of two,
+        /// and more than 64 banks — over rows of up to 32 lanes drawn from
+        /// a few words, so same-word and same-bank mixes are common (lanes
+        /// of one word may also differ within it).
+        #[test]
+        fn bank_degree_matches_reference(
+            picks in proptest::collection::vec(proptest::option::of((0usize..5, 0u32..16)), 1..=32),
+            words in proptest::collection::vec(0u32..400, 5),
+            geometry in 0usize..GEOMETRIES.len(),
+        ) {
+            let (banks, width) = GEOMETRIES[geometry];
+            let cfg = BankConfig { banks, width, half_warp: 16 };
+            let addrs: Vec<Option<u64>> = picks
+                .iter()
+                .map(|p| p.map(|(k, off)| u64::from(words[k] * width + off % width)))
+                .collect();
+            let (row, active) = lane_row(&addrs);
+            let (load, _) = reference(&addrs, cfg);
+            prop_assert_eq!(bank_degree(&row[..addrs.len()], active, cfg), load);
+            prop_assert_eq!(bank_transactions(&addrs, cfg), load);
         }
 
         /// Lane permutation never changes the serialization degree.

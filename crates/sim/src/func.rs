@@ -23,6 +23,12 @@
 //! fails are the lanes walked in order, so a fault raises exactly the
 //! error — variant, address, and (for global stores) the writes that land
 //! before it — of a lane-by-lane interpreter.
+//!
+//! A shared address without a base register names one address for every
+//! lane, so a load, store or ALU operand through it costs about what an
+//! ALU instruction does: the address is checked once, each active
+//! half-warp counts one broadcast per 4-byte phase, a load reads one word
+//! for all lanes, and a store writes the highest active lane's value.
 
 use crate::engine::{SimEngine, Threads};
 use crate::error::SimError;
@@ -621,16 +627,27 @@ impl<'a> FunctionalSim<'a> {
                 let (a, txns) = self.shared_access(w, addr, width.bytes(), exec, smem, stats)?;
                 smem_half_txns = txns;
                 for k in 0..width.regs() {
-                    w.write_row(d.0 + k, &smem.gather(&a, k), exec);
+                    w.write_row(d.0 + k, &smem.load(&a, k), exec);
                 }
             }
             Op::StShared { addr, src, width } => {
                 let (a, txns) = self.shared_access(w, addr, width.bytes(), exec, smem, stats)?;
                 smem_half_txns = txns;
                 // Lane order: the highest lane wins a same-address race.
-                for l in lanes(exec) {
-                    for k in 0..width.regs() {
-                        smem.words[a[l] as usize / 4 + usize::from(k)] = w.row(src.0 + k)[l];
+                match a {
+                    SmemAddrs::Lanes(a) => {
+                        for l in lanes(exec) {
+                            for k in 0..width.regs() {
+                                smem.words[a[l] as usize / 4 + usize::from(k)] =
+                                    w.row(src.0 + k)[l];
+                            }
+                        }
+                    }
+                    SmemAddrs::Scalar(a) => {
+                        let last = (WARP - 1) - exec.leading_zeros() as usize;
+                        for k in 0..width.regs() {
+                            smem.words[a as usize / 4 + usize::from(k)] = w.row(src.0 + k)[last];
+                        }
                     }
                 }
             }
@@ -661,24 +678,12 @@ impl<'a> FunctionalSim<'a> {
             Op::LdGlobal { d, addr, width } => {
                 let (a, txs) = self.global_access(w, addr, width, exec, None, gmem, stats)?;
                 gmem_txns = Some(txs);
-                for k in 0..width.regs() {
-                    let row = w.row_mut(d.0 + k);
-                    for l in lanes(exec) {
-                        row[l] = gmem
-                            .read_u32(a[l] + u64::from(k) * 4)
-                            .expect("global access checked");
-                    }
-                }
+                gmem.load_lanes(&a, exec, w.rows_mut(d, width.regs()));
             }
             Op::StGlobal { addr, src, width } => {
                 let (a, txs) = self.global_access(w, addr, width, exec, Some(src), gmem, stats)?;
                 gmem_txns = Some(txs);
-                for l in lanes(exec) {
-                    for k in 0..width.regs() {
-                        gmem.write_u32(a[l] + u64::from(k) * 4, w.row(src.0 + k)[l])
-                            .expect("global access checked");
-                    }
-                }
+                gmem.store_lanes(&a, exec, w.rows(src, width.regs()));
             }
             Op::LdParam { d, offset } => {
                 let v = *self
@@ -695,7 +700,7 @@ impl<'a> FunctionalSim<'a> {
                     Some(addr) => {
                         let (a, txns) = self.shared_access(w, addr, 4, exec, smem, stats)?;
                         smem_half_txns = txns;
-                        Some(smem.gather(&a, 0))
+                        Some(smem.load(&a, 0))
                     }
                     None => None,
                 };
@@ -707,8 +712,8 @@ impl<'a> FunctionalSim<'a> {
     }
 
     /// Address, check, and bank-account a shared load, store, or ALU
-    /// operand of `width` bytes per lane. Returns each active lane's byte
-    /// address and the serialized half-warp transaction count.
+    /// operand of `width` bytes per lane. Returns the active lanes' byte
+    /// addresses and the serialized half-warp transaction count.
     fn shared_access(
         &self,
         w: &mut WarpState,
@@ -717,16 +722,25 @@ impl<'a> FunctionalSim<'a> {
         exec: u32,
         smem: &Shared,
         stats: &mut DynamicStats,
-    ) -> Result<([u32; WARP], u16), SimError> {
-        let a = checked_smem_addrs(w, addr, width, exec, smem)?;
+    ) -> Result<(SmemAddrs, u16), SimError> {
         // Wide shared accesses proceed in 4-byte phases.
-        let (mut half_txns, mut half_accesses) = self.per_half_warp(&a, exec, bank_degree);
-        for phase in 1..width / 4 {
-            let shifted = a.map(|x| x.wrapping_add(phase * 4));
-            let (t, n) = self.per_half_warp(&shifted, exec, bank_degree);
-            half_txns += t;
-            half_accesses += n;
-        }
+        let (a, half_txns, half_accesses) = if addr.base.is_none() {
+            // One address for every lane: each active half-warp broadcasts
+            // once per phase, which is the degree `bank_degree` gives.
+            let a = checked_smem_scalar(w, addr, width, exec, smem)?;
+            let n = width / 4 * self.active_half_warps(exec);
+            (SmemAddrs::Scalar(a), n, n)
+        } else {
+            let a = checked_smem_addrs(w, addr, width, exec, smem)?;
+            let (mut half_txns, mut half_accesses) = self.per_half_warp(&a, exec, bank_degree);
+            for phase in 1..width / 4 {
+                let shifted = a.map(|x| x.wrapping_add(phase * 4));
+                let (t, n) = self.per_half_warp(&shifted, exec, bank_degree);
+                half_txns += t;
+                half_accesses += n;
+            }
+            (SmemAddrs::Lanes(a), half_txns, half_accesses)
+        };
         self.count_shared(w, stats, half_txns, half_accesses);
         Ok((a, saturate_u16(half_txns)))
     }
@@ -781,6 +795,14 @@ impl<'a> FunctionalSim<'a> {
         s
     }
 
+    /// The half-warps of `exec` with at least one active lane.
+    fn active_half_warps(&self, exec: u32) -> u32 {
+        let hw = self.bank_cfg.half_warp;
+        (0..WARP.div_ceil(hw))
+            .map(|c| u32::from(chunk_mask(exec, c, hw) != 0))
+            .sum()
+    }
+
     /// Sum a bank-conflict degree over the half-warps of `addrs`: the
     /// serialized transactions, and the half-warps that access at all.
     fn per_half_warp(
@@ -817,14 +839,22 @@ impl<'a> FunctionalSim<'a> {
         let len = width.bytes();
         let base = addr.base.map_or(&ZERO_ROW, |r| w.row(r.0));
         let off = i64::from(addr.offset);
+        // One branch-free pass: every lane's address, its check against
+        // the valid starts (a negative address wraps far above them;
+        // widths are powers of two), and the active lanes' lowest and
+        // highest address.
+        let (first, last) = gmem.valid_starts(len);
         let mut a = [0u64; WARP];
         let mut bad = 0u32;
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
         for l in 0..WARP {
-            let x = i64::from(base[l]) + off;
-            // Widths are powers of two.
-            let ok = x >= 0 && x & i64::from(len - 1) == 0 && gmem.in_bounds(x as u64, len);
+            let x = (i64::from(base[l]) + off) as u64;
+            let ok = (x >= first) & (x <= last) & (x & u64::from(len - 1) == 0);
             bad |= u32::from(!ok) << l;
-            a[l] = x as u64;
+            a[l] = x;
+            let on = exec >> l & 1 != 0;
+            lo = lo.min(if on { x } else { u64::MAX });
+            hi = hi.max(if on { x } else { 0 });
         }
         if bad & exec != 0 {
             return Err(global_fault(w, &a, exec, width, store, gmem));
@@ -832,13 +862,23 @@ impl<'a> FunctionalSim<'a> {
 
         let stage = w.stage;
         let st = self.stage_mut(stats, stage);
-        st.gmem_requested_bytes += u64::from(len) * u64::from(exec.count_ones());
+        let active = u64::from(exec.count_ones());
+        st.gmem_requested_bytes += u64::from(len) * active;
         st.gmem_instrs += 1;
-        let mut region = None;
-        for l in lanes(exec) {
-            region = find_region(&stats.regions, region, a[l]);
-            if let Some(r) = region {
-                stats.regions[r].requested_bytes += u64::from(len);
+        // Regions are intervals: when the lowest and highest address lie
+        // in the first active lane's region, every lane does.
+        let mut region = find_region(&stats.regions, None, a[exec.trailing_zeros() as usize]);
+        match region {
+            Some(r) if stats.regions[r].contains(lo) && stats.regions[r].contains(hi) => {
+                stats.regions[r].requested_bytes += u64::from(len) * active;
+            }
+            _ => {
+                for l in lanes(exec) {
+                    region = find_region(&stats.regions, region, a[l]);
+                    if let Some(r) = region {
+                        stats.regions[r].requested_bytes += u64::from(len);
+                    }
+                }
             }
         }
 
@@ -1066,15 +1106,26 @@ struct Shared {
     bytes: usize,
 }
 
+/// The checked byte addresses of a shared access.
+enum SmemAddrs {
+    /// One per lane; inactive lanes hold unchecked values.
+    Lanes([u32; WARP]),
+    /// One for every lane: an address without a base register.
+    Scalar(u32),
+}
+
 impl Shared {
-    /// Word `k` of each lane's access at byte address `addrs[l]`. Lanes
-    /// whose address was not checked (inactive ones) read an unspecified
-    /// value, never out of bounds.
-    fn gather(&self, addrs: &[u32; WARP], k: u8) -> Row {
-        std::array::from_fn(|l| {
-            let i = addrs[l] as usize / 4 + usize::from(k);
-            self.words.get(i).copied().unwrap_or(0)
-        })
+    /// Word `k` of each lane's access. Lanes whose address was not
+    /// checked (inactive ones) read an unspecified value, never out of
+    /// bounds.
+    fn load(&self, addrs: &SmemAddrs, k: u8) -> Row {
+        match addrs {
+            SmemAddrs::Lanes(a) => std::array::from_fn(|l| {
+                let i = a[l] as usize / 4 + usize::from(k);
+                self.words.get(i).copied().unwrap_or(0)
+            }),
+            SmemAddrs::Scalar(a) => [self.words[*a as usize / 4 + usize::from(k)]; WARP],
+        }
     }
 }
 
@@ -1119,7 +1170,7 @@ fn checked_smem_addrs(
         // as at least 2^31).
         let a = base[l].wrapping_add(off);
         let overflow = ((base[l] ^ a) & (off ^ a)) >> 31 != 0;
-        let ok = fits && !overflow && a <= last && a & (len - 1) == 0;
+        let ok = fits & !overflow & (a <= last) & (a & (len - 1) == 0);
         bad |= u32::from(!ok) << l;
         out[l] = a;
     }
@@ -1127,6 +1178,24 @@ fn checked_smem_addrs(
         return Err(smem_fault(w, addr, exec, len, smem.bytes));
     }
     Ok(out)
+}
+
+/// The byte address of a shared access of `len` bytes without a base
+/// register, checked as [`checked_smem_addrs`] checks every lane; `exec`
+/// must have an active lane.
+fn checked_smem_scalar(
+    w: &WarpState,
+    addr: MemAddr,
+    len: u32,
+    exec: u32,
+    smem: &Shared,
+) -> Result<u32, SimError> {
+    debug_assert!(addr.base.is_none() && exec != 0);
+    let a = i64::from(addr.offset);
+    if a < 0 || a + i64::from(len) > smem.bytes as i64 || a & i64::from(len - 1) != 0 {
+        return Err(smem_fault(w, addr, exec, len, smem.bytes));
+    }
+    Ok(a as u32)
 }
 
 /// The error a lane-order walk raises for a shared access that failed
@@ -1230,7 +1299,7 @@ fn chunk_mask(exec: u32, c: usize, size: usize) -> u32 {
 }
 
 /// The set lanes of `mask`, lowest first.
-fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+pub(crate) fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let l = mask.trailing_zeros() as usize;
@@ -1332,6 +1401,16 @@ impl WarpState {
     #[inline]
     fn row_mut(&mut self, r: u8) -> &mut Row {
         &mut self.regs[usize::from(r)]
+    }
+
+    /// The rows of registers `r .. r + n` (a validated kernel keeps them
+    /// in the file).
+    fn rows(&self, r: Reg, n: u8) -> &[Row] {
+        &self.regs[usize::from(r.0)..usize::from(r.0) + usize::from(n)]
+    }
+
+    fn rows_mut(&mut self, r: Reg, n: u8) -> &mut [Row] {
+        &mut self.regs[usize::from(r.0)..usize::from(r.0) + usize::from(n)]
     }
 
     /// Write `vals` into register `r` for the lanes in `exec`.

@@ -1285,3 +1285,228 @@ fn faulting_global_store_lands_the_lanes_before_it() {
         }
     }
 }
+
+/// The three ways to read or write shared memory at `addr`: a load, a
+/// store, and an ALU operand (which reads one word).
+#[derive(Clone, Copy, Debug)]
+enum SmemUse {
+    Load(Width),
+    Store(Width),
+    Operand,
+}
+
+impl SmemUse {
+    const ALL: [SmemUse; 7] = [
+        SmemUse::Load(Width::B32),
+        SmemUse::Load(Width::B64),
+        SmemUse::Load(Width::B128),
+        SmemUse::Store(Width::B32),
+        SmemUse::Store(Width::B64),
+        SmemUse::Store(Width::B128),
+        SmemUse::Operand,
+    ];
+
+    fn bytes(self) -> u32 {
+        match self {
+            SmemUse::Load(w) | SmemUse::Store(w) => w.bytes(),
+            SmemUse::Operand => 4,
+        }
+    }
+
+    /// A probe op (see [`probe`]) that accesses shared memory at byte
+    /// `off`, from a base register holding `off` in every lane when
+    /// `based`, else from the bare offset.
+    fn op(self, off: i32, based: bool) -> impl Fn(&mut KernelBuilder, Reg, Reg, Reg) -> usize {
+        move |b, a, _, v| {
+            let addr = if based {
+                MemAddr::new(Some(a), 0)
+            } else {
+                MemAddr::new(None, off)
+            };
+            let wide = b.alloc_contig(4).unwrap();
+            emit(b, |b| match self {
+                SmemUse::Load(w) => {
+                    b.ld_shared(wide, addr, w);
+                }
+                SmemUse::Store(w) => {
+                    b.st_shared(addr, wide, w);
+                }
+                SmemUse::Operand => {
+                    b.iadd(v, Src::Reg(v), Src::smem(addr.base, addr.offset));
+                }
+            })
+        }
+    }
+}
+
+#[test]
+fn baseless_shared_counts_one_broadcast_per_active_half_warp_and_phase() {
+    // A base-less address is one address for every lane: each active
+    // half-warp broadcasts once per 4-byte phase. The statistics equal
+    // those of a base register holding the same address in every lane.
+    let ok = lane_addrs(0, 4, &[]);
+    for u in SmemUse::ALL {
+        let off = 32;
+        for (active, halves) in [
+            (u32::MAX, 2),
+            (0xFFFF, 1),
+            (0x0001_0000, 1),
+            (0x8000_0001, 2),
+            (0, 0),
+        ] {
+            let run = |based: bool| {
+                let (res, _, gmem) = probe(128, &[off as u32; 32], &ok, active, u.op(off, based));
+                (res.unwrap().stats, gmem)
+            };
+            let (stats, gmem) = run(false);
+            let t = stats.total();
+            let want = u64::from(u.bytes() / 4 * halves);
+            assert_eq!(t.smem_half_txns, want, "{u:?} {active:#x}");
+            assert_eq!(t.smem_half_accesses, want, "{u:?} {active:#x}");
+            assert_eq!(t.smem_instrs, u64::from(active != 0), "{u:?} {active:#x}");
+            assert_eq!((stats, gmem), run(true), "{u:?} {active:#x}");
+        }
+    }
+}
+
+#[test]
+fn baseless_shared_faults_match_a_uniform_base_register() {
+    // Validation rejects a negative or out-of-range bare offset, so the
+    // simulator meets only misaligned ones: each raises exactly the error
+    // of a base register holding that offset in every active lane,
+    // including the phase order of wide accesses.
+    let ok = lane_addrs(0, 4, &[]);
+    for u in SmemUse::ALL {
+        for off in [2, 4, 6, 8, 12] {
+            if off % u.bytes() as i32 == 0 {
+                continue;
+            }
+            for active in [u32::MAX, 1 << 7, 0x8000_0000] {
+                let (err, pc) = probe_err(128, &[0; 32], &ok, active, u.op(off, false));
+                let want = probe_err(128, &[off as u32; 32], &ok, active, u.op(off, true));
+                assert_eq!((err.clone(), pc), want, "{u:?} {off} {active:#x}");
+                assert!(matches!(err, SimError::Misaligned { .. }), "{err}");
+            }
+            // A guard that masks every lane raises nothing.
+            let (res, _, _) = probe(128, &[0; 32], &ok, 0, u.op(off, false));
+            res.expect("no lane is active");
+        }
+    }
+
+    // Every bare offset, misaligned or out of range in either direction
+    // or in a later 4-byte phase only, against the row check of a base
+    // register holding it.
+    let smem = Shared {
+        words: vec![0; 32],
+        bytes: 128,
+    };
+    let mut w = WarpState::new(0, 32, false);
+    let offsets = [
+        i32::MIN,
+        -16,
+        -4,
+        -1,
+        0,
+        2,
+        4,
+        8,
+        112,
+        116,
+        120,
+        124,
+        126,
+        128,
+        1 << 20,
+        i32::MAX,
+    ];
+    for off in offsets {
+        *w.row_mut(1) = [off as u32; WARP];
+        for len in [4, 8, 16] {
+            for exec in [1, 1 << 31, 0x00F0_0F00, u32::MAX] {
+                let scalar = checked_smem_scalar(&w, MemAddr::new(None, off), len, exec, &smem);
+                let row = checked_smem_addrs(&w, MemAddr::new(Some(Reg(1)), 0), len, exec, &smem);
+                let row = row.map(|a| a[exec.trailing_zeros() as usize]);
+                assert_eq!(scalar, row, "offset {off} len {len} exec {exec:#x}");
+            }
+        }
+    }
+}
+
+#[test]
+fn baseless_shared_store_takes_the_highest_active_lane() {
+    // Two warps store to one bare address under a guard (tid < 37), then
+    // every lane loads it back, and adds it as an ALU operand under the
+    // same guard. The bare and the zero-register forms agree on memory
+    // and shared statistics; the highest active lane, tid 36, wins.
+    for width in [Width::B32, Width::B64, Width::B128] {
+        let n = usize::from(width.regs());
+        let run = |based: bool| {
+            let mut b = KernelBuilder::new("uniform_store");
+            b.set_threads(64);
+            let buf = b.smem_alloc(256, 16).unwrap() as i32;
+            let out_p = b.param_alloc();
+            let [tid, zero, acc, addr, tmp] = [(); 5].map(|_| b.alloc_reg().unwrap());
+            let vals = b.alloc_contig(4).unwrap();
+            let got = b.alloc_contig(4).unwrap();
+            let at = |off: i32| {
+                if based {
+                    MemAddr::new(Some(zero), buf + off)
+                } else {
+                    MemAddr::new(None, buf + off)
+                }
+            };
+            b.s2r(tid, SpecialReg::TidX);
+            b.mov_imm(zero, 0);
+            for k in 0..4u8 {
+                b.iadd(
+                    Reg(vals.0 + k),
+                    Src::Reg(tid),
+                    Src::Imm(1000 * i32::from(k)),
+                );
+            }
+            b.setp(Pred(0), CmpOp::Lt, NumTy::S32, Src::Reg(tid), Src::Imm(37));
+            b.set_guard(Pred(0), false);
+            b.st_shared(at(16), vals, width);
+            b.clear_guard();
+            b.bar();
+            b.ld_shared(got, at(16), width);
+            b.mov(acc, Src::Reg(tid));
+            b.set_guard(Pred(0), false);
+            b.iadd(acc, Src::Reg(acc), Src::smem(at(16).base, at(16).offset));
+            b.clear_guard();
+            b.shl(addr, Src::Reg(tid), Src::Imm(5));
+            b.ld_param(tmp, out_p);
+            b.iadd(addr, Src::Reg(addr), Src::Reg(tmp));
+            for k in 0..width.regs() {
+                b.st_global(
+                    MemAddr::new(Some(addr), 4 * i32::from(k)),
+                    Reg(got.0 + k),
+                    Width::B32,
+                );
+            }
+            b.st_global(MemAddr::new(Some(addr), 16), acc, Width::B32);
+            b.exit();
+            let k = b.finish().unwrap();
+            let m = machine();
+            let mut gmem = GlobalMemory::new();
+            let out = gmem.alloc(64 * 32, 16);
+            let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(1, 64)).unwrap();
+            sim.set_params(&[out as u32]);
+            let t = sim.run(&mut gmem).unwrap().stats.total();
+            let smem_stats = (t.smem_half_txns, t.smem_half_accesses, t.smem_instrs);
+            (gmem, out, smem_stats)
+        };
+        let (gmem, out, stats) = run(false);
+        for tid in 0..64u32 {
+            let row = gmem.read_u32s(out + u64::from(tid) * 32, 5).unwrap();
+            for (k, &word) in row[..n].iter().enumerate() {
+                assert_eq!(word, 36 + 1000 * k as u32, "{width:?} tid {tid} word {k}");
+            }
+            let acc = if tid < 37 { tid + 36 } else { tid };
+            assert_eq!(row[4], acc, "{width:?} tid {tid}");
+        }
+        let (based, _, based_stats) = run(true);
+        assert_eq!(gmem, based, "{width:?}");
+        assert_eq!(stats, based_stats, "{width:?}");
+    }
+}

@@ -1,5 +1,7 @@
 //! Simulated global memory: a flat bump-allocated arena.
 
+use crate::func::lanes;
+
 /// One captured store: `(device address, value written)`.
 ///
 /// The parallel [`crate::engine::SimEngine`] runs each block shard against
@@ -136,7 +138,46 @@ impl GlobalMemory {
 
     /// Returns `true` if `[addr, addr+len)` lies inside allocated memory.
     pub fn in_bounds(&self, addr: u64, len: u32) -> bool {
-        addr >= BASE && addr + u64::from(len) <= self.cursor
+        let (first, last) = self.valid_starts(len);
+        (first..=last).contains(&addr)
+    }
+
+    /// The addresses at which a `len`-byte access lies inside allocated
+    /// memory, as the inclusive range `(first, last)`; empty when
+    /// `first > last`. Two comparisons a row of lanes can make without
+    /// branching.
+    pub(crate) fn valid_starts(&self, len: u32) -> (u64, u64) {
+        (BASE, self.cursor.saturating_sub(u64::from(len)))
+    }
+
+    /// Load each lane of `exec` from its address in `addrs`: word `k` of
+    /// the access into `rows[k]`. The addresses were checked in bounds.
+    pub(crate) fn load_lanes(&self, addrs: &[u64; 32], exec: u32, rows: &mut [[u32; 32]]) {
+        for l in lanes(exec) {
+            let i = addrs[l] as usize;
+            let words = self.data[i..i + 4 * rows.len()].chunks_exact(4);
+            for (row, word) in rows.iter_mut().zip(words) {
+                row[l] = u32::from_le_bytes(word.try_into().expect("chunks of 4 bytes"));
+            }
+        }
+    }
+
+    /// Store each lane of `exec` to its address in `addrs`: word `k` of
+    /// the access from `rows[k]`. Lanes store in order, each its words in
+    /// order, so the highest lane wins a race and an active capture logs
+    /// what [`GlobalMemory::write_u32`] per word would. The addresses
+    /// were checked in bounds.
+    pub(crate) fn store_lanes(&mut self, addrs: &[u64; 32], exec: u32, rows: &[[u32; 32]]) {
+        for l in lanes(exec) {
+            for (k, row) in rows.iter().enumerate() {
+                let at = addrs[l] + 4 * k as u64;
+                let i = at as usize;
+                self.data[i..i + 4].copy_from_slice(&row[l].to_le_bytes());
+                if let Some(log) = self.capture.as_mut() {
+                    log.push((at, row[l]));
+                }
+            }
+        }
     }
 
     /// Read a 32-bit word.
