@@ -8,15 +8,29 @@
 //! `tridiag256_unpadded` is the one workload whose shared accesses
 //! conflict (2- to 16-way), so it times the bank-conflict path.
 //!
+//! `layer/timing_replay/<workload>` replays one study's traces — the
+//! `timing_replay` span — sequentially, from the trace source
+//! `run_study` would build: `matmul256_t16` replays block 0's trace on
+//! one cluster (homogeneous), `spmv_ell_tex` every block's own trace
+//! through the texture cache on every cluster (per block). Tracing is
+//! excluded from the timing.
+//!
+//! `layer/calibrate/gtx285_quick` measures the GTX 285's throughput
+//! curves at quick effort — the `calibrate` step of a cold start.
+//!
 //! ```sh
 //! cargo bench -p gpa-bench --bench layers
 //! ```
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gpa_apps::spmv::{self, Format};
+use gpa_apps::workflow::CaseStudy;
 use gpa_apps::{matmul, tridiag};
 use gpa_hw::Machine;
-use gpa_sim::{FunctionalSim, Threads};
+use gpa_sim::{FunctionalSim, Threads, TimingSim, TraceBlocks, TraceSource};
+use gpa_ubench::{MeasureOpts, ThroughputCurves};
+use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_functional_sim(c: &mut Criterion) {
     let machine = Machine::gtx285();
@@ -53,9 +67,66 @@ fn bench_functional_sim(c: &mut Criterion) {
     }
 }
 
+/// The replay `run_study` would time for `study`: a homogeneous source
+/// from block 0's trace when `homogeneous`, else every block's trace,
+/// with the study's texture regions either way.
+fn replay(machine: &Machine, mut study: CaseStudy, homogeneous: bool) -> impl FnMut() + '_ {
+    let mut sim = FunctionalSim::new(machine, &study.kernel, study.launch).unwrap();
+    sim.set_params(&study.params)
+        .set_threads(Threads::sequential())
+        .collect_traces(if homogeneous {
+            TraceBlocks::First
+        } else {
+            TraceBlocks::All
+        });
+    let mut timing = TimingSim::new(machine);
+    let mut tex = Vec::new();
+    for r in &study.regions {
+        if r.texture {
+            sim.add_texture_region(r.name.clone(), r.base, r.len);
+            tex.push((r.base, r.len));
+        } else {
+            sim.add_region(r.name.clone(), r.base, r.len);
+        }
+    }
+    timing.set_texture_regions(tex);
+    let mut traces = sim.run(&mut study.gmem).unwrap().traces.unwrap();
+    let source = if homogeneous {
+        TraceSource::Homogeneous(Arc::new(traces.swap_remove(0)))
+    } else {
+        TraceSource::from_blocks(traces)
+    };
+    move || {
+        black_box(timing.run(&source, &study.launch, study.kernel.resources));
+    }
+}
+
+fn bench_timing_replay(c: &mut Criterion) {
+    let machine = Machine::gtx285();
+    let workloads = [
+        ("matmul256_t16", matmul::case(256, 16), true),
+        (
+            "spmv_ell_tex",
+            spmv::case(&spmv::qcd_like(8, 1), Format::Ell, true),
+            false,
+        ),
+    ];
+    for (name, study, homogeneous) in workloads {
+        let mut run = replay(&machine, study, homogeneous);
+        c.bench_function(&format!("layer/timing_replay/{name}"), |b| b.iter(&mut run));
+    }
+}
+
+fn bench_calibrate(c: &mut Criterion) {
+    let machine = Machine::gtx285();
+    c.bench_function("layer/calibrate/gtx285_quick", |b| {
+        b.iter(|| ThroughputCurves::measure_with(&machine, MeasureOpts::quick()))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_functional_sim
+    targets = bench_functional_sim, bench_timing_replay, bench_calibrate
 }
 criterion_main!(benches);

@@ -42,6 +42,10 @@ pub enum ValidateError {
     /// A shared-operand or `ld/st.shared` offset lies outside the declared
     /// shared-memory size.
     SMemOutOfDeclared { at: usize, offset: i32 },
+    /// A base-less shared offset is not a multiple of its access width
+    /// (`width` bytes; 4 for an ALU operand), so every executing lane
+    /// faults.
+    SMemMisaligned { at: usize, offset: i32, width: u32 },
     /// A parameter load reads past the declared parameter block.
     ParamOutOfRange { at: usize, offset: u16 },
     /// Double-precision operands must be even-aligned register pairs.
@@ -71,6 +75,12 @@ impl fmt::Display for ValidateError {
                 write!(
                     f,
                     "instruction {at}: shared-memory offset {offset} exceeds the declared size"
+                )
+            }
+            ValidateError::SMemMisaligned { at, offset, width } => {
+                write!(
+                    f,
+                    "instruction {at}: shared-memory offset {offset} is not {width}-byte aligned"
                 )
             }
             ValidateError::ParamOutOfRange { at, offset } => {
@@ -182,6 +192,13 @@ impl Kernel {
                 // not wrap back into range.
                 if off < 0 || i64::from(off) + i64::from(len) > smem_limit {
                     return Err(ValidateError::SMemOutOfDeclared { at, offset: off });
+                }
+                if i64::from(off) % i64::from(len) != 0 {
+                    return Err(ValidateError::SMemMisaligned {
+                        at,
+                        offset: off,
+                        width: len,
+                    });
                 }
             }
             if let Op::LdParam { offset, .. } = ins.op {
@@ -301,6 +318,40 @@ mod tests {
                 offset: 1022
             })
         );
+    }
+
+    #[test]
+    fn smem_static_alignment_checked() {
+        // A base-less offset must be a multiple of the access width: 4,
+        // 8 or 16 bytes for `ld/st.shared`, 4 for a shared ALU operand.
+        for (text, offset, width) in [
+            (".smem 64\n ld.shared.b64 r0, s[0x4]\n exit\n", 4, 8),
+            (".smem 64\n ld.shared.b128 r0, s[0x8]\n exit\n", 8, 16),
+            (".smem 64\n st.shared.b32 s[0x2], r0\n exit\n", 2, 4),
+            (".smem 64\n add.f32 r0, r1, s[0x6]\n exit\n", 6, 4),
+        ] {
+            let kernel = crate::asm::parse_kernel(text).unwrap();
+            assert_eq!(
+                kernel.validate(),
+                Err(ValidateError::SMemMisaligned {
+                    at: 0,
+                    offset,
+                    width
+                }),
+                "{text}"
+            );
+        }
+        // Aligned offsets pass, and a base register defers the check to
+        // execution.
+        for text in [
+            ".smem 64\n ld.shared.b64 r0, s[0x8]\n exit\n",
+            ".smem 64\n ld.shared.b128 r0, s[0x30]\n exit\n",
+            ".smem 64\n add.f32 r0, r1, s[0x4]\n exit\n",
+            ".smem 64\n ld.shared.b64 r0, s[r2+0x4]\n exit\n",
+        ] {
+            let kernel = crate::asm::parse_kernel(text).unwrap();
+            assert_eq!(kernel.validate(), Ok(()), "{text}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Tests for the functional simulator.
 
 use super::*;
-use gpa_isa::builder::KernelBuilder;
+use gpa_isa::builder::{BuildError, KernelBuilder};
 #[allow(unused_imports)]
 use gpa_isa::instr as _instr_mod;
 use gpa_isa::instr::{CmpOp, NumTy, Pred, Reg, Src, Width};
+use gpa_isa::kernel::ValidateError;
 
 fn machine() -> Machine {
     Machine::gtx285()
@@ -964,6 +965,30 @@ fn probe(
     active: u32,
     op: impl Fn(&mut KernelBuilder, Reg, Reg, Reg) -> usize,
 ) -> (Result<RunOutput, SimError>, usize, GlobalMemory) {
+    let (k, pc) = probe_kernel(smem_bytes, op);
+    let k = k.unwrap();
+
+    let m = machine();
+    let mut gmem = GlobalMemory::new();
+    let mut table: Vec<u32> = addrs.to_vec();
+    table.extend(addrs2);
+    table.extend((0..32).map(|l| active >> l & 1));
+    // One pad word, so memory ends 4 bytes past a double-word boundary.
+    table.push(0);
+    let tab = gmem.alloc_u32(&table);
+    let sim_res = {
+        let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(1, 32)).unwrap();
+        sim.set_params(&[tab as u32]);
+        sim.run(&mut gmem)
+    };
+    (sim_res, pc, gmem)
+}
+
+/// The kernel of a [`probe`] (built and validated) and the probed pc.
+fn probe_kernel(
+    smem_bytes: u32,
+    op: impl Fn(&mut KernelBuilder, Reg, Reg, Reg) -> usize,
+) -> (Result<Kernel, BuildError>, usize) {
     let mut b = KernelBuilder::new("probe");
     b.set_threads(32);
     if smem_bytes > 0 {
@@ -984,22 +1009,7 @@ fn probe(
     let pc = op(&mut b, a, a2, val);
     b.clear_guard();
     b.exit();
-    let k = b.finish().unwrap();
-
-    let m = machine();
-    let mut gmem = GlobalMemory::new();
-    let mut table: Vec<u32> = addrs.to_vec();
-    table.extend(addrs2);
-    table.extend((0..32).map(|l| active >> l & 1));
-    // One pad word, so memory ends 4 bytes past a double-word boundary.
-    table.push(0);
-    let tab = gmem.alloc_u32(&table);
-    let sim_res = {
-        let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(1, 32)).unwrap();
-        sim.set_params(&[tab as u32]);
-        sim.run(&mut gmem)
-    };
-    (sim_res, pc, gmem)
+    (b.finish(), pc)
 }
 
 fn probe_err(
@@ -1371,25 +1381,29 @@ fn baseless_shared_counts_one_broadcast_per_active_half_warp_and_phase() {
 
 #[test]
 fn baseless_shared_faults_match_a_uniform_base_register() {
-    // Validation rejects a negative or out-of-range bare offset, so the
-    // simulator meets only misaligned ones: each raises exactly the error
-    // of a base register holding that offset in every active lane,
-    // including the phase order of wide accesses.
+    // Validation rejects a negative, out-of-range or misaligned bare
+    // offset, so the simulator never meets one; a base register holding
+    // the same misaligned offset still faults at execution.
     let ok = lane_addrs(0, 4, &[]);
     for u in SmemUse::ALL {
         for off in [2, 4, 6, 8, 12] {
             if off % u.bytes() as i32 == 0 {
                 continue;
             }
+            let (kernel, pc) = probe_kernel(128, u.op(off, false));
+            assert_eq!(
+                kernel.unwrap_err(),
+                BuildError::Validate(ValidateError::SMemMisaligned {
+                    at: pc,
+                    offset: off,
+                    width: u.bytes(),
+                }),
+                "{u:?} {off}"
+            );
             for active in [u32::MAX, 1 << 7, 0x8000_0000] {
-                let (err, pc) = probe_err(128, &[0; 32], &ok, active, u.op(off, false));
-                let want = probe_err(128, &[off as u32; 32], &ok, active, u.op(off, true));
-                assert_eq!((err.clone(), pc), want, "{u:?} {off} {active:#x}");
+                let (err, _) = probe_err(128, &[off as u32; 32], &ok, active, u.op(off, true));
                 assert!(matches!(err, SimError::Misaligned { .. }), "{err}");
             }
-            // A guard that masks every lane raises nothing.
-            let (res, _, _) = probe(128, &[0; 32], &ok, 0, u.op(off, false));
-            res.expect("no lane is active");
         }
     }
 

@@ -347,6 +347,14 @@ impl<'m> TimingSim<'m> {
     /// rotation pointer (greedy earliest-first alone phase-locks warps
     /// into convoys and lets the port idle; GT200 schedulers rotate).
     ///
+    /// This scan is the definition of the pick, and the exact fallback of
+    /// [`SmState::pick`], which answers the same question from per-slot
+    /// state without touching every warp. The fold below is order
+    /// dependent: a near tie (`|t - bt| < 1e-9`) goes to the smaller
+    /// distance, so a chain of values 0.6e-9 apart, or equal values past
+    /// 2^24 cycles (where `x + 1e-9 == x`), resolve by scan order, and
+    /// only a scan reproduces them.
+    ///
     /// Selection reads only SM-local state (`alu_free`, `smem_free`,
     /// `rotate`, warp scoreboards) — never the shared cluster pipe — which
     /// is what lets [`Self::run_cluster`] cache this result per SM and
@@ -416,6 +424,9 @@ impl<'m> TimingSim<'m> {
                 next_block += 1;
             }
         }
+        for sm in &mut sms {
+            sm.rebuild_slots();
+        }
 
         // Incremental issue scheduling: every event that can change an
         // SM's best candidate — issuing (alu_free/smem_free/rotate/
@@ -431,7 +442,7 @@ impl<'m> TimingSim<'m> {
             let mut best: Option<(usize, usize, usize, f64)> = None;
             for si in 0..nsms {
                 if dirty[si] {
-                    cached[si] = Self::sm_best(&sms[si]);
+                    cached[si] = sms[si].pick();
                     dirty[si] = false;
                 }
                 if let Some((bi, wi, t, _dist)) = cached[si] {
@@ -455,10 +466,15 @@ impl<'m> TimingSim<'m> {
             // so only `si`'s cached candidate is invalidated.
             dirty[si] = true;
             let sm = &mut sms[si];
-            sm.rotate = sm.blocks[..bi].iter().map(|b| b.warps.len()).sum::<usize>() + wi + 1;
-            let blk = &mut sm.blocks[bi];
-            let trace = Arc::clone(&blk.trace);
-            let e = &trace.warps[wi][blk.warps[wi].cursor];
+            let slot = sm.slots.first[bi] + wi;
+            sm.rotate = slot + 1;
+            let BlockRun {
+                trace,
+                warps,
+                arrived,
+                unfinished,
+            } = &mut sm.blocks[bi];
+            let e = &trace.warps[wi][warps[wi].cursor];
             out.issued += 1;
 
             // Bank-conflicted shared accesses are replayed through the
@@ -511,7 +527,7 @@ impl<'m> TimingSim<'m> {
                 }
             }
 
-            let w = &mut blk.warps[wi];
+            let w = &mut warps[wi];
             w.ready = t + occ_cycles;
             if e.dst_n > 0 {
                 let ready = match e.dst_lat {
@@ -523,30 +539,34 @@ impl<'m> TimingSim<'m> {
                 }
             }
             w.cursor += 1;
+            if w.done() {
+                *unfinished -= 1;
+            }
             out.end = out.end.max(w.ready);
 
+            let mut released = false;
             if e.bar {
                 w.waiting = true;
-                blk.arrived += 1;
+                *arrived += 1;
                 // Warps that already finished their whole trace no longer
                 // participate in barriers (GT200 semantics for exited
                 // threads).
-                let live = blk.warps.iter().filter(|w| !w.done()).count();
-                if blk.arrived >= live {
+                if *arrived >= *unfinished {
                     let release = t + cfg.barrier_latency;
-                    for w in &mut blk.warps {
+                    for w in warps.iter_mut() {
                         if w.waiting {
                             w.waiting = false;
                             w.ready = w.ready.max(release);
                         }
                     }
-                    blk.arrived = 0;
+                    *arrived = 0;
+                    released = true;
                 }
             }
 
             // Block completion → admit the next queued block to this SM.
-            if blk.warps.iter().all(WarpRun::done) {
-                let done_at = blk.warps.iter().map(|w| w.ready).fold(t, f64::max);
+            if *unfinished == 0 {
+                let done_at = warps.iter().map(|w| w.ready).fold(t, f64::max);
                 let mut retired = sm.blocks.swap_remove(bi);
                 retired.warps.clear();
                 warp_pool.push(retired.warps);
@@ -559,6 +579,14 @@ impl<'m> TimingSim<'m> {
                         &mut warp_pool,
                     ));
                 }
+                sm.rebuild_slots();
+            } else if released {
+                let first = sm.slots.first[bi];
+                for i in first..first + sm.blocks[bi].warps.len() {
+                    sm.refresh_slot(i);
+                }
+            } else {
+                sm.refresh_slot(slot);
             }
         }
 
@@ -629,6 +657,170 @@ struct SmState {
     smem_free: f64,
     /// Loose round-robin pointer over the SM's flattened warp list.
     rotate: usize,
+    slots: Slots,
+}
+
+/// Per-SM selection state: one slot per resident warp, in the flat order
+/// [`TimingSim::sm_best`] scans (`SmState::blocks` order, then warps).
+/// Only the warp that issued, a barrier release, or a block admission or
+/// retirement changes it. Slots past the 64th have no mask bit; an SM with
+/// that many resident warps (more than any preset's `max_warps_per_sm`
+/// allows) always scans.
+#[derive(Debug, Default)]
+struct Slots {
+    /// `(block, warp)` of each slot.
+    at: Vec<(usize, usize)>,
+    /// The first slot of each block.
+    first: Vec<usize>,
+    /// A live warp's own earliest issue time: its `ready`, maxed with the
+    /// `reg_ready` of its next entry's sources.
+    own: Vec<f64>,
+    /// Warps that are neither done nor waiting at a barrier.
+    live: u64,
+    /// Live warps whose next entry accesses shared memory.
+    smem: u64,
+    /// Live warps whose `own` is at or below their floor (see
+    /// [`SmState::pick`]).
+    ready: u64,
+}
+
+impl SmState {
+    /// Lay the slots out again, after a block was admitted or retired.
+    fn rebuild_slots(&mut self) {
+        let s = &mut self.slots;
+        s.at.clear();
+        s.first.clear();
+        for (bi, blk) in self.blocks.iter().enumerate() {
+            s.first.push(s.at.len());
+            s.at.extend((0..blk.warps.len()).map(|wi| (bi, wi)));
+        }
+        s.own.clear();
+        s.own.resize(s.at.len(), 0.0);
+        (s.live, s.smem, s.ready) = (0, 0, 0);
+        for i in 0..s.at.len() {
+            self.refresh_slot(i);
+        }
+    }
+
+    /// Recompute slot `i` from its warp, after the warp issued or was
+    /// released from a barrier. The slot is no longer ready until
+    /// [`Self::pick`] promotes it again.
+    fn refresh_slot(&mut self, i: usize) {
+        if i >= 64 {
+            return;
+        }
+        let bit = 1u64 << i;
+        let s = &mut self.slots;
+        s.live &= !bit;
+        s.smem &= !bit;
+        s.ready &= !bit;
+        let (bi, wi) = s.at[i];
+        let blk = &self.blocks[bi];
+        let w = &blk.warps[wi];
+        if w.done() || w.waiting {
+            return;
+        }
+        let e = &blk.trace.warps[wi][w.cursor];
+        let mut own = w.ready;
+        for &r in &e.srcs[..usize::from(e.nsrcs)] {
+            own = own.max(w.reg_ready[usize::from(r)]);
+        }
+        s.own[i] = own;
+        s.live |= bit;
+        if e.smem_half_txns > 0 {
+            s.smem |= bit;
+        }
+    }
+
+    /// [`TimingSim::sm_best`]'s answer: from the slots when
+    /// [`Self::pick_fast`] can decide it, else from the scan.
+    fn pick(&mut self) -> Option<Candidate> {
+        if self.slots.at.len() > 64 {
+            return TimingSim::sm_best(self);
+        }
+        if self.slots.live == 0 {
+            return None;
+        }
+        let fast = self.pick_fast();
+        debug_assert!(fast.is_none() || fast == TimingSim::sm_best(self));
+        fast.or_else(|| TimingSim::sm_best(self))
+    }
+
+    /// The scan's pick from the slots, or `None` when only the scan can
+    /// tell. Needs at most 64 slots and a live one.
+    ///
+    /// A slot issues at `max(own, floor)`. The floor is `alu_free`, or
+    /// `max(alu_free, smem_free)` for a shared-memory entry; both only
+    /// grow. So a slot whose `own` is at or below its floor is *ready*
+    /// and stays ready until it issues again: every ready slot issues at
+    /// one of the two floors. Promotion walks only the slots that are not
+    /// ready. The candidates are then the two ready sets at their floors
+    /// and the not-ready slots at their `own`; `m` is their minimum and C
+    /// the slots at exactly `m`. The pick is the first C slot in
+    /// round-robin order from `rotate`: one shift plus `trailing_zeros`.
+    ///
+    /// That is the scan's answer when the scan's own float predicates
+    /// (`t < bt - 1e-9`, `t < bt + 1e-9`) say so: C's members tie both
+    /// ways, every C slot beats every other slot by the first predicate,
+    /// and no other slot ties with a C slot by the second. `fl(x ± 1e-9)`
+    /// is monotone, so comparing `m` with the smallest other time covers
+    /// every pair. Otherwise — a near tie, or `m ≥ 2^24` where
+    /// `m + 1e-9 == m` and ties resolve in scan order — the scan decides.
+    fn pick_fast(&mut self) -> Option<Candidate> {
+        let total = self.slots.at.len();
+        debug_assert!(total <= 64 && self.slots.live != 0);
+        let s = &mut self.slots;
+        let alu_floor = self.alu_free;
+        let smem_floor = alu_floor.max(self.smem_free);
+        // Promote, and find the two smallest times of the rest.
+        let (mut n1, mut n1_mask, mut n2) = (f64::INFINITY, 0u64, f64::INFINITY);
+        let mut pending = s.live & !s.ready;
+        while pending != 0 {
+            let bit = pending & pending.wrapping_neg();
+            pending ^= bit;
+            let own = s.own[bit.trailing_zeros() as usize];
+            let floor = if s.smem & bit != 0 {
+                smem_floor
+            } else {
+                alu_floor
+            };
+            if own <= floor {
+                s.ready |= bit;
+            } else if own < n1 {
+                (n2, n1, n1_mask) = (n1, own, bit);
+            } else if own == n1 {
+                n1_mask |= bit;
+            } else if own < n2 {
+                n2 = own;
+            }
+        }
+        let groups = [
+            (alu_floor, s.ready & !s.smem),
+            (smem_floor, s.ready & s.smem),
+            (n1, n1_mask),
+        ];
+        let m = groups
+            .iter()
+            .filter(|&&(_, mask)| mask != 0)
+            .fold(f64::INFINITY, |m, &(t, _)| m.min(t));
+        let (mut near, mut other) = (0u64, n2);
+        for (t, mask) in groups.into_iter().filter(|&(_, mask)| mask != 0) {
+            if t == m {
+                near |= mask;
+            } else {
+                other = other.min(t);
+            }
+        }
+        let exact = m < m + 1e-9 && m < other - 1e-9 && other >= m + 1e-9;
+        if !exact {
+            return None;
+        }
+        let r = self.rotate % total;
+        let late = near & (u64::MAX << r);
+        let idx = if late != 0 { late } else { near }.trailing_zeros() as usize;
+        let (bi, wi) = s.at[idx];
+        Some((bi, wi, m, (idx + total - r) % total))
+    }
 }
 
 #[derive(Debug)]
@@ -636,6 +828,8 @@ struct BlockRun {
     trace: Arc<BlockTrace>,
     warps: Vec<WarpRun>,
     arrived: usize,
+    /// Warps that have not finished their trace.
+    unfinished: usize,
 }
 
 impl BlockRun {
@@ -649,10 +843,12 @@ impl BlockRun {
             waiting: false,
             reg_ready: [0.0; 132],
         }));
+        let unfinished = warps.iter().filter(|w| !w.done()).count();
         BlockRun {
             trace,
             warps,
             arrived: 0,
+            unfinished,
         }
     }
 }

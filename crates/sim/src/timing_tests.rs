@@ -422,3 +422,192 @@ fn empty_trace_finishes_instantly() {
     assert_eq!(r.issued, 0);
     assert_eq!(r.cycles, 0.0);
 }
+
+/// An SM holding `blocks`, each a list of warps `(ready, smem)`: warp
+/// `w` may issue from `ready` on, and its one entry accesses shared
+/// memory when `smem`.
+fn sm_state(blocks: &[&[(f64, bool)]], alu_free: f64, smem_free: f64, rotate: usize) -> SmState {
+    let mut sm = SmState {
+        alu_free,
+        smem_free,
+        rotate,
+        ..SmState::default()
+    };
+    for warps in blocks {
+        let trace = BlockTrace {
+            warps: warps
+                .iter()
+                .map(|&(_, smem)| {
+                    let mut e = entry(InstrClass::TypeII);
+                    e.smem_half_txns = if smem { 2 } else { 0 };
+                    vec![e]
+                })
+                .collect(),
+        };
+        let mut blk = BlockRun::new(Arc::new(trace), 0.0, &mut Vec::new());
+        for (w, &(ready, _)) in blk.warps.iter_mut().zip(warps.iter()) {
+            w.ready = ready;
+        }
+        sm.blocks.push(blk);
+    }
+    sm.rebuild_slots();
+    sm
+}
+
+/// The slots' pick, checked against the scan; `None` when it falls back.
+fn fast_pick(sm: &mut SmState) -> Option<Candidate> {
+    let scan = TimingSim::sm_best(sm);
+    let fast = sm.pick_fast();
+    assert!(fast.is_none() || fast == scan, "{fast:?} vs scan {scan:?}");
+    assert_eq!(sm.pick(), scan);
+    fast
+}
+
+#[test]
+fn exact_ties_at_the_floor_pick_round_robin_from_rotate() {
+    // Two blocks of four warps, every one ready below the port's floor:
+    // all issue at `alu_free`, and the pick walks round-robin from
+    // `rotate` over the flat (block, warp) order, wrapping past the end.
+    let ready: &[(f64, bool)] = &[(0.0, false), (10.0, false), (50.0, false), (99.0, false)];
+    for rotate in 0..=9 {
+        let mut sm = sm_state(&[ready, ready], 100.0, 0.0, rotate);
+        let idx = rotate % 8;
+        assert_eq!(fast_pick(&mut sm), Some((idx / 4, idx % 4, 100.0, 0)));
+    }
+    // A warp still waiting on its scoreboard is skipped: from slot 2,
+    // the next tied slot is 3, at distance 1.
+    let late: &[(f64, bool)] = &[(0.0, false), (0.0, false), (200.0, false), (0.0, false)];
+    let mut sm = sm_state(&[late], 100.0, 0.0, 2);
+    assert_eq!(fast_pick(&mut sm), Some((0, 3, 100.0, 1)));
+    // Once the floor passes it, the warp is ready and tied again.
+    sm.alu_free = 300.0;
+    assert_eq!(fast_pick(&mut sm), Some((0, 2, 300.0, 0)));
+}
+
+#[test]
+fn near_tie_chains_fall_back_to_the_scan() {
+    // Values 0.6e-9 apart tie pairwise with their neighbours but not
+    // across the chain, so the scan's fold depends on its order; the
+    // slots must not guess.
+    let chain: Vec<(f64, bool)> = (0..4)
+        .map(|k| (1000.0 + 0.6e-9 * k as f64, false))
+        .collect();
+    for rotate in 0..4 {
+        let mut sm = sm_state(&[&chain], 0.0, 0.0, rotate);
+        assert_eq!(fast_pick(&mut sm), None, "rotate {rotate}");
+    }
+    // One near value beside an exact tie falls back too.
+    let warps: &[(f64, bool)] = &[(500.0, false), (500.0, false), (500.0 + 0.5e-9, false)];
+    let mut sm = sm_state(&[warps], 0.0, 0.0, 1);
+    assert_eq!(fast_pick(&mut sm), None);
+    // Far enough apart, the earliest wins without a tie.
+    let warps: &[(f64, bool)] = &[(500.0, false), (500.0, false), (500.0 - 4e-9, false)];
+    let mut sm = sm_state(&[warps], 0.0, 0.0, 0);
+    assert_eq!(fast_pick(&mut sm), Some((0, 2, 500.0 - 4e-9, 2)));
+}
+
+#[test]
+fn ties_past_two_to_the_24_fall_back_to_the_scan() {
+    // From 2^24 cycles on, `t + 1e-9 == t`: exact ties no longer pass
+    // the scan's tie predicate, so the first warp in scan order wins
+    // whatever `rotate` says. The slots hand these picks to the scan.
+    let warps: &[(f64, bool)] = &[(0.0, false); 4];
+    let big = f64::from(1u32 << 24) + 0.5;
+    let mut sm = sm_state(&[warps], big, 0.0, 2);
+    assert_eq!(fast_pick(&mut sm), None);
+    assert_eq!(sm.pick(), Some((0, 0, big, 2)));
+    // Below 2^24 the same ties go round-robin, from the slots.
+    let below = f64::from(1u32 << 23) + 0.5;
+    let mut sm = sm_state(&[warps], below, 0.0, 2);
+    assert_eq!(fast_pick(&mut sm), Some((0, 2, below, 0)));
+}
+
+#[test]
+fn shared_and_alu_floors_split_the_ready_warps() {
+    // Warps 0 and 2 wait for the shared port, 1 and 3 only for the
+    // issue port.
+    let warps: &[(f64, bool)] = &[(0.0, true), (0.0, false), (0.0, true), (0.0, false)];
+    // A busy shared port: the ALU warps issue first.
+    let mut sm = sm_state(&[warps], 100.0, 150.0, 2);
+    assert_eq!(fast_pick(&mut sm), Some((0, 3, 100.0, 1)));
+    // A shared port free before the issue port: one floor, four ties.
+    let mut sm = sm_state(&[warps], 100.0, 80.0, 2);
+    assert_eq!(fast_pick(&mut sm), Some((0, 2, 100.0, 0)));
+    // Floors 0.5e-9 apart are a near tie: the scan decides.
+    let mut sm = sm_state(&[warps], 100.0, 100.0 + 0.5e-9, 2);
+    assert_eq!(fast_pick(&mut sm), None);
+    // A not-ready ALU warp whose own time equals the shared floor ties
+    // with the shared warps.
+    let warps: &[(f64, bool)] = &[(0.0, true), (150.0, false), (0.0, true)];
+    for (rotate, want) in [(0, 0), (1, 1), (2, 2), (3, 0)] {
+        let mut sm = sm_state(&[warps], 100.0, 150.0, rotate);
+        let got = fast_pick(&mut sm).expect("exact ties");
+        assert_eq!((got.1, got.2), (want, 150.0), "rotate {rotate}");
+    }
+}
+
+#[test]
+fn dependent_load_chains_run_past_two_to_the_24_cycles() {
+    // Two warps of dependent global loads (~520 cycles each) run the
+    // replay past 2^24 cycles, where every pick falls back to the scan.
+    // Debug builds check each pick of the slots against the scan.
+    let n = 34_000;
+    let chain = || -> Vec<TraceEntry> {
+        (0..n)
+            .map(|i| {
+                let mut e = entry(InstrClass::TypeII);
+                e.dst_n = 1;
+                e.srcs[0] = 0;
+                e.nsrcs = 1;
+                e.dst_lat = DstLatency::Gmem;
+                e.gmem_load = true;
+                e.gmem = Some(
+                    vec![Transaction {
+                        base: 4096 + (i % 64) as u64 * 128,
+                        size: 128,
+                    }]
+                    .into_boxed_slice(),
+                );
+                e
+            })
+            .collect()
+    };
+    let m = machine();
+    let r = TimingSim::new(&m).run(
+        &one_block(vec![chain(), chain()]),
+        &LaunchConfig::new_1d(1, 64),
+        res(64),
+    );
+    assert_eq!(r.issued, 2 * n as u64);
+    assert!(r.cycles > f64::from(1u32 << 24), "cycles {}", r.cycles);
+    // The two chains overlap: together they take about as long as one.
+    let one = TimingSim::new(&m).run(
+        &one_block(vec![chain()]),
+        &LaunchConfig::new_1d(1, 32),
+        res(32),
+    );
+    assert!(
+        r.cycles < 1.1 * one.cycles,
+        "{} vs {}",
+        r.cycles,
+        one.cycles
+    );
+}
+
+#[test]
+fn more_than_64_resident_warps_fall_back_to_the_scan() {
+    // No preset lets 64 warps share an SM, but a hand-built trace can:
+    // its SM has no slot masks and every pick scans.
+    let m = machine();
+    let sim = TimingSim::new(&m);
+    let n = 20;
+    let src = one_block(vec![independent_stream(n); 70]);
+    let r = sim.run(&src, &LaunchConfig::new_1d(1, 32), res(32));
+    assert_eq!(r.issued, 70 * n as u64);
+    let issue_bound = (70 * n) as f64 * (4.0 + sim.config().issue_overhead);
+    assert!(
+        (r.cycles - issue_bound).abs() / issue_bound < 0.05,
+        "cycles {} vs issue bound {issue_bound}",
+        r.cycles
+    );
+}

@@ -123,7 +123,7 @@ pub fn measure(
     unroll: u32,
     iters: u32,
 ) -> f64 {
-    let (launch, actual_warps) = launch_for_warps(machine, warps_per_sm);
+    let (launch, _) = launch_for_warps(machine, warps_per_sm);
     let threads = launch.threads_per_block();
     let k = kernel(class, unroll, iters, threads).expect("microbenchmark kernel");
     let mut gmem = GlobalMemory::new();
@@ -145,7 +145,6 @@ pub fn measure(
         * u64::from(iters)
         * u64::from(launch.warps_per_block(machine))
         * u64::from(launch.num_blocks());
-    let _ = actual_warps;
     chain_ops as f64 / r.seconds
 }
 

@@ -2,7 +2,7 @@
 //! the three case studies "with a 5–15% error". Our synthetic machine
 //! reproduces the bottleneck identities exactly and the accuracy within a
 //! wider but same-shape band. The `table3` exhibit (`gpa-bench`) prints
-//! the per-SKU errors; ROADMAP.md open item 5 tracks the band.
+//! the per-SKU errors; ROADMAP.md open item 1 tracks the band.
 
 use gpa::apps::{matmul, spmv, tridiag};
 use gpa::hw::Machine;
