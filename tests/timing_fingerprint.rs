@@ -99,21 +99,20 @@ fn all_blocks(machine: &Machine, run: &Run) -> TimingResult {
     )
 }
 
+/// A trace source a run is replayed from: its golden-line name and the
+/// replay.
+type Source = (&'static str, fn(&Machine, &Run) -> TimingResult);
+
 /// The two replays a run is fingerprinted under.
-const SOURCES: [&str; 2] = ["declared", "all_blocks"];
+const SOURCES: [Source; 2] = [("declared", declared), ("all_blocks", all_blocks)];
 
 /// The golden line of one replay: `<sku> | <case> | <source> | hash`.
-fn fingerprint(machine: &Machine, run: &Run, source: &str) -> String {
-    let r = match source {
-        "declared" => declared(machine, run),
-        "all_blocks" => all_blocks(machine, run),
-        _ => unreachable!("no trace source {source}"),
-    };
+fn fingerprint(machine: &Machine, run: &Run, (source, replay): Source) -> String {
     format!(
         "{} | {} | {source} | {:016x}",
         machine.name,
         run.case,
-        hash_timing(&r)
+        hash_timing(&replay(machine, run))
     )
 }
 
@@ -145,7 +144,7 @@ fn check(
     for machine in Machine::paper_table3() {
         for run in &runs {
             for source in SOURCES {
-                if keep(&machine, &run.case, source) {
+                if keep(&machine, &run.case, source.0) {
                     got.push(fingerprint(&machine, run, source));
                 }
             }
