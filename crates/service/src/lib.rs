@@ -690,8 +690,13 @@ pub struct AnalysisOptions {
     /// override it. The wire accepts the legacy `"mode"` strings and
     /// drops them, so this is always `None` on parsed requests.
     pub mode: Option<TraceMode>,
-    /// Worker threads for block execution within this request. Reports
-    /// are bit-identical for every selection; defaults to auto.
+    /// Worker threads for block execution and the timing replay within
+    /// this request. Reports are bit-identical for every selection;
+    /// defaults to auto, which runs a small request on the calling thread
+    /// (a loop-free grid below [`gpa_sim::engine::GRAIN`] warp
+    /// instructions, a per-block replay below `GRAIN` trace entries) and
+    /// shards anything larger across every core. `Fixed(n)` is always
+    /// exactly `n` workers.
     pub threads: Threads,
     /// Warp-instruction fuel budget (runaway-loop guard); `None` keeps
     /// the simulator default (20 × 10⁹). **Accounting granularity
@@ -1250,10 +1255,7 @@ impl Analyzer {
         each: impl Fn(&Self, &AnalysisRequest) -> T + Sync,
     ) -> Vec<T> {
         let n = reqs.len();
-        // A lone request never asks the OS for its core count: resolving
-        // `Threads::Auto` reads cgroup files, which costs more than a
-        // report-cache hit.
-        let workers = if n <= 1 { n } else { threads.count().min(n) };
+        let workers = threads.count().min(n);
         if workers <= 1 {
             return reqs.iter().map(|r| each(self, r)).collect();
         }

@@ -3,11 +3,12 @@
 //! in, same `Analysis` and timing out, bit for bit — and `analyze_batch`
 //! is identical to sequential `analyze` calls.
 
-use gpa_apps::{matmul, spmv, tridiag};
+use gpa_apps::{matmul, spmv, tridiag, zoo};
 use gpa_core::Model;
 use gpa_hw::Machine;
 use gpa_service::{AnalysisRequest, Analyzer, KernelSpec, ServiceError};
-use gpa_sim::Threads;
+use gpa_sim::engine::GRAIN;
+use gpa_sim::{FunctionalSim, Threads};
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
 use std::sync::OnceLock;
 
@@ -108,7 +109,31 @@ fn case_study_reports_are_bit_identical_for_every_thread_count() {
     // timing replay, model analysis): the worker-thread knob must never
     // leak into the answer. Texture-cached SpMV exercises the sharded
     // per-block cluster replay; matmul and tridiag ride the block-0 path.
+    // The zoo kernels are loop-free and small, so `Auto` runs them on the
+    // caller's thread while `Fixed(2)`/`Fixed(5)` shard them; histogram
+    // replays per block.
     let analyzer = analyzer();
+    let small_zoo = [
+        ("saxpy", 16384),
+        ("histogram", 16384),
+        ("shared_transpose", 128),
+    ];
+    for (name, n) in small_zoo {
+        let case = zoo::case(name, n, 1);
+        let sim = FunctionalSim::new(machine(), &case.kernel, case.launch).unwrap();
+        let work = sim.work_estimate().expect("zoo kernel is loop-free");
+        assert!(work < GRAIN, "{name} n={n}: {work} warp instructions");
+    }
+    let zoo_requests = small_zoo.map(|(name, n)| {
+        AnalysisRequest::new(
+            KernelSpec::Named {
+                name: name.to_owned(),
+                n,
+                seed: 1,
+            },
+            "gtx285",
+        )
+    });
     let textured = AnalysisRequest::new(
         KernelSpec::Spmv {
             l: 4,
@@ -118,7 +143,11 @@ fn case_study_reports_are_bit_identical_for_every_thread_count() {
         },
         "gtx285",
     );
-    for base in case_requests().into_iter().chain([textured]) {
+    for base in case_requests()
+        .into_iter()
+        .chain([textured])
+        .chain(zoo_requests)
+    {
         let mut reference = None;
         for threads in [
             Threads::Fixed(1),
@@ -139,6 +168,7 @@ fn case_study_reports_are_bit_identical_for_every_thread_count() {
                         report.kernel
                     );
                     assert_eq!(&report, r, "{threads:?}");
+                    assert_eq!(report.to_json(), r.to_json(), "{threads:?}");
                 }
             }
         }

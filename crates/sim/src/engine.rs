@@ -48,6 +48,34 @@
 //! expose a fuel knob (`run_study`'s `fuel` in `gpa-apps`,
 //! `AnalysisOptions::fuel` in `gpa-service`) document the same
 //! per-shard semantics.
+//!
+//! # When `Auto` shards
+//!
+//! Sharding has a fixed price however small the grid. One
+//! `std::thread::scope` that spawns two idle threads costs about 32 µs
+//! user + 100 µs system time; when each thread also allocates its warps'
+//! register files, its first touches of a cold allocator arena raise
+//! that to about 150 µs user + 650 µs system time and ~190 page faults
+//! (2-vCPU host). Each worker also copies the device memory. On a 1–3 ms
+//! kernel that is as much CPU as the simulation itself.
+//!
+//! So [`Threads::Auto`] shards only work that repays the threads: a job
+//! whose estimated size is below [`GRAIN`] runs on the caller's thread
+//! ([`Threads::workers_for`]). For a functional pass the size is
+//! [`FunctionalSim::work_estimate`] (warp instructions of a loop-free
+//! kernel; a kernel with a loop has no estimate and always shards); for
+//! a per-block timing replay it is the trace entries to replay.
+//! [`Threads::Fixed`] is never second-guessed: `Fixed(n)` means exactly
+//! `n` workers for any job.
+//!
+//! An inline run is the sequential walk, with its semantics: one fuel
+//! budget for the whole grid, and on error the writes of the blocks that
+//! already ran stay in the caller's memory. Results are bit-identical for
+//! every worker count, so the estimate decides only time, never output.
+//! The price is on an idle machine: a lone small request gives up its
+//! split, at most about half of a run below `GRAIN` (a few ms). Under
+//! load, when every core already has a request, the inline run is faster
+//! too.
 
 use crate::error::SimError;
 use crate::func::{FunctionalSim, RunOutput};
@@ -55,6 +83,17 @@ use crate::memory::{GlobalMemory, WriteRecord};
 use crate::stats::{BlockTrace, DynamicStats};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// The smallest job, in warp instructions or trace entries, that
+/// [`Threads::Auto`] shards; smaller jobs run on the caller's thread.
+///
+/// At ~50 ns per warp instruction, `GRAIN` is ~1.6 ms of simulation, the
+/// same order as the ~0.8 ms of CPU that spawning two workers with cold
+/// allocator arenas costs (see the [module docs](crate::engine)). The
+/// smallest paper case that shards, spmv in the blocked-ELL format, has
+/// ~41.7k; keep `GRAIN` below it.
+pub const GRAIN: u64 = 1 << 15;
 
 /// Worker-thread selection, the one threading knob shared by every layer
 /// that shards independent work: block execution ([`SimEngine`],
@@ -72,7 +111,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `gpa-service`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Threads {
-    /// One worker per available CPU core.
+    /// One worker per available CPU core, for jobs of at least [`GRAIN`];
+    /// one worker below it. The core count is read from the OS once per
+    /// process (it reads cgroup files, ~30 µs) and cached.
     #[default]
     Auto,
     /// Exactly `n` workers; `Fixed(1)` is the sequential special case.
@@ -85,21 +126,35 @@ impl Threads {
         Threads::Fixed(1)
     }
 
-    /// Resolved worker count (≥ 1): `Auto` asks the OS for the number of
-    /// available CPU cores, `Fixed(0)` is normalized to one worker.
+    /// Resolved worker count (≥ 1): `Auto` is the number of available
+    /// CPU cores, `Fixed(0)` is normalized to one worker.
     pub fn count(self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
         match self {
-            Threads::Auto => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            Threads::Auto => {
+                *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+            }
             Threads::Fixed(n) => n.max(1),
+        }
+    }
+
+    /// Workers (≥ 1) for a job of `work` units, `None` when its size is
+    /// unknown: `Auto` runs a job below [`GRAIN`] on one worker and
+    /// anything else on [`Threads::count`]; `Fixed(n)` is `n` for any job.
+    pub fn workers_for(self, work: Option<u64>) -> usize {
+        match (self, work) {
+            (Threads::Auto, Some(w)) if w < GRAIN => 1,
+            _ => self.count(),
         }
     }
 }
 
 /// Executes a [`FunctionalSim`]'s grid across worker threads.
 ///
-/// Construct from a [`Threads`] selection ([`SimEngine::with_threads`]).
-/// The engine is cheap to build; all simulation state lives in the
-/// `FunctionalSim` and the per-run shard workers.
+/// Construct from a [`Threads`] selection and the job's size
+/// ([`SimEngine::for_work`]). The engine is cheap to build; all
+/// simulation state lives in the `FunctionalSim` and the per-run shard
+/// workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimEngine {
     num_threads: usize,
@@ -114,10 +169,10 @@ struct ShardOutput {
 }
 
 impl SimEngine {
-    /// An engine from a [`Threads`] selection.
-    pub fn with_threads(threads: Threads) -> SimEngine {
+    /// An engine for a job of `work` units ([`Threads::workers_for`]).
+    pub fn for_work(threads: Threads, work: Option<u64>) -> SimEngine {
         SimEngine {
-            num_threads: threads.count(),
+            num_threads: threads.workers_for(work),
         }
     }
 
@@ -424,9 +479,56 @@ mod tests {
     }
 
     #[test]
+    fn small_auto_grids_fault_like_the_sequential_walk() {
+        // The errors test's grid under `Auto`: loop-free and far below
+        // `GRAIN`, so it runs inline. Blocks 0–1 store before block 2
+        // faults, and their writes stay; a sharded run leaves memory
+        // pristine.
+        let m = Machine::gtx285();
+        let k = staged_kernel(32);
+        let launch = LaunchConfig::new_1d(8, 32);
+        let run = |threads: Threads| {
+            let mut gmem = GlobalMemory::new();
+            let out = gmem.alloc(2 * 32 * 4, 128);
+            let mut sim = FunctionalSim::new(&m, &k, launch).unwrap();
+            sim.set_params(&[out as u32]).set_threads(threads);
+            assert!(sim.work_estimate().unwrap() < GRAIN);
+            sim.run(&mut gmem).unwrap_err();
+            (0..64u64)
+                .map(|i| gmem.read_u32(out + i * 4).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let expected: Vec<u32> = (0..2)
+            .flat_map(|b| (0..32).map(move |t| b * 3 + t))
+            .collect();
+        assert_eq!(run(Threads::Auto), expected);
+        assert_eq!(run(Threads::Fixed(2)), vec![0; 64]);
+    }
+
+    #[test]
+    fn auto_shards_only_work_that_repays_the_threads() {
+        let cores = Threads::Auto.count();
+        for work in [None, Some(0), Some(GRAIN - 1), Some(GRAIN), Some(u64::MAX)] {
+            for n in [1usize, 2, 5] {
+                assert_eq!(Threads::Fixed(n).workers_for(work), n, "{work:?}");
+            }
+            let auto = if work.is_some_and(|w| w < GRAIN) {
+                1
+            } else {
+                cores
+            };
+            assert_eq!(Threads::Auto.workers_for(work), auto, "{work:?}");
+        }
+    }
+
+    #[test]
     fn auto_resolves_to_at_least_one_worker() {
-        assert!(SimEngine::with_threads(Threads::Auto).num_threads() >= 1);
-        assert_eq!(SimEngine::with_threads(Threads::Fixed(5)).num_threads(), 5);
+        assert!(SimEngine::for_work(Threads::Auto, None).num_threads() >= 1);
+        assert_eq!(SimEngine::for_work(Threads::Auto, Some(1)).num_threads(), 1);
+        assert_eq!(
+            SimEngine::for_work(Threads::Fixed(5), Some(1)).num_threads(),
+            5
+        );
     }
 
     #[test]

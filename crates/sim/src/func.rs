@@ -181,6 +181,10 @@ pub struct FunctionalSim<'a> {
     trace_blocks: TraceBlocks,
     threads: Threads,
     cfg: Cfg,
+    /// Warp instructions the grid executes, when the kernel is loop-free.
+    work: Option<u64>,
+    /// Registers per lane: one past the highest the kernel names.
+    lane_regs: usize,
     bank_cfg: BankConfig,
     /// Largest transaction, shared by every entry of [`GRANULARITIES`].
     max_segment: u32,
@@ -216,6 +220,19 @@ impl<'a> FunctionalSim<'a> {
         assert!(coalesce
             .iter()
             .all(|c| c.max_segment == coalesce[0].max_segment));
+        // Without a back edge a warp's pc only moves forward, so each
+        // warp issues each instruction about once (an arm of a diverged
+        // branch may rerun code the other arm already ran).
+        let looping = kernel
+            .instrs
+            .iter()
+            .enumerate()
+            .any(|(pc, ins)| matches!(ins.op, Op::Bra { target } if target as usize <= pc));
+        let work = (!looping).then(|| {
+            kernel.instrs.len() as u64
+                * u64::from(launch.warps_per_block(machine))
+                * u64::from(launch.num_blocks())
+        });
         Ok(FunctionalSim {
             machine,
             kernel,
@@ -226,6 +243,8 @@ impl<'a> FunctionalSim<'a> {
             trace_blocks: TraceBlocks::Off,
             threads: Threads::sequential(),
             cfg: Cfg::build(&kernel.instrs),
+            work,
+            lane_regs: lane_regs(kernel),
             bank_cfg: BankConfig {
                 banks: machine.smem_banks,
                 width: machine.smem_bank_width,
@@ -280,8 +299,10 @@ impl<'a> FunctionalSim<'a> {
     /// [`Threads::sequential`], the plain sequential walk (the
     /// deterministic low-level baseline, including fuel accounting); the
     /// options layers above (`MeasureOpts`, `gpa-service`) default to
-    /// [`Threads::Auto`]. Output is bit-identical for every selection; see
-    /// [`crate::engine`] for the sharding/merge contract.
+    /// [`Threads::Auto`], which shards only a grid whose
+    /// [`FunctionalSim::work_estimate`] is unknown or at least
+    /// [`crate::engine::GRAIN`]. Output is bit-identical for every
+    /// selection; see [`crate::engine`] for the sharding/merge contract.
     pub fn set_threads(&mut self, threads: Threads) -> &mut Self {
         self.threads = threads;
         self
@@ -297,6 +318,15 @@ impl<'a> FunctionalSim<'a> {
         self.trace_blocks != TraceBlocks::Off
     }
 
+    /// The grid's warp-instruction count as estimated before running:
+    /// instructions × warps per block × blocks for a loop-free kernel,
+    /// `None` for a kernel with a backward branch. Under
+    /// [`Threads::Auto`] it decides whether [`FunctionalSim::run`] shards
+    /// (see [`crate::engine`]); it never changes the output.
+    pub fn work_estimate(&self) -> Option<u64> {
+        self.work
+    }
+
     /// Configured fuel budget (shared by a whole sequential run; applied
     /// per shard by the parallel engine).
     pub(crate) fn fuel_budget(&self) -> u64 {
@@ -305,8 +335,10 @@ impl<'a> FunctionalSim<'a> {
 
     /// Execute every block of the grid, in block-id order.
     ///
-    /// With the default single worker thread ([`FunctionalSim::set_threads`])
-    /// blocks run sequentially on the calling thread; with more, the
+    /// With the default single worker thread ([`FunctionalSim::set_threads`]),
+    /// or under [`Threads::Auto`] for a loop-free grid below
+    /// [`crate::engine::GRAIN`] warp instructions, blocks run sequentially
+    /// on the calling thread; with more, the
     /// [`crate::engine::SimEngine`] shards blocks across workers and merges
     /// the results into the same (bit-identical) output. Blocks must be
     /// independent, as in a real grid launch: a block that reads global
@@ -322,7 +354,7 @@ impl<'a> FunctionalSim<'a> {
     /// between thread counts.
     pub fn run(&self, gmem: &mut GlobalMemory) -> Result<RunOutput, SimError> {
         let _span = gpa_telemetry::PhaseSpan::start(gpa_telemetry::phase::FUNCTIONAL_SIM);
-        SimEngine::with_threads(self.threads).run(self, gmem)
+        SimEngine::for_work(self.threads, self.work).run(self, gmem)
     }
 
     /// Execute a single block with a fresh fuel budget, as the
@@ -401,7 +433,7 @@ impl<'a> FunctionalSim<'a> {
         };
 
         let mut warps: Vec<WarpState> = (0..nwarps)
-            .map(|w| WarpState::new(w as u32, threads, traced))
+            .map(|w| WarpState::new(w as u32, threads, self.lane_regs, traced))
             .collect();
 
         loop {
@@ -1322,9 +1354,23 @@ struct Frame {
     merged: u32,
 }
 
-/// Architectural registers per lane (the GT200 register-file slice a
-/// kernel may address).
-const LANE_REGS: usize = 128;
+/// Registers per lane a warp of `kernel` needs: one past the highest
+/// register any instruction writes (wide loads included) or reads
+/// (address bases and store sources included). The `.reg` declaration
+/// does not bound them, so it is not consulted.
+fn lane_regs(kernel: &Kernel) -> usize {
+    kernel
+        .instrs
+        .iter()
+        .flat_map(|ins| {
+            let dst = ins.op.dst().map(|(d, n)| usize::from(d.0) + usize::from(n));
+            let srcs = ins.op.src_regs().into_iter().map(|r| usize::from(r.0) + 1);
+            dst.into_iter().chain(srcs)
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 /// Predicate registers per lane.
 const LANE_PREDS: usize = 4;
 
@@ -1342,7 +1388,8 @@ struct WarpState {
     done: bool,
     stage: usize,
     first_thread: u32,
-    regs: Box<[Row; LANE_REGS]>,
+    /// One row per register the kernel names ([`lane_regs`]).
+    regs: Box<[Row]>,
     /// Bit `l` of `preds[p]` is lane `l`'s predicate `p`.
     preds: [u32; LANE_PREDS],
     /// The warp's trace, when its block is traced.
@@ -1353,7 +1400,7 @@ struct WarpState {
 }
 
 impl WarpState {
-    fn new(warp_idx: u32, block_threads: u32, traced: bool) -> WarpState {
+    fn new(warp_idx: u32, block_threads: u32, lane_regs: usize, traced: bool) -> WarpState {
         let first_thread = warp_idx * WARP as u32;
         let live = (block_threads - first_thread).min(WARP as u32);
         let mask = if live >= 32 {
@@ -1370,10 +1417,7 @@ impl WarpState {
             done: false,
             stage: 0,
             first_thread,
-            regs: vec![[0u32; WARP]; LANE_REGS]
-                .into_boxed_slice()
-                .try_into()
-                .expect("fixed-size register file"),
+            regs: vec![[0u32; WARP]; lane_regs].into_boxed_slice(),
             preds: [0; LANE_PREDS],
             trace: traced.then(Vec::new),
             counted_any: None,

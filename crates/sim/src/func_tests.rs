@@ -99,6 +99,57 @@ fn loop_accumulates() {
 }
 
 #[test]
+fn work_estimate_needs_a_loop_free_kernel() {
+    let m = machine();
+    let k = linear_kernel();
+    let mut gmem = GlobalMemory::new();
+    let out = gmem.alloc(256 * 4, 4);
+    let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(4, 64)).unwrap();
+    sim.set_params(&[out as u32]);
+    // 11 instructions × 2 warps × 4 blocks, which is what the run issues.
+    assert_eq!(sim.work_estimate(), Some(11 * 2 * 4));
+    let issued = sim.run(&mut gmem).unwrap().stats.total().instr_total();
+    assert_eq!(sim.work_estimate(), Some(issued));
+
+    // A forward branch keeps the estimate; a backward one, or a branch
+    // to itself, is a loop and has none.
+    let branchy = |target: &str| {
+        let mut b = KernelBuilder::new("branchy");
+        b.set_threads(32);
+        let i = b.alloc_reg().unwrap();
+        b.mov_imm(i, 0);
+        b.label("top");
+        b.iadd(i, Src::Reg(i), Src::Imm(1));
+        b.setp(Pred(0), CmpOp::Lt, NumTy::S32, Src::Reg(i), Src::Imm(3));
+        b.label("self");
+        b.bra_if(Pred(0), false, target);
+        b.label("end");
+        b.exit();
+        b.finish().unwrap()
+    };
+    let launch = LaunchConfig::new_1d(3, 32);
+    for (target, expect) in [("end", Some(5 * 3)), ("top", None), ("self", None)] {
+        let k = branchy(target);
+        let sim = FunctionalSim::new(&m, &k, launch).unwrap();
+        assert_eq!(sim.work_estimate(), expect, "branch to {target}");
+    }
+}
+
+#[test]
+fn register_file_covers_every_named_register() {
+    for (text, regs) in [
+        (".smem 64\n exit\n", 0),
+        (".smem 64\n ld.shared.b128 r4, s[0x0]\n exit\n", 8),
+        (".smem 64\n st.global.b64 g[r9], r2\n exit\n", 10),
+        (".smem 64\n st.global.b128 g[r0], r12\n exit\n", 16),
+        (".smem 64\n add.f32 r1, r3, s[0x4]\n exit\n", 4),
+    ] {
+        let kernel = gpa_isa::asm::parse_kernel(text).unwrap();
+        assert_eq!(lane_regs(&kernel), regs, "{text:?}");
+    }
+}
+
+#[test]
 fn divergent_if_else_reconverges() {
     // x = tid < 10 ? 111 : 222; both arms then add 1 after reconvergence.
     let mut b = KernelBuilder::new("diverge");
@@ -1414,7 +1465,7 @@ fn baseless_shared_faults_match_a_uniform_base_register() {
         words: vec![0; 32],
         bytes: 128,
     };
-    let mut w = WarpState::new(0, 32, false);
+    let mut w = WarpState::new(0, 32, 2, false);
     let offsets = [
         i32::MIN,
         -16,

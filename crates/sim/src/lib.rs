@@ -14,7 +14,8 @@
 //!   simulator. Grids can execute sequentially or sharded across worker
 //!   threads by [`engine::SimEngine`] with bit-identical output
 //!   ([`func::FunctionalSim::set_threads`] with an [`engine::Threads`]
-//!   selection).
+//!   selection; under `Auto`, only grids of at least [`engine::GRAIN`]
+//!   warp instructions shard).
 //! * [`timing::TimingSim`] — the **hardware substitute**: a coarse
 //!   cycle-level model of the GTX 285 (scoreboarded in-order warp issue,
 //!   per-class port occupancy, a 16-bank shared-memory port, TPC clusters

@@ -109,6 +109,20 @@ impl TraceSource {
         TraceSource::PerBlock(traces.into_iter().map(Arc::new).collect())
     }
 
+    /// Trace entries a replay of every cluster walks; `None` for a
+    /// homogeneous source, which replays one cluster and never shards.
+    fn work(&self) -> Option<u64> {
+        match self {
+            TraceSource::Homogeneous(_) => None,
+            TraceSource::PerBlock(v) => Some(
+                v.iter()
+                    .flat_map(|b| &b.warps)
+                    .map(|w| w.len() as u64)
+                    .sum(),
+            ),
+        }
+    }
+
     fn fetch(&self, block: u32) -> Arc<BlockTrace> {
         match self {
             TraceSource::Homogeneous(t) => Arc::clone(t),
@@ -298,7 +312,9 @@ impl<'m> TimingSim<'m> {
     }
 
     /// Replay `simulate`'s clusters, sharded across the configured worker
-    /// threads, returning one [`ClusterOutcome`] per entry, in order.
+    /// threads, returning one [`ClusterOutcome`] per entry, in order. A
+    /// per-block source below [`crate::engine::GRAIN`] entries replays on
+    /// the caller's thread under [`Threads::Auto`].
     ///
     /// Clusters share nothing (the paper's TPC: private SMs, shared-memory
     /// ports, memory pipe, texture cache), so each worker replays a
@@ -321,7 +337,7 @@ impl<'m> TimingSim<'m> {
                 })
                 .collect()
         };
-        let workers = self.threads.count().min(simulate.len()).max(1);
+        let workers = self.threads.workers_for(source.work()).min(simulate.len());
         if workers <= 1 {
             return replay(simulate);
         }
