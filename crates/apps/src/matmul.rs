@@ -342,9 +342,9 @@ pub fn case(n: u32, tile: u32) -> CaseStudy {
     )
 }
 
-/// Run the full workflow for one tile size on a single thread (the
-/// deterministic baseline). When `verify` is set, the device result is
-/// checked against [`reference()`].
+/// Run the full workflow for one tile size under [`Threads::Auto`]
+/// (results are bit-identical at every worker count). When `verify` is
+/// set, the device result is checked against [`reference()`].
 ///
 /// # Errors
 ///
@@ -360,29 +360,8 @@ pub fn run(
     tile: u32,
     verify: bool,
 ) -> Result<CaseRun, CaseError> {
-    run_with_threads(machine, model, n, tile, verify, Threads::sequential())
-}
-
-/// Like [`run`], with block execution sharded across `threads` worker
-/// threads. Results are bit-identical to [`run`].
-///
-/// # Errors
-///
-/// Propagates simulation and extraction errors.
-///
-/// # Panics
-///
-/// Panics if verification fails.
-pub fn run_with_threads(
-    machine: &Machine,
-    model: &mut Model<'_>,
-    n: u32,
-    tile: u32,
-    verify: bool,
-    threads: Threads,
-) -> Result<CaseRun, CaseError> {
     let mut study = case(n, tile);
-    let run = run_study(machine, model, &mut study, threads, None)?;
+    let run = run_study(machine, model, &mut study, Threads::Auto, None)?;
     if verify {
         study.check().unwrap_or_else(|e| panic!("{e}"));
     }

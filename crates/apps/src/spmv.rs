@@ -541,9 +541,9 @@ pub fn case(m: &BlockSparse, format: Format, texture: bool) -> CaseStudy {
     )
 }
 
-/// Run the full workflow for one format on a single thread (the
-/// deterministic baseline), optionally with the vector bound to the
-/// texture cache (the `+Cache` variants of paper Figure 12).
+/// Run the full workflow for one format under [`Threads::Auto`] (results
+/// are bit-identical at every worker count), optionally with the vector
+/// bound to the texture cache (the `+Cache` variants of paper Figure 12).
 ///
 /// # Errors
 ///
@@ -560,39 +560,8 @@ pub fn run(
     texture: bool,
     verify: bool,
 ) -> Result<CaseRun, CaseError> {
-    run_with_threads(
-        machine,
-        model,
-        m,
-        format,
-        texture,
-        verify,
-        Threads::sequential(),
-    )
-}
-
-/// Like [`run`], with block execution (and the per-block trace pass)
-/// sharded across `threads` worker threads. Results are bit-identical to
-/// [`run`].
-///
-/// # Errors
-///
-/// Propagates simulation and extraction errors.
-///
-/// # Panics
-///
-/// Panics if verification fails.
-pub fn run_with_threads(
-    machine: &Machine,
-    model: &mut Model<'_>,
-    m: &BlockSparse,
-    format: Format,
-    texture: bool,
-    verify: bool,
-    threads: Threads,
-) -> Result<CaseRun, CaseError> {
     let mut study = case(m, format, texture);
-    let run = run_study(machine, model, &mut study, threads, None)?;
+    let run = run_study(machine, model, &mut study, Threads::Auto, None)?;
     if verify {
         study.check().unwrap_or_else(|e| panic!("{e}"));
     }

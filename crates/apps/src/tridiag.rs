@@ -463,7 +463,8 @@ pub fn case(n: u32, nsys: u32, padded: bool) -> CaseStudy {
 }
 
 /// Run the workflow for CR (`padded = false`) or CR-NBC (`padded = true`)
-/// on a single thread (the deterministic baseline).
+/// under [`Threads::Auto`] (results are bit-identical at every worker
+/// count).
 ///
 /// # Errors
 ///
@@ -480,38 +481,8 @@ pub fn run(
     padded: bool,
     verify: bool,
 ) -> Result<CaseRun, CaseError> {
-    run_with_threads(
-        machine,
-        model,
-        n,
-        nsys,
-        padded,
-        verify,
-        Threads::sequential(),
-    )
-}
-
-/// Like [`run`], with block execution sharded across `threads` worker
-/// threads. Results are bit-identical to [`run`].
-///
-/// # Errors
-///
-/// Propagates simulation and extraction errors.
-///
-/// # Panics
-///
-/// Panics if verification fails.
-pub fn run_with_threads(
-    machine: &Machine,
-    model: &mut Model<'_>,
-    n: u32,
-    nsys: u32,
-    padded: bool,
-    verify: bool,
-    threads: Threads,
-) -> Result<CaseRun, CaseError> {
     let mut study = case(n, nsys, padded);
-    let run = run_study(machine, model, &mut study, threads, None)?;
+    let run = run_study(machine, model, &mut study, Threads::Auto, None)?;
     if verify {
         study.check().unwrap_or_else(|e| panic!("{e}"));
     }

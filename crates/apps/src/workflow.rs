@@ -6,9 +6,11 @@
 //! → info extraction → model analysis → timing measurement. The
 //! per-application `case()` constructors ([`crate::matmul::case`],
 //! [`crate::tridiag::case`], [`crate::spmv::case`]) build these, and both
-//! the in-crate `run`/`run_with_threads` drivers and the `gpa-service`
-//! `Analyzer` execute them through the same code path, so a service
-//! request and a direct driver call produce bit-identical results.
+//! the in-crate `run` drivers and the `gpa-service` `Analyzer` execute
+//! them through the same code path, so a service request and a direct
+//! driver call produce bit-identical results. The drivers leave the
+//! worker count to the engine ([`Threads::Auto`]): the answer is the same
+//! at every count, so only [`run_study`] takes a [`Threads`].
 
 use gpa_core::{extract, Analysis, InputError, Model, ModelInput};
 use gpa_hw::Machine;

@@ -9,12 +9,11 @@
 //!   power-of-two-stride conflicts without code changes.
 
 use gpa_apps::{matmul, tridiag};
-use gpa_bench::{curves, ms, rule, threads_arg};
+use gpa_bench::{curves, ms, rule};
 use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
-    let threads = threads_arg();
     let base = Machine::gtx285();
     let shared_curves = curves(&base);
     let n = 512;
@@ -30,11 +29,11 @@ fn main() {
 
     // ---- §5.1: 16 resident blocks for the 16×16 matmul ----
     let mut model = Model::new(&base, shared_curves.clone());
-    let mm_base = matmul::run_with_threads(&base, &mut model, n, 16, false, threads).unwrap();
+    let mm_base = matmul::run(&base, &mut model, n, 16, false).unwrap();
     let mut m16 = base.clone();
     m16.max_blocks_per_sm = 16;
     let mut model16 = Model::new(&m16, shared_curves.clone());
-    let mm_16 = matmul::run_with_threads(&m16, &mut model16, n, 16, false, threads).unwrap();
+    let mm_16 = matmul::run(&m16, &mut model16, n, 16, false).unwrap();
     println!(
         "{:<44} {:>12} {:>10} {:>7.2}x",
         "matmul 16x16, 16 resident blocks (32 warps)",
@@ -44,12 +43,12 @@ fn main() {
     );
 
     // ---- §5.1: double registers + shared memory for the 32×32 tile ----
-    let mm32_base = matmul::run_with_threads(&base, &mut model, n, 32, false, threads).unwrap();
+    let mm32_base = matmul::run(&base, &mut model, n, 32, false).unwrap();
     let mut big = base.clone();
     big.regs_per_sm *= 2;
     big.smem_per_sm *= 2;
     let mut model_big = Model::new(&big, shared_curves.clone());
-    let mm32_big = matmul::run_with_threads(&big, &mut model_big, n, 32, false, threads).unwrap();
+    let mm32_big = matmul::run(&big, &mut model_big, n, 32, false).unwrap();
     println!(
         "{:<44} {:>12} {:>10} {:>7.2}x",
         "matmul 32x32, 2x registers & shared memory",
@@ -59,13 +58,11 @@ fn main() {
     );
 
     // ---- §5.2: 17 shared-memory banks for plain CR ----
-    let cr_base =
-        tridiag::run_with_threads(&base, &mut model, 512, nsys, false, false, threads).unwrap();
+    let cr_base = tridiag::run(&base, &mut model, 512, nsys, false, false).unwrap();
     let mut prime = base.clone();
     prime.smem_banks = 17;
     let mut model_p = Model::new(&prime, shared_curves.clone());
-    let cr_prime =
-        tridiag::run_with_threads(&prime, &mut model_p, 512, nsys, false, true, threads).unwrap();
+    let cr_prime = tridiag::run(&prime, &mut model_p, 512, nsys, false, true).unwrap();
     println!(
         "{:<44} {:>12} {:>10} {:>7.2}x",
         "plain CR, 17 (prime) shared-memory banks",
@@ -79,8 +76,7 @@ fn main() {
     );
 
     // Software fix for comparison.
-    let nbc =
-        tridiag::run_with_threads(&base, &mut model, 512, nsys, true, false, threads).unwrap();
+    let nbc = tridiag::run(&base, &mut model, 512, nsys, true, false).unwrap();
     println!(
         "{:<44} {:>12} {:>10} {:>7.2}x",
         "  (software fix for comparison: CR-NBC)",

@@ -2,12 +2,11 @@
 //! granularity (a), and measured vs simulated breakdown (b).
 
 use gpa_apps::spmv::{self, Format};
-use gpa_bench::{curves, ms, paper_scale, rule, threads_arg};
+use gpa_bench::{curves, ms, paper_scale, rule};
 use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
-    let threads = threads_arg();
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
     let l = if paper_scale() { 12 } else { 8 };
@@ -27,8 +26,7 @@ fn main() {
     rule(86);
     let mut runs = Vec::new();
     for format in Format::ALL {
-        let r = spmv::run_with_threads(&m, &mut model, &mat, format, false, false, threads)
-            .expect("spmv runs");
+        let r = spmv::run(&m, &mut model, &mat, format, false, false).expect("spmv runs");
         let row = |region: &str| -> String {
             format!(
                 "{:>6.2} {:>6.2} {:>6.2}",

@@ -1,7 +1,7 @@
 //! Figure 12: SpMV GFLOPS for the six optimization combinations.
 
 use gpa_apps::spmv::{self, Format};
-use gpa_bench::{curves, paper_scale, rule, threads_arg, vs_paper};
+use gpa_bench::{curves, paper_scale, rule, vs_paper};
 use gpa_core::Model;
 use gpa_hw::Machine;
 use std::time::Instant;
@@ -10,7 +10,6 @@ fn main() {
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
     let l = if paper_scale() { 12 } else { 8 };
-    let threads = threads_arg();
     let start = Instant::now();
     let mat = spmv::qcd_like(l, 0xACDC);
     println!(
@@ -32,8 +31,7 @@ fn main() {
     ];
     let mut seconds = std::collections::HashMap::new();
     for (format, cache, paper) in variants {
-        let r = spmv::run_with_threads(&m, &mut model, &mat, format, cache, false, threads)
-            .expect("spmv runs");
+        let r = spmv::run(&m, &mut model, &mat, format, cache, false).expect("spmv runs");
         let gflops = r.measured_gflops(mat.flops());
         let name = format!("{}{}", format.name(), if cache { "+Cache" } else { "" });
         println!("{name:>18} {gflops:>12.1} {paper:>14.1}");
@@ -49,8 +47,5 @@ fn main() {
         vs_paper(1.0 + gain, 1.18)
     );
     println!("paper: vector interleaving wins even without the texture cache.");
-    eprintln!(
-        "[fig12] simulated in {:.2}s with {threads:?} (try --par)",
-        start.elapsed().as_secs_f64()
-    );
+    eprintln!("[fig12] simulated in {:.2}s", start.elapsed().as_secs_f64());
 }

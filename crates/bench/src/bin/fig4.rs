@@ -5,13 +5,12 @@
 //!     breakdown and GFLOPS.
 
 use gpa_apps::matmul;
-use gpa_bench::{curves, ms, paper_scale, rule, threads_arg};
+use gpa_bench::{curves, ms, paper_scale, rule};
 use gpa_core::Model;
 use gpa_hw::Machine;
 use gpa_sim::stats::GRAN_GT200;
 
 fn main() {
-    let threads = threads_arg();
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
     let n = if paper_scale() { 1024 } else { 512 };
@@ -46,8 +45,7 @@ fn main() {
     );
     rule(100);
     for (i, tile) in matmul::TILES.into_iter().enumerate() {
-        let r =
-            matmul::run_with_threads(&m, &mut model, n, tile, false, threads).expect("matmul runs");
+        let r = matmul::run(&m, &mut model, n, tile, false).expect("matmul runs");
         let t = r.input.stats.total();
         let a = &r.analysis;
         let gflops = r.measured_gflops(matmul::flops(n));

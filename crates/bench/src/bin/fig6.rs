@@ -2,12 +2,11 @@
 //! (forward reduction phase, as in the paper).
 
 use gpa_apps::tridiag;
-use gpa_bench::{curves, paper_scale, rule, threads_arg};
+use gpa_bench::{curves, paper_scale, rule};
 use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
-    let threads = threads_arg();
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
     let nsys = if paper_scale() { 512 } else { 128 };
@@ -17,8 +16,7 @@ fn main() {
         } else {
             "CR (Figure 6a)"
         };
-        let r = tridiag::run_with_threads(&m, &mut model, 512, nsys, padded, false, threads)
-            .expect("CR runs");
+        let r = tridiag::run(&m, &mut model, 512, nsys, padded, false).expect("CR runs");
         println!("{name}: {nsys} systems x 512 equations (paper: 512)");
         rule(76);
         println!(

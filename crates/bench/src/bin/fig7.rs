@@ -2,17 +2,15 @@
 //! per-step transaction counts with and without bank conflicts (b).
 
 use gpa_apps::tridiag;
-use gpa_bench::{curves, paper_scale, rule, threads_arg};
+use gpa_bench::{curves, paper_scale, rule};
 use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
-    let threads = threads_arg();
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
     let nsys = if paper_scale() { 512 } else { 128 };
-    let r = tridiag::run_with_threads(&m, &mut model, 512, nsys, false, false, threads)
-        .expect("CR runs");
+    let r = tridiag::run(&m, &mut model, 512, nsys, false, false).expect("CR runs");
 
     println!("Figure 7a: sustained shared bandwidth per forward step ({nsys} systems)");
     rule(72);

@@ -1,12 +1,11 @@
 //! Figure 8: CR vs CR-NBC — measured and simulated totals.
 
 use gpa_apps::tridiag;
-use gpa_bench::{curves, ms, paper_scale, rule, threads_arg, vs_paper};
+use gpa_bench::{curves, ms, paper_scale, rule, vs_paper};
 use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
-    let threads = threads_arg();
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
     let nsys = if paper_scale() { 512 } else { 128 };
@@ -19,8 +18,7 @@ fn main() {
     rule(88);
     let mut results = Vec::new();
     for padded in [false, true] {
-        let r = tridiag::run_with_threads(&m, &mut model, 512, nsys, padded, true, threads)
-            .expect("solvers run");
+        let r = tridiag::run(&m, &mut model, 512, nsys, padded, true).expect("solvers run");
         let at = r.analysis.serialized_attribution;
         println!(
             "{:>8} {:>12} {:>12} {:>8.1}% | {:>11} {:>11} {:>11}",

@@ -2,7 +2,7 @@
 //! the static occupancy calculation side by side with the occupancy an
 //! `Analyzer` run actually reports.
 
-use gpa_bench::{curves_with, rule, threads_arg};
+use gpa_bench::{curves_with, rule};
 use gpa_hw::{occupancy, Machine};
 use gpa_service::{AnalysisRequest, Analyzer, KernelSpec};
 use gpa_ubench::MeasureOpts;
@@ -11,10 +11,7 @@ fn main() {
     let m = Machine::gtx285();
     let mut analyzer = Analyzer::new();
     analyzer
-        .install(
-            m.clone(),
-            curves_with(&m, MeasureOpts::quick().with_threads(threads_arg())),
-        )
+        .install(m.clone(), curves_with(&m, MeasureOpts::quick()))
         .expect("cached curves match the machine");
 
     // n = 384 is the smallest grid valid for every tile size (multiple

@@ -4,27 +4,23 @@
 //! and print the per-SKU predictions side by side.
 //!
 //! Default sizes keep the sweep quick; `--paper` selects the paper-scale
-//! problems (and full-resolution calibration). `--threads N`/`--par`
-//! shards both the calibration and the batch. Calibrations are cached
-//! under `results/` like every other exhibit.
+//! problems (and full-resolution calibration). The calibration and the
+//! batch pick their own worker counts; calibrations are cached under
+//! `results/` like every other exhibit.
 
-use gpa_bench::{curves_with, paper_scale, rule, threads_arg, vs_paper};
+use gpa_bench::{curves_with, paper_scale, rule, vs_paper};
 use gpa_hw::Machine;
 use gpa_service::{AnalysisRequest, Analyzer, Effort, KernelSpec};
 
 fn main() {
     let paper = paper_scale();
-    let threads = threads_arg();
     let effort = if paper { Effort::Paper } else { Effort::Quick };
 
     let skus = Machine::paper_table3();
     let mut analyzer = Analyzer::new();
     for sku in &skus {
         analyzer
-            .install(
-                sku.clone(),
-                curves_with(sku, effort.measure_opts().with_threads(threads)),
-            )
+            .install(sku.clone(), curves_with(sku, effort.measure_opts()))
             .expect("cached curves match the machine");
     }
 
@@ -62,7 +58,7 @@ fn main() {
                 .map(|(_, spec)| AnalysisRequest::new(spec.clone(), &sku.name))
         })
         .collect();
-    let reports = analyzer.analyze_batch_with(&requests, threads);
+    let reports = analyzer.analyze_batch(&requests);
 
     println!("Table 3: per-SKU model predictions (ms, measured = timing simulator)");
     rule(30 + 26 * skus.len());

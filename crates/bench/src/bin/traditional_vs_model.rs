@@ -6,12 +6,11 @@
 //! to the quantitative model's bottleneck diagnosis.
 
 use gpa_apps::{matmul, spmv, tridiag};
-use gpa_bench::{curves, rule, threads_arg};
+use gpa_bench::{curves, rule};
 use gpa_core::{traditional_analysis, Model};
 use gpa_hw::Machine;
 
 fn main() {
-    let threads = threads_arg();
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
     println!("Traditional (algorithmic) model vs the paper's quantitative model");
@@ -19,7 +18,7 @@ fn main() {
 
     // ---- dense matmul 16x16, n = 512 ----
     let n = 512u64;
-    let mm = matmul::run_with_threads(&m, &mut model, n as u32, 16, false, threads).unwrap();
+    let mm = matmul::run(&m, &mut model, n as u32, 16, false).unwrap();
     // Algorithmic counts: 2n^3 flops; 3 n^2 matrix elements moved once.
     let trad = traditional_analysis(&m, 2 * n * n * n, 3 * n * n * 4, mm.measured_seconds(), 0.5);
     println!("matmul 16x16 (n={n}):");
@@ -32,8 +31,7 @@ fn main() {
 
     // ---- cyclic reduction, 128 systems ----
     let nsys = 128u64;
-    let cr =
-        tridiag::run_with_threads(&m, &mut model, 512, nsys as u32, false, false, threads).unwrap();
+    let cr = tridiag::run(&m, &mut model, 512, nsys as u32, false, false).unwrap();
     // Algorithmic counts per system of size 512: forward ~12 flops per
     // eliminated equation + backward ~5 per solved equation; bytes: load
     // 4 arrays, store x.
@@ -52,16 +50,7 @@ fn main() {
 
     // ---- SpMV, ELL, L = 8 ----
     let qcd = spmv::qcd_like(8, 9);
-    let sp = spmv::run_with_threads(
-        &m,
-        &mut model,
-        &qcd,
-        spmv::Format::Ell,
-        false,
-        false,
-        threads,
-    )
-    .unwrap();
+    let sp = spmv::run(&m, &mut model, &qcd, spmv::Format::Ell, false, false).unwrap();
     // Algorithmic: 2 flops/nnz; 12 bytes/nnz (value + index + vector).
     let trad = traditional_analysis(
         &m,

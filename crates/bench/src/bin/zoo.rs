@@ -7,26 +7,22 @@
 //!
 //! Default sizes keep the sweep quick; `--paper` selects each
 //! workload's default (larger) size and full-resolution calibration.
-//! `--threads N`/`--par` shards calibration and the batch.
+//! The calibration and the batch pick their own worker counts.
 
-use gpa_bench::{curves_with, paper_scale, rule, threads_arg};
+use gpa_bench::{curves_with, paper_scale, rule};
 use gpa_core::Component;
 use gpa_hw::Machine;
 use gpa_service::{zoo, AnalysisRequest, Analyzer, Effort, KernelSpec};
 
 fn main() {
     let paper = paper_scale();
-    let threads = threads_arg();
     let effort = if paper { Effort::Paper } else { Effort::Quick };
 
     let skus = Machine::paper_table3();
     let mut analyzer = Analyzer::new();
     for sku in &skus {
         analyzer
-            .install(
-                sku.clone(),
-                curves_with(sku, effort.measure_opts().with_threads(threads)),
-            )
+            .install(sku.clone(), curves_with(sku, effort.measure_opts()))
             .expect("cached curves match the machine");
     }
 
@@ -57,7 +53,7 @@ fn main() {
             })
         })
         .collect();
-    let reports = analyzer.analyze_batch_with(&requests, threads);
+    let reports = analyzer.analyze_batch(&requests);
     let mut it = reports.into_iter();
 
     println!("Workload zoo: bottleneck and GFLOPS per Table 3 SKU");

@@ -23,9 +23,9 @@
 //!
 //! Binaries print the paper's reported values next to ours; run them in
 //! release mode (`cargo run --release -p gpa-bench --bin fig4`). Passing
-//! `--paper` selects the paper's full problem sizes; `--threads N` (or
-//! `--par`) shards block simulation across worker threads with
-//! bit-identical output.
+//! `--paper` selects the paper's full problem sizes. The simulation
+//! engine picks its own worker count, and the output is bit-identical at
+//! every count.
 //!
 //! `benches/primitives.rs` holds Criterion microbenchmarks of the
 //! simulator substrate itself (coalescer, bank conflicts, functional and
@@ -34,7 +34,6 @@
 //! `layer/<phase>/<workload>` after the telemetry phase.
 
 use gpa_hw::Machine;
-use gpa_sim::Threads;
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
 use std::fs;
 use std::path::PathBuf;
@@ -63,12 +62,9 @@ pub fn curves_cache_path(machine: &Machine, opts: &MeasureOpts) -> PathBuf {
 }
 
 /// Load the full-resolution throughput curves for `machine`, measuring
-/// and caching them on first use. Honors the `--threads`/`--par` CLI
-/// flag ([`threads_arg`]) for the measurement itself — sample points are
-/// independent, so the curves (and the cache key) are identical at any
-/// thread count.
+/// and caching them on first use.
 pub fn curves(machine: &Machine) -> ThroughputCurves {
-    curves_with(machine, MeasureOpts::paper().with_threads(threads_arg()))
+    curves_with(machine, MeasureOpts::paper())
 }
 
 /// Load throughput curves at explicit effort, measuring and caching on
@@ -85,44 +81,6 @@ pub fn curves_with(machine: &Machine, opts: MeasureOpts) -> ThroughputCurves {
 /// `true` when the binary was invoked with `--paper` (full problem sizes).
 pub fn paper_scale() -> bool {
     std::env::args().any(|a| a == "--paper")
-}
-
-/// Worker threads requested on the command line: `--threads N`
-/// (`0` = [`Threads::Auto`], one per CPU core) or `--par` as shorthand
-/// for auto. Defaults to [`Threads::sequential`]. Exhibits produce
-/// bit-identical numbers for every thread count; only wall-clock changes.
-pub fn threads_arg() -> Threads {
-    let args: Vec<String> = std::env::args().collect();
-    let bad = || -> ! {
-        eprintln!("error: --threads requires a count (0 = one worker per core)");
-        std::process::exit(2);
-    };
-    let count = |n: usize| {
-        if n == 0 {
-            Threads::Auto
-        } else {
-            Threads::Fixed(n)
-        }
-    };
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--threads" {
-            match args.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(n) => return count(n),
-                None => bad(),
-            }
-        }
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            match v.parse() {
-                Ok(n) => return count(n),
-                Err(_) => bad(),
-            }
-        }
-    }
-    if args.iter().any(|a| a == "--par") {
-        Threads::Auto
-    } else {
-        Threads::sequential()
-    }
 }
 
 /// Print a rule line.
@@ -146,6 +104,7 @@ pub fn vs_paper(ours: f64, paper: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpa_sim::Threads;
 
     #[test]
     fn results_dir_exists() {

@@ -4,7 +4,7 @@ use crate::input::ModelInput;
 use gpa_hw::{InstrClass, Machine};
 use gpa_sim::stats::{StageStats, GRAN_GT200};
 use gpa_ubench::gmem::GmemConfig;
-use gpa_ubench::{GmemBench, MeasureOpts, ThroughputCurves};
+use gpa_ubench::{GmemBench, ThroughputCurves};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -301,21 +301,6 @@ impl<'m> Model<'m> {
         }
     }
 
-    /// Build a model, measuring curves at reduced (test) effort.
-    pub fn with_quick_calibration(machine: &'m Machine) -> Model<'m> {
-        Model::with_calibration(machine, MeasureOpts::quick())
-    }
-
-    /// Build a model, measuring curves with explicit effort options.
-    ///
-    /// `opts.threads` shards the calibration's independent warp sample
-    /// points across worker threads; the measured curves — and therefore
-    /// every analysis — are bit-identical for any thread count.
-    pub fn with_calibration(machine: &'m Machine, opts: MeasureOpts) -> Model<'m> {
-        let curves = ThroughputCurves::measure_with(machine, opts);
-        Model::new(machine, curves)
-    }
-
     /// The curves in use.
     pub fn curves(&self) -> &ThroughputCurves {
         &self.curves
@@ -328,7 +313,6 @@ impl<'m> Model<'m> {
 
     /// Run the model on one extracted launch.
     pub fn analyze(&mut self, input: &ModelInput) -> Analysis {
-        let blocks = input.stats.blocks.max(1);
         let mut stages = Vec::with_capacity(input.stats.stages.len());
         let mut serialized = 0.0;
         for (i, s) in input.stats.stages.iter().enumerate() {
@@ -372,7 +356,6 @@ impl<'m> Model<'m> {
             totals.second_bottleneck()
         };
 
-        let _ = blocks;
         Analysis {
             kernel_name: input.kernel_name.clone(),
             machine_name: self.machine.name.clone(),

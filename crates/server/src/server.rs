@@ -549,6 +549,27 @@ fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
+/// Answer a request that could not be read (a parse error, a
+/// mid-transfer stall) with `resp` and close the connection. The request
+/// may have unread bytes (an oversized body we refused to read, trailing
+/// garbage, the rest of a stalled upload), so half-close and drain before
+/// closing: otherwise the error response may not survive the trip.
+fn refuse(shared: &Shared, mut stream: TcpStream, resp: &Response, wait: Duration, start: Instant) {
+    shared.count_response(resp.status);
+    if http::write_response(&mut stream, resp).is_ok() {
+        shared.telemetry.finish_request(&RequestOutcome {
+            trace: None,
+            method: "-",
+            target: "-",
+            status: resp.status,
+            bytes: resp.body.len(),
+            total: wait + start.elapsed(),
+        });
+        let _ = stream.shutdown(Shutdown::Write);
+        drain(&mut stream);
+    }
+}
+
 /// Serve one connection: parse requests, answer them, and honor
 /// `Connection: keep-alive` up to the configured per-connection request
 /// cap and idle timeout. Any error — malformed request, oversized body,
@@ -621,7 +642,7 @@ fn serve_connection(
                         // error status): closing with those bytes unread
                         // would RST the socket and could destroy this
                         // response in flight — drain first, exactly like
-                        // the parse-error path below.
+                        // `refuse` does.
                         let mut stream = reader.into_inner().inner;
                         let _ = stream.shutdown(Shutdown::Write);
                         drain(&mut stream);
@@ -669,46 +690,24 @@ fn serve_connection(
                 );
                 if timed_out && consumed(&reader) > consumed_before {
                     shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                    let resp =
-                        Response::error(408, "timed out waiting for the rest of the request");
-                    shared.count_response(resp.status);
-                    let wait = queue_wait.take().unwrap_or(Duration::ZERO);
-                    let mut stream = reader.into_inner().inner;
-                    if http::write_response(&mut stream, &resp).is_ok() {
-                        shared.telemetry.finish_request(&RequestOutcome {
-                            trace: None,
-                            method: "-",
-                            target: "-",
-                            status: resp.status,
-                            bytes: resp.body.len(),
-                            total: wait + req_start.elapsed(),
-                        });
-                        let _ = stream.shutdown(Shutdown::Write);
-                        drain(&mut stream);
-                    }
+                    refuse(
+                        shared,
+                        reader.into_inner().inner,
+                        &Response::error(408, "timed out waiting for the rest of the request"),
+                        queue_wait.take().unwrap_or(Duration::ZERO),
+                        req_start,
+                    );
                 }
                 return;
             }
             Err(e) => {
-                let resp = Response::error(e.status(), &e.message());
-                shared.count_response(resp.status);
-                let wait = queue_wait.take().unwrap_or(Duration::ZERO);
-                let mut stream = reader.into_inner().inner;
-                if http::write_response(&mut stream, &resp).is_ok() {
-                    shared.telemetry.finish_request(&RequestOutcome {
-                        trace: None,
-                        method: "-",
-                        target: "-",
-                        status: resp.status,
-                        bytes: resp.body.len(),
-                        total: wait + req_start.elapsed(),
-                    });
-                    // The request may have unread bytes (an oversized body
-                    // we refused to read, trailing garbage): drain before
-                    // closing so the error response survives the trip.
-                    let _ = stream.shutdown(Shutdown::Write);
-                    drain(&mut stream);
-                }
+                refuse(
+                    shared,
+                    reader.into_inner().inner,
+                    &Response::error(e.status(), &e.message()),
+                    queue_wait.take().unwrap_or(Duration::ZERO),
+                    req_start,
+                );
                 return;
             }
         }

@@ -1232,18 +1232,7 @@ impl Analyzer {
         &self,
         reqs: &[AnalysisRequest],
     ) -> Vec<Result<AnalysisReport, ServiceError>> {
-        self.analyze_batch_with(reqs, Threads::Auto)
-    }
-
-    /// [`Analyzer::analyze_batch`] with an explicit worker selection for
-    /// the batch dimension (each request additionally shards its own
-    /// block execution per its `options.threads`).
-    pub fn analyze_batch_with(
-        &self,
-        reqs: &[AnalysisRequest],
-        threads: Threads,
-    ) -> Vec<Result<AnalysisReport, ServiceError>> {
-        self.batch(reqs, threads, Self::analyze)
+        self.batch(reqs, Threads::Auto, Self::analyze)
     }
 
     /// Apply `each` to every request, in request order, sharded across
@@ -1469,6 +1458,36 @@ mod tests {
         );
         let err = analyzer.analyze(&req).unwrap_err();
         assert!(matches!(err, ServiceError::InvalidRequest(_)), "{err}");
+    }
+
+    #[test]
+    fn batch_is_identical_to_sequential_analyze() {
+        // `Fixed(3)` shards the batch even on a one-core host.
+        let mut analyzer = Analyzer::new();
+        analyzer.calibrate(Machine::gtx285(), MeasureOpts::quick());
+        let reqs = [
+            AnalysisRequest::new(KernelSpec::Matmul { n: 64, tile: 16 }, "gtx285"),
+            AnalysisRequest::new(
+                KernelSpec::Tridiag {
+                    n: 512,
+                    nsys: 4,
+                    padded: false,
+                },
+                "gtx285",
+            ),
+            AnalysisRequest::new(
+                KernelSpec::Spmv {
+                    l: 4,
+                    seed: 42,
+                    format: spmv::Format::BellIm,
+                    texture: false,
+                },
+                "gtx285",
+            ),
+        ];
+        let batched = analyzer.batch(&reqs, Threads::Fixed(3), Analyzer::analyze);
+        let sequential: Vec<_> = reqs.iter().map(|r| analyzer.analyze(r)).collect();
+        assert_eq!(batched, sequential);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   the assignment is deterministic.
 //! * Each worker gets a **private copy** of the initial [`GlobalMemory`]
 //!   with write capture enabled
-//!   ([`GlobalMemory::begin_write_capture`]), a fresh [`DynamicStats`]
-//!   accumulator, and its own fuel budget, and executes its shard's
-//!   blocks sequentially in block-id order.
+//!   ([`GlobalMemory::begin_write_capture`]), a fresh
+//!   [`crate::stats::DynamicStats`] accumulator, and its own fuel budget,
+//!   and executes its shard's blocks sequentially in block-id order — the
+//!   same walk an inline run takes over the whole grid.
 //! * Results merge **in shard (= block-id) order**: per-stage statistics
 //!   via [`crate::stats::StageStats::merge_blocks`] (all counters are
 //!   additive across disjoint block sets), per-region traffic summed,
@@ -80,7 +81,6 @@
 use crate::error::SimError;
 use crate::func::{FunctionalSim, RunOutput};
 use crate::memory::{GlobalMemory, WriteRecord};
-use crate::stats::{BlockTrace, DynamicStats};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -95,16 +95,19 @@ use std::sync::OnceLock;
 /// ~41.7k; keep `GRAIN` below it.
 pub const GRAIN: u64 = 1 << 15;
 
-/// Worker-thread selection, the one threading knob shared by every layer
-/// that shards independent work: block execution ([`SimEngine`],
-/// `run_study` in `gpa-apps`), curve calibration (`MeasureOpts` in
-/// `gpa-ubench`), and batch analysis (`AnalysisOptions` in `gpa-service`).
+/// Worker-thread selection for work that shards into independent pieces:
+/// block execution and timing replay ([`FunctionalSim::set_threads`],
+/// [`crate::TimingSim::set_threads`], `run_study` in `gpa-apps`), curve
+/// calibration (`MeasureOpts` in `gpa-ubench`), and one request's
+/// simulation (`AnalysisOptions::threads` in `gpa-service`).
 ///
 /// Sharded results are **bit-identical at every thread count** throughout
-/// the workspace, so the options layers default to [`Threads::Auto`]; pick
-/// [`Threads::sequential`] only when wall-clock determinism or single-core
-/// profiling matters. (The exception is fuel accounting: a parallel run
-/// budgets fuel per shard — see the [module docs](crate::engine).)
+/// the workspace, so everything above `run_study` (the case-study
+/// drivers, batch analysis, the exhibits) leaves the count to
+/// [`Threads::Auto`]. An explicit count is for comparing counts in tests,
+/// for single-core profiling, and for a wire request's `threads`. (The
+/// exception is fuel accounting: a parallel run budgets fuel per shard —
+/// see the [module docs](crate::engine).)
 ///
 /// This enum is the one in-process thread encoding. The wire's numeric
 /// `threads` (`0` = auto, `n` = exactly `n` workers) is decoded by
@@ -160,14 +163,6 @@ pub struct SimEngine {
     num_threads: usize,
 }
 
-/// What one shard worker produces: its statistics, its (optional) traces
-/// in block order, and the global-memory writes its blocks performed.
-struct ShardOutput {
-    stats: DynamicStats,
-    traces: Option<Vec<BlockTrace>>,
-    writes: Vec<WriteRecord>,
-}
-
 impl SimEngine {
     /// An engine for a job of `work` units ([`Threads::workers_for`]).
     pub fn for_work(threads: Threads, work: Option<u64>) -> SimEngine {
@@ -214,7 +209,8 @@ impl SimEngine {
     ) -> Result<RunOutput, SimError> {
         let num_blocks = sim.launch().num_blocks();
         if self.num_threads <= 1 || num_blocks <= 1 {
-            return Self::run_sequential(sim, gmem);
+            return Self::walk(sim, gmem, 0..num_blocks, || false)
+                .expect("an inline walk never aborts");
         }
 
         let plan = Self::shard_plan(num_blocks, self.num_threads);
@@ -224,29 +220,31 @@ impl SimEngine {
         // error is the one from the lowest failing shard (sequential
         // semantics), and a lower shard may still fail earlier.
         let lowest_failed = AtomicUsize::new(usize::MAX);
-        let shard_results: Vec<Option<Result<ShardOutput, SimError>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = plan
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, range)| {
-                        let mut shard_mem = gmem.clone();
-                        let range = range.clone();
-                        let failed = &lowest_failed;
-                        scope.spawn(move || {
-                            let out = Self::run_shard(sim, &mut shard_mem, range, idx, failed);
-                            if matches!(out, Some(Err(_))) {
-                                failed.fetch_min(idx, Ordering::Relaxed);
-                            }
-                            out
-                        })
+        type ShardResult = Option<Result<(RunOutput, Vec<WriteRecord>), SimError>>;
+        let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = plan
+                .iter()
+                .enumerate()
+                .map(|(idx, range)| {
+                    let mut shard_mem = gmem.clone();
+                    let range = range.clone();
+                    let failed = &lowest_failed;
+                    scope.spawn(move || {
+                        shard_mem.begin_write_capture();
+                        let aborted = || failed.load(Ordering::Relaxed) < idx;
+                        let out = Self::walk(sim, &mut shard_mem, range, aborted);
+                        if matches!(out, Some(Err(_))) {
+                            failed.fetch_min(idx, Ordering::Relaxed);
+                        }
+                        Some(out?.map(|run| (run, shard_mem.take_captured_writes())))
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("simulation worker panicked"))
-                    .collect()
-            });
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("simulation worker panicked"))
+                .collect()
+        });
 
         // Deterministic merge in shard (= block-id) order.
         let mut stats = sim.fresh_stats();
@@ -255,57 +253,39 @@ impl SimEngine {
         for result in shard_results {
             // An aborted shard (`None`) only exists above a failing one,
             // so the `?` below always returns before reaching it.
-            let shard = result.expect("shard aborted with no lower-shard failure")?;
+            let (shard, shard_writes) =
+                result.expect("shard aborted with no lower-shard failure")?;
             stats.merge_shard(&shard.stats);
             if let (Some(all), Some(mut t)) = (traces.as_mut(), shard.traces) {
                 all.append(&mut t);
             }
-            writes.extend(shard.writes);
+            writes.extend(shard_writes);
         }
         gmem.apply_writes(&writes)
             .expect("captured writes replay into the memory they came from");
-        stats.blocks = u64::from(num_blocks);
         Ok(RunOutput { stats, traces })
     }
 
-    /// The `num_threads == 1` special case: the classic sequential walk,
-    /// with one fuel budget shared across the whole grid.
-    fn run_sequential(
+    /// Execute `blocks` of `sim`'s grid in block-id order against `gmem`
+    /// with one fuel budget: the whole grid for an inline run, one shard
+    /// for a worker. Returns `None` when `aborted` fires between blocks
+    /// (a lower shard failed, so this one's result could never be
+    /// observed).
+    fn walk(
         sim: &FunctionalSim<'_>,
         gmem: &mut GlobalMemory,
-    ) -> Result<RunOutput, SimError> {
+        blocks: Range<u32>,
+        aborted: impl Fn() -> bool,
+    ) -> Option<Result<RunOutput, SimError>> {
         let mut stats = sim.fresh_stats();
+        stats.blocks = u64::from(blocks.end - blocks.start);
         let mut traces = sim.is_collecting_traces().then(Vec::new);
         let mut fuel = sim.fuel_budget();
-        for b in 0..sim.launch().num_blocks() {
-            let trace = sim.exec_grid_block(gmem, b, &mut stats, &mut fuel)?;
-            if let (Some(ts), Some(t)) = (traces.as_mut(), trace) {
-                ts.push(t);
-            }
-        }
-        stats.blocks = u64::from(sim.launch().num_blocks());
-        Ok(RunOutput { stats, traces })
-    }
-
-    /// Run one shard's blocks sequentially against its private memory.
-    /// Returns `None` when aborted because a lower-indexed shard failed
-    /// (this shard's result could never be observed).
-    fn run_shard(
-        sim: &FunctionalSim<'_>,
-        shard_mem: &mut GlobalMemory,
-        range: Range<u32>,
-        shard_idx: usize,
-        lowest_failed: &AtomicUsize,
-    ) -> Option<Result<ShardOutput, SimError>> {
-        shard_mem.begin_write_capture();
-        let mut stats = sim.fresh_stats();
-        let mut traces = sim.is_collecting_traces().then(Vec::new);
-        let mut fuel = sim.fuel_budget();
-        for b in range {
-            if lowest_failed.load(Ordering::Relaxed) < shard_idx {
+        for b in blocks {
+            if aborted() {
                 return None;
             }
-            match sim.exec_grid_block(shard_mem, b, &mut stats, &mut fuel) {
+            match sim.exec_grid_block(gmem, b, &mut stats, &mut fuel) {
                 Ok(trace) => {
                     if let (Some(ts), Some(t)) = (traces.as_mut(), trace) {
                         ts.push(t);
@@ -314,12 +294,7 @@ impl SimEngine {
                 Err(e) => return Some(Err(e)),
             }
         }
-        stats.blocks = 0; // the merge sets the grid total
-        Some(Ok(ShardOutput {
-            stats,
-            traces,
-            writes: shard_mem.take_captured_writes(),
-        }))
+        Some(Ok(RunOutput { stats, traces }))
     }
 }
 
@@ -366,7 +341,7 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn run_with_threads(threads: Threads, trace: bool) -> (RunOutput, GlobalMemory) {
+    fn run_staged(threads: Threads, trace: bool) -> (RunOutput, GlobalMemory) {
         let m = Machine::gtx285();
         let k = staged_kernel(64);
         let launch = LaunchConfig::new_1d(37, 64);
@@ -404,14 +379,14 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_bitwise() {
-        let (seq, seq_mem) = run_with_threads(Threads::sequential(), true);
+        let (seq, seq_mem) = run_staged(Threads::sequential(), true);
         for threads in [
             Threads::Fixed(2),
             Threads::Fixed(3),
             Threads::Fixed(4),
             Threads::Auto,
         ] {
-            let (par, par_mem) = run_with_threads(threads, true);
+            let (par, par_mem) = run_staged(threads, true);
             assert_eq!(seq.stats, par.stats, "stats diverge at {threads:?}");
             assert_eq!(seq.traces, par.traces, "traces diverge at {threads:?}");
             assert_eq!(seq_mem, par_mem, "memory diverges at {threads:?}");
@@ -420,8 +395,8 @@ mod tests {
 
     #[test]
     fn parallel_without_traces_matches_too() {
-        let (seq, seq_mem) = run_with_threads(Threads::sequential(), false);
-        let (par, par_mem) = run_with_threads(Threads::Fixed(3), false);
+        let (seq, seq_mem) = run_staged(Threads::sequential(), false);
+        let (par, par_mem) = run_staged(Threads::Fixed(3), false);
         assert!(seq.traces.is_none() && par.traces.is_none());
         assert_eq!(seq.stats, par.stats);
         assert_eq!(seq_mem, par_mem);

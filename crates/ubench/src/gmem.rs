@@ -11,8 +11,7 @@ use gpa_hw::{KernelResources, Machine};
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, Pred, SpecialReg, Src, Width};
 use gpa_isa::Kernel;
-use gpa_sim::{FunctionalSim, GlobalMemory, LaunchConfig, TimingSim, TraceSource};
-use std::sync::Arc;
+use gpa_sim::{GlobalMemory, LaunchConfig};
 
 /// Benchmark shape: the three factors paper §4.3 identifies as what global
 /// bandwidth is sensitive to.
@@ -113,25 +112,15 @@ pub fn measure(machine: &Machine, cfg: GmemConfig) -> f64 {
     let launch = LaunchConfig::new_1d(cfg.blocks, cfg.threads);
     let mut gmem = GlobalMemory::new();
     let buf = gmem.alloc(cfg.total_bytes().max(4), 128);
-    let mut sim = FunctionalSim::new(machine, &k, launch).expect("launchable");
-    sim.set_params(&[buf as u32]);
-    sim.collect_traces(true);
-    let mut stats = sim.fresh_stats();
-    let trace = sim
-        .run_block(&mut gmem, 0, &mut stats)
-        .expect("block 0 runs")
-        .expect("trace collected");
-
-    let timing = TimingSim::new(machine);
-    let src = TraceSource::Homogeneous(Arc::new(trace));
     let res = KernelResources::new(12, 0, cfg.threads);
-    let r = timing.run(&src, &launch, res);
-    cfg.total_bytes() as f64 / r.seconds
+    let seconds = crate::replay_block0(machine, &k, launch, &[buf as u32], &mut gmem, res);
+    cfg.total_bytes() as f64 / seconds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpa_sim::FunctionalSim;
 
     #[test]
     fn kernel_counts_loads_exactly() {

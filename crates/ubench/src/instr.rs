@@ -10,8 +10,7 @@ use gpa_hw::{InstrClass, KernelResources, Machine};
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{CmpOp, NumTy, Pred, Src};
 use gpa_isa::Kernel;
-use gpa_sim::{FunctionalSim, GlobalMemory, LaunchConfig, TimingSim, TraceSource};
-use std::sync::Arc;
+use gpa_sim::{GlobalMemory, LaunchConfig};
 
 /// Build the microbenchmark kernel for one instruction class.
 ///
@@ -126,26 +125,15 @@ pub fn measure(
     let (launch, _) = launch_for_warps(machine, warps_per_sm);
     let threads = launch.threads_per_block();
     let k = kernel(class, unroll, iters, threads).expect("microbenchmark kernel");
-    let mut gmem = GlobalMemory::new();
-    let mut sim = FunctionalSim::new(machine, &k, launch).expect("launchable");
-    sim.collect_traces(true);
-    let mut stats = sim.fresh_stats();
-    let trace = sim
-        .run_block(&mut gmem, 0, &mut stats)
-        .expect("block 0 runs")
-        .expect("trace collected");
-
-    let timing = TimingSim::new(machine);
-    let src = TraceSource::Homogeneous(Arc::new(trace));
     // Resources: declare enough so the requested blocks per SM are resident.
     let res = KernelResources::new(8, 0, threads);
-    let r = timing.run(&src, &launch, res);
+    let seconds = crate::replay_block0(machine, &k, launch, &[], &mut GlobalMemory::new(), res);
 
     let chain_ops = u64::from(unroll)
         * u64::from(iters)
         * u64::from(launch.warps_per_block(machine))
         * u64::from(launch.num_blocks());
-    chain_ops as f64 / r.seconds
+    chain_ops as f64 / seconds
 }
 
 #[cfg(test)]

@@ -33,3 +33,36 @@ pub mod instr;
 pub mod smem;
 
 pub use curves::{GmemBench, MeasureOpts, ThroughputCurves};
+
+use gpa_hw::{KernelResources, Machine};
+use gpa_isa::Kernel;
+use gpa_sim::{FunctionalSim, GlobalMemory, LaunchConfig, TimingSim, TraceSource};
+use std::sync::Arc;
+
+/// Trace block 0 of `kernel` with the functional simulator and replay it
+/// as a homogeneous grid on the timing simulator: the measurement every
+/// microbenchmark shares. Returns the simulated seconds.
+///
+/// # Panics
+///
+/// Panics if the launch does not fit `machine` or block 0 faults (the
+/// microbenchmarks are fixed-shape kernels; a failure is a bug).
+pub(crate) fn replay_block0(
+    machine: &Machine,
+    kernel: &Kernel,
+    launch: LaunchConfig,
+    params: &[u32],
+    gmem: &mut GlobalMemory,
+    res: KernelResources,
+) -> f64 {
+    let mut sim = FunctionalSim::new(machine, kernel, launch).expect("launchable");
+    sim.set_params(params);
+    sim.collect_traces(true);
+    let mut stats = sim.fresh_stats();
+    let trace = sim
+        .run_block(gmem, 0, &mut stats)
+        .expect("block 0 runs")
+        .expect("trace collected");
+    let src = TraceSource::Homogeneous(Arc::new(trace));
+    TimingSim::new(machine).run(&src, &launch, res).seconds
+}

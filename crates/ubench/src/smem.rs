@@ -11,8 +11,7 @@ use gpa_hw::{KernelResources, Machine};
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, Pred, Src, Width};
 use gpa_isa::Kernel;
-use gpa_sim::{FunctionalSim, GlobalMemory, LaunchConfig, TimingSim, TraceSource};
-use std::sync::Arc;
+use gpa_sim::{FunctionalSim, GlobalMemory, LaunchConfig};
 
 /// Number of load+store slot pairs per loop iteration. High enough that
 /// loop bookkeeping is negligible next to the memory instructions.
@@ -81,19 +80,8 @@ pub fn measure(machine: &Machine, warps_per_sm: u32, iters: u32) -> f64 {
     let (launch, _) = launch_for_warps(machine, warps_per_sm);
     let threads = launch.threads_per_block();
     let k = kernel(iters, threads).expect("smem microbenchmark kernel");
-    let mut gmem = GlobalMemory::new();
-    let mut sim = FunctionalSim::new(machine, &k, launch).expect("launchable");
-    sim.collect_traces(true);
-    let mut stats = sim.fresh_stats();
-    let trace = sim
-        .run_block(&mut gmem, 0, &mut stats)
-        .expect("block 0 runs")
-        .expect("trace collected");
-
-    let timing = TimingSim::new(machine);
-    let src = TraceSource::Homogeneous(Arc::new(trace));
     let res = KernelResources::new(8, k.resources.smem_per_block, threads);
-    let r = timing.run(&src, &launch, res);
+    let seconds = crate::replay_block0(machine, &k, launch, &[], &mut GlobalMemory::new(), res);
 
     let accesses = 2u64
         * u64::from(UNROLL)
@@ -101,7 +89,7 @@ pub fn measure(machine: &Machine, warps_per_sm: u32, iters: u32) -> f64 {
         * u64::from(launch.warps_per_block(machine))
         * u64::from(launch.num_blocks());
     let bytes = accesses * u64::from(machine.warp_access_bytes());
-    bytes as f64 / r.seconds
+    bytes as f64 / seconds
 }
 
 /// One full-grid copy launch for correctness checking (returns the

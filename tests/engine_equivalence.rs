@@ -157,42 +157,37 @@ proptest! {
     }
 }
 
-/// The real case studies, end to end: the workflow driver with a thread
-/// count produces the same extracted statistics and the same timing
-/// measurement as the sequential driver.
+/// The real case studies, end to end: the workflow driver produces the
+/// same extracted statistics and the same timing measurement on one
+/// worker as on several (or on the engine's own choice).
 #[test]
 fn case_studies_are_thread_count_invariant() {
-    use gpa::apps::{matmul, spmv, tridiag};
+    use gpa::apps::workflow::run_study;
+    use gpa::apps::{matmul, spmv, tridiag, CaseStudy};
     use gpa::model::Model;
     use gpa::ubench::{MeasureOpts, ThroughputCurves};
 
     let m = machine();
     let curves = ThroughputCurves::measure_with(m, MeasureOpts::quick());
     let mut model = Model::new(m, curves);
+    let mut invariant = |make: &dyn Fn() -> CaseStudy, threads: Threads| {
+        let mut run = |threads| {
+            let mut study = make();
+            let run = run_study(m, &mut model, &mut study, threads, None).unwrap();
+            study.check().unwrap();
+            run
+        };
+        let seq = run(Threads::sequential());
+        let par = run(threads);
+        assert_eq!(seq.input.stats, par.input.stats);
+        assert_eq!(seq.timing, par.timing);
+    };
 
-    let seq = matmul::run(m, &mut model, 256, 16, true).unwrap();
-    let par = matmul::run_with_threads(m, &mut model, 256, 16, true, Threads::Auto).unwrap();
-    assert_eq!(seq.input.stats, par.input.stats);
-    assert_eq!(seq.timing, par.timing);
-
-    let seq = tridiag::run(m, &mut model, 512, 16, false, true).unwrap();
-    let par =
-        tridiag::run_with_threads(m, &mut model, 512, 16, false, true, Threads::Fixed(3)).unwrap();
-    assert_eq!(seq.input.stats, par.input.stats);
-    assert_eq!(seq.timing, par.timing);
-
+    invariant(&|| matmul::case(256, 16), Threads::Auto);
+    invariant(&|| tridiag::case(512, 16, false), Threads::Fixed(3));
     let qcd = spmv::qcd_like(4, 7);
-    let seq = spmv::run(m, &mut model, &qcd, spmv::Format::BellIm, true, true).unwrap();
-    let par = spmv::run_with_threads(
-        m,
-        &mut model,
-        &qcd,
-        spmv::Format::BellIm,
-        true,
-        true,
+    invariant(
+        &|| spmv::case(&qcd, spmv::Format::BellIm, true),
         Threads::Fixed(4),
-    )
-    .unwrap();
-    assert_eq!(seq.input.stats, par.input.stats);
-    assert_eq!(seq.timing, par.timing);
+    );
 }
