@@ -63,7 +63,7 @@ fn bench_functional_sim(c: &mut Criterion) {
 }
 
 fn bench_engine_sharding(c: &mut Criterion) {
-    // The SimEngine speedup exhibit: one large homogeneous grid
+    // The block-sharding speedup exhibit: one large homogeneous grid
     // (matmul 256², 64 blocks of 64 threads), executed sequentially vs
     // sharded across all cores. Outputs are bit-identical; only
     // wall-clock differs.

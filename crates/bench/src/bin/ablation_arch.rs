@@ -14,6 +14,7 @@ use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
+    gpa_bench::paper_scale(false);
     let base = Machine::gtx285();
     let shared_curves = curves(&base);
     let n = 512;

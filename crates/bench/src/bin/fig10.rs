@@ -39,6 +39,7 @@ fn total_bytes(addr_of: impl Fn(u64, u64) -> u64) -> u64 {
 }
 
 fn main() {
+    gpa_bench::paper_scale(false);
     println!("Figure 10: vector storage vs memory-transaction grouping");
     println!("(4 threads gather x[3c..3c+3] for their block columns; 2-thread");
     println!(" transaction issue, 8-byte transactions — the paper's toy model)");

@@ -7,9 +7,10 @@ use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
+    let paper = paper_scale(true);
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
-    let l = if paper_scale() { 12 } else { 8 };
+    let l = if paper { 12 } else { 8 };
     let mat = spmv::qcd_like(l, 0xACDC);
     println!(
         "Figure 11: SpMV on the QCD-like operator, L = {l} ({} rows, {} nnz)",

@@ -7,9 +7,10 @@ use gpa_hw::Machine;
 use std::time::Instant;
 
 fn main() {
+    let paper = paper_scale(true);
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
-    let l = if paper_scale() { 12 } else { 8 };
+    let l = if paper { 12 } else { 8 };
     let start = Instant::now();
     let mat = spmv::qcd_like(l, 0xACDC);
     println!(

@@ -4,6 +4,7 @@ use gpa_bench::{curves, rule};
 use gpa_hw::{InstrClass, Machine};
 
 fn main() {
+    gpa_bench::paper_scale(false);
     let m = Machine::gtx285();
     let c = curves(&m);
     println!("Figure 2 (left): instruction throughput (Ginstr/s) vs warps/SM");

@@ -4,6 +4,7 @@ use gpa_bench::{curves, rule, vs_paper};
 use gpa_hw::Machine;
 
 fn main() {
+    gpa_bench::paper_scale(false);
     let m = Machine::gtx285();
     let c = curves(&m);
     println!("Figure 2 (right): shared-memory bandwidth (GB/s) vs warps/SM");

@@ -6,6 +6,7 @@ use gpa_hw::Machine;
 use gpa_ubench::gmem::{measure, GmemConfig};
 
 fn main() {
+    let paper = paper_scale(true);
     let m = Machine::gtx285();
     // The paper's legend: T = threads/block, M = 4-byte transactions/thread.
     let configs: [(u32, u32); 8] = [
@@ -18,7 +19,7 @@ fn main() {
         (512, 2),
         (256, 2),
     ];
-    let max_blocks = if paper_scale() { 60 } else { 40 };
+    let max_blocks = if paper { 60 } else { 40 };
     println!("Figure 3: global bandwidth (GB/s) vs blocks");
     print!("{:>7}", "blocks");
     for (t, mm) in configs {
@@ -26,7 +27,7 @@ fn main() {
     }
     println!();
     rule(7 + 10 * configs.len());
-    for blocks in (1..=max_blocks).step_by(if paper_scale() { 1 } else { 3 }) {
+    for blocks in (1..=max_blocks).step_by(if paper { 1 } else { 3 }) {
         print!("{blocks:>7}");
         for (t, mm) in configs {
             let bw = measure(&m, GmemConfig::new(blocks, t, mm)) / 1e9;

@@ -11,9 +11,10 @@ use gpa_hw::Machine;
 use gpa_sim::stats::GRAN_GT200;
 
 fn main() {
+    let paper = paper_scale(true);
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
-    let n = if paper_scale() { 1024 } else { 512 };
+    let n = if paper { 1024 } else { 512 };
     println!("Figure 4: dense matmul, n = {n} (paper: 1024)");
 
     // Paper values for n = 1024, in millions (Figure 4a) and ms (4b).

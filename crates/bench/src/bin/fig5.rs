@@ -5,6 +5,7 @@ use gpa_bench::rule;
 use gpa_mem::bank::{bank_transactions, BankConfig};
 
 fn main() {
+    gpa_bench::paper_scale(false);
     let n: u32 = 512;
     println!("Figure 5: CR forward reduction on a {n}-equation system");
     rule(66);

@@ -7,9 +7,10 @@ use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
+    let paper = paper_scale(true);
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
-    let nsys = if paper_scale() { 512 } else { 128 };
+    let nsys = if paper { 512 } else { 128 };
     for padded in [false, true] {
         let name = if padded {
             "CR-NBC (Figure 6b)"

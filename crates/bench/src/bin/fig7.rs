@@ -7,9 +7,10 @@ use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
+    let paper = paper_scale(true);
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
-    let nsys = if paper_scale() { 512 } else { 128 };
+    let nsys = if paper { 512 } else { 128 };
     let r = tridiag::run(&m, &mut model, 512, nsys, false, false).expect("CR runs");
 
     println!("Figure 7a: sustained shared bandwidth per forward step ({nsys} systems)");

@@ -6,9 +6,10 @@ use gpa_core::Model;
 use gpa_hw::Machine;
 
 fn main() {
+    let paper = paper_scale(true);
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
-    let nsys = if paper_scale() { 512 } else { 128 };
+    let nsys = if paper { 512 } else { 128 };
     println!("Figure 8: CR vs CR-NBC, {nsys} systems x 512 equations (paper: 512)");
     rule(88);
     println!(

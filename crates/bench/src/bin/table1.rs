@@ -7,6 +7,7 @@ use gpa_hw::{InstrClass, Machine};
 use gpa_service::Analyzer;
 
 fn main() {
+    gpa_bench::paper_scale(false);
     let m = Machine::gtx285();
     let mut analyzer = Analyzer::new();
     analyzer

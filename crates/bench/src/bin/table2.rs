@@ -8,6 +8,7 @@ use gpa_service::{AnalysisRequest, Analyzer, KernelSpec};
 use gpa_ubench::MeasureOpts;
 
 fn main() {
+    gpa_bench::paper_scale(false);
     let m = Machine::gtx285();
     let mut analyzer = Analyzer::new();
     analyzer

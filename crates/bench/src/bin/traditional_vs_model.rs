@@ -11,6 +11,7 @@ use gpa_core::{traditional_analysis, Model};
 use gpa_hw::Machine;
 
 fn main() {
+    gpa_bench::paper_scale(false);
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
     println!("Traditional (algorithmic) model vs the paper's quantitative model");

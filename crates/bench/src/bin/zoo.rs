@@ -15,7 +15,7 @@ use gpa_hw::Machine;
 use gpa_service::{zoo, AnalysisRequest, Analyzer, Effort, KernelSpec};
 
 fn main() {
-    let paper = paper_scale();
+    let paper = paper_scale(true);
     let effort = if paper { Effort::Paper } else { Effort::Quick };
 
     let skus = Machine::paper_table3();

@@ -48,19 +48,6 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Content-hashed cache file for one `(machine, effort)` combination:
-/// `results/curves-<name-slug>-<hash>.json`.
-///
-/// Delegates to [`gpa_ubench::cache::cache_path`] (the shared cache the
-/// `gpa-analyze` CLI and the `gpa-serve` HTTP server also read): the key
-/// covers every [`Machine`] field and the effort knobs of
-/// [`MeasureOpts`] (`unroll`, `iters`, `dense`), so per-SKU and
-/// per-effort curves never collide. The `threads` selection is
-/// deliberately excluded: it changes wall-clock, not results.
-pub fn curves_cache_path(machine: &Machine, opts: &MeasureOpts) -> PathBuf {
-    gpa_ubench::cache::cache_path(&results_dir(), machine, opts)
-}
-
 /// Load the full-resolution throughput curves for `machine`, measuring
 /// and caching them on first use.
 pub fn curves(machine: &Machine) -> ThroughputCurves {
@@ -68,7 +55,7 @@ pub fn curves(machine: &Machine) -> ThroughputCurves {
 }
 
 /// Load throughput curves at explicit effort, measuring and caching on
-/// first use under a content-hashed key ([`curves_cache_path`]).
+/// first use under a content-hashed key ([`gpa_ubench::cache::cache_path`]).
 ///
 /// Entries are written atomically (temp file + rename) and a torn or
 /// unparseable entry falls back to recalibration, so concurrent
@@ -78,9 +65,29 @@ pub fn curves_with(machine: &Machine, opts: MeasureOpts) -> ThroughputCurves {
     gpa_ubench::cache::load_or_measure(&results_dir(), machine, opts)
 }
 
-/// `true` when the binary was invoked with `--paper` (full problem sizes).
-pub fn paper_scale() -> bool {
-    std::env::args().any(|a| a == "--paper")
+/// Check an exhibit's arguments and return `true` when it was invoked
+/// with `--paper` (the paper's full problem sizes).
+///
+/// An exhibit with a problem size passes `sized = true` and takes
+/// `--paper`; the others pass `false` and take no argument. Any other
+/// argument prints a one-line usage on stderr and exits with status 2.
+pub fn paper_scale(sized: bool) -> bool {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let bin = std::path::Path::new(&bin)
+        .file_name()
+        .map_or(bin.clone(), |f| f.to_string_lossy().into_owned());
+    let mut paper = false;
+    for arg in args {
+        if sized && arg == "--paper" {
+            paper = true;
+        } else {
+            let flags = if sized { " [--paper]" } else { "" };
+            eprintln!("usage: {bin}{flags} (unexpected argument {arg:?})");
+            std::process::exit(2);
+        }
+    }
+    paper
 }
 
 /// Print a rule line.
@@ -104,42 +111,10 @@ pub fn vs_paper(ours: f64, paper: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_sim::Threads;
 
     #[test]
     fn results_dir_exists() {
         assert!(results_dir().is_dir());
-    }
-
-    #[test]
-    fn cache_keys_separate_skus_and_efforts() {
-        let gtx285 = Machine::gtx285();
-        let paper = MeasureOpts::paper();
-        let base = curves_cache_path(&gtx285, &paper);
-        assert!(base
-            .file_name()
-            .unwrap()
-            .to_str()
-            .unwrap()
-            .starts_with("curves-geforce-gtx-285-"));
-        // Different SKU → different key.
-        assert_ne!(base, curves_cache_path(&Machine::geforce_8800gt(), &paper));
-        // Same SKU, different effort → different key.
-        assert_ne!(base, curves_cache_path(&gtx285, &MeasureOpts::quick()));
-        // A perturbed machine (what-if experiments) → different key.
-        let mut perturbed = gtx285.clone();
-        perturbed.max_blocks_per_sm = 16;
-        assert_ne!(base, curves_cache_path(&perturbed, &paper));
-        // Thread count does not affect results, so it shares the key.
-        assert_eq!(
-            base,
-            curves_cache_path(&gtx285, &paper.with_threads(Threads::Fixed(8)))
-        );
-        // Stable across calls.
-        assert_eq!(
-            base,
-            curves_cache_path(&Machine::gtx285(), &MeasureOpts::paper())
-        );
     }
 
     #[test]

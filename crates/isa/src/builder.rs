@@ -300,11 +300,6 @@ impl KernelBuilder {
         self.emit(Op::IMad { d, a, b, c })
     }
 
-    /// `d = min(a, b)` (s32).
-    pub fn imin(&mut self, d: Reg, a: Src, b: Src) -> &mut Self {
-        self.emit(Op::IMin { d, a, b })
-    }
-
     /// `d = max(a, b)` (s32).
     pub fn imax(&mut self, d: Reg, a: Src, b: Src) -> &mut Self {
         self.emit(Op::IMax { d, a, b })
@@ -343,11 +338,6 @@ impl KernelBuilder {
     /// `d = imm` (raw 32 bits).
     pub fn mov_imm(&mut self, d: Reg, imm: u32) -> &mut Self {
         self.emit(Op::MovImm { d, imm })
-    }
-
-    /// `d = imm` (signed integer).
-    pub fn mov_imm_i32(&mut self, d: Reg, imm: i32) -> &mut Self {
-        self.mov_imm(d, imm as u32)
     }
 
     /// `d = imm` (f32 bit pattern).
@@ -413,11 +403,6 @@ impl KernelBuilder {
     /// `d = a + b` (f64 pairs, Type IV).
     pub fn dadd(&mut self, d: Reg, a: Reg, b: Reg) -> &mut Self {
         self.emit(Op::DAdd { d, a, b })
-    }
-
-    /// `d = a * b` (f64 pairs, Type IV).
-    pub fn dmul(&mut self, d: Reg, a: Reg, b: Reg) -> &mut Self {
-        self.emit(Op::DMul { d, a, b })
     }
 
     /// `d = a * b + c` (f64 pairs, Type IV).

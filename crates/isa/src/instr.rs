@@ -206,11 +206,6 @@ impl Src {
             Src::Imm(_) => None,
         }
     }
-
-    /// Returns `true` for a shared-memory operand.
-    pub fn is_smem(self) -> bool {
-        matches!(self, Src::SMem(_))
-    }
 }
 
 impl fmt::Display for Src {

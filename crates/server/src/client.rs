@@ -61,12 +61,6 @@ impl Client {
         }
     }
 
-    /// The same client with a different read timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Client {
-        self.timeout = timeout;
-        self
-    }
-
     /// `GET path`.
     ///
     /// # Errors

@@ -92,9 +92,7 @@ impl ServerConfig {
         if self.workers > 0 {
             return self.workers;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        gpa_sim::Threads::Auto.count()
     }
 }
 

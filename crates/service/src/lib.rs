@@ -22,9 +22,9 @@
 //!   honest flop accounting, any requested [`WhatIf`] advisor
 //!   estimates, and (for custom kernels that ask) post-run region
 //!   readback in [`AnalysisReport::outputs`].
-//! * [`Analyzer::analyze_batch`] — shards independent requests across
-//!   worker threads (via [`gpa_sim::SimEngine::shard_plan`]); answers
-//!   are identical to sequential [`Analyzer::analyze`] calls.
+//! * [`Analyzer::analyze_batch`] — spreads independent requests across
+//!   worker threads (via [`gpa_sim::engine::par_map`]); answers are
+//!   identical to sequential [`Analyzer::analyze`] calls.
 //! * [`wire`] — the JSON wire format: requests and reports serialize
 //!   over `gpa-json` with exact `f64` round-trips, and
 //!   [`wire::answer`] is the one front door that both the
@@ -55,7 +55,8 @@ use gpa_apps::workflow::{run_study, CaseError, CaseStudy, Region, TraceMode};
 use gpa_apps::{matmul, spmv, tridiag};
 use gpa_core::{Analysis, InputError, Model, ModelInput, WhatIf};
 use gpa_hw::Machine;
-use gpa_sim::{GlobalMemory, LaunchConfig, SimEngine, SimError, Threads};
+use gpa_sim::engine::par_map;
+use gpa_sim::{GlobalMemory, LaunchConfig, SimError, Threads};
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
 use std::fmt;
 use std::sync::Arc;
@@ -1224,7 +1225,7 @@ impl Analyzer {
         })
     }
 
-    /// Answer a batch, sharding the independent requests across one
+    /// Answer a batch, spreading the independent requests across one
     /// worker per available CPU core. Per-request results (including
     /// per-request failures) come back in request order and are
     /// identical to sequential [`Analyzer::analyze`] calls.
@@ -1235,23 +1236,15 @@ impl Analyzer {
         self.batch(reqs, Threads::Auto, Self::analyze)
     }
 
-    /// Apply `each` to every request, in request order, sharded across
-    /// `threads` batch workers.
+    /// Apply `each` to every request, in request order, on `threads`
+    /// batch workers.
     pub(crate) fn batch<T: Send>(
         &self,
         reqs: &[AnalysisRequest],
         threads: Threads,
         each: impl Fn(&Self, &AnalysisRequest) -> T + Sync,
     ) -> Vec<T> {
-        let n = reqs.len();
-        let workers = threads.count().min(n);
-        if workers <= 1 {
-            return reqs.iter().map(|r| each(self, r)).collect();
-        }
-        // Reuse the engine's contiguous near-equal sharding so batch
-        // assignment is deterministic (not that it matters for results:
-        // requests are independent and individually deterministic).
-        //
+        let workers = threads.count().min(reqs.len());
         // Nested-parallelism coordination: a request left on
         // [`Threads::Auto`] would spawn one worker per core *inside each
         // batch worker*, oversubscribing the machine `workers`-fold. Split
@@ -1260,34 +1253,14 @@ impl Analyzer {
         // decision and passes through untouched. Results are unaffected —
         // every phase is bit-identical for every thread count, and the
         // report-cache key normalizes `threads` out.
-        let inner = Threads::Fixed((Threads::Auto.count() / workers).max(1));
-        let plan = SimEngine::shard_plan(n as u32, workers);
-        let each = &each;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .iter()
-                .map(|range| {
-                    let shard = &reqs[range.start as usize..range.end as usize];
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|r| {
-                                if matches!(r.options.threads, Threads::Auto) {
-                                    let mut r = r.clone();
-                                    r.options.threads = inner;
-                                    each(self, &r)
-                                } else {
-                                    each(self, r)
-                                }
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch worker panicked"))
-                .collect()
+        let inner = (workers > 1).then(|| Threads::Fixed((Threads::Auto.count() / workers).max(1)));
+        par_map(reqs, workers, |_, r| match inner {
+            Some(inner) if r.options.threads == Threads::Auto => {
+                let mut r = r.clone();
+                r.options.threads = inner;
+                each(self, &r)
+            }
+            _ => each(self, r),
         })
     }
 }

@@ -1,54 +1,60 @@
-//! The parallel block-sharded execution engine.
+//! Parallel execution: the one order-preserving fan-out ([`par_map`]),
+//! the worker-count policy ([`Threads`]), and the block-sharded
+//! functional run built on them.
 //!
-//! Block execution in a grid launch is embarrassingly parallel: blocks of
-//! one launch may not communicate through global memory (real CUDA offers
-//! no global barrier), so the functional simulator can execute disjoint
-//! block ranges on separate OS threads and still produce output that is
-//! **bit-identical** to the sequential walk. [`SimEngine`] is that layer.
+//! Every parallel job in the workspace is a list of independent items:
+//! blocks of a grid, TPC clusters of a timing replay, warp-count samples
+//! of a calibration, requests of a batch. [`par_map`] runs such a list on
+//! scoped worker threads that claim items one at a time and returns the
+//! results in item order, so which worker ran an item never reaches a
+//! result. The core count is read here and nowhere else
+//! ([`Threads::count`]).
 //!
-//! # Sharding/merge contract
+//! # Block sharding
 //!
-//! * The grid's blocks `0..n` are split into at most `num_threads`
-//!   **contiguous shards** of near-equal size ([`SimEngine::shard_plan`]),
-//!   one [`std::thread`] scoped worker per shard — no work stealing, so
-//!   the assignment is deterministic.
-//! * Each worker gets a **private copy** of the initial [`GlobalMemory`]
-//!   with write capture enabled
+//! Blocks of one launch may not communicate through global memory (real
+//! CUDA offers no global barrier), so [`FunctionalSim::run`] can execute
+//! disjoint block ranges on separate threads and still produce output
+//! **bit-identical** to the sequential walk:
+//!
+//! * The grid's blocks `0..n` are split into one **contiguous range** of
+//!   near-equal size per worker; the workers claim the ranges through
+//!   [`par_map`].
+//! * Each range runs against a **private copy** of the initial
+//!   [`GlobalMemory`] with write capture enabled
 //!   ([`GlobalMemory::begin_write_capture`]), a fresh
 //!   [`crate::stats::DynamicStats`] accumulator, and its own fuel budget,
-//!   and executes its shard's blocks sequentially in block-id order — the
-//!   same walk an inline run takes over the whole grid.
-//! * Results merge **in shard (= block-id) order**: per-stage statistics
-//!   via [`crate::stats::StageStats::merge_blocks`] (all counters are
-//!   additive across disjoint block sets), per-region traffic summed,
-//!   traces concatenated, and the captured global-memory write logs
-//!   replayed into the caller's memory
-//!   ([`GlobalMemory::apply_writes`]). Replaying in block-id order makes
-//!   even racy cross-block overwrites resolve exactly as the sequential
-//!   walk would.
-//! * Errors are deterministic too: the error reported is the one from the
-//!   lowest-numbered failing shard, which (for independent blocks) is the
-//!   same lowest-block-id error the sequential walk raises. Shards
-//!   *above* a failing one abort between blocks (their results could
-//!   never be observed); shards below always run to completion, because
-//!   one of them may still fail earlier and become the authoritative
-//!   error. When execution was actually sharded (two or more workers and
-//!   blocks), an error leaves the caller's memory untouched; the
-//!   sequential fallback (one worker, or a single-block grid) keeps the
-//!   classic walk's behaviour of leaving already-executed writes in
-//!   place.
+//!   in block-id order — the same walk an inline run takes over the whole
+//!   grid.
+//! * Results merge **in block-id order**: per-stage statistics via
+//!   [`crate::stats::StageStats::merge_blocks`] (all counters are additive
+//!   across disjoint block sets), per-region traffic summed, traces
+//!   concatenated, and the captured write logs replayed into the caller's
+//!   memory ([`GlobalMemory::apply_writes`]). Replaying in block-id order
+//!   makes even racy cross-block overwrites resolve exactly as the
+//!   sequential walk would.
 //!
-//! The only observable divergence from the sequential path is the fuel
-//! accounting: a sequential run spends one budget across the whole grid,
-//! a parallel run one budget per shard, so a grid that exhausts fuel
-//! sequentially may complete in parallel (never the reverse for
-//! per-block-affordable kernels). This is deliberate: fuel is a
-//! runaway-loop guard, not a metered resource, and the deterministic
-//! alternative — splitting one budget across shards up front — would
-//! make parallel runs fail where sequential ones succeed. Layers that
-//! expose a fuel knob (`run_study`'s `fuel` in `gpa-apps`,
-//! `AnalysisOptions::fuel` in `gpa-service`) document the same
-//! per-shard semantics.
+//! # One fault rule
+//!
+//! A failing run returns the lowest-block-id [`SimError`] and leaves the
+//! caller's memory exactly as the sequential walk leaves it: the writes of
+//! every block below the faulting one, plus the faulting block's own
+//! writes up to its fault. That holds at every worker count: a sharded run
+//! replays the logs of every range below the failing one, then the failing
+//! range's log, which stops at its fault. Ranges *above* a failing one
+//! abort between blocks (their results could never be observed); ranges
+//! below always run to completion, because one of them may still fail
+//! earlier and become the authoritative error.
+//!
+//! The one divergence from the sequential walk is fuel: a sequential run
+//! spends one budget across the whole grid, a sharded run one budget per
+//! range, so a grid that exhausts fuel sequentially may complete in
+//! parallel (never the reverse for per-block-affordable kernels). Fuel is
+//! a runaway-loop guard, not a metered resource, and splitting one budget
+//! across ranges up front would make parallel runs fail where sequential
+//! ones succeed. Layers that expose a fuel knob (`run_study`'s `fuel` in
+//! `gpa-apps`, `AnalysisOptions::fuel` in `gpa-service`) document the same
+//! per-range semantics.
 //!
 //! # When `Auto` shards
 //!
@@ -69,21 +75,18 @@
 //! [`Threads::Fixed`] is never second-guessed: `Fixed(n)` means exactly
 //! `n` workers for any job.
 //!
-//! An inline run is the sequential walk, with its semantics: one fuel
-//! budget for the whole grid, and on error the writes of the blocks that
-//! already ran stay in the caller's memory. Results are bit-identical for
-//! every worker count, so the estimate decides only time, never output.
-//! The price is on an idle machine: a lone small request gives up its
-//! split, at most about half of a run below `GRAIN` (a few ms). Under
-//! load, when every core already has a request, the inline run is faster
-//! too.
+//! Results, errors and memory are the same for every worker count, so the
+//! estimate decides only time, never output. The price is on an idle
+//! machine: a lone small request gives up its split, at most about half
+//! of a run below `GRAIN` (a few ms). Under load, when every core already
+//! has a request, the inline run is faster too.
 
 use crate::error::SimError;
 use crate::func::{FunctionalSim, RunOutput};
-use crate::memory::{GlobalMemory, WriteRecord};
+use crate::memory::GlobalMemory;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// The smallest job, in warp instructions or trace entries, that
 /// [`Threads::Auto`] shards; smaller jobs run on the caller's thread.
@@ -152,150 +155,163 @@ impl Threads {
     }
 }
 
-/// Executes a [`FunctionalSim`]'s grid across worker threads.
+/// Apply `f` to every item on up to `workers` scoped threads and return
+/// the results in item order. `f` gets each item's index too.
 ///
-/// Construct from a [`Threads`] selection and the job's size
-/// ([`SimEngine::for_work`]). The engine is cheap to build; all
-/// simulation state lives in the `FunctionalSim` and the per-run shard
-/// workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimEngine {
-    num_threads: usize,
+/// With `workers ≤ 1` or at most one item, the items run in order on the
+/// caller's thread. Otherwise `min(workers, items.len())` threads claim
+/// item indices one at a time from a shared counter, so items of uneven
+/// cost still spread across every thread. A panic in `f` propagates to
+/// the caller.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (next, f) = (&next, &f);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        done.push((i, f(i, item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
-impl SimEngine {
-    /// An engine for a job of `work` units ([`Threads::workers_for`]).
-    pub fn for_work(threads: Threads, work: Option<u64>) -> SimEngine {
-        SimEngine {
-            num_threads: threads.workers_for(work),
-        }
+/// Split `num_blocks` blocks into at most `workers` contiguous, non-empty,
+/// near-equal ranges covering `0..num_blocks` in order.
+fn shard_plan(num_blocks: u32, workers: usize) -> Vec<Range<u32>> {
+    let shards = (workers.max(1) as u32).min(num_blocks);
+    let mut plan = Vec::with_capacity(shards as usize);
+    let mut start = 0u32;
+    for s in 0..shards {
+        // Distribute the remainder over the leading ranges.
+        let len = num_blocks / shards + u32::from(s < num_blocks % shards);
+        plan.push(start..start + len);
+        start += len;
+    }
+    plan
+}
+
+/// Execute every block of `sim`'s grid against `gmem` on `workers`
+/// threads, with output bit-identical to the sequential walk and the one
+/// fault rule (see the [module docs](crate::engine)).
+pub(crate) fn run(
+    sim: &FunctionalSim<'_>,
+    gmem: &mut GlobalMemory,
+    workers: usize,
+) -> Result<RunOutput, SimError> {
+    let num_blocks = sim.launch().num_blocks();
+    if workers <= 1 || num_blocks <= 1 {
+        return walk(sim, gmem, 0..num_blocks, || false).expect("an inline walk never aborts");
     }
 
-    /// Resolved worker count (≥ 1).
-    pub fn num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Split `num_blocks` blocks into at most `num_threads` contiguous,
-    /// non-empty, near-equal shards covering `0..num_blocks` in order.
-    pub fn shard_plan(num_blocks: u32, num_threads: usize) -> Vec<Range<u32>> {
-        let shards = (num_threads.max(1) as u32).min(num_blocks);
-        let mut plan = Vec::with_capacity(shards as usize);
-        let mut start = 0u32;
-        for s in 0..shards {
-            // Distribute the remainder over the leading shards.
-            let len = num_blocks / shards + u32::from(s < num_blocks % shards);
-            plan.push(start..start + len);
-            start += len;
+    // Copy the memory on the caller's thread: a copy made on a worker
+    // comes from that worker's allocator arena, which keeps its peak
+    // after the run (perfbench `paper_cases` `rss_mb` read ~11% higher
+    // that way on a 2-vCPU host).
+    let shards: Vec<(Range<u32>, Mutex<GlobalMemory>)> = shard_plan(num_blocks, workers)
+        .into_iter()
+        .map(|range| (range, Mutex::new(gmem.clone())))
+        .collect();
+    // Fail-fast coordination: a failing range publishes its index so
+    // *higher* ranges stop wasting work between blocks. Lower ranges
+    // always run to completion — they must, because the authoritative
+    // error is the one from the lowest failing range (sequential
+    // semantics), and a lower range may still fail earlier.
+    let lowest_failed = AtomicUsize::new(usize::MAX);
+    let outs = par_map(&shards, shards.len(), |idx, (range, mem)| {
+        let shard_mem = &mut *mem.lock().expect("a range runs once");
+        shard_mem.begin_write_capture();
+        let aborted = || lowest_failed.load(Ordering::Relaxed) < idx;
+        let out = walk(sim, shard_mem, range.clone(), aborted)?;
+        if out.is_err() {
+            lowest_failed.fetch_min(idx, Ordering::Relaxed);
         }
-        plan
-    }
+        Some((out, shard_mem.take_captured_writes()))
+    });
+    drop(shards); // free the copies before the merge allocates
 
-    /// Execute every block of `sim`'s grid against `gmem`, sharded across
-    /// this engine's workers, and return output bit-identical to the
-    /// sequential path (see the [module docs](crate::engine) for the
-    /// contract and the fuel caveat).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-block-id [`SimError`]. When execution was
-    /// actually sharded (≥ 2 workers and ≥ 2 blocks), `gmem` is unchanged
-    /// on error; the sequential fallback leaves already-executed writes
-    /// in place, exactly like the classic walk.
-    pub fn run(
-        &self,
-        sim: &FunctionalSim<'_>,
-        gmem: &mut GlobalMemory,
-    ) -> Result<RunOutput, SimError> {
-        let num_blocks = sim.launch().num_blocks();
-        if self.num_threads <= 1 || num_blocks <= 1 {
-            return Self::walk(sim, gmem, 0..num_blocks, || false)
-                .expect("an inline walk never aborts");
-        }
-
-        let plan = Self::shard_plan(num_blocks, self.num_threads);
-        // Fail-fast coordination: a failing shard publishes its index so
-        // *higher* shards stop wasting work between blocks. Lower shards
-        // always run to completion — they must, because the authoritative
-        // error is the one from the lowest failing shard (sequential
-        // semantics), and a lower shard may still fail earlier.
-        let lowest_failed = AtomicUsize::new(usize::MAX);
-        type ShardResult = Option<Result<(RunOutput, Vec<WriteRecord>), SimError>>;
-        let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .iter()
-                .enumerate()
-                .map(|(idx, range)| {
-                    let mut shard_mem = gmem.clone();
-                    let range = range.clone();
-                    let failed = &lowest_failed;
-                    scope.spawn(move || {
-                        shard_mem.begin_write_capture();
-                        let aborted = || failed.load(Ordering::Relaxed) < idx;
-                        let out = Self::walk(sim, &mut shard_mem, range, aborted);
-                        if matches!(out, Some(Err(_))) {
-                            failed.fetch_min(idx, Ordering::Relaxed);
-                        }
-                        Some(out?.map(|run| (run, shard_mem.take_captured_writes())))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation worker panicked"))
-                .collect()
-        });
-
-        // Deterministic merge in shard (= block-id) order.
-        let mut stats = sim.fresh_stats();
-        let mut traces = sim.is_collecting_traces().then(Vec::new);
-        let mut writes: Vec<WriteRecord> = Vec::new();
-        for result in shard_results {
-            // An aborted shard (`None`) only exists above a failing one,
-            // so the `?` below always returns before reaching it.
-            let (shard, shard_writes) =
-                result.expect("shard aborted with no lower-shard failure")?;
-            stats.merge_shard(&shard.stats);
-            if let (Some(all), Some(mut t)) = (traces.as_mut(), shard.traces) {
-                all.append(&mut t);
-            }
-            writes.extend(shard_writes);
-        }
-        gmem.apply_writes(&writes)
-            .expect("captured writes replay into the memory they came from");
-        Ok(RunOutput { stats, traces })
-    }
-
-    /// Execute `blocks` of `sim`'s grid in block-id order against `gmem`
-    /// with one fuel budget: the whole grid for an inline run, one shard
-    /// for a worker. Returns `None` when `aborted` fires between blocks
-    /// (a lower shard failed, so this one's result could never be
-    /// observed).
-    fn walk(
-        sim: &FunctionalSim<'_>,
-        gmem: &mut GlobalMemory,
-        blocks: Range<u32>,
-        aborted: impl Fn() -> bool,
-    ) -> Option<Result<RunOutput, SimError>> {
-        let mut stats = sim.fresh_stats();
-        stats.blocks = u64::from(blocks.end - blocks.start);
-        let mut traces = sim.is_collecting_traces().then(Vec::new);
-        let mut fuel = sim.fuel_budget();
-        for b in blocks {
-            if aborted() {
-                return None;
-            }
-            match sim.exec_grid_block(gmem, b, &mut stats, &mut fuel) {
-                Ok(trace) => {
-                    if let (Some(ts), Some(t)) = (traces.as_mut(), trace) {
-                        ts.push(t);
-                    }
+    // Deterministic merge in block-id order, up to and including the
+    // lowest failing range, whose log stops at its fault.
+    let mut stats = sim.fresh_stats();
+    let mut traces = sim.is_collecting_traces().then(Vec::new);
+    let mut writes = Vec::new();
+    let mut fault = None;
+    for out in outs {
+        // An aborted range (`None`) only exists above a failing one, so
+        // the loop always ends before reaching it.
+        let (out, shard_writes) = out.expect("range aborted with no lower-range failure");
+        writes.extend(shard_writes);
+        match out {
+            Ok(shard) => {
+                stats.merge_shard(&shard.stats);
+                if let (Some(all), Some(mut t)) = (traces.as_mut(), shard.traces) {
+                    all.append(&mut t);
                 }
-                Err(e) => return Some(Err(e)),
+            }
+            Err(e) => {
+                fault = Some(e);
+                break;
             }
         }
-        Some(Ok(RunOutput { stats, traces }))
     }
+    gmem.apply_writes(&writes)
+        .expect("captured writes replay into the memory they came from");
+    match fault {
+        Some(e) => Err(e),
+        None => Ok(RunOutput { stats, traces }),
+    }
+}
+
+/// Execute `blocks` of `sim`'s grid in block-id order against `gmem` with
+/// one fuel budget: the whole grid for an inline run, one range for a
+/// worker. Returns `None` when `aborted` fires between blocks (a lower
+/// range failed, so this one's result could never be observed).
+fn walk(
+    sim: &FunctionalSim<'_>,
+    gmem: &mut GlobalMemory,
+    blocks: Range<u32>,
+    aborted: impl Fn() -> bool,
+) -> Option<Result<RunOutput, SimError>> {
+    let mut stats = sim.fresh_stats();
+    stats.blocks = u64::from(blocks.end - blocks.start);
+    let mut traces = sim.is_collecting_traces().then(Vec::new);
+    let mut fuel = sim.fuel_budget();
+    for b in blocks {
+        if aborted() {
+            return None;
+        }
+        match sim.exec_grid_block(gmem, b, &mut stats, &mut fuel) {
+            Ok(trace) => {
+                if let (Some(ts), Some(t)) = (traces.as_mut(), trace) {
+                    ts.push(t);
+                }
+            }
+            Err(e) => return Some(Err(e)),
+        }
+    }
+    Some(Ok(RunOutput { stats, traces }))
 }
 
 #[cfg(test)]
@@ -360,7 +376,7 @@ mod tests {
     fn shard_plan_covers_grid_contiguously() {
         for blocks in [1u32, 2, 3, 7, 8, 61, 1000] {
             for threads in [1usize, 2, 3, 4, 13, 64] {
-                let plan = SimEngine::shard_plan(blocks, threads);
+                let plan = shard_plan(blocks, threads);
                 assert!(plan.len() <= threads);
                 assert!(plan.len() as u32 <= blocks);
                 let mut next = 0u32;
@@ -422,62 +438,55 @@ mod tests {
         assert_eq!(seq, capture_with(4));
     }
 
-    #[test]
-    fn errors_are_deterministic_and_leave_memory_untouched() {
-        // out buffer sized for only 2 blocks: block 2 is the first to
-        // store out of bounds regardless of thread count.
+    /// The errors tests' launch: 8 blocks of 32 threads whose out buffer
+    /// is sized for only 2 blocks, so block 2 is the first to store out of
+    /// bounds at any worker count. Returns the error, the memory image and
+    /// the out buffer's address.
+    fn run_faulting(threads: Threads) -> (SimError, GlobalMemory, u64) {
         let m = Machine::gtx285();
         let k = staged_kernel(32);
         let launch = LaunchConfig::new_1d(8, 32);
-        let seq_err = {
-            let mut gmem = GlobalMemory::new();
-            let out = gmem.alloc(2 * 32 * 4, 128);
-            let mut sim = FunctionalSim::new(&m, &k, launch).unwrap();
-            sim.set_params(&[out as u32]);
-            sim.run(&mut gmem).unwrap_err()
-        };
-        for threads in [2usize, 4, 8] {
-            let mut gmem = GlobalMemory::new();
-            let out = gmem.alloc(2 * 32 * 4, 128);
-            let pristine = gmem.clone();
-            let mut sim = FunctionalSim::new(&m, &k, launch).unwrap();
-            sim.set_params(&[out as u32])
-                .set_threads(Threads::Fixed(threads));
-            let err = sim.run(&mut gmem).unwrap_err();
+        let mut gmem = GlobalMemory::new();
+        let out = gmem.alloc(2 * 32 * 4, 128);
+        let mut sim = FunctionalSim::new(&m, &k, launch).unwrap();
+        sim.set_params(&[out as u32]).set_threads(threads);
+        let err = sim.run(&mut gmem).unwrap_err();
+        (err, gmem, out)
+    }
+
+    #[test]
+    fn errors_and_memory_match_the_sequential_walk() {
+        let (seq_err, seq_mem, _) = run_faulting(Threads::sequential());
+        for threads in [2usize, 3, 4, 8] {
+            let (err, gmem, _) = run_faulting(Threads::Fixed(threads));
             assert_eq!(
                 format!("{err:?}"),
                 format!("{seq_err:?}"),
                 "error diverges at {threads} threads"
             );
-            assert_eq!(gmem, pristine, "memory mutated on error");
+            assert_eq!(gmem, seq_mem, "memory diverges at {threads} threads");
         }
     }
 
     #[test]
     fn small_auto_grids_fault_like_the_sequential_walk() {
-        // The errors test's grid under `Auto`: loop-free and far below
-        // `GRAIN`, so it runs inline. Blocks 0–1 store before block 2
-        // faults, and their writes stay; a sharded run leaves memory
-        // pristine.
+        // Loop-free and far below `GRAIN`, so `Auto` runs inline while
+        // `Fixed(2)` shards. Blocks 0–1 store before block 2 faults, and
+        // their writes stay either way.
         let m = Machine::gtx285();
         let k = staged_kernel(32);
-        let launch = LaunchConfig::new_1d(8, 32);
-        let run = |threads: Threads| {
-            let mut gmem = GlobalMemory::new();
-            let out = gmem.alloc(2 * 32 * 4, 128);
-            let mut sim = FunctionalSim::new(&m, &k, launch).unwrap();
-            sim.set_params(&[out as u32]).set_threads(threads);
-            assert!(sim.work_estimate().unwrap() < GRAIN);
-            sim.run(&mut gmem).unwrap_err();
-            (0..64u64)
-                .map(|i| gmem.read_u32(out + i * 4).unwrap())
-                .collect::<Vec<_>>()
-        };
+        let sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(8, 32)).unwrap();
+        assert!(sim.work_estimate().unwrap() < GRAIN);
         let expected: Vec<u32> = (0..2)
             .flat_map(|b| (0..32).map(move |t| b * 3 + t))
             .collect();
-        assert_eq!(run(Threads::Auto), expected);
-        assert_eq!(run(Threads::Fixed(2)), vec![0; 64]);
+        for threads in [Threads::Auto, Threads::Fixed(2)] {
+            let (_, gmem, out) = run_faulting(threads);
+            let words: Vec<u32> = (0..64u64)
+                .map(|i| gmem.read_u32(out + i * 4).unwrap())
+                .collect();
+            assert_eq!(words, expected, "{threads:?}");
+        }
     }
 
     #[test]
@@ -498,12 +507,48 @@ mod tests {
 
     #[test]
     fn auto_resolves_to_at_least_one_worker() {
-        assert!(SimEngine::for_work(Threads::Auto, None).num_threads() >= 1);
-        assert_eq!(SimEngine::for_work(Threads::Auto, Some(1)).num_threads(), 1);
-        assert_eq!(
-            SimEngine::for_work(Threads::Fixed(5), Some(1)).num_threads(),
-            5
-        );
+        assert!(Threads::Auto.workers_for(None) >= 1);
+        assert_eq!(Threads::Auto.workers_for(Some(1)), 1);
+        assert_eq!(Threads::Fixed(5).workers_for(Some(1)), 5);
+    }
+
+    #[test]
+    fn par_map_returns_results_in_item_order() {
+        let items: Vec<u64> = (0..7).collect();
+        for workers in 0..=items.len() + 2 {
+            let out = par_map(&items, workers, |i, &x| (i, x * x));
+            let expected: Vec<(usize, u64)> = (0..7).map(|x| (x as usize, x * x)).collect();
+            assert_eq!(out, expected, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn par_map_of_nothing_is_empty() {
+        for workers in [0usize, 1, 4] {
+            assert!(par_map(&[] as &[u8], workers, |_, &x| x).is_empty());
+        }
+    }
+
+    #[test]
+    fn par_map_calls_each_item_exactly_once() {
+        let items: Vec<usize> = (0..50).collect();
+        let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        par_map(&items, 4, |i, &x| {
+            assert_eq!(i, x);
+            calls[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn par_map_keeps_order_under_uneven_costs() {
+        // Costs rise steeply with the index, as calibration's warp
+        // samples do, so late items finish long after early ones.
+        let items: Vec<u64> = (0..12).collect();
+        let spin = |n: u64| (0..n * n * 2000).fold(0u64, |a, b| a.wrapping_add(b ^ a));
+        let out = par_map(&items, 3, |_, &x| (x, spin(x)));
+        let expected: Vec<(u64, u64)> = items.iter().map(|&x| (x, spin(x))).collect();
+        assert_eq!(out, expected);
     }
 
     #[test]

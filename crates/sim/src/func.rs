@@ -30,7 +30,7 @@
 //! half-warp counts one broadcast per 4-byte phase, a load reads one word
 //! for all lanes, and a store writes the highest active lane's value.
 
-use crate::engine::{SimEngine, Threads};
+use crate::engine::{self, Threads};
 use crate::error::SimError;
 use crate::grid::LaunchConfig;
 use crate::memory::GlobalMemory;
@@ -338,9 +338,9 @@ impl<'a> FunctionalSim<'a> {
     /// With the default single worker thread ([`FunctionalSim::set_threads`]),
     /// or under [`Threads::Auto`] for a loop-free grid below
     /// [`crate::engine::GRAIN`] warp instructions, blocks run sequentially
-    /// on the calling thread; with more, the
-    /// [`crate::engine::SimEngine`] shards blocks across workers and merges
-    /// the results into the same (bit-identical) output. Blocks must be
+    /// on the calling thread; with more, the engine shards blocks across
+    /// workers and merges the results into the same (bit-identical)
+    /// output ([`crate::engine`]). Blocks must be
     /// independent, as in a real grid launch: a block that reads global
     /// memory written by a lower-id block of the same launch observes the
     /// pre-launch contents under the parallel engine.
@@ -354,7 +354,7 @@ impl<'a> FunctionalSim<'a> {
     /// between thread counts.
     pub fn run(&self, gmem: &mut GlobalMemory) -> Result<RunOutput, SimError> {
         let _span = gpa_telemetry::PhaseSpan::start(gpa_telemetry::phase::FUNCTIONAL_SIM);
-        SimEngine::for_work(self.threads, self.work).run(self, gmem)
+        engine::run(self, gmem, self.threads.workers_for(self.work))
     }
 
     /// Execute a single block with a fresh fuel budget, as the

@@ -12,7 +12,7 @@
 //!   transactions at several granularities, and per-barrier stage splits.
 //!   It can also record per-warp instruction traces for the timing
 //!   simulator. Grids can execute sequentially or sharded across worker
-//!   threads by [`engine::SimEngine`] with bit-identical output
+//!   threads by [`engine`] with bit-identical output
 //!   ([`func::FunctionalSim::set_threads`] with an [`engine::Threads`]
 //!   selection; under `Auto`, only grids of at least [`engine::GRAIN`]
 //!   warp instructions shard).
@@ -46,7 +46,7 @@ pub mod memory;
 pub mod stats;
 pub mod timing;
 
-pub use engine::{SimEngine, Threads};
+pub use engine::Threads;
 pub use error::SimError;
 pub use func::{FunctionalSim, TraceBlocks};
 pub use grid::LaunchConfig;

@@ -4,9 +4,9 @@ use crate::func::lanes;
 
 /// One captured store: `(device address, value written)`.
 ///
-/// The parallel [`crate::engine::SimEngine`] runs each block shard against
-/// a private copy of memory with capture enabled, then replays the logs in
-/// shard (= block-id) order so the merged memory image is bit-identical to
+/// A sharded functional run ([`crate::engine`]) runs each block range
+/// against a private copy of memory with capture enabled, then replays the
+/// logs in block-id order so the merged memory image is bit-identical to
 /// a sequential run.
 pub type WriteRecord = (u64, u32);
 

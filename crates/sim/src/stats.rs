@@ -240,11 +240,6 @@ impl DynamicStats {
         t
     }
 
-    /// Total warps launched.
-    pub fn total_warps(&self) -> u64 {
-        self.blocks * u64::from(self.warps_per_block)
-    }
-
     /// Fold the statistics of a **disjoint block shard** into this one
     /// (the parallel engine's deterministic merge): stages combine
     /// index-wise via [`StageStats::merge_blocks`], per-region traffic is

@@ -25,7 +25,7 @@
 //! Calibration constants live in [`TimingConfig::gt200`], each documented
 //! on its field; they are fitted to the paper's Figure 2–3 curves.
 
-use crate::engine::{SimEngine, Threads};
+use crate::engine::{par_map, Threads};
 use crate::grid::LaunchConfig;
 use crate::stats::{BlockTrace, DstLatency};
 use gpa_hw::{occupancy, KernelResources, Machine};
@@ -102,9 +102,9 @@ pub enum TraceSource {
 
 impl TraceSource {
     /// A [`TraceSource::PerBlock`] from already-collected traces in
-    /// block-id order — the bridge from a parallel
-    /// [`crate::engine::SimEngine`] run, which batches block execution per
-    /// shard and returns the concatenated traces, to the timing replay.
+    /// block-id order — the bridge from a functional run
+    /// ([`crate::FunctionalSim::run`], whose sharded form concatenates its
+    /// ranges' traces in block order) to the timing replay.
     pub fn from_blocks(traces: Vec<BlockTrace>) -> TraceSource {
         TraceSource::PerBlock(traces.into_iter().map(Arc::new).collect())
     }
@@ -311,15 +311,15 @@ impl<'m> TimingSim<'m> {
         }
     }
 
-    /// Replay `simulate`'s clusters, sharded across the configured worker
-    /// threads, returning one [`ClusterOutcome`] per entry, in order. A
-    /// per-block source below [`crate::engine::GRAIN`] entries replays on
-    /// the caller's thread under [`Threads::Auto`].
+    /// Replay `simulate`'s clusters across the configured worker threads,
+    /// returning one [`ClusterOutcome`] per entry, in order. A per-block
+    /// source below [`crate::engine::GRAIN`] entries replays on the
+    /// caller's thread under [`Threads::Auto`].
     ///
     /// Clusters share nothing (the paper's TPC: private SMs, shared-memory
-    /// ports, memory pipe, texture cache), so each worker replays a
-    /// contiguous shard of the cluster list and the results concatenate
-    /// into exactly the sequence the sequential walk would produce.
+    /// ports, memory pipe, texture cache), so each cluster replays on its
+    /// own and [`par_map`] returns exactly the sequence the sequential walk
+    /// would produce.
     fn run_clusters(
         &self,
         simulate: &[u32],
@@ -328,34 +328,14 @@ impl<'m> TimingSim<'m> {
         blocks_per_sm: u32,
     ) -> Vec<ClusterOutcome> {
         let nclusters = self.machine.num_clusters();
-        let replay = |shard: &[u32]| -> Vec<ClusterOutcome> {
-            shard
-                .iter()
-                .map(|&c| {
-                    let queue = ClusterQueue::new(c, nclusters, nblocks);
-                    self.run_cluster(queue, source, blocks_per_sm)
-                })
-                .collect()
-        };
-        let workers = self.threads.workers_for(source.work()).min(simulate.len());
-        if workers <= 1 {
-            return replay(simulate);
-        }
-        let replay = &replay;
-        let plan = SimEngine::shard_plan(simulate.len() as u32, workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .into_iter()
-                .map(|shard| {
-                    let shard = &simulate[shard.start as usize..shard.end as usize];
-                    scope.spawn(move || replay(shard))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("timing worker panicked"))
-                .collect()
-        })
+        par_map(
+            simulate,
+            self.threads.workers_for(source.work()),
+            |_, &c| {
+                let queue = ClusterQueue::new(c, nclusters, nblocks);
+                self.run_cluster(queue, source, blocks_per_sm)
+            },
+        )
     }
 
     /// The SM's earliest-issuable warp: minimum issue time over resident

@@ -145,6 +145,39 @@ mod tests {
     }
 
     #[test]
+    fn cache_keys_separate_skus_and_efforts() {
+        use gpa_sim::Threads;
+        let dir = default_dir();
+        let gtx285 = Machine::gtx285();
+        let paper = MeasureOpts::paper();
+        let base = cache_path(&dir, &gtx285, &paper);
+        assert!(base
+            .file_name()
+            .unwrap()
+            .to_str()
+            .unwrap()
+            .starts_with("curves-geforce-gtx-285-"));
+        // Different SKU → different key.
+        assert_ne!(base, cache_path(&dir, &Machine::geforce_8800gt(), &paper));
+        // Same SKU, different effort → different key.
+        assert_ne!(base, cache_path(&dir, &gtx285, &MeasureOpts::quick()));
+        // A perturbed machine (what-if experiments) → different key.
+        let mut perturbed = gtx285.clone();
+        perturbed.max_blocks_per_sm = 16;
+        assert_ne!(base, cache_path(&dir, &perturbed, &paper));
+        // Thread count does not affect results, so it shares the key.
+        assert_eq!(
+            base,
+            cache_path(&dir, &gtx285, &paper.with_threads(Threads::Fixed(8)))
+        );
+        // Stable across calls.
+        assert_eq!(
+            base,
+            cache_path(&dir, &Machine::gtx285(), &MeasureOpts::paper())
+        );
+    }
+
+    #[test]
     fn miss_measures_then_hit_loads_identical_curves() {
         let dir = temp_dir("roundtrip");
         let machine = Machine::gtx285();

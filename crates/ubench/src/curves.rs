@@ -9,6 +9,7 @@ use crate::gmem::{self, GmemConfig};
 use crate::{instr, smem};
 use gpa_hw::{InstrClass, Machine};
 use gpa_json::Value;
+use gpa_sim::engine::par_map;
 use gpa_sim::Threads;
 use std::collections::HashMap;
 
@@ -94,46 +95,16 @@ impl ThroughputCurves {
     /// Measure with explicit effort.
     ///
     /// Warp sample points are independent simulations; with more than one
-    /// worker (`opts.threads`) they are measured concurrently (striped
-    /// across scoped threads) and reassembled in sample order, so the
-    /// curves are identical for every thread count.
+    /// worker (`opts.threads`) they are measured concurrently
+    /// ([`gpa_sim::engine::par_map`], which hands out samples one at a
+    /// time, since they grow costlier with the warp count) and come back
+    /// in sample order, so the curves are identical for every thread
+    /// count.
     pub fn measure_with(machine: &Machine, opts: MeasureOpts) -> ThroughputCurves {
         let warps = opts.warp_samples();
-        let n_threads = opts.threads.count().min(warps.len()).max(1);
-
-        let samples: Vec<([f64; 4], f64)> = if n_threads <= 1 {
-            warps
-                .iter()
-                .map(|&w| Self::measure_sample(machine, w, opts))
-                .collect()
-        } else {
-            let mut slots: Vec<Option<([f64; 4], f64)>> = vec![None; warps.len()];
-            std::thread::scope(|scope| {
-                let warps = &warps;
-                let handles: Vec<_> = (0..n_threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            warps
-                                .iter()
-                                .enumerate()
-                                .skip(t)
-                                .step_by(n_threads)
-                                .map(|(i, &w)| (i, Self::measure_sample(machine, w, opts)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, s) in h.join().expect("measurement worker panicked") {
-                        slots[i] = Some(s);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("all samples measured"))
-                .collect()
-        };
+        let samples = par_map(&warps, opts.threads.count(), |_, &w| {
+            Self::measure_sample(machine, w, opts)
+        });
 
         let mut instr: [Vec<f64>; 4] = Default::default();
         for (per_class, _) in &samples {

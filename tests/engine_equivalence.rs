@@ -1,15 +1,16 @@
-//! Integration property: the parallel block-sharded [`gpa::sim::SimEngine`]
-//! is **observationally identical** to the sequential walk. For random
-//! kernels and launch shapes, a run sharded across worker threads must
-//! produce exactly the same `DynamicStats`, the same per-warp traces, and
-//! the same final global-memory image as `Threads::sequential()` — bit for
-//! bit.
+//! Integration property: a functional run sharded across worker threads
+//! ([`gpa::sim::FunctionalSim::run`] under [`gpa::sim::Threads`]) is
+//! **observationally identical** to the sequential walk. For random
+//! kernels and launch shapes, it must produce exactly the same
+//! `DynamicStats`, the same per-warp traces, and the same final
+//! global-memory image as `Threads::sequential()` — bit for bit — and a
+//! run that faults must return the same error and leave the same memory.
 
 use gpa::hw::Machine;
 use gpa::isa::instr::{CmpOp, MemAddr, NumTy, SpecialReg, Width};
 use gpa::isa::{Kernel, KernelBuilder, Pred, Src};
 use gpa::sim::func::RunOutput;
-use gpa::sim::{FunctionalSim, GlobalMemory, LaunchConfig, Threads};
+use gpa::sim::{FunctionalSim, GlobalMemory, LaunchConfig, SimError, Threads};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -117,8 +118,16 @@ fn random_kernel(seed: u64, threads: u32) -> Kernel {
     b.finish().expect("generated kernel is structurally valid")
 }
 
-fn run(kernel: &Kernel, launch: LaunchConfig, threads: Threads) -> (RunOutput, GlobalMemory) {
-    let total = u64::from(launch.num_blocks()) * u64::from(launch.threads_per_block());
+/// Run `kernel` with an output buffer `short` blocks smaller than the
+/// grid's stores need (0: exactly large enough), the last allocation, so
+/// the first store past it faults.
+fn run_short(
+    kernel: &Kernel,
+    launch: LaunchConfig,
+    threads: Threads,
+    short: u32,
+) -> (Result<RunOutput, SimError>, GlobalMemory) {
+    let total = u64::from(launch.num_blocks() - short) * u64::from(launch.threads_per_block());
     let mut gmem = GlobalMemory::new();
     let out = gmem.alloc(total * 4, 128);
     let mut sim = FunctionalSim::new(machine(), kernel, launch).expect("launchable");
@@ -126,8 +135,13 @@ fn run(kernel: &Kernel, launch: LaunchConfig, threads: Threads) -> (RunOutput, G
         .collect_traces(true)
         .set_threads(threads);
     sim.add_region("out", out, total * 4);
-    let output = sim.run(&mut gmem).expect("kernel runs");
+    let output = sim.run(&mut gmem);
     (output, gmem)
+}
+
+fn run(kernel: &Kernel, launch: LaunchConfig, threads: Threads) -> (RunOutput, GlobalMemory) {
+    let (output, gmem) = run_short(kernel, launch, threads, 0);
+    (output.expect("kernel runs"), gmem)
 }
 
 proptest! {
@@ -154,6 +168,31 @@ proptest! {
             &seq_mem, &par_mem,
             "memory diverges (seed {:#x}, {} blocks, {} workers)", seed, grid, workers
         );
+    }
+
+    #[test]
+    fn faulting_runs_match_the_sequential_walk(
+        seed in 0u64..u64::MAX,
+        grid in 1u32..=24,
+        threads in prop_oneof![Just(32u32), Just(48), Just(64), Just(96), Just(128)],
+        short in 1u32..=24,
+    ) {
+        let kernel = random_kernel(seed, threads);
+        let launch = LaunchConfig::new_1d(grid, threads);
+        let short = short.min(grid);
+        let (seq, seq_mem) = run_short(&kernel, launch, Threads::sequential(), short);
+        prop_assert!(seq.is_err(), "a short buffer must fault (seed {:#x})", seed);
+        for workers in [Threads::Fixed(2), Threads::Fixed(3), Threads::Auto] {
+            let (par, par_mem) = run_short(&kernel, launch, workers, short);
+            prop_assert_eq!(
+                seq.as_ref().err(), par.as_ref().err(),
+                "error diverges (seed {:#x}, {} blocks, {} short, {:?})", seed, grid, short, workers
+            );
+            prop_assert_eq!(
+                &seq_mem, &par_mem,
+                "memory diverges (seed {:#x}, {} blocks, {} short, {:?})", seed, grid, short, workers
+            );
+        }
     }
 }
 
