@@ -15,8 +15,9 @@
 //! service wire.
 //!
 //! Each module provides the kernels (built with `gpa_isa::KernelBuilder`),
-//! a CPU reference for functional verification, and a driver that runs the
-//! full paper workflow: functional simulation → info extraction → model
+//! a CPU reference for functional verification, and a `case()` constructor
+//! whose [`CaseStudy`] runs the full paper workflow
+//! ([`CaseStudy::run`]): functional simulation → info extraction → model
 //! analysis → timing-simulator measurement. [`workflow`] holds the shared
 //! driver.
 

@@ -21,13 +21,12 @@
 //! Layouts: A column-major, B row-major, C column-major — every global
 //! stream is coalesced.
 
-use crate::workflow::{run_study, CaseError, CaseRun, CaseStudy, Region, TraceMode};
-use gpa_core::Model;
-use gpa_hw::{KernelResources, Machine};
+use crate::workflow::{CaseStudy, Region, TraceMode};
+use gpa_hw::KernelResources;
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, Pred, Reg, SpecialReg, Src, Width};
 use gpa_isa::Kernel;
-use gpa_sim::{GlobalMemory, LaunchConfig, Threads};
+use gpa_sim::{GlobalMemory, LaunchConfig};
 
 /// Tile sizes the paper studies.
 pub const TILES: [u32; 3] = [8, 16, 32];
@@ -342,36 +341,11 @@ pub fn case(n: u32, tile: u32) -> CaseStudy {
     )
 }
 
-/// Run the full workflow for one tile size under [`Threads::Auto`]
-/// (results are bit-identical at every worker count). When `verify` is
-/// set, the device result is checked against [`reference()`].
-///
-/// # Errors
-///
-/// Propagates simulation and extraction errors.
-///
-/// # Panics
-///
-/// Panics if verification fails.
-pub fn run(
-    machine: &Machine,
-    model: &mut Model<'_>,
-    n: u32,
-    tile: u32,
-    verify: bool,
-) -> Result<CaseRun, CaseError> {
-    let mut study = case(n, tile);
-    let run = run_study(machine, model, &mut study, Threads::Auto, None)?;
-    if verify {
-        study.check().unwrap_or_else(|e| panic!("{e}"));
-    }
-    Ok(run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_core::Component;
+    use gpa_core::{Component, Model};
+    use gpa_hw::Machine;
     use gpa_ubench::{MeasureOpts, ThroughputCurves};
     use std::sync::OnceLock;
 
@@ -391,7 +365,9 @@ mod tests {
     fn all_tiles_compute_correct_products() {
         let mut m = model();
         for tile in TILES {
-            run(machine(), &mut m, 64, tile, true).unwrap();
+            let mut study = case(64, tile);
+            study.run(machine(), &mut m).unwrap();
+            study.check().unwrap();
         }
     }
 
@@ -399,7 +375,7 @@ mod tests {
     fn table2_occupancy_is_reproduced() {
         let mut m = model();
         for (tile, blocks, warps) in [(8, 8, 16), (16, 8, 16), (32, 3, 6)] {
-            let r = run(machine(), &mut m, 64, tile, false).unwrap();
+            let r = case(64, tile).run(machine(), &mut m).unwrap();
             assert_eq!(r.input.occupancy.blocks, blocks, "tile {tile}");
             assert_eq!(r.input.occupancy.active_warps, warps, "tile {tile}");
         }
@@ -412,7 +388,7 @@ mod tests {
         let n = 128u32;
         let expect = u64::from(n).pow(3) / 32;
         for tile in TILES {
-            let r = run(machine(), &mut m, n, tile, false).unwrap();
+            let r = case(n, tile).run(machine(), &mut m).unwrap();
             assert_eq!(r.input.stats.total().fmad, expect, "tile {tile}");
         }
     }
@@ -424,7 +400,8 @@ mod tests {
         let counts: Vec<u64> = TILES
             .iter()
             .map(|t| {
-                run(machine(), &mut m, 128, *t, false)
+                case(128, *t)
+                    .run(machine(), &mut m)
                     .unwrap()
                     .input
                     .stats
@@ -453,7 +430,8 @@ mod tests {
         let bytes: Vec<u64> = TILES
             .iter()
             .map(|t| {
-                run(machine(), &mut m, 128, *t, false)
+                case(128, *t)
+                    .run(machine(), &mut m)
                     .unwrap()
                     .input
                     .stats
@@ -472,7 +450,7 @@ mod tests {
     fn computational_density_matches_paper_range() {
         // Paper §5.1: ~80% of instructions are MADs at 16×16.
         let mut m = model();
-        let r = run(machine(), &mut m, 128, 16, false).unwrap();
+        let r = case(128, 16).run(machine(), &mut m).unwrap();
         let d = r.analysis.computational_density;
         assert!((0.7..0.95).contains(&d), "density {d:.2}");
     }
@@ -486,11 +464,11 @@ mod tests {
         // instruction/shared balance because warp counts sit below the
         // knees of both curves.)
         let mut m = model();
-        let r16 = run(machine(), &mut m, 128, 16, false).unwrap();
+        let r16 = case(128, 16).run(machine(), &mut m).unwrap();
         assert_ne!(r16.analysis.bottleneck, Component::GlobalMemory);
         // n = 384 is the smallest grid giving the paper's 3 resident
         // blocks / 6 warps at the 32×32 tile.
-        let r32 = run(machine(), &mut m, 384, 32, false).unwrap();
+        let r32 = case(384, 32).run(machine(), &mut m).unwrap();
         assert_eq!(r32.input.occupancy.active_warps, 6);
         assert_eq!(r32.analysis.bottleneck, Component::SharedMemory);
     }
@@ -499,10 +477,12 @@ mod tests {
     fn sixteen_beats_thirty_two_even_on_small_grids() {
         // The 32×32 occupancy penalty (6 warps) hurts at any size.
         let mut m = model();
-        let t16 = run(machine(), &mut m, 128, 16, false)
+        let t16 = case(128, 16)
+            .run(machine(), &mut m)
             .unwrap()
             .measured_seconds();
-        let t32 = run(machine(), &mut m, 128, 32, false)
+        let t32 = case(128, 32)
+            .run(machine(), &mut m)
             .unwrap()
             .measured_seconds();
         assert!(t16 < t32, "16×16 {t16:.3e} < 32×32 {t32:.3e}");
@@ -519,7 +499,8 @@ mod tests {
         let times: Vec<f64> = TILES
             .iter()
             .map(|t| {
-                run(machine(), &mut m, 512, *t, false)
+                case(512, *t)
+                    .run(machine(), &mut m)
                     .unwrap()
                     .measured_seconds()
             })
@@ -547,7 +528,7 @@ mod tests {
         // 3 at 16×16.
         let mut m = model();
         for tile in [8u32, 16] {
-            let r = run(machine(), &mut m, 256, tile, false).unwrap();
+            let r = case(256, tile).run(machine(), &mut m).unwrap();
             let err = r.model_error().abs();
             assert!(
                 err < 0.40,

@@ -28,13 +28,12 @@
 //! of Figure 12 are produced by routing the vector region through the
 //! timing simulator's per-cluster texture cache.
 
-use crate::workflow::{run_study, CaseError, CaseRun, CaseStudy, Region, TraceMode};
-use gpa_core::Model;
-use gpa_hw::{KernelResources, Machine};
+use crate::workflow::{CaseRun, CaseStudy, Region, TraceMode};
+use gpa_hw::KernelResources;
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{MemAddr, SpecialReg, Src, Width};
 use gpa_isa::Kernel;
-use gpa_sim::{GlobalMemory, LaunchConfig, Threads};
+use gpa_sim::{GlobalMemory, LaunchConfig};
 
 /// Threads per block for all SpMV kernels.
 pub const THREADS: u32 = 256;
@@ -541,33 +540,6 @@ pub fn case(m: &BlockSparse, format: Format, texture: bool) -> CaseStudy {
     )
 }
 
-/// Run the full workflow for one format under [`Threads::Auto`] (results
-/// are bit-identical at every worker count), optionally with the vector
-/// bound to the texture cache (the `+Cache` variants of paper Figure 12).
-///
-/// # Errors
-///
-/// Propagates simulation and extraction errors.
-///
-/// # Panics
-///
-/// Panics if verification fails.
-pub fn run(
-    machine: &Machine,
-    model: &mut Model<'_>,
-    m: &BlockSparse,
-    format: Format,
-    texture: bool,
-    verify: bool,
-) -> Result<CaseRun, CaseError> {
-    let mut study = case(m, format, texture);
-    let run = run_study(machine, model, &mut study, Threads::Auto, None)?;
-    if verify {
-        study.check().unwrap_or_else(|e| panic!("{e}"));
-    }
-    Ok(run)
-}
-
 /// Bytes per scalar non-zero attributed to a named region at coalescing
 /// granularity index `g` (the paper's Figure 11a metric).
 pub fn bytes_per_entry(run: &CaseRun, m: &BlockSparse, region: &str, g: usize) -> f64 {
@@ -584,7 +556,8 @@ pub fn bytes_per_entry(run: &CaseRun, m: &BlockSparse, region: &str, g: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_core::Component;
+    use gpa_core::{Component, Model};
+    use gpa_hw::Machine;
     use gpa_sim::stats::GRAN_GT200;
     use gpa_ubench::{MeasureOpts, ThroughputCurves};
     use std::sync::OnceLock;
@@ -635,7 +608,9 @@ mod tests {
     fn all_formats_compute_the_same_product() {
         let mut md = model();
         for format in Format::ALL {
-            run(machine(), &mut md, matrix(), format, false, true).unwrap();
+            let mut study = case(matrix(), format, false);
+            study.run(machine(), &mut md).unwrap();
+            study.check().unwrap();
         }
     }
 
@@ -645,7 +620,9 @@ mod tests {
         // bottlenecked by global memory access."
         let mut md = model();
         for format in Format::ALL {
-            let r = run(machine(), &mut md, perf_matrix(), format, false, false).unwrap();
+            let r = case(perf_matrix(), format, false)
+                .run(machine(), &mut md)
+                .unwrap();
             assert_eq!(
                 r.analysis.bottleneck,
                 Component::GlobalMemory,
@@ -659,9 +636,13 @@ mod tests {
     fn figure_11a_byte_accounting() {
         let mut md = model();
         let m = matrix();
-        let ell = run(machine(), &mut md, m, Format::Ell, false, false).unwrap();
-        let im = run(machine(), &mut md, m, Format::BellIm, false, false).unwrap();
-        let iv = run(machine(), &mut md, m, Format::BellImIv, false, false).unwrap();
+        let ell = case(m, Format::Ell, false).run(machine(), &mut md).unwrap();
+        let im = case(m, Format::BellIm, false)
+            .run(machine(), &mut md)
+            .unwrap();
+        let iv = case(m, Format::BellImIv, false)
+            .run(machine(), &mut md)
+            .unwrap();
 
         // Matrix values: 4 B per entry, fully coalesced, in every format.
         for (r, name) in [(&ell, "ELL"), (&im, "BELL+IM"), (&iv, "BELL+IMIV")] {
@@ -703,7 +684,8 @@ mod tests {
         let t: Vec<f64> = Format::ALL
             .iter()
             .map(|f| {
-                run(machine(), &mut md, m, *f, false, false)
+                case(m, *f, false)
+                    .run(machine(), &mut md)
                     .unwrap()
                     .measured_seconds()
             })
@@ -717,8 +699,8 @@ mod tests {
         let mut md = model();
         let m = perf_matrix();
         for format in Format::ALL {
-            let plain = run(machine(), &mut md, m, format, false, false).unwrap();
-            let cached = run(machine(), &mut md, m, format, true, false).unwrap();
+            let plain = case(m, format, false).run(machine(), &mut md).unwrap();
+            let cached = case(m, format, true).run(machine(), &mut md).unwrap();
             assert!(
                 cached.measured_seconds() < plain.measured_seconds(),
                 "{}: cache {:.3e} should beat plain {:.3e}",
@@ -734,8 +716,12 @@ mod tests {
         // Paper Figure 12's winner: BELL+IMIV+Cache.
         let mut md = model();
         let m = perf_matrix();
-        let best = run(machine(), &mut md, m, Format::BellImIv, true, false).unwrap();
-        let prior_best = run(machine(), &mut md, m, Format::BellIm, true, false).unwrap();
+        let best = case(m, Format::BellImIv, true)
+            .run(machine(), &mut md)
+            .unwrap();
+        let prior_best = case(m, Format::BellIm, true)
+            .run(machine(), &mut md)
+            .unwrap();
         assert!(
             best.measured_seconds() < prior_best.measured_seconds(),
             "IMIV+Cache {:.3e} < IM+Cache {:.3e}",
@@ -751,7 +737,7 @@ mod tests {
         let mut md = model();
         let m = perf_matrix();
         for format in Format::ALL {
-            let r = run(machine(), &mut md, m, format, false, false).unwrap();
+            let r = case(m, format, false).run(machine(), &mut md).unwrap();
             let err = r.model_error().abs();
             assert!(
                 err < 0.40,
@@ -770,7 +756,7 @@ mod tests {
         // granularity shows 16 B transactions would help.
         let mut md = model();
         let m = perf_matrix();
-        let r = run(machine(), &mut md, m, Format::Ell, false, false).unwrap();
+        let r = case(m, Format::Ell, false).run(machine(), &mut md).unwrap();
         assert!(
             r.analysis.computational_density < 0.3,
             "density {:.2}",

@@ -22,13 +22,12 @@
 //! * the solution is written into the `d` array in place, keeping the
 //!   footprint at four arrays.
 
-use crate::workflow::{run_study, CaseError, CaseRun, CaseStudy, Region, TraceMode};
-use gpa_core::Model;
-use gpa_hw::{KernelResources, Machine};
+use crate::workflow::{CaseStudy, Region, TraceMode};
+use gpa_hw::KernelResources;
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, Pred, Reg, SpecialReg, Src, Width};
 use gpa_isa::Kernel;
-use gpa_sim::{GlobalMemory, LaunchConfig, Threads};
+use gpa_sim::{GlobalMemory, LaunchConfig};
 
 /// Threads per block (the paper's configuration for 512-equation systems).
 pub const THREADS: u32 = 256;
@@ -462,33 +461,6 @@ pub fn case(n: u32, nsys: u32, padded: bool) -> CaseStudy {
     )
 }
 
-/// Run the workflow for CR (`padded = false`) or CR-NBC (`padded = true`)
-/// under [`Threads::Auto`] (results are bit-identical at every worker
-/// count).
-///
-/// # Errors
-///
-/// Propagates simulation and extraction errors.
-///
-/// # Panics
-///
-/// Panics if verification fails.
-pub fn run(
-    machine: &Machine,
-    model: &mut Model<'_>,
-    n: u32,
-    nsys: u32,
-    padded: bool,
-    verify: bool,
-) -> Result<CaseRun, CaseError> {
-    let mut study = case(n, nsys, padded);
-    let run = run_study(machine, model, &mut study, Threads::Auto, None)?;
-    if verify {
-        study.check().unwrap_or_else(|e| panic!("{e}"));
-    }
-    Ok(run)
-}
-
 /// Index of the first forward-reduction stage in the per-stage analysis
 /// (stage 0 is the global load).
 pub const FIRST_FORWARD_STAGE: usize = 1;
@@ -496,7 +468,8 @@ pub const FIRST_FORWARD_STAGE: usize = 1;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_core::Component;
+    use gpa_core::{Component, Model};
+    use gpa_hw::Machine;
     use gpa_ubench::{MeasureOpts, ThroughputCurves};
     use std::sync::OnceLock;
 
@@ -515,19 +488,23 @@ mod tests {
     #[test]
     fn cr_solves_systems() {
         let mut m = model();
-        run(machine(), &mut m, 512, 4, false, true).unwrap();
+        let mut study = case(512, 4, false);
+        study.run(machine(), &mut m).unwrap();
+        study.check().unwrap();
     }
 
     #[test]
     fn cr_nbc_solves_systems() {
         let mut m = model();
-        run(machine(), &mut m, 512, 4, true, true).unwrap();
+        let mut study = case(512, 4, true);
+        study.run(machine(), &mut m).unwrap();
+        study.check().unwrap();
     }
 
     #[test]
     fn one_resident_block_serializes_stages() {
         let mut m = model();
-        let r = run(machine(), &mut m, 512, 30, false, false).unwrap();
+        let r = case(512, 30, false).run(machine(), &mut m).unwrap();
         assert_eq!(r.input.occupancy.blocks, 1);
         // load + 9 forward + base + 9 backward + writeback = 21 stages.
         assert_eq!(r.input.stats.stages.len(), 21);
@@ -538,7 +515,7 @@ mod tests {
     fn conflicts_double_each_forward_step_until_the_cap() {
         // Paper Figure 5/7b: 2-way, 4-way, 8-way, 16-way.
         let mut m = model();
-        let r = run(machine(), &mut m, 512, 8, false, false).unwrap();
+        let r = case(512, 8, false).run(machine(), &mut m).unwrap();
         let stages = &r.input.stats.stages;
         for (k, expect) in [(0usize, 2.0), (1, 4.0), (2, 8.0), (3, 16.0), (4, 16.0)] {
             let f = stages[FIRST_FORWARD_STAGE + k].bank_conflict_factor();
@@ -555,7 +532,7 @@ mod tests {
         // Paper §5.2: CR-NBC eliminates the conflicts (a small residual
         // remains past stride 16 — see gpa-mem's padding tests).
         let mut m = model();
-        let r = run(machine(), &mut m, 512, 8, true, false).unwrap();
+        let r = case(512, 8, true).run(machine(), &mut m).unwrap();
         let stages = &r.input.stats.stages;
         for k in 0..4 {
             let f = stages[FIRST_FORWARD_STAGE + k].bank_conflict_factor();
@@ -571,7 +548,7 @@ mod tests {
         // stays ~constant over the first steps; the conflict-free
         // equivalent halves.
         let mut m = model();
-        let cr = run(machine(), &mut m, 512, 8, false, false).unwrap();
+        let cr = case(512, 8, false).run(machine(), &mut m).unwrap();
         let s = &cr.input.stats.stages;
         let t1 = s[FIRST_FORWARD_STAGE].smem_warp_equiv();
         let t3 = s[FIRST_FORWARD_STAGE + 2].smem_warp_equiv();
@@ -592,9 +569,9 @@ mod tests {
     #[test]
     fn cr_is_shared_memory_bound_and_nbc_is_not() {
         let mut m = model();
-        let cr = run(machine(), &mut m, 512, 30, false, false).unwrap();
+        let cr = case(512, 30, false).run(machine(), &mut m).unwrap();
         assert_eq!(cr.analysis.bottleneck, Component::SharedMemory);
-        let nbc = run(machine(), &mut m, 512, 30, true, false).unwrap();
+        let nbc = case(512, 30, true).run(machine(), &mut m).unwrap();
         assert_eq!(nbc.analysis.bottleneck, Component::InstructionPipeline);
     }
 
@@ -602,8 +579,8 @@ mod tests {
     fn padding_speeds_up_measurably() {
         // Paper Figure 8: ≈1.6×.
         let mut m = model();
-        let cr = run(machine(), &mut m, 512, 30, false, false).unwrap();
-        let nbc = run(machine(), &mut m, 512, 30, true, false).unwrap();
+        let cr = case(512, 30, false).run(machine(), &mut m).unwrap();
+        let nbc = case(512, 30, true).run(machine(), &mut m).unwrap();
         let speedup = cr.measured_seconds() / nbc.measured_seconds();
         assert!(
             (1.25..2.2).contains(&speedup),
@@ -618,8 +595,8 @@ mod tests {
         // The paper's §5.2 workflow: the model prices the removal of bank
         // conflicts *before* implementing CR-NBC, then verifies.
         let mut m = model();
-        let cr = run(machine(), &mut m, 512, 30, false, false).unwrap();
-        let nbc = run(machine(), &mut m, 512, 30, true, false).unwrap();
+        let cr = case(512, 30, false).run(machine(), &mut m).unwrap();
+        let nbc = case(512, 30, true).run(machine(), &mut m).unwrap();
         let what_if = m.what_if_no_bank_conflicts(&cr.input);
         let actual = cr.measured_seconds() / nbc.measured_seconds();
         // The model overestimates the gain (the real CR-NBC is
@@ -641,7 +618,7 @@ mod tests {
         // wider band for our reproduction.
         let mut m = model();
         for padded in [false, true] {
-            let r = run(machine(), &mut m, 512, 30, padded, false).unwrap();
+            let r = case(512, 30, padded).run(machine(), &mut m).unwrap();
             let err = r.model_error().abs();
             assert!(
                 err < 0.30,
@@ -657,7 +634,7 @@ mod tests {
     fn stage_zero_is_global_memory_bound() {
         // Paper Figure 6a: step 0 (the system load) is global-bound.
         let mut m = model();
-        let r = run(machine(), &mut m, 512, 30, false, false).unwrap();
+        let r = case(512, 30, false).run(machine(), &mut m).unwrap();
         assert_eq!(r.analysis.stages[0].bottleneck, Component::GlobalMemory);
     }
 }

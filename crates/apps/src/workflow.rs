@@ -6,11 +6,11 @@
 //! → info extraction → model analysis → timing measurement. The
 //! per-application `case()` constructors ([`crate::matmul::case`],
 //! [`crate::tridiag::case`], [`crate::spmv::case`]) build these, and both
-//! the in-crate `run` drivers and the `gpa-service` `Analyzer` execute
-//! them through the same code path, so a service request and a direct
-//! driver call produce bit-identical results. The drivers leave the
-//! worker count to the engine ([`Threads::Auto`]): the answer is the same
-//! at every count, so only [`run_study`] takes a [`Threads`].
+//! [`CaseStudy::run`] and the `gpa-service` `Analyzer` execute them
+//! through [`run_study`], so a service request and a direct call produce
+//! bit-identical results. [`CaseStudy::run`] leaves the worker count to
+//! the engine ([`Threads::Auto`]): the answer is the same at every count,
+//! so only [`run_study`] takes a [`Threads`].
 
 use gpa_core::{extract, Analysis, InputError, Model, ModelInput};
 use gpa_hw::Machine;
@@ -157,7 +157,7 @@ pub type Verifier = Box<dyn Fn(&GlobalMemory) -> Result<(), String> + Send + Syn
 /// full workflow, plus the CPU-reference oracle to check the result.
 ///
 /// Built by [`crate::matmul::case`], [`crate::tridiag::case`], and
-/// [`crate::spmv::case`]; consumed by the in-crate drivers and by
+/// [`crate::spmv::case`]; run by [`CaseStudy::run`] and by
 /// `gpa-service`'s `Analyzer` through the same code path.
 pub struct CaseStudy {
     /// Human-readable label (e.g. `"matmul16x16 n=256"`).
@@ -253,6 +253,17 @@ impl CaseStudy {
         self.verify.is_some()
     }
 
+    /// Run the full workflow ([`run_study`]) with the engine's choice of
+    /// worker count and the default fuel. The study's memory image holds
+    /// the result afterwards, for [`CaseStudy::check`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates functional-simulation errors and info-extraction errors.
+    pub fn run(&mut self, machine: &Machine, model: &mut Model<'_>) -> Result<CaseRun, CaseError> {
+        run_study(machine, model, self, Threads::Auto, None)
+    }
+
     /// Check the current memory image against the CPU reference.
     ///
     /// # Errors
@@ -273,13 +284,9 @@ impl CaseStudy {
 /// The functional simulation runs every block (verifying memory safety and
 /// mutating the study's memory image in place, so [`CaseStudy::check`] can
 /// verify afterwards). `threads` shards both block execution and the
-/// timing replay; results are bit-identical for every selection. `fuel`
-/// is the warp-instruction budget (runaway-loop guard; `None` keeps the
-/// simulator's default). **Accounting granularity depends on threading**:
-/// a sequential run spends one budget across the whole grid, a sharded run
-/// one budget *per shard* — a grid that exhausts fuel sequentially may
-/// complete in parallel, never the reverse for per-block-affordable
-/// kernels (see [`gpa_sim::engine`]).
+/// timing replay; results and errors are bit-identical for every
+/// selection. `fuel` is the grid's warp-instruction budget (runaway-loop
+/// guard; `None` keeps the simulator's default).
 ///
 /// # Errors
 ///
@@ -331,44 +338,30 @@ pub fn run_study(
             func.add_region(r.name.clone(), r.base, r.len);
         }
     }
-    let (src, stats) = match mode {
-        TraceMode::Homogeneous => {
-            // Block 0 runs first on pre-launch memory in every engine
-            // configuration, so tracing it inside the full pass records
-            // exactly the trace of a separate pass over a pristine copy.
-            func.collect_traces(TraceBlocks::First);
-            let out = func.run(gmem)?;
-            let trace = out.traces.and_then(|mut t| t.pop());
-            (
-                TraceSource::Homogeneous(Arc::new(trace.expect("block 0 is traced"))),
-                out.stats,
-            )
-        }
-        TraceMode::Auto => {
-            // One traced pass answers both questions at once: the
-            // dynamic statistics, and whether the blocks actually
-            // diverge.
-            func.collect_traces(TraceBlocks::All);
-            let out = func.run(gmem)?;
-            let mut traces = out.traces.expect("trace collection enabled");
-            let uniform = !textured && traces.windows(2).all(|w| w[0].shape_eq(&w[1]));
-            let src = if uniform {
-                // Block 0's trace here is exactly the trace the
-                // Homogeneous arm collects — this branch reproduces
-                // TraceMode::Homogeneous bit for bit.
-                traces.truncate(1);
-                TraceSource::Homogeneous(Arc::new(
-                    traces.pop().expect("a launch has at least one block"),
-                ))
-            } else {
-                TraceSource::from_blocks(traces)
-            };
-            (src, out.stats)
-        }
+    // A declared-homogeneous kernel traces block 0 alone; any other
+    // traces every block, so one pass also tells whether they diverge.
+    func.collect_traces(match mode {
+        TraceMode::Homogeneous => TraceBlocks::First,
+        TraceMode::Auto => TraceBlocks::All,
+    });
+    let out = func.run(gmem)?;
+    let mut traces = out.traces.expect("trace collection enabled");
+    let uniform = *mode == TraceMode::Homogeneous
+        || (!textured && traces.windows(2).all(|w| w[0].shape_eq(&w[1])));
+    let src = if uniform {
+        // Block 0 runs first on pre-launch memory in every engine
+        // configuration, so its trace from inside the full pass is
+        // exactly the trace of a separate pass over a pristine copy.
+        traces.truncate(1);
+        TraceSource::Homogeneous(Arc::new(
+            traces.pop().expect("a launch has at least one block"),
+        ))
+    } else {
+        TraceSource::from_blocks(traces)
     };
     let timing_result = timing.run(&src, &launch, kernel.resources);
 
-    let input = extract(machine, &kernel.name, launch, kernel.resources, stats)?;
+    let input = extract(machine, &kernel.name, launch, kernel.resources, out.stats)?;
     let analysis = model.analyze(&input);
 
     Ok(CaseRun {

@@ -30,11 +30,11 @@ fn main() {
 
     // ---- §5.1: 16 resident blocks for the 16×16 matmul ----
     let mut model = Model::new(&base, shared_curves.clone());
-    let mm_base = matmul::run(&base, &mut model, n, 16, false).unwrap();
+    let mm_base = matmul::case(n, 16).run(&base, &mut model).unwrap();
     let mut m16 = base.clone();
     m16.max_blocks_per_sm = 16;
     let mut model16 = Model::new(&m16, shared_curves.clone());
-    let mm_16 = matmul::run(&m16, &mut model16, n, 16, false).unwrap();
+    let mm_16 = matmul::case(n, 16).run(&m16, &mut model16).unwrap();
     println!(
         "{:<44} {:>12} {:>10} {:>7.2}x",
         "matmul 16x16, 16 resident blocks (32 warps)",
@@ -44,12 +44,12 @@ fn main() {
     );
 
     // ---- §5.1: double registers + shared memory for the 32×32 tile ----
-    let mm32_base = matmul::run(&base, &mut model, n, 32, false).unwrap();
+    let mm32_base = matmul::case(n, 32).run(&base, &mut model).unwrap();
     let mut big = base.clone();
     big.regs_per_sm *= 2;
     big.smem_per_sm *= 2;
     let mut model_big = Model::new(&big, shared_curves.clone());
-    let mm32_big = matmul::run(&big, &mut model_big, n, 32, false).unwrap();
+    let mm32_big = matmul::case(n, 32).run(&big, &mut model_big).unwrap();
     println!(
         "{:<44} {:>12} {:>10} {:>7.2}x",
         "matmul 32x32, 2x registers & shared memory",
@@ -59,11 +59,15 @@ fn main() {
     );
 
     // ---- §5.2: 17 shared-memory banks for plain CR ----
-    let cr_base = tridiag::run(&base, &mut model, 512, nsys, false, false).unwrap();
+    let cr_base = tridiag::case(512, nsys, false)
+        .run(&base, &mut model)
+        .unwrap();
     let mut prime = base.clone();
     prime.smem_banks = 17;
     let mut model_p = Model::new(&prime, shared_curves.clone());
-    let cr_prime = tridiag::run(&prime, &mut model_p, 512, nsys, false, true).unwrap();
+    let mut prime_study = tridiag::case(512, nsys, false);
+    let cr_prime = prime_study.run(&prime, &mut model_p).unwrap();
+    prime_study.check().unwrap_or_else(|e| panic!("{e}"));
     println!(
         "{:<44} {:>12} {:>10} {:>7.2}x",
         "plain CR, 17 (prime) shared-memory banks",
@@ -77,7 +81,9 @@ fn main() {
     );
 
     // Software fix for comparison.
-    let nbc = tridiag::run(&base, &mut model, 512, nsys, true, false).unwrap();
+    let nbc = tridiag::case(512, nsys, true)
+        .run(&base, &mut model)
+        .unwrap();
     println!(
         "{:<44} {:>12} {:>10} {:>7.2}x",
         "  (software fix for comparison: CR-NBC)",

@@ -27,7 +27,9 @@ fn main() {
     rule(86);
     let mut runs = Vec::new();
     for format in Format::ALL {
-        let r = spmv::run(&m, &mut model, &mat, format, false, false).expect("spmv runs");
+        let r = spmv::case(&mat, format, false)
+            .run(&m, &mut model)
+            .expect("spmv runs");
         let row = |region: &str| -> String {
             format!(
                 "{:>6.2} {:>6.2} {:>6.2}",

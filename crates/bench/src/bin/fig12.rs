@@ -32,7 +32,9 @@ fn main() {
     ];
     let mut seconds = std::collections::HashMap::new();
     for (format, cache, paper) in variants {
-        let r = spmv::run(&m, &mut model, &mat, format, cache, false).expect("spmv runs");
+        let r = spmv::case(&mat, format, cache)
+            .run(&m, &mut model)
+            .expect("spmv runs");
         let gflops = r.measured_gflops(mat.flops());
         let name = format!("{}{}", format.name(), if cache { "+Cache" } else { "" });
         println!("{name:>18} {gflops:>12.1} {paper:>14.1}");

@@ -46,7 +46,9 @@ fn main() {
     );
     rule(100);
     for (i, tile) in matmul::TILES.into_iter().enumerate() {
-        let r = matmul::run(&m, &mut model, n, tile, false).expect("matmul runs");
+        let r = matmul::case(n, tile)
+            .run(&m, &mut model)
+            .expect("matmul runs");
         let t = r.input.stats.total();
         let a = &r.analysis;
         let gflops = r.measured_gflops(matmul::flops(n));

@@ -17,7 +17,9 @@ fn main() {
         } else {
             "CR (Figure 6a)"
         };
-        let r = tridiag::run(&m, &mut model, 512, nsys, padded, false).expect("CR runs");
+        let r = tridiag::case(512, nsys, padded)
+            .run(&m, &mut model)
+            .expect("CR runs");
         println!("{name}: {nsys} systems x 512 equations (paper: 512)");
         rule(76);
         println!(

@@ -11,7 +11,9 @@ fn main() {
     let m = Machine::gtx285();
     let mut model = Model::new(&m, curves(&m));
     let nsys = if paper { 512 } else { 128 };
-    let r = tridiag::run(&m, &mut model, 512, nsys, false, false).expect("CR runs");
+    let r = tridiag::case(512, nsys, false)
+        .run(&m, &mut model)
+        .expect("CR runs");
 
     println!("Figure 7a: sustained shared bandwidth per forward step ({nsys} systems)");
     rule(72);

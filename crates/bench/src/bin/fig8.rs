@@ -19,7 +19,9 @@ fn main() {
     rule(88);
     let mut results = Vec::new();
     for padded in [false, true] {
-        let r = tridiag::run(&m, &mut model, 512, nsys, padded, true).expect("solvers run");
+        let mut study = tridiag::case(512, nsys, padded);
+        let r = study.run(&m, &mut model).expect("solvers run");
+        study.check().unwrap_or_else(|e| panic!("{e}"));
         let at = r.analysis.serialized_attribution;
         println!(
             "{:>8} {:>12} {:>12} {:>8.1}% | {:>11} {:>11} {:>11}",

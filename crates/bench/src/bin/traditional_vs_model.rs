@@ -19,7 +19,7 @@ fn main() {
 
     // ---- dense matmul 16x16, n = 512 ----
     let n = 512u64;
-    let mm = matmul::run(&m, &mut model, n as u32, 16, false).unwrap();
+    let mm = matmul::case(n as u32, 16).run(&m, &mut model).unwrap();
     // Algorithmic counts: 2n^3 flops; 3 n^2 matrix elements moved once.
     let trad = traditional_analysis(&m, 2 * n * n * n, 3 * n * n * 4, mm.measured_seconds(), 0.5);
     println!("matmul 16x16 (n={n}):");
@@ -32,7 +32,9 @@ fn main() {
 
     // ---- cyclic reduction, 128 systems ----
     let nsys = 128u64;
-    let cr = tridiag::run(&m, &mut model, 512, nsys as u32, false, false).unwrap();
+    let cr = tridiag::case(512, nsys as u32, false)
+        .run(&m, &mut model)
+        .unwrap();
     // Algorithmic counts per system of size 512: forward ~12 flops per
     // eliminated equation + backward ~5 per solved equation; bytes: load
     // 4 arrays, store x.
@@ -51,7 +53,9 @@ fn main() {
 
     // ---- SpMV, ELL, L = 8 ----
     let qcd = spmv::qcd_like(8, 9);
-    let sp = spmv::run(&m, &mut model, &qcd, spmv::Format::Ell, false, false).unwrap();
+    let sp = spmv::case(&qcd, spmv::Format::Ell, false)
+        .run(&m, &mut model)
+        .unwrap();
     // Algorithmic: 2 flops/nnz; 12 bytes/nnz (value + index + vector).
     let trad = traditional_analysis(
         &m,

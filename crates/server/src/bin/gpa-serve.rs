@@ -198,7 +198,6 @@ fn main() -> ExitCode {
         analyzer.enable_report_cache(ReportCacheConfig {
             max_bytes: opts.report_cache_bytes,
             disk_dir: opts.cache_dir.clone(),
-            ..ReportCacheConfig::default()
         });
     }
 

@@ -215,8 +215,8 @@ pub const MAX_CUSTOM_PARAMS: usize = 256;
 /// region base fits the 32-bit pointers kernels pass as parameters.
 pub const MAX_CUSTOM_MEMORY_BYTES: u64 = 64 << 20;
 
-/// Ceiling on a custom launch's total block count (the per-shard fuel
-/// budget guards runaway loops; this guards runaway grids).
+/// Ceiling on a custom launch's total block count (the fuel budget guards
+/// runaway loops; this guards runaway grids).
 pub const MAX_CUSTOM_BLOCKS: u64 = 65_536;
 
 /// Ceiling on the memory a custom kernel may mark for readback, so a
@@ -699,13 +699,10 @@ pub struct AnalysisOptions {
     /// shards anything larger across every core. `Fixed(n)` is always
     /// exactly `n` workers.
     pub threads: Threads,
-    /// Warp-instruction fuel budget (runaway-loop guard); `None` keeps
-    /// the simulator default (20 × 10⁹). **Accounting granularity
-    /// depends on `threads`**: a sequential run spends one budget across
-    /// the whole grid, a sharded run one budget *per shard* of blocks —
-    /// so a grid that exhausts fuel sequentially may complete when
-    /// sharded, never the reverse for per-block-affordable kernels (see
-    /// [`gpa_sim::engine`] for the contract).
+    /// The grid's warp-instruction fuel budget (runaway-loop guard);
+    /// `None` keeps the simulator default (20 × 10⁹). A run exhausts it
+    /// exactly where the sequential walk does, whatever `threads` is
+    /// (see [`gpa_sim::engine`]).
     pub fuel: Option<u64>,
     /// Check the simulated result against the CPU reference oracle and
     /// record the outcome in [`AnalysisReport::verified`].

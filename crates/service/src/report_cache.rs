@@ -53,7 +53,7 @@
 //!
 //! # Storage
 //!
-//! In memory, entries live in N shards of `Mutex<HashMap>` so
+//! In memory, entries live in 16 shards of `Mutex<HashMap>` so
 //! concurrent server workers rarely contend on one lock; each shard is
 //! LRU-bounded by an equal slice of [`ReportCacheConfig::max_bytes`].
 //! Optionally, every stored report is also persisted to
@@ -90,8 +90,6 @@ pub struct ReportCacheConfig {
     /// slice is evicted immediately (stored on disk only, if a disk
     /// tier is configured).
     pub max_bytes: usize,
-    /// Number of independent `Mutex<HashMap>` shards (at least 1).
-    pub shards: usize,
     /// Directory for the persistent tier (`None` = memory only).
     /// Entries are `report-<hash>.json` files written atomically, safe
     /// to share between concurrent processes.
@@ -102,7 +100,6 @@ impl Default for ReportCacheConfig {
     fn default() -> ReportCacheConfig {
         ReportCacheConfig {
             max_bytes: 64 << 20,
-            shards: 16,
             disk_dir: None,
         }
     }
@@ -170,6 +167,9 @@ struct Entry {
     last_used: u64,
 }
 
+/// Independent `Mutex<HashMap>` shards of the memory tier.
+const SHARDS: usize = 16;
+
 /// Nominal bookkeeping bytes charged per entry on top of its strings.
 const ENTRY_OVERHEAD: usize = 64;
 
@@ -206,13 +206,12 @@ pub struct ReportCache {
 }
 
 impl ReportCache {
-    /// An empty cache shaped by `config` (shard count is clamped to at
-    /// least 1; the disk directory is created lazily on first store).
+    /// An empty cache shaped by `config` (the disk directory is created
+    /// lazily on first store).
     pub fn new(config: ReportCacheConfig) -> ReportCache {
-        let shards = config.shards.max(1);
         ReportCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: config.max_bytes / shards,
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shard_budget: config.max_bytes / SHARDS,
             disk_dir: config.disk_dir,
             clock: AtomicU64::new(0),
             hits: Counter::new(),
@@ -222,7 +221,7 @@ impl ReportCache {
     }
 
     fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        &self.shards[(key.hash % self.shards.len() as u64) as usize]
+        &self.shards[(key.hash % SHARDS as u64) as usize]
     }
 
     /// Look up the serialized report for `key`, consulting memory first
@@ -388,22 +387,27 @@ mod tests {
     #[test]
     fn lru_eviction_respects_the_byte_budget() {
         let payload = "x".repeat(200);
+        // Every shard holds three entries; the keys below all land in
+        // shard 0, whose LRU order the test then drives.
         let config = ReportCacheConfig {
-            max_bytes: 3 * (payload.len() + ENTRY_OVERHEAD + 64),
-            shards: 1,
+            max_bytes: SHARDS * 3 * (payload.len() + ENTRY_OVERHEAD + 64),
             disk_dir: None,
         };
         let cache = ReportCache::new(config.clone());
-        let keys: Vec<CacheKey> = (0..4).map(|i| key(&format!("req {i}"))).collect();
+        let in_shard_0 = |i: u64| CacheKey {
+            hash: i * SHARDS as u64,
+            ..key(&format!("req {i}"))
+        };
+        let keys: Vec<CacheKey> = (0..4).map(in_shard_0).collect();
         for k in &keys {
             cache.put(k, &payload);
         }
         // Touch key 1 so key 2 becomes the LRU victim of the next put.
         assert!(cache.get(&keys[1]).is_some());
-        cache.put(&key("req 4"), &payload);
+        cache.put(&in_shard_0(4), &payload);
         let stats = cache.stats();
         assert!(stats.evictions >= 1, "{stats:?}");
-        assert!(stats.bytes <= config.max_bytes, "{stats:?}");
+        assert!(stats.bytes <= config.max_bytes / SHARDS, "{stats:?}");
         assert_eq!(cache.get(&keys[0]), None, "oldest entry was evicted");
         assert!(cache.get(&keys[1]).is_some(), "recently used survives");
     }

@@ -9,6 +9,8 @@
 //! * **Negative**: malformed assembly and memory-image specs are typed
 //!   [`ServiceError`]s in-process and clean HTTP 400s through the
 //!   server's route table — never panics.
+//! * **Fuel**: a request's fuel budget covers the whole grid at every
+//!   worker count, and a runaway loop ends within a stated time.
 
 use gpa_apps::workflow::{run_study, CaseStudy, Region, TraceMode};
 use gpa_core::Model;
@@ -21,10 +23,11 @@ use gpa_service::{
     ParamValue, ServiceError, CUSTOM_REGION_ALIGN, MAX_CUSTOM_MEMORY_BYTES,
     MAX_CUSTOM_READBACK_BYTES,
 };
-use gpa_sim::{GlobalMemory, LaunchConfig, Threads};
+use gpa_sim::{GlobalMemory, LaunchConfig, SimError, Threads};
 use gpa_ubench::MeasureOpts;
 use proptest::prelude::*;
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 fn analyzer() -> &'static Analyzer {
     static A: OnceLock<Analyzer> = OnceLock::new();
@@ -475,4 +478,74 @@ fn auto_mode_matches_homogeneous_on_uniform_grids() {
         served.measured_cycles.to_bits(),
         auto.timing.cycles.to_bits()
     );
+}
+
+/// A fuel-limited request for the kernel `asm` over `grid` blocks of its
+/// declared threads, with no memory.
+fn fuel_request(asm: &str, grid: u32, fuel: u64, threads: Threads) -> AnalysisRequest {
+    let kernel = KernelSpec::Custom(Box::new(CustomKernel {
+        asm: asm.into(),
+        launch: LaunchConfig::new_1d(grid, 128),
+        params: vec![],
+        memory: vec![],
+    }));
+    let mut request = AnalysisRequest::new(kernel, "gtx285");
+    request.options.fuel = Some(fuel);
+    request.options.threads = threads;
+    request
+}
+
+fn expect_fuel_exhausted(request: &AnalysisRequest) {
+    match analyzer().analyze(request) {
+        Err(ServiceError::Sim(SimError::FuelExhausted)) => {}
+        other => panic!(
+            "expected fuel exhaustion at {:?}, got {:?}",
+            request.options.threads,
+            other.map(|r| r.measured_cycles)
+        ),
+    }
+}
+
+/// The sample `lanehash` kernel over 64 blocks of 128 threads runs 87
+/// warp instructions per warp, 22,272 for the grid. Split four ways,
+/// each block range needs 5,568: every range fits in 10,000, the grid
+/// does not. One budget covers the grid, so the run fails the same way
+/// at every worker count, and succeeds at every count with exactly
+/// enough.
+#[test]
+fn fuel_is_one_budget_for_the_whole_grid() {
+    let asm = include_str!("../data/sample_kernel.asm");
+    for threads in [Threads::Fixed(1), Threads::Fixed(4), Threads::Auto] {
+        expect_fuel_exhausted(&fuel_request(asm, 64, 10_000, threads));
+        expect_fuel_exhausted(&fuel_request(asm, 64, 22_271, threads));
+        let exact = analyzer().analyze(&fuel_request(asm, 64, 22_272, threads));
+        assert!(exact.is_ok(), "{threads:?}: {exact:?}");
+    }
+}
+
+/// A kernel that branches to itself ends on its fuel, inline and
+/// sharded, within a stated wall-clock budget: a million warp
+/// instructions take ~50 ms per worker in a release build, and the
+/// budget leaves room for an unoptimized build on a loaded host. The
+/// second kernel spins in block 7 only, the last of four block ranges,
+/// so at 4 workers the merge walks that range a second time on the fuel
+/// the lower ranges leave: about twice the sequential walk's time.
+#[test]
+fn a_spinning_kernel_ends_on_its_fuel_in_bounded_time() {
+    const BUDGET: Duration = Duration::from_secs(30);
+    let everywhere = ".kernel spin\n.threads 128\nL0:\n    bra L0\n";
+    let last_block = ".kernel spin7\n.reg 1\n.threads 128\n    s2r r0, %ctaid.x\n    \
+        setp.eq.s32 p0, r0, 7\nL0:\n    @p0 bra L0\n    exit\n";
+    for (asm, threads) in [everywhere, last_block]
+        .into_iter()
+        .flat_map(|asm| [(asm, Threads::Fixed(1)), (asm, Threads::Fixed(4))])
+    {
+        let start = Instant::now();
+        expect_fuel_exhausted(&fuel_request(asm, 8, 1_000_000, threads));
+        let took = start.elapsed();
+        assert!(
+            took < BUDGET,
+            "{threads:?} took {took:?}, budget {BUDGET:?}"
+        );
+    }
 }

@@ -1,5 +1,5 @@
-//! Acceptance: the service's answers are *identical* to the per-app
-//! driver path (`matmul::run` and friends over `run_study`) — same curves
+//! Acceptance: the service's answers are *identical* to the direct path
+//! (`CaseStudy::run` over `run_study`) — same curves
 //! in, same `Analysis` and timing out, bit for bit — at every worker
 //! count. (`Analyzer::batch` against sequential `analyze` calls is a unit
 //! test in `src/lib.rs`.)
@@ -65,17 +65,13 @@ fn batch_reports_match_the_driver_path_bitwise() {
     // built from the same measured curves.
     let mut model = Model::new(machine(), curves().clone());
     let direct = [
-        matmul::run(machine(), &mut model, 64, 16, false).unwrap(),
-        tridiag::run(machine(), &mut model, 512, 4, false, false).unwrap(),
-        spmv::run(
-            machine(),
-            &mut model,
-            &spmv::qcd_like(4, 42),
-            spmv::Format::BellIm,
-            false,
-            false,
-        )
-        .unwrap(),
+        matmul::case(64, 16).run(machine(), &mut model).unwrap(),
+        tridiag::case(512, 4, false)
+            .run(machine(), &mut model)
+            .unwrap(),
+        spmv::case(&spmv::qcd_like(4, 42), spmv::Format::BellIm, false)
+            .run(machine(), &mut model)
+            .unwrap(),
     ];
 
     for (report, case) in reports.iter().zip(&direct) {

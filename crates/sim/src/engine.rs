@@ -23,9 +23,9 @@
 //! * Each range runs against a **private copy** of the initial
 //!   [`GlobalMemory`] with write capture enabled
 //!   ([`GlobalMemory::begin_write_capture`]), a fresh
-//!   [`crate::stats::DynamicStats`] accumulator, and its own fuel budget,
-//!   in block-id order — the same walk an inline run takes over the whole
-//!   grid.
+//!   [`crate::stats::DynamicStats`] accumulator, and the grid's whole fuel
+//!   budget, in block-id order — the same walk an inline run takes over
+//!   the whole grid.
 //! * Results merge **in block-id order**: per-stage statistics via
 //!   [`crate::stats::StageStats::merge_blocks`] (all counters are additive
 //!   across disjoint block sets), per-region traffic summed, traces
@@ -34,7 +34,7 @@
 //!   makes even racy cross-block overwrites resolve exactly as the
 //!   sequential walk would.
 //!
-//! # One fault rule
+//! # One fault rule, fuel included
 //!
 //! A failing run returns the lowest-block-id [`SimError`] and leaves the
 //! caller's memory exactly as the sequential walk leaves it: the writes of
@@ -46,15 +46,21 @@
 //! below always run to completion, because one of them may still fail
 //! earlier and become the authoritative error.
 //!
-//! The one divergence from the sequential walk is fuel: a sequential run
-//! spends one budget across the whole grid, a sharded run one budget per
-//! range, so a grid that exhausts fuel sequentially may complete in
-//! parallel (never the reverse for per-block-affordable kernels). Fuel is
-//! a runaway-loop guard, not a metered resource, and splitting one budget
-//! across ranges up front would make parallel runs fail where sequential
-//! ones succeed. Layers that expose a fuel knob (`run_study`'s `fuel` in
-//! `gpa-apps`, `AnalysisOptions::fuel` in `gpa-service`) document the same
-//! per-range semantics.
+//! Running out of fuel is such a fault. The fuel budget
+//! ([`FunctionalSim::set_fuel`]) covers the whole grid at every worker
+//! count, so a run exhausts it exactly where the sequential walk does.
+//! Each range walks with the full budget and reports what it spent; the
+//! in-order merge charges each range against what the grid has left. The
+//! first range that overdraws is walked again on the caller's thread, on
+//! the memory the lower ranges leave and with exactly the fuel that is
+//! left, and that walk's result is the answer. Range 0 never overdraws,
+//! so a grid whose first range runs out is never walked twice. A later
+//! range that runs out is walked in parallel on the full budget and then
+//! again on what is left, so a runaway loop outside range 0 takes up to
+//! about twice the sequential walk's wall time. A counter shared by the
+//! workers would not save the merge: which range drew its last unit
+//! would be a race, and the merge would still have to reproduce the
+//! sequential error and memory.
 //!
 //! # When `Auto` shards
 //!
@@ -104,13 +110,12 @@ pub const GRAIN: u64 = 1 << 15;
 /// calibration (`MeasureOpts` in `gpa-ubench`), and one request's
 /// simulation (`AnalysisOptions::threads` in `gpa-service`).
 ///
-/// Sharded results are **bit-identical at every thread count** throughout
-/// the workspace, so everything above `run_study` (the case-study
-/// drivers, batch analysis, the exhibits) leaves the count to
+/// Sharded results, errors and memory are **bit-identical at every
+/// thread count** throughout the workspace (see the
+/// [module docs](crate::engine)), so everything above `run_study` (the
+/// case-study driver, batch analysis, the exhibits) leaves the count to
 /// [`Threads::Auto`]. An explicit count is for comparing counts in tests,
-/// for single-core profiling, and for a wire request's `threads`. (The
-/// exception is fuel accounting: a parallel run budgets fuel per shard —
-/// see the [module docs](crate::engine).)
+/// for single-core profiling, and for a wire request's `threads`.
 ///
 /// This enum is the one in-process thread encoding. The wire's numeric
 /// `threads` (`0` = auto, `n` = exactly `n` workers) is decoded by
@@ -214,16 +219,18 @@ fn shard_plan(num_blocks: u32, workers: usize) -> Vec<Range<u32>> {
 }
 
 /// Execute every block of `sim`'s grid against `gmem` on `workers`
-/// threads, with output bit-identical to the sequential walk and the one
-/// fault rule (see the [module docs](crate::engine)).
+/// threads, with output bit-identical to the sequential walk, faults and
+/// fuel included (see the [module docs](crate::engine)).
 pub(crate) fn run(
     sim: &FunctionalSim<'_>,
     gmem: &mut GlobalMemory,
     workers: usize,
 ) -> Result<RunOutput, SimError> {
     let num_blocks = sim.launch().num_blocks();
+    let budget = sim.fuel_budget();
     if workers <= 1 || num_blocks <= 1 {
-        return walk(sim, gmem, 0..num_blocks, || false).expect("an inline walk never aborts");
+        let inline = walk(sim, gmem, 0..num_blocks, budget, || false);
+        return inline.expect("an inline walk never aborts").0;
     }
 
     // Copy the memory on the caller's thread: a copy made on a worker
@@ -244,60 +251,63 @@ pub(crate) fn run(
         let shard_mem = &mut *mem.lock().expect("a range runs once");
         shard_mem.begin_write_capture();
         let aborted = || lowest_failed.load(Ordering::Relaxed) < idx;
-        let out = walk(sim, shard_mem, range.clone(), aborted)?;
+        let (out, spent) = walk(sim, shard_mem, range.clone(), budget, aborted)?;
         if out.is_err() {
             lowest_failed.fetch_min(idx, Ordering::Relaxed);
         }
-        Some((out, shard_mem.take_captured_writes()))
+        Some((out, spent, shard_mem.take_captured_writes()))
     });
-    drop(shards); // free the copies before the merge allocates
+    // Free the copies before the merge allocates.
+    let ranges: Vec<Range<u32>> = shards.into_iter().map(|(range, _)| range).collect();
 
     // Deterministic merge in block-id order, up to and including the
-    // lowest failing range, whose log stops at its fault.
+    // first failing range, charging each range's fuel against what the
+    // grid has left.
+    let mut left = budget;
     let mut stats = sim.fresh_stats();
     let mut traces = sim.is_collecting_traces().then(Vec::new);
-    let mut writes = Vec::new();
-    let mut fault = None;
-    for out in outs {
-        // An aborted range (`None`) only exists above a failing one, so
-        // the loop always ends before reaching it.
-        let (out, shard_writes) = out.expect("range aborted with no lower-range failure");
-        writes.extend(shard_writes);
-        match out {
-            Ok(shard) => {
-                stats.merge_shard(&shard.stats);
-                if let (Some(all), Some(mut t)) = (traces.as_mut(), shard.traces) {
-                    all.append(&mut t);
-                }
+    for (range, out) in ranges.into_iter().zip(outs) {
+        let (out, spent) = match out {
+            Some((out, spent, writes)) if spent <= left => {
+                gmem.apply_writes(&writes)
+                    .expect("captured writes replay into the memory they came from");
+                (out, spent)
             }
-            Err(e) => {
-                fault = Some(e);
-                break;
+            // The range overdraws the grid's fuel (or was aborted, which
+            // only a range above a failing one is): the sequential walk
+            // answers it, on the memory the lower ranges leave and with
+            // exactly the fuel that is left. Its parallel output (traces
+            // of up to a whole budget) is freed first.
+            overdrawn => {
+                drop(overdrawn);
+                walk(sim, gmem, range, left, || false).expect("an inline walk never aborts")
             }
+        };
+        left -= spent;
+        let shard = out?;
+        stats.merge_shard(&shard.stats);
+        if let (Some(all), Some(mut t)) = (traces.as_mut(), shard.traces) {
+            all.append(&mut t);
         }
     }
-    gmem.apply_writes(&writes)
-        .expect("captured writes replay into the memory they came from");
-    match fault {
-        Some(e) => Err(e),
-        None => Ok(RunOutput { stats, traces }),
-    }
+    Ok(RunOutput { stats, traces })
 }
 
-/// Execute `blocks` of `sim`'s grid in block-id order against `gmem` with
-/// one fuel budget: the whole grid for an inline run, one range for a
-/// worker. Returns `None` when `aborted` fires between blocks (a lower
-/// range failed, so this one's result could never be observed).
+/// Execute `blocks` of `sim`'s grid in block-id order against `gmem` on
+/// `budget` units of fuel, returning the result and the fuel it spent.
+/// Returns `None` when `aborted` fires between blocks (a lower range
+/// failed, so this one's result could never be observed).
 fn walk(
     sim: &FunctionalSim<'_>,
     gmem: &mut GlobalMemory,
     blocks: Range<u32>,
+    budget: u64,
     aborted: impl Fn() -> bool,
-) -> Option<Result<RunOutput, SimError>> {
+) -> Option<(Result<RunOutput, SimError>, u64)> {
     let mut stats = sim.fresh_stats();
     stats.blocks = u64::from(blocks.end - blocks.start);
     let mut traces = sim.is_collecting_traces().then(Vec::new);
-    let mut fuel = sim.fuel_budget();
+    let mut fuel = budget;
     for b in blocks {
         if aborted() {
             return None;
@@ -308,10 +318,10 @@ fn walk(
                     ts.push(t);
                 }
             }
-            Err(e) => return Some(Err(e)),
+            Err(e) => return Some((Err(e), budget - fuel)),
         }
     }
-    Some(Ok(RunOutput { stats, traces }))
+    Some((Ok(RunOutput { stats, traces }), budget - fuel))
 }
 
 #[cfg(test)]
@@ -357,7 +367,12 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn run_staged(threads: Threads, trace: bool) -> (RunOutput, GlobalMemory) {
+    /// The staged kernel over 37 blocks of 64 threads, on `fuel`.
+    fn run_staged_on(
+        threads: Threads,
+        trace: bool,
+        fuel: u64,
+    ) -> (Result<RunOutput, SimError>, GlobalMemory) {
         let m = Machine::gtx285();
         let k = staged_kernel(64);
         let launch = LaunchConfig::new_1d(37, 64);
@@ -366,10 +381,16 @@ mod tests {
         let mut sim = FunctionalSim::new(&m, &k, launch).unwrap();
         sim.set_params(&[out as u32])
             .collect_traces(trace)
-            .set_threads(threads);
+            .set_threads(threads)
+            .set_fuel(fuel);
         sim.add_region("out", out, u64::from(37u32 * 64) * 4);
-        let output = sim.run(&mut gmem).unwrap();
+        let output = sim.run(&mut gmem);
         (output, gmem)
+    }
+
+    fn run_staged(threads: Threads, trace: bool) -> (RunOutput, GlobalMemory) {
+        let (output, gmem) = run_staged_on(threads, trace, u64::MAX);
+        (output.unwrap(), gmem)
     }
 
     #[test]
@@ -436,6 +457,25 @@ mod tests {
         let seq = capture_with(1);
         assert!(!seq.is_empty());
         assert_eq!(seq, capture_with(4));
+    }
+
+    #[test]
+    fn fuel_runs_out_where_the_sequential_walk_runs_out() {
+        let need = run_staged(Threads::sequential(), false)
+            .0
+            .stats
+            .total()
+            .instr_total();
+        for fuel in [1, need / 3, need / 2, need - 1, need, need + 1] {
+            let (seq, seq_mem) = run_staged_on(Threads::sequential(), true, fuel);
+            assert_eq!(seq.is_ok(), fuel >= need, "fuel {fuel} of {need}");
+            for threads in [2usize, 3, 4, 8] {
+                let (par, par_mem) = run_staged_on(Threads::Fixed(threads), true, fuel);
+                let what = format!("fuel {fuel} of {need}, {threads} threads");
+                assert_eq!(par, seq, "{what}");
+                assert_eq!(par_mem, seq_mem, "{what}");
+            }
+        }
     }
 
     /// The errors tests' launch: 8 blocks of 32 threads whose out buffer

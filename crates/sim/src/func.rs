@@ -159,7 +159,7 @@ impl From<bool> for TraceBlocks {
 }
 
 /// Result of a full-grid functional run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutput {
     /// Aggregated dynamic statistics.
     pub stats: DynamicStats,
@@ -280,7 +280,8 @@ impl<'a> FunctionalSim<'a> {
         self
     }
 
-    /// Limit the total warp-instructions executed (runaway-loop guard).
+    /// Limit the warp instructions the whole grid executes (runaway-loop
+    /// guard), at every worker count.
     pub fn set_fuel(&mut self, fuel: u64) -> &mut Self {
         self.fuel = fuel;
         self
@@ -295,9 +296,8 @@ impl<'a> FunctionalSim<'a> {
     }
 
     /// Shard the grid's blocks across worker threads in
-    /// [`FunctionalSim::run`] (the `par` knob). The simulator defaults to
-    /// [`Threads::sequential`], the plain sequential walk (the
-    /// deterministic low-level baseline, including fuel accounting); the
+    /// [`FunctionalSim::run`]. The simulator defaults to
+    /// [`Threads::sequential`], the plain sequential walk; the
     /// options layers above (`MeasureOpts`, `gpa-service`) default to
     /// [`Threads::Auto`], which shards only a grid whose
     /// [`FunctionalSim::work_estimate`] is unknown or at least
@@ -327,8 +327,7 @@ impl<'a> FunctionalSim<'a> {
         self.work
     }
 
-    /// Configured fuel budget (shared by a whole sequential run; applied
-    /// per shard by the parallel engine).
+    /// Configured fuel budget for the whole grid.
     pub(crate) fn fuel_budget(&self) -> u64 {
         self.fuel
     }
@@ -348,10 +347,8 @@ impl<'a> FunctionalSim<'a> {
     /// # Errors
     ///
     /// Propagates the first (lowest-block-id) [`SimError`] (out-of-bounds
-    /// access, divergent barrier, fuel exhaustion, …). The fuel budget
-    /// covers the whole grid in a sequential run but each shard separately
-    /// in a parallel one, so only fuel-exhaustion behaviour may differ
-    /// between thread counts.
+    /// access, divergent barrier, fuel exhaustion, …), the same at every
+    /// worker count.
     pub fn run(&self, gmem: &mut GlobalMemory) -> Result<RunOutput, SimError> {
         let _span = gpa_telemetry::PhaseSpan::start(gpa_telemetry::phase::FUNCTIONAL_SIM);
         engine::run(self, gmem, self.threads.workers_for(self.work))

@@ -4,7 +4,8 @@
 //! kernels and launch shapes, it must produce exactly the same
 //! `DynamicStats`, the same per-warp traces, and the same final
 //! global-memory image as `Threads::sequential()` — bit for bit — and a
-//! run that faults must return the same error and leave the same memory.
+//! run that faults, or runs out of fuel, must return the same error and
+//! leave the same memory.
 
 use gpa::hw::Machine;
 use gpa::isa::instr::{CmpOp, MemAddr, NumTy, SpecialReg, Width};
@@ -120,12 +121,14 @@ fn random_kernel(seed: u64, threads: u32) -> Kernel {
 
 /// Run `kernel` with an output buffer `short` blocks smaller than the
 /// grid's stores need (0: exactly large enough), the last allocation, so
-/// the first store past it faults.
+/// the first store past it faults, on `fuel` (`None`: the default
+/// budget).
 fn run_short(
     kernel: &Kernel,
     launch: LaunchConfig,
     threads: Threads,
     short: u32,
+    fuel: Option<u64>,
 ) -> (Result<RunOutput, SimError>, GlobalMemory) {
     let total = u64::from(launch.num_blocks() - short) * u64::from(launch.threads_per_block());
     let mut gmem = GlobalMemory::new();
@@ -134,13 +137,16 @@ fn run_short(
     sim.set_params(&[out as u32])
         .collect_traces(true)
         .set_threads(threads);
+    if let Some(fuel) = fuel {
+        sim.set_fuel(fuel);
+    }
     sim.add_region("out", out, total * 4);
     let output = sim.run(&mut gmem);
     (output, gmem)
 }
 
 fn run(kernel: &Kernel, launch: LaunchConfig, threads: Threads) -> (RunOutput, GlobalMemory) {
-    let (output, gmem) = run_short(kernel, launch, threads, 0);
+    let (output, gmem) = run_short(kernel, launch, threads, 0, None);
     (output.expect("kernel runs"), gmem)
 }
 
@@ -180,10 +186,10 @@ proptest! {
         let kernel = random_kernel(seed, threads);
         let launch = LaunchConfig::new_1d(grid, threads);
         let short = short.min(grid);
-        let (seq, seq_mem) = run_short(&kernel, launch, Threads::sequential(), short);
+        let (seq, seq_mem) = run_short(&kernel, launch, Threads::sequential(), short, None);
         prop_assert!(seq.is_err(), "a short buffer must fault (seed {:#x})", seed);
         for workers in [Threads::Fixed(2), Threads::Fixed(3), Threads::Auto] {
-            let (par, par_mem) = run_short(&kernel, launch, workers, short);
+            let (par, par_mem) = run_short(&kernel, launch, workers, short, None);
             prop_assert_eq!(
                 seq.as_ref().err(), par.as_ref().err(),
                 "error diverges (seed {:#x}, {} blocks, {} short, {:?})", seed, grid, short, workers
@@ -192,6 +198,31 @@ proptest! {
                 &seq_mem, &par_mem,
                 "memory diverges (seed {:#x}, {} blocks, {} short, {:?})", seed, grid, short, workers
             );
+        }
+    }
+
+    #[test]
+    fn fuel_runs_out_where_the_sequential_walk_runs_out(
+        seed in 0u64..u64::MAX,
+        grid in 1u32..=24,
+        threads in prop_oneof![Just(32u32), Just(48), Just(64), Just(96), Just(128)],
+        draw in 0u64..u64::MAX,
+    ) {
+        let kernel = random_kernel(seed, threads);
+        let launch = LaunchConfig::new_1d(grid, threads);
+        let need = run(&kernel, launch, Threads::sequential()).0.stats.total().instr_total();
+        // From 1 (the first instruction runs out) to need + 1 (the grid
+        // completes with fuel to spare).
+        let fuel = 1 + draw % (need + 1);
+        let (seq, seq_mem) = run_short(&kernel, launch, Threads::sequential(), 0, Some(fuel));
+        prop_assert_eq!(seq.is_ok(), fuel >= need, "fuel {} of {}", fuel, need);
+        for workers in [Threads::Fixed(2), Threads::Fixed(3), Threads::Auto] {
+            let (par, par_mem) = run_short(&kernel, launch, workers, 0, Some(fuel));
+            let what = format!(
+                "seed {seed:#x}, {grid} blocks, fuel {fuel} of {need}, {workers:?}"
+            );
+            prop_assert_eq!(&seq, &par, "result diverges ({})", what);
+            prop_assert_eq!(&seq_mem, &par_mem, "memory diverges ({})", what);
         }
     }
 }

@@ -26,17 +26,21 @@ fn bottleneck_identities_match_the_paper() {
     let mut m = model();
     // §5.1: 16×16 matmul is instruction-bound. (n = 512 is the smallest
     // grid that fills every SM to the paper's 16-warp occupancy.)
-    let mm = matmul::run(machine(), &mut m, 512, 16, false).unwrap();
+    let mm = matmul::case(512, 16).run(machine(), &mut m).unwrap();
     assert_eq!(mm.analysis.bottleneck, Component::InstructionPipeline);
     // §5.2: CR is shared-memory-bound; CR-NBC is instruction-bound.
-    let cr = tridiag::run(machine(), &mut m, 512, 30, false, false).unwrap();
+    let cr = tridiag::case(512, 30, false)
+        .run(machine(), &mut m)
+        .unwrap();
     assert_eq!(cr.analysis.bottleneck, Component::SharedMemory);
-    let nbc = tridiag::run(machine(), &mut m, 512, 30, true, false).unwrap();
+    let nbc = tridiag::case(512, 30, true).run(machine(), &mut m).unwrap();
     assert_eq!(nbc.analysis.bottleneck, Component::InstructionPipeline);
     // §5.3: every SpMV format is global-memory-bound.
     let qcd = spmv::qcd_like(8, 3);
     for format in spmv::Format::ALL {
-        let r = spmv::run(machine(), &mut m, &qcd, format, false, false).unwrap();
+        let r = spmv::case(&qcd, format, false)
+            .run(machine(), &mut m)
+            .unwrap();
         assert_eq!(
             r.analysis.bottleneck,
             Component::GlobalMemory,
@@ -50,12 +54,16 @@ fn bottleneck_identities_match_the_paper() {
 fn error_bands_hold_across_case_studies() {
     let mut m = model();
     let mut worst: f64 = 0.0;
-    let mm = matmul::run(machine(), &mut m, 256, 16, false).unwrap();
+    let mm = matmul::case(256, 16).run(machine(), &mut m).unwrap();
     worst = worst.max(mm.model_error().abs());
-    let cr = tridiag::run(machine(), &mut m, 512, 30, false, false).unwrap();
+    let cr = tridiag::case(512, 30, false)
+        .run(machine(), &mut m)
+        .unwrap();
     worst = worst.max(cr.model_error().abs());
     let qcd = spmv::qcd_like(8, 3);
-    let sp = spmv::run(machine(), &mut m, &qcd, spmv::Format::BellIm, false, false).unwrap();
+    let sp = spmv::case(&qcd, spmv::Format::BellIm, false)
+        .run(machine(), &mut m)
+        .unwrap();
     worst = worst.max(sp.model_error().abs());
     assert!(
         worst < 0.35,
@@ -68,21 +76,19 @@ fn error_bands_hold_across_case_studies() {
 fn optimization_payoffs_match_the_paper_direction() {
     let mut m = model();
     // §5.2: padding wins ~1.6×.
-    let cr = tridiag::run(machine(), &mut m, 512, 30, false, false).unwrap();
-    let nbc = tridiag::run(machine(), &mut m, 512, 30, true, false).unwrap();
+    let cr = tridiag::case(512, 30, false)
+        .run(machine(), &mut m)
+        .unwrap();
+    let nbc = tridiag::case(512, 30, true).run(machine(), &mut m).unwrap();
     let speedup = cr.measured_seconds() / nbc.measured_seconds();
     assert!(speedup > 1.25, "padding speedup ×{speedup:.2}");
     // §5.3: vector interleaving wins.
     let qcd = spmv::qcd_like(8, 3);
-    let im = spmv::run(machine(), &mut m, &qcd, spmv::Format::BellIm, false, false).unwrap();
-    let iv = spmv::run(
-        machine(),
-        &mut m,
-        &qcd,
-        spmv::Format::BellImIv,
-        false,
-        false,
-    )
-    .unwrap();
+    let im = spmv::case(&qcd, spmv::Format::BellIm, false)
+        .run(machine(), &mut m)
+        .unwrap();
+    let iv = spmv::case(&qcd, spmv::Format::BellImIv, false)
+        .run(machine(), &mut m)
+        .unwrap();
     assert!(iv.measured_seconds() < im.measured_seconds());
 }
