@@ -588,6 +588,45 @@ mod tests {
         M.get_or_init(|| qcd_like(8, 0xACDC))
     }
 
+    /// A traced ELL run holds about 8 B per warp instruction plus 16 B
+    /// per global transaction: one step each, and the transactions back
+    /// to back.
+    #[test]
+    fn traced_ell_holds_a_compact_trace() {
+        use gpa_sim::stats::{Step, TraceEntry, WarpTrace};
+        use gpa_sim::FunctionalSim;
+        use std::mem::size_of;
+        use std::sync::Arc;
+
+        let mut study = case(perf_matrix(), Format::Ell, false);
+        let mut sim = FunctionalSim::new(machine(), &study.kernel, study.launch).unwrap();
+        sim.set_params(&study.params).collect_traces(true);
+        let traces = sim.run(&mut study.gmem).unwrap().traces.unwrap();
+        let table = &traces[0].skeletons;
+        let (mut steps, mut txns) = (0, 0);
+        let mut bytes = table.len() * size_of::<TraceEntry>();
+        for block in &traces {
+            assert!(Arc::ptr_eq(table, &block.skeletons), "one table per kernel");
+            bytes += block.warps.capacity() * size_of::<WarpTrace>();
+            for w in &block.warps {
+                steps += w.steps.len();
+                txns += w.txns.len();
+                bytes += w.steps.capacity() * size_of::<Step>();
+                bytes += w.txns.capacity() * 16;
+            }
+        }
+        assert!(
+            steps > 50_000 && txns > 50_000,
+            "{steps} steps, {txns} txns"
+        );
+        assert!(
+            bytes < 12 * steps + 16 * txns,
+            "{bytes} B for {steps} steps and {txns} transactions"
+        );
+        // Less, transactions included, than one spelled-out entry per step.
+        assert!(bytes < steps * size_of::<TraceEntry>());
+    }
+
     #[test]
     fn qcd_structure() {
         let m = matrix();

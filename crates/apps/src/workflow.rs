@@ -31,7 +31,9 @@ pub enum TraceMode {
     /// once and simulate only the most-loaded cluster. Only kernels that
     /// guarantee uniformity may declare it (matmul, tridiag); it skips
     /// tracing the other blocks, which keeps peak memory at one block's
-    /// trace.
+    /// trace. [`TraceMode::Auto`] holds every block's compact trace
+    /// (about 8 B per warp instruction plus 16 B per global transaction,
+    /// [`gpa_sim::BlockTrace`]) until the shape check ends.
     Homogeneous,
     /// Detect per-block divergence instead of assuming it away: trace
     /// every block once, and when all traces are pairwise shape-equal

@@ -71,9 +71,9 @@ fn workload() -> (Vec<Arc<BlockTrace>>, LaunchConfig, KernelResources) {
     // replays 4 blocks of ~2.7k warp-instructions.
     let blocks: Vec<Arc<BlockTrace>> = (0..40u64)
         .map(|b| {
-            Arc::new(BlockTrace {
-                warps: (0..4).map(|w| warp_stream(40, b * 7 + w)).collect(),
-            })
+            Arc::new(BlockTrace::from_entries(
+                (0..4).map(|w| warp_stream(40, b * 7 + w)).collect(),
+            ))
         })
         .collect();
     (

@@ -35,15 +35,16 @@ use crate::error::SimError;
 use crate::grid::LaunchConfig;
 use crate::memory::GlobalMemory;
 use crate::stats::{
-    BlockTrace, DstLatency, DynamicStats, GmemGranStats, RegionStats, StageStats, TraceEntry,
-    GRANULARITIES, GRAN_GT200,
+    intern, BlockTrace, DstLatency, DynamicStats, GmemGranStats, RegionStats, StageStats, Step,
+    TraceEntry, WarpTrace, GRANULARITIES, GRAN_GT200,
 };
 use gpa_hw::Machine;
 use gpa_isa::cfg::Cfg;
 use gpa_isa::instr::{Instruction, MemAddr, NumTy, Op, Reg, SpecialReg, Src, Width};
 use gpa_isa::kernel::Kernel;
 use gpa_mem::bank::{atomic_bank_degree, bank_degree, BankConfig};
-use gpa_mem::coalesce::{segment_spans, CoalesceConfig, Transaction};
+use gpa_mem::coalesce::{segment_spans, CoalesceConfig};
+use std::sync::Arc;
 
 const WARP: usize = 32;
 const PRED_BASE: u8 = 128;
@@ -188,9 +189,12 @@ pub struct FunctionalSim<'a> {
     bank_cfg: BankConfig,
     /// Largest transaction, shared by every entry of [`GRANULARITIES`].
     max_segment: u32,
-    /// Per instruction: its trace entry, complete except for the
-    /// per-execution shared conflict weight and global transactions.
-    skeletons: Vec<TraceEntry>,
+    /// The kernel's distinct trace skeletons: each instruction's trace
+    /// entry without the per-execution shared conflict weight and global
+    /// transactions. Every traced block shares this table.
+    skeletons: Arc<[TraceEntry]>,
+    /// Per instruction: its skeleton's index in `skeletons`.
+    skeleton_ids: Vec<u32>,
 }
 
 impl<'a> FunctionalSim<'a> {
@@ -228,6 +232,7 @@ impl<'a> FunctionalSim<'a> {
             .iter()
             .enumerate()
             .any(|(pc, ins)| matches!(ins.op, Op::Bra { target } if target as usize <= pc));
+        let (skeletons, skeleton_ids) = intern(kernel.instrs.iter().map(skeleton));
         let work = (!looping).then(|| {
             kernel.instrs.len() as u64
                 * u64::from(launch.warps_per_block(machine))
@@ -251,7 +256,8 @@ impl<'a> FunctionalSim<'a> {
                 half_warp: machine.half_warp as usize,
             },
             max_segment: coalesce[0].max_segment,
-            skeletons: kernel.instrs.iter().map(skeleton).collect(),
+            skeletons,
+            skeleton_ids,
         })
     }
 
@@ -452,9 +458,15 @@ impl<'a> FunctionalSim<'a> {
         }
 
         Ok(traced.then(|| BlockTrace {
+            skeletons: Arc::clone(&self.skeletons),
             warps: warps
                 .into_iter()
-                .map(|w| w.trace.expect("traced warps carry a buffer"))
+                .map(|w| {
+                    let mut t = w.trace.expect("traced warps carry a buffer");
+                    t.steps.shrink_to_fit();
+                    t.txns.shrink_to_fit();
+                    t
+                })
                 .collect(),
         }))
     }
@@ -522,7 +534,7 @@ impl<'a> FunctionalSim<'a> {
                     let stage = w.stage;
                     self.stage_mut(stats, stage).barriers += 1;
                     self.count_issue(stats, w, ins);
-                    self.record(w, pc, 0, None);
+                    self.record(w, pc, 0, 0);
                     w.stage += 1;
                     w.pc += 1;
                     w.at_barrier = true;
@@ -543,7 +555,7 @@ impl<'a> FunctionalSim<'a> {
                 }
                 Op::Bra { target } => {
                     self.count_issue(stats, w, ins);
-                    self.record(w, pc, 0, None);
+                    self.record(w, pc, 0, 0);
                     let taken = exec_mask;
                     let fall = w.mask & !exec_mask;
                     if ins.guard.is_none() || fall == 0 {
@@ -599,19 +611,16 @@ impl<'a> FunctionalSim<'a> {
         }
     }
 
-    /// Append instruction `pc`'s trace entry, if this warp is traced.
-    fn record(
-        &self,
-        w: &mut WarpState,
-        pc: usize,
-        smem_half_txns: u16,
-        gmem: Option<Box<[Transaction]>>,
-    ) {
+    /// Append instruction `pc`'s step, if this warp is traced: its
+    /// skeleton id, shared conflict weight, and the number of global
+    /// transactions [`Self::global_access`] just appended.
+    fn record(&self, w: &mut WarpState, pc: usize, smem_half_txns: u16, ntx: u16) {
         if let Some(trace) = w.trace.as_mut() {
-            let mut e = self.skeletons[pc].clone();
-            e.smem_half_txns = smem_half_txns;
-            e.gmem = gmem;
-            trace.push(e);
+            trace.steps.push(Step {
+                id: self.skeleton_ids[pc],
+                smem_half_txns,
+                ntx,
+            });
         }
     }
 
@@ -630,7 +639,7 @@ impl<'a> FunctionalSim<'a> {
         self.count_issue(stats, w, ins);
         if exec == 0 {
             // Fully masked: issued, but no lane reads, writes, or counts.
-            self.record(w, pc, 0, None);
+            self.record(w, pc, 0, 0);
             return Ok(());
         }
 
@@ -650,7 +659,7 @@ impl<'a> FunctionalSim<'a> {
         }
 
         let mut smem_half_txns = 0u16;
-        let mut gmem_txns = None;
+        let mut ntx = 0u16;
         match ins.op {
             Op::LdShared { d, addr, width } => {
                 let (a, txns) = self.shared_access(w, addr, width.bytes(), exec, smem, stats)?;
@@ -705,13 +714,13 @@ impl<'a> FunctionalSim<'a> {
                 }
             }
             Op::LdGlobal { d, addr, width } => {
-                let (a, txs) = self.global_access(w, addr, width, exec, None, gmem, stats)?;
-                gmem_txns = Some(txs);
+                let (a, n) = self.global_access(w, addr, width, exec, None, gmem, stats)?;
+                ntx = n;
                 gmem.load_lanes(&a, exec, w.rows_mut(d, width.regs()));
             }
             Op::StGlobal { addr, src, width } => {
-                let (a, txs) = self.global_access(w, addr, width, exec, Some(src), gmem, stats)?;
-                gmem_txns = Some(txs);
+                let (a, n) = self.global_access(w, addr, width, exec, Some(src), gmem, stats)?;
+                ntx = n;
                 gmem.store_lanes(&a, exec, w.rows(src, width.regs()));
             }
             Op::LdParam { d, offset } => {
@@ -736,7 +745,7 @@ impl<'a> FunctionalSim<'a> {
                 self.alu(w, op, exec, block, pre.as_ref());
             }
         }
-        self.record(w, pc, smem_half_txns, gmem_txns);
+        self.record(w, pc, smem_half_txns, ntx);
         Ok(())
     }
 
@@ -852,19 +861,19 @@ impl<'a> FunctionalSim<'a> {
 
     /// Address, check, and coalesce a global load or store (`store` names
     /// its first source register). Returns each active lane's address and
-    /// the GT200-granularity transactions, which are kept only when the
-    /// warp is traced.
+    /// the number of GT200-granularity transactions, which a traced warp
+    /// appends to its [`WarpTrace::txns`] (an untraced warp keeps none).
     #[allow(clippy::too_many_arguments)]
     fn global_access(
         &self,
-        w: &WarpState,
+        w: &mut WarpState,
         addr: MemAddr,
         width: Width,
         exec: u32,
         store: Option<Reg>,
         gmem: &mut GlobalMemory,
         stats: &mut DynamicStats,
-    ) -> Result<([u64; WARP], Box<[Transaction]>), SimError> {
+    ) -> Result<([u64; WARP], u16), SimError> {
         let len = width.bytes();
         let base = addr.base.map_or(&ZERO_ROW, |r| w.row(r.0));
         let off = i64::from(addr.offset);
@@ -914,8 +923,8 @@ impl<'a> FunctionalSim<'a> {
         // Steps 1–2 of the coalescing protocol once per half-warp, step 3
         // once per granularity.
         let mut grans = [GmemGranStats::default(); 3];
-        let mut txs = Vec::new();
-        let traced = w.trace.is_some();
+        let mut txs = w.trace.as_mut().map(|t| &mut t.txns);
+        let pushed = txs.as_ref().map_or(0, |t| t.len());
         let hw = self.machine.half_warp as usize;
         for (c, chunk) in a.chunks(hw).enumerate() {
             let mut pending = [(0u64, 0u32); WARP];
@@ -935,18 +944,22 @@ impl<'a> FunctionalSim<'a> {
                         r.transactions += 1;
                         r.bytes += u64::from(t.size);
                     }
-                    if g == GRAN_GT200 && traced {
-                        txs.push(t);
+                    if g == GRAN_GT200 {
+                        if let Some(txs) = txs.as_mut() {
+                            txs.push(t);
+                        }
                     }
                 }
             });
         }
+        let ntx = txs.map_or(0, |t| t.len() - pushed);
         let st = self.stage_mut(stats, stage);
         for (total, g) in st.gmem.iter_mut().zip(grans) {
             total.transactions += g.transactions;
             total.bytes += g.bytes;
         }
-        Ok((a, txs.into_boxed_slice()))
+        let ntx = u16::try_from(ntx).expect("a warp access makes fewer than 2^16 transactions");
+        Ok((a, ntx))
     }
 
     /// Execute an ALU instruction on all 32 lanes and write the result
@@ -1390,7 +1403,7 @@ struct WarpState {
     /// Bit `l` of `preds[p]` is lane `l`'s predicate `p`.
     preds: [u32; LANE_PREDS],
     /// The warp's trace, when its block is traced.
-    trace: Option<Vec<TraceEntry>>,
+    trace: Option<WarpTrace>,
     counted_any: Option<usize>,
     counted_smem: Option<usize>,
     counted_atomic: Option<usize>,
@@ -1416,7 +1429,7 @@ impl WarpState {
             first_thread,
             regs: vec![[0u32; WARP]; lane_regs].into_boxed_slice(),
             preds: [0; LANE_PREDS],
-            trace: traced.then(Vec::new),
+            trace: traced.then(WarpTrace::default),
             counted_any: None,
             counted_smem: None,
             counted_atomic: None,

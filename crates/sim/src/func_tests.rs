@@ -630,17 +630,55 @@ fn traces_record_dependencies_and_memory() {
     let res = sim.run(&mut gmem).unwrap();
     let traces = res.traces.unwrap();
     assert_eq!(traces.len(), 1);
+    let skeletons = &traces[0].skeletons;
     let warp0 = &traces[0].warps[0];
     // 7 instructions traced (incl. bar, excl. exit).
-    assert_eq!(warp0.len(), 7);
-    let ld = &warp0[4];
-    assert!(ld.gmem_load);
-    assert_eq!(ld.dst_lat, DstLatency::Gmem);
-    let txs = ld.gmem.as_ref().unwrap();
-    assert_eq!(txs.len(), 2); // two coalesced half-warps
-    let st = &warp0[5];
+    assert_eq!(warp0.steps.len(), 7);
+    let ld = warp0.steps[4];
+    assert!(skeletons[ld.id as usize].gmem_load);
+    assert_eq!(skeletons[ld.id as usize].dst_lat, DstLatency::Gmem);
+    assert_eq!(ld.ntx, 2); // two coalesced half-warps
+    assert_eq!(warp0.txns.len(), 2); // the only global access
+    let st = warp0.steps[5];
     assert_eq!(st.smem_half_txns, 2); // conflict-free store
-    assert!(warp0[6].bar);
+    assert!(skeletons[warp0.steps[6].id as usize].bar);
+}
+
+#[test]
+fn equal_instructions_share_a_skeleton_id() {
+    // `x += 1` at two pcs, and a load at a third.
+    let mut b = KernelBuilder::new("twice");
+    b.set_threads(64);
+    let in_p = b.param_alloc();
+    let x = b.alloc_reg().unwrap();
+    let base = b.alloc_reg().unwrap();
+    b.mov_imm(x, 0);
+    b.iadd(x, Src::Reg(x), Src::Imm(1));
+    b.iadd(x, Src::Reg(x), Src::Imm(1));
+    b.ld_param(base, in_p);
+    b.ld_global(x, MemAddr::new(Some(base), 0), Width::B32);
+    b.exit();
+    let k = b.finish().unwrap();
+
+    let m = machine();
+    let mut gmem = GlobalMemory::new();
+    let input = gmem.alloc(64, 4);
+    let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(2, 64)).unwrap();
+    sim.set_params(&[input as u32]).collect_traces(true);
+    let traces = sim.run(&mut gmem).unwrap().traces.unwrap();
+    let steps = &traces[0].warps[0].steps;
+    assert_eq!(steps.len(), 5);
+    assert_eq!(steps[1].id, steps[2].id);
+    assert_ne!(steps[0].id, steps[1].id);
+    // Six instructions (the exit is not traced), five distinct
+    // skeletons, one table for the grid.
+    assert_eq!(traces[0].skeletons.len(), 5);
+    assert!(Arc::ptr_eq(&traces[0].skeletons, &traces[1].skeletons));
+    // Every lane reads one word: one transaction per half-warp.
+    assert_eq!(steps[4].ntx, 2);
+    assert_eq!(traces[0].warps[0].txns.len(), 2);
+    assert_eq!(traces[0].warps[0].txns[0].base, input);
+    assert!(traces[0].shape_eq(&traces[1]));
 }
 
 #[test]

@@ -28,9 +28,14 @@
 //!
 //! A trace is an ordinary value: the functional simulator allocates it,
 //! the timing replay reads it through a [`timing::TraceSource`], and the
-//! caller drops it. The source is also the one statement of how much of
-//! the chip to replay: [`timing::TraceSource::Homogeneous`] (every block
-//! the same) replays the most-loaded cluster and scales from it,
+//! caller drops it. It is compact ([`stats::BlockTrace`]): a kernel's
+//! instruction skeletons are interned once into a shared table, and a
+//! traced warp instruction is an 8-byte [`stats::Step`] (skeleton id,
+//! bank-conflict weight, transaction count) whose global transactions
+//! follow the warp's earlier ones in one list. The source is also the
+//! one statement of how much of the chip to replay:
+//! [`timing::TraceSource::Homogeneous`] (every block the same) replays
+//! the most-loaded cluster and scales from it,
 //! [`timing::TraceSource::PerBlock`] replays every cluster.
 //!
 //! The timing parameters ([`timing::TimingConfig::gt200`]) are calibrated

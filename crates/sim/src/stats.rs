@@ -2,6 +2,8 @@
 
 use gpa_hw::InstrClass;
 use gpa_mem::coalesce::Transaction;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Global-memory transaction granularities the functional simulator
 /// evaluates side by side: the real GT200 32-byte minimum plus the paper's
@@ -279,7 +281,7 @@ impl DynamicStats {
 
 /// How a trace entry's destination becomes ready (selects the latency the
 /// timing simulator applies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DstLatency {
     /// Ready after the arithmetic pipeline.
     Alu,
@@ -289,11 +291,17 @@ pub enum DstLatency {
     Gmem,
 }
 
-/// One warp-level instruction in a timing trace.
+/// One warp-level instruction in a timing trace, spelled out.
+///
+/// A [`BlockTrace`] does not store these per instruction: its skeleton
+/// table holds each distinct one once, with `smem_half_txns: 0` and
+/// `gmem: None`, and each [`Step`] adds the two dynamic fields back.
+/// Hand-built traces are written as entries and interned by
+/// [`BlockTrace::from_entries`].
 ///
 /// Register identifiers 0–127 are general registers; 128–131 are the four
 /// predicate registers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TraceEntry {
     /// Table 1 class (sets issue-port occupancy).
     pub class: InstrClass,
@@ -318,46 +326,96 @@ pub struct TraceEntry {
     pub bar: bool,
 }
 
+/// One traced warp instruction: its skeleton's index in
+/// [`BlockTrace::skeletons`] plus the two fields that depend on the
+/// execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// Index of the instruction's skeleton.
+    pub id: u32,
+    /// Shared-memory half-warp transactions after bank-conflict
+    /// serialization (0 = does not touch shared memory).
+    pub smem_half_txns: u16,
+    /// Coalesced global transactions this step appended to
+    /// [`WarpTrace::txns`] (0 = no global access, or a fully masked one).
+    pub ntx: u16,
+}
+
+/// One warp's trace: its steps, and the global transactions of all its
+/// steps back to back, in step order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WarpTrace {
+    /// The warp's instructions in issue order.
+    pub steps: Vec<Step>,
+    /// Step `k`'s transactions follow those of steps `0..k`.
+    pub txns: Vec<Transaction>,
+}
+
 /// Per-warp instruction traces of one block.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockTrace {
-    /// One entry stream per warp.
-    pub warps: Vec<Vec<TraceEntry>>,
+    /// The distinct instruction skeletons the steps name. Equal skeletons
+    /// share one id, and a functional simulator gives every block it
+    /// traces the same table.
+    pub skeletons: Arc<[TraceEntry]>,
+    /// One trace per warp.
+    pub warps: Vec<WarpTrace>,
 }
 
-impl TraceEntry {
-    /// Equality up to global-memory *placement*: everything the timing
-    /// replay consumes for a non-texture kernel — instruction class,
-    /// register dependencies, destination latency, bank-conflict weight,
-    /// and the coalesced transaction count and sizes — but not the
-    /// transaction base addresses, which legitimately differ between
-    /// blocks of a perfectly homogeneous grid (each block walks its own
-    /// slice of memory).
-    pub fn shape_eq(&self, other: &TraceEntry) -> bool {
-        let gmem_shape = match (&self.gmem, &other.gmem) {
-            (None, None) => true,
-            (Some(a), Some(b)) => {
-                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.size == y.size)
-            }
-            _ => false,
-        };
-        self.class == other.class
-            && self.dst == other.dst
-            && self.dst_n == other.dst_n
-            && self.srcs == other.srcs
-            && self.nsrcs == other.nsrcs
-            && self.dst_lat == other.dst_lat
-            && self.smem_half_txns == other.smem_half_txns
-            && self.gmem_load == other.gmem_load
-            && self.bar == other.bar
-            && gmem_shape
-    }
+/// Intern `entries` as skeletons (`smem_half_txns: 0`, `gmem: None`):
+/// the table of distinct ones in order of first appearance, and each
+/// entry's id in it.
+pub(crate) fn intern(
+    entries: impl IntoIterator<Item = TraceEntry>,
+) -> (Arc<[TraceEntry]>, Vec<u32>) {
+    let mut table = Vec::new();
+    let mut index = HashMap::new();
+    let ids = entries
+        .into_iter()
+        .map(|mut e| {
+            e.smem_half_txns = 0;
+            e.gmem = None;
+            *index.entry(e).or_insert_with_key(|e| {
+                table.push(e.clone());
+                table.len() as u32 - 1
+            })
+        })
+        .collect();
+    (table.into(), ids)
 }
 
 impl BlockTrace {
+    /// A trace from spelled-out entries, one list per warp. Skeletons are
+    /// interned as [`crate::FunctionalSim`] interns them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry carries more than `u16::MAX` transactions.
+    pub fn from_entries(warps: Vec<Vec<TraceEntry>>) -> BlockTrace {
+        let (skeletons, ids) = intern(warps.iter().flatten().cloned());
+        let mut ids = ids.into_iter();
+        let warps = warps
+            .into_iter()
+            .map(|entries| {
+                let mut w = WarpTrace::default();
+                for e in entries {
+                    let txns = e.gmem.as_deref().unwrap_or_default();
+                    w.steps.push(Step {
+                        id: ids.next().expect("one id per entry"),
+                        smem_half_txns: e.smem_half_txns,
+                        ntx: u16::try_from(txns.len()).expect("at most u16::MAX transactions"),
+                    });
+                    w.txns.extend_from_slice(txns);
+                }
+                w
+            })
+            .collect();
+        BlockTrace { skeletons, warps }
+    }
+
     /// Total traced warp-instructions.
     pub fn len(&self) -> usize {
-        self.warps.iter().map(Vec::len).sum()
+        self.warps.iter().map(|w| w.steps.len()).sum()
     }
 
     /// Returns `true` if no instructions were traced.
@@ -366,17 +424,24 @@ impl BlockTrace {
     }
 
     /// Whether two block traces replay identically on a non-texture
-    /// timing simulation (see [`TraceEntry::shape_eq`]). This is the
-    /// homogeneity test behind `TraceMode::Auto`: a grid whose blocks
-    /// are pairwise shape-equal can be timed from a single block's
-    /// trace.
+    /// timing simulation: equal skeletons, conflict weights and
+    /// transaction counts and sizes at every step, but not transaction
+    /// base addresses, which legitimately differ between blocks of a
+    /// perfectly homogeneous grid (each block walks its own slice of
+    /// memory). This is the homogeneity test behind `TraceMode::Auto`: a
+    /// grid whose blocks are pairwise shape-equal can be timed from a
+    /// single block's trace.
+    ///
+    /// Ids are compared, so traces whose tables differ are never
+    /// shape-equal; traces from one simulator share a table.
     pub fn shape_eq(&self, other: &BlockTrace) -> bool {
-        self.warps.len() == other.warps.len()
-            && self
-                .warps
-                .iter()
-                .zip(&other.warps)
-                .all(|(a, b)| a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.shape_eq(y)))
+        (Arc::ptr_eq(&self.skeletons, &other.skeletons) || self.skeletons == other.skeletons)
+            && self.warps.len() == other.warps.len()
+            && self.warps.iter().zip(&other.warps).all(|(a, b)| {
+                a.steps == b.steps
+                    && a.txns.len() == b.txns.len()
+                    && a.txns.iter().zip(&b.txns).all(|(x, y)| x.size == y.size)
+            })
     }
 }
 
@@ -510,6 +575,82 @@ mod tests {
         s2.instr_by_class[0] = 4;
         d.stages = vec![s1, s2];
         assert_eq!(d.total().instr(InstrClass::TypeI), 7);
+    }
+
+    #[test]
+    fn a_step_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Step>(), 8);
+    }
+
+    /// Two warps, each a load through register `src` with one
+    /// transaction of `size` bytes per entry of `bases`, then a shared
+    /// access of weight `smem`.
+    fn entries(bases: &[u64], size: u32, src: u8, smem: u16) -> Vec<Vec<TraceEntry>> {
+        let mut srcs = [0xFF; 8];
+        srcs[0] = src;
+        let load = TraceEntry {
+            class: InstrClass::TypeII,
+            dst: 2,
+            dst_n: 1,
+            srcs,
+            nsrcs: 1,
+            dst_lat: DstLatency::Gmem,
+            smem_half_txns: 0,
+            gmem: Some(
+                bases
+                    .iter()
+                    .map(|&base| Transaction { base, size })
+                    .collect(),
+            ),
+            gmem_load: true,
+            bar: false,
+        };
+        let shared = TraceEntry {
+            dst_lat: DstLatency::Smem,
+            smem_half_txns: smem,
+            gmem: None,
+            gmem_load: false,
+            ..load.clone()
+        };
+        vec![vec![load, shared]; 2]
+    }
+
+    #[test]
+    fn shape_eq_ignores_bases_only() {
+        let a = BlockTrace::from_entries(entries(&[0, 64], 32, 1, 2));
+        assert_eq!(a.len(), 4);
+        assert_eq!(a.skeletons.len(), 2);
+        assert_eq!(a.warps[0].steps[0].ntx, 2);
+        assert_eq!(a.warps[0].txns.len(), 2);
+        let moved = BlockTrace::from_entries(entries(&[4096, 8192], 32, 1, 2));
+        assert!(a.shape_eq(&moved) && moved.shape_eq(&a));
+        assert!(a.shape_eq(&a.clone()));
+        for (other, what) in [
+            (entries(&[0, 64], 32, 3, 2), "source register"),
+            (entries(&[0, 64], 32, 1, 4), "shared weight"),
+            (entries(&[0], 32, 1, 2), "transaction count"),
+            (entries(&[0, 64], 64, 1, 2), "transaction size"),
+        ] {
+            let b = BlockTrace::from_entries(other);
+            assert!(!a.shape_eq(&b) && !b.shape_eq(&a), "{what}");
+        }
+        let mut fewer = a.clone();
+        fewer.warps.pop();
+        assert!(!a.shape_eq(&fewer), "warp count");
+    }
+
+    #[test]
+    fn from_entries_interns_skeletons() {
+        let warps = entries(&[0], 32, 1, 2);
+        let t = BlockTrace::from_entries(warps.clone());
+        // Both warps name the same two skeletons, stored without their
+        // dynamic fields.
+        assert_eq!(t.warps[0].steps, t.warps[1].steps);
+        assert_eq!(t.skeletons[0].gmem, None);
+        assert_eq!(t.skeletons[1].smem_half_txns, 0);
+        let step = t.warps[0].steps[1];
+        assert_eq!((step.smem_half_txns, step.ntx), (2, 0));
+        assert_eq!(t.warps[1].txns, warps[1][0].gmem.as_deref().unwrap());
     }
 
     #[test]

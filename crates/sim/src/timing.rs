@@ -114,12 +114,7 @@ impl TraceSource {
     fn work(&self) -> Option<u64> {
         match self {
             TraceSource::Homogeneous(_) => None,
-            TraceSource::PerBlock(v) => Some(
-                v.iter()
-                    .flat_map(|b| &b.warps)
-                    .map(|w| w.len() as u64)
-                    .sum(),
-            ),
+            TraceSource::PerBlock(v) => Some(v.iter().map(|b| b.len() as u64).sum()),
         }
     }
 
@@ -366,9 +361,10 @@ impl<'m> TimingSim<'m> {
                 if w.done() || w.waiting {
                     continue;
                 }
-                let e = &blk.trace.warps[wi][w.cursor];
+                let step = blk.trace.warps[wi].steps[w.cursor];
+                let e = &blk.trace.skeletons[step.id as usize];
                 let mut t = w.ready.max(sm.alu_free);
-                if e.smem_half_txns > 0 {
+                if step.smem_half_txns > 0 {
                     t = t.max(sm.smem_free);
                 }
                 for s in 0..usize::from(e.nsrcs) {
@@ -470,7 +466,11 @@ impl<'m> TimingSim<'m> {
                 arrived,
                 unfinished,
             } = &mut sm.blocks[bi];
-            let e = &trace.warps[wi][warps[wi].cursor];
+            let w = &mut warps[wi];
+            let step = trace.warps[wi].steps[w.cursor];
+            let e = &trace.skeletons[step.id as usize];
+            let txns = &trace.warps[wi].txns[w.txn..w.txn + usize::from(step.ntx)];
+            w.txn += txns.len();
             out.issued += 1;
 
             // Bank-conflicted shared accesses are replayed through the
@@ -479,8 +479,8 @@ impl<'m> TimingSim<'m> {
             // bound on GT200 (paper §5.2). A conflict-free access
             // (2 half-warp transactions) fits the normal issue slot.
             let base_occ = f64::from(m.warp_size) / f64::from(m.fus(e.class)) + cfg.issue_overhead;
-            let occ_cycles = if e.smem_half_txns > 2 {
-                base_occ + cfg.smem_replay_cycles * f64::from(e.smem_half_txns - 2)
+            let occ_cycles = if step.smem_half_txns > 2 {
+                base_occ + cfg.smem_replay_cycles * f64::from(step.smem_half_txns - 2)
             } else {
                 base_occ
             };
@@ -488,16 +488,19 @@ impl<'m> TimingSim<'m> {
             out.alu_busy += occ_cycles;
 
             let mut data_ready = t + cfg.alu_latency;
-            if e.smem_half_txns > 0 {
-                let occ_smem = cfg.smem_cycles_per_half_txn * f64::from(e.smem_half_txns);
+            if step.smem_half_txns > 0 {
+                let occ_smem = cfg.smem_cycles_per_half_txn * f64::from(step.smem_half_txns);
                 let start = sm.smem_free.max(t);
                 sm.smem_free = start + occ_smem;
                 out.smem_busy += occ_smem;
                 data_ready = start + occ_smem + cfg.smem_latency;
             }
-            if let Some(txs) = &e.gmem {
+            // Keyed on the transactions, not `gmem_load`: a fully masked
+            // global load has none, and its destination is ready after
+            // the ALU pipeline.
+            if !txns.is_empty() {
                 let mut last = t;
-                for tx in txs.iter() {
+                for tx in txns {
                     let is_tex = self
                         .tex_regions
                         .iter()
@@ -523,7 +526,6 @@ impl<'m> TimingSim<'m> {
                 }
             }
 
-            let w = &mut warps[wi];
             w.ready = t + occ_cycles;
             if e.dst_n > 0 {
                 let ready = match e.dst_lat {
@@ -716,14 +718,15 @@ impl SmState {
         if w.done() || w.waiting {
             return;
         }
-        let e = &blk.trace.warps[wi][w.cursor];
+        let step = blk.trace.warps[wi].steps[w.cursor];
+        let e = &blk.trace.skeletons[step.id as usize];
         let mut own = w.ready;
         for &r in &e.srcs[..usize::from(e.nsrcs)] {
             own = own.max(w.reg_ready[usize::from(r)]);
         }
         s.own[i] = own;
         s.live |= bit;
-        if e.smem_half_txns > 0 {
+        if step.smem_half_txns > 0 {
             s.smem |= bit;
         }
     }
@@ -833,8 +836,9 @@ impl BlockRun {
         let mut warps = pool.pop().unwrap_or_default();
         debug_assert!(warps.is_empty());
         warps.extend(trace.warps.iter().map(|t| WarpRun {
-            len: t.len(),
+            len: t.steps.len(),
             cursor: 0,
+            txn: 0,
             ready: start,
             waiting: false,
             reg_ready: [0.0; 132],
@@ -852,7 +856,10 @@ impl BlockRun {
 #[derive(Debug)]
 struct WarpRun {
     len: usize,
+    /// The next step.
     cursor: usize,
+    /// The next step's first transaction.
+    txn: usize,
     ready: f64,
     waiting: bool,
     reg_ready: [f64; 132],

@@ -55,12 +55,12 @@ fn res(threads: u32) -> KernelResources {
 }
 
 fn one_block(warps: Vec<Vec<TraceEntry>>) -> TraceSource {
-    TraceSource::Homogeneous(Arc::new(BlockTrace { warps }))
+    TraceSource::Homogeneous(Arc::new(BlockTrace::from_entries(warps)))
 }
 
 /// `n` blocks sharing one trace, replayed on every cluster.
 fn every_block(warps: Vec<Vec<TraceEntry>>, n: usize) -> TraceSource {
-    let t = Arc::new(BlockTrace { warps });
+    let t = Arc::new(BlockTrace::from_entries(warps));
     TraceSource::PerBlock(vec![Arc::clone(&t); n])
 }
 
@@ -414,6 +414,32 @@ fn texture_cache_accelerates_reused_loads() {
 }
 
 #[test]
+fn a_fully_masked_load_is_ready_after_the_alu_pipeline() {
+    // A load whose lanes are all masked off moves no transactions, so
+    // its destination is ready when an ALU result would be: the
+    // dependent chain times like a chain of ALU instructions.
+    let m = machine();
+    let sim = TimingSim::new(&m);
+    let chain = |masked_load: bool| {
+        let mut warp = dependent_chain(50);
+        if masked_load {
+            for e in warp.iter_mut().step_by(2) {
+                e.dst_lat = DstLatency::Gmem;
+                e.gmem_load = true;
+            }
+        }
+        sim.run(
+            &one_block(vec![warp]),
+            &LaunchConfig::new_1d(1, 32),
+            res(32),
+        )
+    };
+    let (masked, alu) = (chain(true), chain(false));
+    assert_eq!(masked.cycles, alu.cycles);
+    assert_eq!(masked.gmem_bytes, 0);
+}
+
+#[test]
 fn empty_trace_finishes_instantly() {
     let m = machine();
     let sim = TimingSim::new(&m);
@@ -434,8 +460,8 @@ fn sm_state(blocks: &[&[(f64, bool)]], alu_free: f64, smem_free: f64, rotate: us
         ..SmState::default()
     };
     for warps in blocks {
-        let trace = BlockTrace {
-            warps: warps
+        let trace = BlockTrace::from_entries(
+            warps
                 .iter()
                 .map(|&(_, smem)| {
                     let mut e = entry(InstrClass::TypeII);
@@ -443,7 +469,7 @@ fn sm_state(blocks: &[&[(f64, bool)]], alu_free: f64, smem_free: f64, rotate: us
                     vec![e]
                 })
                 .collect(),
-        };
+        );
         let mut blk = BlockRun::new(Arc::new(trace), 0.0, &mut Vec::new());
         for (w, &(ready, _)) in blk.warps.iter_mut().zip(warps.iter()) {
             w.ready = ready;

@@ -95,7 +95,7 @@ fn random_block(rng: &mut u64, nwarps: usize, phases: usize) -> BlockTrace {
             }
         }
     }
-    BlockTrace { warps }
+    BlockTrace::from_entries(warps)
 }
 
 fn machines() -> [Machine; 3] {

@@ -50,30 +50,35 @@ fn fingerprint(machine: &Machine, run: &Run, traced: bool) -> String {
     )
 }
 
+/// Each step is expanded back into the bytes of its full entry (skeleton
+/// fields, conflict weight, then `0` for no transactions or `1`, the count
+/// and each transaction), so the golden does not depend on the layout.
 fn hash_traces(blocks: &[BlockTrace]) -> u64 {
     let mut bytes = Vec::new();
     for block in blocks {
         bytes.extend((block.warps.len() as u64).to_le_bytes());
         for warp in &block.warps {
-            bytes.extend((warp.len() as u64).to_le_bytes());
-            for e in warp {
+            bytes.extend((warp.steps.len() as u64).to_le_bytes());
+            let mut txns = warp.txns.iter();
+            for step in &warp.steps {
+                let e = &block.skeletons[step.id as usize];
                 bytes.extend([e.class.index() as u8, e.dst, e.dst_n]);
                 bytes.extend(e.srcs);
                 bytes.extend([e.nsrcs, e.dst_lat as u8]);
-                bytes.extend(e.smem_half_txns.to_le_bytes());
+                bytes.extend(step.smem_half_txns.to_le_bytes());
                 bytes.extend([u8::from(e.gmem_load), u8::from(e.bar)]);
-                match &e.gmem {
-                    None => bytes.push(0),
-                    Some(txs) => {
-                        bytes.push(1);
-                        bytes.extend((txs.len() as u64).to_le_bytes());
-                        for t in txs.iter() {
-                            bytes.extend(t.base.to_le_bytes());
-                            bytes.extend(t.size.to_le_bytes());
-                        }
+                if step.ntx == 0 {
+                    bytes.push(0);
+                } else {
+                    bytes.push(1);
+                    bytes.extend(u64::from(step.ntx).to_le_bytes());
+                    for t in txns.by_ref().take(usize::from(step.ntx)) {
+                        bytes.extend(t.base.to_le_bytes());
+                        bytes.extend(t.size.to_le_bytes());
                     }
                 }
             }
+            assert!(txns.next().is_none(), "every transaction belongs to a step");
         }
     }
     fnv1a(&bytes)
