@@ -21,7 +21,7 @@
 //! Layouts: A column-major, B row-major, C column-major — every global
 //! stream is coalesced.
 
-use crate::workflow::{CaseStudy, Region, TraceMode};
+use crate::workflow::{CaseStudy, Region};
 use gpa_hw::KernelResources;
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, Pred, Reg, SpecialReg, Src, Width};
@@ -335,7 +335,6 @@ pub fn case(n: u32, tile: u32) -> CaseStudy {
         params,
         gmem,
         regions,
-        TraceMode::Homogeneous,
         flops(n),
         Some(Box::new(verify)),
     )

@@ -28,7 +28,7 @@
 //! of Figure 12 are produced by routing the vector region through the
 //! timing simulator's per-cluster texture cache.
 
-use crate::workflow::{CaseRun, CaseStudy, Region, TraceMode};
+use crate::workflow::{CaseRun, CaseStudy, Region};
 use gpa_hw::KernelResources;
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{MemAddr, SpecialReg, Src, Width};
@@ -534,7 +534,6 @@ pub fn case(m: &BlockSparse, format: Format, texture: bool) -> CaseStudy {
         params,
         gmem,
         regions,
-        TraceMode::Auto,
         flops,
         Some(Box::new(verify)),
     )

@@ -22,7 +22,7 @@
 //! * the solution is written into the `d` array in place, keeping the
 //!   footprint at four arrays.
 
-use crate::workflow::{CaseStudy, Region, TraceMode};
+use crate::workflow::{CaseStudy, Region};
 use gpa_hw::KernelResources;
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, Pred, Reg, SpecialReg, Src, Width};
@@ -455,7 +455,6 @@ pub fn case(n: u32, nsys: u32, padded: bool) -> CaseStudy {
         params,
         gmem,
         regions,
-        TraceMode::Homogeneous,
         0, // the paper reports times, not GFLOPS, for CR
         Some(Box::new(verify)),
     )

@@ -1,9 +1,11 @@
 //! The shared case-study driver: the paper's Figure 1 workflow end to end.
 //!
 //! A [`CaseStudy`] is a *portable description* of one prepared case study
-//! (kernel, launch, device memory image, regions, declared trace mode,
-//! verification oracle), and [`run_study`] runs it: functional simulation
-//! → info extraction → model analysis → timing measurement. The
+//! (kernel, launch, device memory image, regions, verification oracle),
+//! and [`run_study`] runs it: functional simulation → info extraction →
+//! model analysis → timing measurement. No kernel declares how its blocks
+//! are timed: the one functional pass observes whether they are uniform
+//! and hands the timing replay its [`gpa_sim::TraceSource`]. The
 //! per-application `case()` constructors ([`crate::matmul::case`],
 //! [`crate::tridiag::case`], [`crate::spmv::case`]) build these, and both
 //! [`CaseStudy::run`] and the `gpa-service` `Analyzer` execute them
@@ -15,35 +17,21 @@
 use gpa_core::{extract, Analysis, InputError, Model, ModelInput};
 use gpa_hw::Machine;
 use gpa_isa::Kernel;
+use gpa_sim::func::RunOutput;
 use gpa_sim::{
     FunctionalSim, GlobalMemory, LaunchConfig, SimError, Threads, TimingResult, TimingSim,
-    TraceBlocks, TraceSource,
+    TraceBlocks,
 };
 use std::fmt;
-use std::sync::Arc;
 
-/// How timing traces are obtained. The kernel declares it
-/// ([`CaseStudy::mode`]); requests cannot override it.
+/// A stub kept for callers outside this workspace that still name a
+/// trace mode. It chooses nothing: [`run_study`]'s functional pass
+/// observes whether a grid's blocks are uniform
+/// ([`gpa_sim::TraceBlocks::Replay`]), and no kernel or request declares
+/// it. To be deleted with [`CaseStudy::mode`] once nothing names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
-    /// All blocks behave identically (same instruction stream, conflict
-    /// degrees, and transaction shapes) by construction: trace block 0
-    /// once and simulate only the most-loaded cluster. Only kernels that
-    /// guarantee uniformity may declare it (matmul, tridiag); it skips
-    /// tracing the other blocks, which keeps peak memory at one block's
-    /// trace. [`TraceMode::Auto`] holds every block's compact trace
-    /// (about 8 B per warp instruction plus 16 B per global transaction,
-    /// [`gpa_sim::BlockTrace`]) until the shape check ends.
-    Homogeneous,
-    /// Detect per-block divergence instead of assuming it away: trace
-    /// every block once, and when all traces are pairwise shape-equal
-    /// ([`gpa_sim::BlockTrace::shape_eq`]) time the grid from block 0's
-    /// trace exactly as [`TraceMode::Homogeneous`] would; otherwise
-    /// replay every block's own trace. Texture-cached kernels always take
-    /// the per-block replay (it consults real addresses, which shape
-    /// equality deliberately ignores). Every kernel whose behavior is not
-    /// known ahead of time uses it — SpMV, the zoo, and wire-submitted
-    /// custom kernels.
+    /// The only mode: let the traced pass decide.
     Auto,
 }
 
@@ -174,8 +162,7 @@ pub struct CaseStudy {
     pub gmem: GlobalMemory,
     /// Named regions for traffic attribution (and texture binding).
     pub regions: Vec<Region>,
-    /// The trace mode the kernel declares: [`TraceMode::Homogeneous`]
-    /// only when every block is identical by construction.
+    /// Always [`TraceMode::Auto`]; see [`TraceMode`].
     pub mode: TraceMode,
     /// Floating-point operations of the workload (`0` = not meaningful).
     pub flops: u64,
@@ -188,7 +175,6 @@ impl fmt::Debug for CaseStudy {
             .field("label", &self.label)
             .field("kernel", &self.kernel.name)
             .field("launch", &self.launch)
-            .field("mode", &self.mode)
             .field("flops", &self.flops)
             .field("verified", &self.verify.is_some())
             .finish_non_exhaustive()
@@ -207,7 +193,6 @@ impl CaseStudy {
         params: Vec<u32>,
         gmem: GlobalMemory,
         regions: Vec<Region>,
-        mode: TraceMode,
         flops: u64,
         verify: Option<Verifier>,
     ) -> CaseStudy {
@@ -218,7 +203,7 @@ impl CaseStudy {
             params,
             gmem,
             regions,
-            mode,
+            mode: TraceMode::Auto,
             flops,
             verify,
         }
@@ -235,7 +220,6 @@ impl CaseStudy {
         params: Vec<u32>,
         gmem: GlobalMemory,
         regions: Vec<Region>,
-        mode: TraceMode,
     ) -> CaseStudy {
         CaseStudy {
             label: kernel.name.clone(),
@@ -244,7 +228,7 @@ impl CaseStudy {
             params,
             gmem,
             regions,
-            mode,
+            mode: TraceMode::Auto,
             flops: 0,
             verify: None,
         }
@@ -280,15 +264,18 @@ impl CaseStudy {
     }
 }
 
-/// Run the full workflow for one prepared [`CaseStudy`] with the study's
-/// declared trace mode.
+/// Run the full workflow for one prepared [`CaseStudy`].
 ///
 /// The functional simulation runs every block (verifying memory safety and
 /// mutating the study's memory image in place, so [`CaseStudy::check`] can
-/// verify afterwards). `threads` shards both block execution and the
-/// timing replay; results and errors are bit-identical for every
-/// selection. `fuel` is the grid's warp-instruction budget (runaway-loop
-/// guard; `None` keeps the simulator's default).
+/// verify afterwards) and traces it for the timing replay, dropping the
+/// traces that repeat ([`TraceBlocks::Replay`]). The pass hands the
+/// replay its [`gpa_sim::TraceSource`]: one cluster from block 0's trace
+/// when every block is shape-equal to it, else every cluster. `threads`
+/// shards both block execution and the timing replay; results and errors
+/// are bit-identical for every selection. `fuel` is the grid's
+/// warp-instruction budget (runaway-loop guard; `None` keeps the
+/// simulator's default).
 ///
 /// # Errors
 ///
@@ -300,16 +287,15 @@ pub fn run_study(
     threads: Threads,
     fuel: Option<u64>,
 ) -> Result<CaseRun, CaseError> {
+    let out = functional_pass(machine, study, threads, fuel)?;
+    let src = out.trace_source().expect("trace collection enabled");
+
     let CaseStudy {
         kernel,
         launch,
-        params,
-        gmem,
         regions,
-        mode,
         ..
     } = study;
-    let launch = *launch;
     let mut timing = TimingSim::new(machine);
     // The same worker selection drives both phases: block execution in the
     // functional pass and cluster replay in the timing pass (a homogeneous
@@ -320,16 +306,42 @@ pub fn run_study(
         .filter(|r| r.texture)
         .map(|r| (r.base, r.len))
         .collect();
-    let textured = !tex.is_empty();
-    if textured {
+    if !tex.is_empty() {
         timing.set_texture_regions(tex);
     }
+    let timing_result = timing.run(&src, launch, kernel.resources);
 
-    // One functional pass over every block: it verifies memory safety,
-    // mutates the study's memory image in place, gathers the dynamic
-    // statistics, and records the traces the timing replay needs.
-    let mut func = FunctionalSim::new(machine, kernel, launch)?;
-    func.set_params(params).set_threads(threads);
+    let input = extract(machine, &kernel.name, *launch, kernel.resources, out.stats)?;
+    let analysis = model.analyze(&input);
+
+    Ok(CaseRun {
+        input,
+        analysis,
+        timing: timing_result,
+    })
+}
+
+/// [`run_study`]'s one functional pass over every block: it verifies
+/// memory safety, mutates the study's memory image in place, gathers the
+/// dynamic statistics, and records the traces the timing replay needs.
+fn functional_pass(
+    machine: &Machine,
+    study: &mut CaseStudy,
+    threads: Threads,
+    fuel: Option<u64>,
+) -> Result<RunOutput, SimError> {
+    let CaseStudy {
+        kernel,
+        launch,
+        params,
+        gmem,
+        regions,
+        ..
+    } = study;
+    let mut func = FunctionalSim::new(machine, kernel, *launch)?;
+    func.set_params(params)
+        .set_threads(threads)
+        .collect_traces(TraceBlocks::Replay);
     if let Some(fuel) = fuel {
         func.set_fuel(fuel);
     }
@@ -340,95 +352,72 @@ pub fn run_study(
             func.add_region(r.name.clone(), r.base, r.len);
         }
     }
-    // A declared-homogeneous kernel traces block 0 alone; any other
-    // traces every block, so one pass also tells whether they diverge.
-    func.collect_traces(match mode {
-        TraceMode::Homogeneous => TraceBlocks::First,
-        TraceMode::Auto => TraceBlocks::All,
-    });
-    let out = func.run(gmem)?;
-    let mut traces = out.traces.expect("trace collection enabled");
-    let uniform = *mode == TraceMode::Homogeneous
-        || (!textured && traces.windows(2).all(|w| w[0].shape_eq(&w[1])));
-    let src = if uniform {
-        // Block 0 runs first on pre-launch memory in every engine
-        // configuration, so its trace from inside the full pass is
-        // exactly the trace of a separate pass over a pristine copy.
-        traces.truncate(1);
-        TraceSource::Homogeneous(Arc::new(
-            traces.pop().expect("a launch has at least one block"),
-        ))
-    } else {
-        TraceSource::from_blocks(traces)
-    };
-    let timing_result = timing.run(&src, &launch, kernel.resources);
-
-    let input = extract(machine, &kernel.name, launch, kernel.resources, out.stats)?;
-    let analysis = model.analyze(&input);
-
-    Ok(CaseRun {
-        input,
-        analysis,
-        timing: timing_result,
-    })
+    func.run(gmem)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_ubench::ThroughputCurves;
+    use gpa_sim::TraceSource;
 
-    /// Synthetic curves: the runs below never consult real measurements.
-    fn model(machine: &Machine) -> Model<'_> {
-        Model::new(
-            machine,
-            ThroughputCurves {
-                machine_name: machine.name.clone(),
-                warps: vec![1, 32],
-                instr: std::array::from_fn(|_| vec![1e9, 1e10]),
-                smem: vec![1e10, 1e11],
-            },
-        )
+    /// Whether `study`'s functional pass on `machine` replays the grid
+    /// from block 0's trace alone.
+    fn uniform(machine: &Machine, mut study: CaseStudy) -> bool {
+        let out = functional_pass(machine, &mut study, Threads::Auto, None).unwrap();
+        matches!(out.trace_source(), Some(TraceSource::Homogeneous(_)))
     }
 
-    /// Matmul and tridiag declare the block-0 path because their blocks
-    /// are identical by construction. Every built-in size of both, on
-    /// every Table 3 SKU, must answer bit-equal under `Auto` — which
-    /// traces every block and replays block 0 only if all are
-    /// shape-equal — so an edit that makes a declared case divergent
-    /// fails here instead of silently under-reporting.
+    /// Matmul and tridiag blocks are identical by construction: each
+    /// block walks its own slice of memory with the same instructions,
+    /// conflict degrees and transaction shapes. The pass must observe
+    /// that, or their replay would cost every cluster and their traces
+    /// every block. Every built-in size of both, on every Table 3 SKU.
     #[test]
-    fn declared_block0_cases_are_uniform_under_auto() {
-        let mut builders: Vec<Box<dyn Fn() -> CaseStudy>> = Vec::new();
-        for n in [128, 256] {
-            for tile in crate::matmul::TILES {
-                builders.push(Box::new(move || crate::matmul::case(n, tile)));
-            }
-        }
-        for nsys in [128, 256] {
-            for padded in [true, false] {
-                let n = 2 * crate::tridiag::THREADS;
-                builders.push(Box::new(move || crate::tridiag::case(n, nsys, padded)));
-            }
-        }
+    fn built_in_matmul_and_tridiag_grids_are_uniform() {
         for machine in Machine::paper_table3() {
-            let mut model = model(&machine);
-            for build in &builders {
-                let mut declared = build();
-                assert_eq!(declared.mode, TraceMode::Homogeneous, "{}", declared.label);
-                let mut auto = build();
-                auto.mode = TraceMode::Auto;
-                let a = run_study(&machine, &mut model, &mut declared, Threads::Auto, None);
-                let b = run_study(&machine, &mut model, &mut auto, Threads::Auto, None);
-                let (a, b) = (a.unwrap(), b.unwrap());
-                let what = format!("{} on {}", declared.label, machine.name);
-                assert_eq!(
-                    a.timing.cycles.to_bits(),
-                    b.timing.cycles.to_bits(),
-                    "{what}"
-                );
-                assert_eq!(a.timing, b.timing, "{what}");
-                assert_eq!(a.analysis, b.analysis, "{what}");
+            for n in [128, 256] {
+                for tile in crate::matmul::TILES {
+                    let study = crate::matmul::case(n, tile);
+                    assert!(uniform(&machine, study), "n={n} tile={tile}");
+                }
+            }
+            for nsys in [128, 256] {
+                for padded in [true, false] {
+                    let n = 2 * crate::tridiag::THREADS;
+                    let study = crate::tridiag::case(n, nsys, padded);
+                    assert!(uniform(&machine, study), "nsys={nsys} padded={padded}");
+                }
+            }
+        }
+    }
+
+    /// The same at every size the wire accepts: matmul n = 64..=1024 in
+    /// steps of 64 with every tile on the GTX 285 and up to 640 on the
+    /// G92 SKUs, and tridiag at odd and round system counts on all three
+    /// (156 grids, a minute on 2 cores in release).
+    #[test]
+    #[ignore = "wire-size sweep: run with --release -- --ignored"]
+    fn every_wire_size_of_matmul_and_tridiag_is_uniform() {
+        for machine in Machine::paper_table3() {
+            let max_n = if machine.name == "GeForce GTX 285" {
+                1024
+            } else {
+                640
+            };
+            for n in (64..=max_n).step_by(64) {
+                for tile in crate::matmul::TILES {
+                    let study = crate::matmul::case(n, tile);
+                    let what = format!("matmul n={n} tile={tile} on {}", machine.name);
+                    assert!(uniform(&machine, study), "{what}");
+                }
+            }
+            for nsys in [1, 2, 3, 7, 31, 64, 100, 1000] {
+                for padded in [true, false] {
+                    let n = 2 * crate::tridiag::THREADS;
+                    let study = crate::tridiag::case(n, nsys, padded);
+                    let what = format!("tridiag nsys={nsys} padded={padded} on {}", machine.name);
+                    assert!(uniform(&machine, study), "{what}");
+                }
             }
         }
     }

@@ -26,7 +26,7 @@
 //! hand-built `KernelSpec::Custom` equivalent produce byte-identical
 //! reports.
 
-use crate::workflow::{CaseStudy, Region, TraceMode, Verifier};
+use crate::workflow::{CaseStudy, Region, Verifier};
 use gpa_hw::KernelResources;
 use gpa_isa::builder::{BuildError, KernelBuilder};
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, Pred, Reg, SpecialReg, Src, Width};
@@ -956,8 +956,7 @@ fn build_random_access(n: u32, seed: u32) -> Built {
 /// Prepare the named workload as a full [`CaseStudy`] (kernel, memory
 /// image, regions, CPU-reference verifier). The study declares no
 /// algorithmic flop count (consumers fall back to the simulator's
-/// dynamic count — the same accounting a custom-kernel request gets)
-/// and uses [`TraceMode::Auto`], again matching the custom path.
+/// dynamic count — the same accounting a custom-kernel request gets).
 ///
 /// # Panics
 ///
@@ -987,7 +986,6 @@ pub fn case(name: &str, n: u32, seed: u32) -> CaseStudy {
         built.params,
         built.gmem,
         built.regions,
-        TraceMode::Auto,
         0,
         Some(built.verify),
     )

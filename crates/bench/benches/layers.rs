@@ -3,17 +3,19 @@
 //! `layer/functional_sim/<workload>` runs the functional simulator — the
 //! `functional_sim` span of a served request — over one paper case study,
 //! sequentially, on the GTX 285: untraced (statistics only) and
-//! `_traced` (every block's per-warp trace recorded too). Setup (kernel
+//! `_traced` (per-warp traces recorded too, as a served request records
+//! them: every block is traced and a trace that repeats block 0's shape
+//! is dropped, [`TraceBlocks::Replay`]). Setup (kernel
 //! build and the device-memory image) is excluded from the timing.
 //! `tridiag256_unpadded` is the one workload whose shared accesses
 //! conflict (2- to 16-way), so it times the bank-conflict path.
 //!
 //! `layer/timing_replay/<workload>` replays one study's traces — the
 //! `timing_replay` span — sequentially, from the trace source
-//! `run_study` would build: `matmul256_t16` replays block 0's trace on
-//! one cluster (homogeneous), `spmv_ell_tex` every block's own trace
-//! through the texture cache on every cluster (per block). Tracing is
-//! excluded from the timing.
+//! `run_study` builds: `matmul256_t16` is uniform, so it replays block
+//! 0's trace on one cluster (homogeneous), and `spmv_ell_tex` replays
+//! every block's own trace through the texture cache on every cluster
+//! (per block). Tracing is excluded from the timing.
 //!
 //! `layer/calibrate/gtx285_quick` measures the GTX 285's throughput
 //! curves at quick effort — the `calibrate` step of a cold start.
@@ -27,10 +29,9 @@ use gpa_apps::spmv::{self, Format};
 use gpa_apps::workflow::CaseStudy;
 use gpa_apps::{matmul, tridiag};
 use gpa_hw::Machine;
-use gpa_sim::{FunctionalSim, Threads, TimingSim, TraceBlocks, TraceSource};
+use gpa_sim::{FunctionalSim, Threads, TimingSim, TraceBlocks};
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench_functional_sim(c: &mut Criterion) {
     let machine = Machine::gtx285();
@@ -44,8 +45,7 @@ fn bench_functional_sim(c: &mut Criterion) {
         ),
     ];
     for (name, study) in workloads {
-        for traced in [false, true] {
-            let suffix = if traced { "_traced" } else { "" };
+        for (suffix, traced) in [("", TraceBlocks::Off), ("_traced", TraceBlocks::Replay)] {
             c.bench_function(&format!("layer/functional_sim/{name}{suffix}"), |b| {
                 b.iter_batched(
                     || study.gmem.clone(),
@@ -67,18 +67,13 @@ fn bench_functional_sim(c: &mut Criterion) {
     }
 }
 
-/// The replay `run_study` would time for `study`: a homogeneous source
-/// from block 0's trace when `homogeneous`, else every block's trace,
-/// with the study's texture regions either way.
-fn replay(machine: &Machine, mut study: CaseStudy, homogeneous: bool) -> impl FnMut() + '_ {
+/// The replay `run_study` times for `study`, from the trace source its
+/// functional pass hands over, with the study's texture regions.
+fn replay(machine: &Machine, mut study: CaseStudy) -> impl FnMut() + '_ {
     let mut sim = FunctionalSim::new(machine, &study.kernel, study.launch).unwrap();
     sim.set_params(&study.params)
         .set_threads(Threads::sequential())
-        .collect_traces(if homogeneous {
-            TraceBlocks::First
-        } else {
-            TraceBlocks::All
-        });
+        .collect_traces(TraceBlocks::Replay);
     let mut timing = TimingSim::new(machine);
     let mut tex = Vec::new();
     for r in &study.regions {
@@ -90,12 +85,7 @@ fn replay(machine: &Machine, mut study: CaseStudy, homogeneous: bool) -> impl Fn
         }
     }
     timing.set_texture_regions(tex);
-    let mut traces = sim.run(&mut study.gmem).unwrap().traces.unwrap();
-    let source = if homogeneous {
-        TraceSource::Homogeneous(Arc::new(traces.swap_remove(0)))
-    } else {
-        TraceSource::from_blocks(traces)
-    };
+    let source = sim.run(&mut study.gmem).unwrap().trace_source().unwrap();
     move || {
         black_box(timing.run(&source, &study.launch, study.kernel.resources));
     }
@@ -104,15 +94,14 @@ fn replay(machine: &Machine, mut study: CaseStudy, homogeneous: bool) -> impl Fn
 fn bench_timing_replay(c: &mut Criterion) {
     let machine = Machine::gtx285();
     let workloads = [
-        ("matmul256_t16", matmul::case(256, 16), true),
+        ("matmul256_t16", matmul::case(256, 16)),
         (
             "spmv_ell_tex",
             spmv::case(&spmv::qcd_like(8, 1), Format::Ell, true),
-            false,
         ),
     ];
-    for (name, study, homogeneous) in workloads {
-        let mut run = replay(&machine, study, homogeneous);
+    for (name, study) in workloads {
+        let mut run = replay(&machine, study);
         c.bench_function(&format!("layer/timing_replay/{name}"), |b| b.iter(&mut run));
     }
 }

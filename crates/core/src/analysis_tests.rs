@@ -7,7 +7,6 @@ use gpa_isa::instr::{CmpOp, MemAddr, NumTy, Pred, SpecialReg, Src, Width};
 use gpa_isa::Kernel;
 use gpa_sim::{FunctionalSim, GlobalMemory, LaunchConfig, TimingSim, TraceSource};
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
-use std::sync::Arc;
 use std::sync::OnceLock;
 
 fn machine() -> &'static Machine {
@@ -37,10 +36,8 @@ fn run_case(
     sim.set_params(params);
     sim.collect_traces(true);
     let out = sim.run(gmem).unwrap();
-    let traces: Vec<Arc<gpa_sim::BlockTrace>> =
-        out.traces.unwrap().into_iter().map(Arc::new).collect();
     let timing = TimingSim::new(m);
-    let src = TraceSource::PerBlock(traces);
+    let src = TraceSource::PerBlock(out.traces.unwrap());
     let measured = timing.run(&src, &launch, kernel.resources);
     let input =
         crate::input::extract(m, &kernel.name, launch, kernel.resources, out.stats).unwrap();

@@ -501,19 +501,7 @@ impl CustomKernel {
                 }
             })
             .collect();
-        Ok(CaseStudy::adhoc(
-            kernel,
-            self.launch,
-            params,
-            gmem,
-            regions,
-            // Wire-submitted kernels carry no promise of homogeneity:
-            // let the traced pass decide. Grids whose blocks are
-            // shape-identical still get the cheap single-cluster
-            // timing, byte for byte; divergent grids (the old silent
-            // wrong answer) get per-block replay.
-            TraceMode::Auto,
-        ))
+        Ok(CaseStudy::adhoc(kernel, self.launch, params, gmem, regions))
     }
 
     /// Post-run contents of every `readback` region, in declaration
@@ -686,10 +674,10 @@ impl WhatIfSpec {
 /// and on-demand calibration effort.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisOptions {
-    /// Ignored: the kernel declares its trace mode
-    /// ([`gpa_apps::workflow::CaseStudy::mode`]) and a request cannot
-    /// override it. The wire accepts the legacy `"mode"` strings and
-    /// drops them, so this is always `None` on parsed requests.
+    /// Ignored: the functional pass observes whether a grid's blocks are
+    /// uniform, so no request chooses a trace mode ([`TraceMode`] is a
+    /// stub). The wire accepts the legacy `"mode"` strings and drops
+    /// them, so this is always `None` on parsed requests.
     pub mode: Option<TraceMode>,
     /// Worker threads for block execution and the timing replay within
     /// this request. Reports are bit-identical for every selection;
@@ -942,6 +930,17 @@ fn select<'m>(
     }
 }
 
+/// A request's worker selection with an explicit count clamped to the
+/// host's cores ([`Threads::Auto`]'s count). More workers than cores only
+/// add threads, each with its own copy of the device memory, and reports
+/// are bit-identical at every count, so the clamp never changes an answer.
+fn worker_ceiling(threads: Threads) -> Threads {
+    match threads {
+        Threads::Fixed(n) => Threads::Fixed(n.min(Threads::Auto.count())),
+        auto => auto,
+    }
+}
+
 /// The built-in machine presets a selector can name without a custom
 /// [`Machine`]: the paper's GTX 285 and the two Table 3 G92 SKUs.
 pub fn builtin_machines() -> [Machine; 3] {
@@ -1152,9 +1151,8 @@ impl Analyzer {
         Ok(Resolved::Computed(Box::new(report), Some(json)))
     }
 
-    /// The uncached single-request path: build the study, run it with
-    /// its declared trace mode, and assemble the report (with custom-kernel
-    /// readback).
+    /// The uncached single-request path: build the study, run it, and
+    /// assemble the report (with custom-kernel readback).
     fn analyze_resolved(
         &self,
         entry: &Calibrated,
@@ -1180,7 +1178,7 @@ impl Analyzer {
             &entry.machine,
             &mut model,
             &mut study,
-            options.threads,
+            worker_ceiling(options.threads),
             options.fuel,
         )?;
         let verified = if options.verify {

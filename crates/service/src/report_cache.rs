@@ -34,7 +34,7 @@
 //!    * `options.calibration` is normalized to its default — explicitly
 //!      calibrated analyzers ignore it, and the *actual* calibration is
 //!      already covered by the `calib=` part.
-//!    * `options.mode` is never written — the kernel declares its trace
+//!    * `options.mode` is never written — no request chooses a trace
 //!      mode and the wire ignores the legacy field.
 //!
 //!    Everything else **is** part of the key: the kernel spec (including

@@ -10,7 +10,8 @@
 //! custom-kernel `texture`/`readback` flags) are omitted when absent;
 //! every other field is always written. The legacy `options.mode`
 //! strings (`"homogeneous"`, `"per-block"`, `"auto"`) are accepted and
-//! ignored — the kernel declares its trace mode — and never written.
+//! ignored — the functional pass observes whether a grid is uniform —
+//! and never written.
 //!
 //! [`answer`] is the one front door over this format: `gpa-analyze` and
 //! `gpa-serve` both hand it the request document and differ only in
@@ -80,7 +81,7 @@ fn component_from_value(v: &Value) -> Result<Component, ServiceError> {
     }
 }
 
-/// Check a legacy `options.mode` string. The kernel declares its trace
+/// Check a legacy `options.mode` string. No request chooses a trace
 /// mode, so the value is validated and then dropped.
 fn legacy_mode_from_value(v: &Value) -> Result<(), ServiceError> {
     match v.as_str()? {

@@ -12,8 +12,8 @@
 //! * **Fuel**: a request's fuel budget covers the whole grid at every
 //!   worker count, and a runaway loop ends within a stated time.
 
-use gpa_apps::workflow::{run_study, CaseStudy, Region, TraceMode};
-use gpa_core::Model;
+use gpa_apps::workflow::{run_study, CaseStudy, Region};
+use gpa_core::{extract, Analysis, Model};
 use gpa_hw::Machine;
 use gpa_isa::asm::kernel_to_asm;
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, SpecialReg, Width};
@@ -23,10 +23,13 @@ use gpa_service::{
     ParamValue, ServiceError, CUSTOM_REGION_ALIGN, MAX_CUSTOM_MEMORY_BYTES,
     MAX_CUSTOM_READBACK_BYTES,
 };
-use gpa_sim::{GlobalMemory, LaunchConfig, SimError, Threads};
+use gpa_sim::{
+    FunctionalSim, GlobalMemory, LaunchConfig, SimError, Threads, TimingResult, TimingSim,
+    TraceSource,
+};
 use gpa_ubench::MeasureOpts;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 fn analyzer() -> &'static Analyzer {
@@ -142,7 +145,7 @@ proptest! {
         let out = gmem.alloc(out_len, CUSTOM_REGION_ALIGN);
         let regions = vec![Region::new("out", out, out_len)];
         let mut study = CaseStudy::adhoc(
-            kernel.clone(), launch, vec![out as u32], gmem, regions, TraceMode::Auto,
+            kernel.clone(), launch, vec![out as u32], gmem, regions,
         );
         let machine = analyzer.machine("gtx285").unwrap();
         let mut model = Model::with_curves(machine, analyzer.curves("gtx285").unwrap());
@@ -381,17 +384,41 @@ fn wire_level_custom_garbage_is_a_wire_error() {
     }
 }
 
-/// The regression that motivated `TraceMode::Auto` as the custom-kernel
-/// mode: a grid whose blocks execute *different* instruction streams.
-/// Block 0 takes a guarded early exit after two instructions; blocks
-/// 1..4 run a 16-deep f32 chain. Block-0 replay times every cluster with
-/// block 0's short trace — a silently wrong (under-estimated) answer that
-/// a request could once force with `"mode": "homogeneous"`. Now every
-/// legacy mode string is accepted and ignored: each answers
-/// byte-identically to the request without one, and that answer is the
-/// per-block replay. (Block 0 is the *short* block on purpose: were it
-/// the longest, it would dominate the critical path either way and the
-/// two replays would coincide.)
+/// The block-0 path, built by hand: one functional pass over `spec`'s
+/// study, the grid timed from block 0's trace alone
+/// (`TraceSource::Homogeneous`), and the model on the pass's statistics.
+fn block0_replay(spec: &KernelSpec) -> (TimingResult, Analysis) {
+    let analyzer = analyzer();
+    let machine = analyzer.machine("gtx285").unwrap();
+    let mut study = spec.build().unwrap();
+    let mut func = FunctionalSim::new(machine, &study.kernel, study.launch).unwrap();
+    func.set_params(&study.params).collect_traces(true);
+    for r in &study.regions {
+        func.add_region(r.name.clone(), r.base, r.len);
+    }
+    let out = func.run(&mut study.gmem).unwrap();
+    let block0 = Arc::clone(&out.traces.unwrap()[0]);
+    let timing = TimingSim::new(machine).run(
+        &TraceSource::Homogeneous(block0),
+        &study.launch,
+        study.kernel.resources,
+    );
+    let (kernel, launch) = (&study.kernel, study.launch);
+    let input = extract(machine, &kernel.name, launch, kernel.resources, out.stats).unwrap();
+    let mut model = Model::with_curves(machine, analyzer.curves("gtx285").unwrap());
+    (timing, model.analyze(&input))
+}
+
+/// A grid whose blocks execute *different* instruction streams. Block 0
+/// takes a guarded early exit after two instructions; blocks 1..4 run a
+/// 16-deep f32 chain. Block-0 replay times every cluster with block 0's
+/// short trace — a silently wrong (under-estimated) answer that a request
+/// could once force with `"mode": "homogeneous"`. Now every legacy mode
+/// string is accepted and ignored: each answers byte-identically to the
+/// request without one, and that answer is the per-block replay. (Block 0
+/// is the *short* block on purpose: were it the longest, it would
+/// dominate the critical path either way and the two replays would
+/// coincide.)
 #[test]
 fn auto_mode_replays_divergent_grids_per_block() {
     let analyzer = analyzer();
@@ -438,22 +465,19 @@ fn auto_mode_replays_divergent_grids_per_block() {
 
     // The grid must actually tell the replays apart, or this test proves
     // nothing: block-0 replay of the same study under-reports.
-    let mut study = kernel.build().unwrap();
-    study.mode = TraceMode::Homogeneous;
-    let machine = analyzer.machine("gtx285").unwrap();
-    let mut model = Model::with_curves(machine, analyzer.curves("gtx285").unwrap());
-    let block0 = run_study(machine, &mut model, &mut study, Threads::Auto, None).unwrap();
+    let (block0, _) = block0_replay(&kernel);
     let served = analyzer.analyze(&request).unwrap();
     assert!(
-        served.measured_cycles > block0.timing.cycles,
+        served.measured_cycles > block0.cycles,
         "per-block replay ({}) must exceed block-0 replay ({})",
         served.measured_cycles,
-        block0.timing.cycles
+        block0.cycles
     );
 }
 
-/// The flip side: on a shape-uniform multi-block grid, Auto must take
-/// the cheap block-0 path and answer bit-identically to it.
+/// The flip side: on a shape-uniform multi-block grid, the functional
+/// pass must observe uniformity and take the cheap block-0 path,
+/// answering bit-identically to it.
 #[test]
 fn auto_mode_matches_homogeneous_on_uniform_grids() {
     let analyzer = analyzer();
@@ -462,15 +486,14 @@ fn auto_mode_matches_homogeneous_on_uniform_grids() {
     kernel.memory[0].len = 4 * 32 * 4;
     let spec = KernelSpec::Custom(Box::new(kernel));
     let machine = analyzer.machine("gtx285").unwrap();
-    let run = |mode: TraceMode| {
+    let auto = {
         let mut study = spec.build().unwrap();
-        study.mode = mode;
         let mut model = Model::with_curves(machine, analyzer.curves("gtx285").unwrap());
         run_study(machine, &mut model, &mut study, Threads::Auto, None).unwrap()
     };
-    let (auto, homogeneous) = (run(TraceMode::Auto), run(TraceMode::Homogeneous));
-    assert_eq!(auto.timing, homogeneous.timing);
-    assert_eq!(auto.analysis, homogeneous.analysis);
+    let (timing, analysis) = block0_replay(&spec);
+    assert_eq!(auto.timing, timing);
+    assert_eq!(auto.analysis, analysis);
     let served = analyzer
         .analyze(&AnalysisRequest::new(spec, "gtx285"))
         .unwrap();

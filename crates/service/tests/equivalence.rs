@@ -197,3 +197,23 @@ fn verification_and_what_ifs_ride_along() {
     assert!(rendered.contains("bottleneck"), "{rendered}");
     assert!(rendered.contains("what-if"), "{rendered}");
 }
+
+/// A wire `threads` of 2^32 once truncated to zero block ranges and
+/// panicked. An explicit count is now clamped to the host's cores, and
+/// the answer is byte-identical to the request without `threads`. (The
+/// grid has 16 blocks, so even an unclamped run spawns at most 16
+/// threads.)
+#[test]
+fn a_huge_thread_count_answers_like_auto() {
+    let analyzer = analyzer();
+    let plain = r#"{"kernel": {"case": "matmul", "n": 64, "tile": 16}, "machine": "gtx285"}"#;
+    let huge = r#"{"kernel": {"case": "matmul", "n": 64, "tile": 16}, "machine": "gtx285",
+        "options": {"threads": 4294967296}}"#;
+    let answer = |text: &str| {
+        let req = AnalysisRequest::from_json(text).unwrap();
+        analyzer.analyze(&req).unwrap().to_json()
+    };
+    let req = AnalysisRequest::from_json(huge).unwrap();
+    assert_eq!(req.options.threads, Threads::Fixed(1 << 32));
+    assert_eq!(answer(huge), answer(plain));
+}

@@ -325,10 +325,7 @@ fn hits_skip_the_simulator() {
 /// full cacheable space.
 fn any_request() -> impl Strategy<Value = AnalysisRequest> {
     let tile = prop_oneof![Just(8u32), Just(16), Just(32)];
-    let mode = proptest::option::of(prop_oneof![
-        Just(TraceMode::Homogeneous),
-        Just(TraceMode::Auto)
-    ]);
+    let mode = proptest::option::of(Just(TraceMode::Auto));
     let threads = prop_oneof![Just(Threads::Auto), (1usize..4).prop_map(Threads::Fixed)];
     let what_ifs = proptest::collection::vec(
         prop_oneof![

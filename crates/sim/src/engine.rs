@@ -34,6 +34,14 @@
 //!   makes even racy cross-block overwrites resolve exactly as the
 //!   sequential walk would.
 //!
+//! Under [`crate::TraceBlocks::Replay`] the merge also drops repeats
+//! across ranges: a range whose first trace is shape-equal to block 0's
+//! shares block 0's trace. A dropped block may then hold a different
+//! shape-equal trace than the sequential walk gives it (each range drops
+//! against its own first block), but never a different shape, so the
+//! trace source ([`crate::func::RunOutput::trace_source`]) is homogeneous at
+//! every worker count or at none, and its replay is the same.
+//!
 //! # One fault rule, fuel included
 //!
 //! A failing run returns the lowest-block-id [`SimError`] and leaves the
@@ -88,7 +96,7 @@
 //! has a request, the inline run is faster too.
 
 use crate::error::SimError;
-use crate::func::{FunctionalSim, RunOutput};
+use crate::func::{FunctionalSim, RunOutput, TraceRecorder};
 use crate::memory::GlobalMemory;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -206,7 +214,8 @@ pub fn par_map<T: Sync, R: Send>(
 /// Split `num_blocks` blocks into at most `workers` contiguous, non-empty,
 /// near-equal ranges covering `0..num_blocks` in order.
 fn shard_plan(num_blocks: u32, workers: usize) -> Vec<Range<u32>> {
-    let shards = (workers.max(1) as u32).min(num_blocks);
+    // Min first: a worker count of 2^32 or more must not truncate.
+    let shards = workers.max(1).min(num_blocks as usize) as u32;
     let mut plan = Vec::with_capacity(shards as usize);
     let mut start = 0u32;
     for s in 0..shards {
@@ -265,7 +274,7 @@ pub(crate) fn run(
     // grid has left.
     let mut left = budget;
     let mut stats = sim.fresh_stats();
-    let mut traces = sim.is_collecting_traces().then(Vec::new);
+    let mut traces = sim.recorder();
     for (range, out) in ranges.into_iter().zip(outs) {
         let (out, spent) = match out {
             Some((out, spent, writes)) if spent <= left => {
@@ -286,11 +295,14 @@ pub(crate) fn run(
         left -= spent;
         let shard = out?;
         stats.merge_shard(&shard.stats);
-        if let (Some(all), Some(mut t)) = (traces.as_mut(), shard.traces) {
-            all.append(&mut t);
+        if let (Some(all), Some(t)) = (traces.as_mut(), shard.traces) {
+            all.append_range(t);
         }
     }
-    Ok(RunOutput { stats, traces })
+    Ok(RunOutput {
+        stats,
+        traces: traces.map(TraceRecorder::finish),
+    })
 }
 
 /// Execute `blocks` of `sim`'s grid in block-id order against `gmem` on
@@ -306,49 +318,66 @@ fn walk(
 ) -> Option<(Result<RunOutput, SimError>, u64)> {
     let mut stats = sim.fresh_stats();
     stats.blocks = u64::from(blocks.end - blocks.start);
-    let mut traces = sim.is_collecting_traces().then(Vec::new);
+    let mut traces = sim.recorder();
     let mut fuel = budget;
     for b in blocks {
         if aborted() {
             return None;
         }
-        match sim.exec_grid_block(gmem, b, &mut stats, &mut fuel) {
-            Ok(trace) => {
-                if let (Some(ts), Some(t)) = (traces.as_mut(), trace) {
-                    ts.push(t);
-                }
-            }
-            Err(e) => return Some((Err(e), budget - fuel)),
+        if let Err(e) = sim.exec_grid_block(gmem, b, traces.as_mut(), &mut stats, &mut fuel) {
+            return Some((Err(e), budget - fuel));
         }
     }
+    let traces = traces.map(TraceRecorder::finish);
     Some((Ok(RunOutput { stats, traces }), budget - fuel))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::func::TraceBlocks;
     use crate::grid::LaunchConfig;
+    use crate::timing::TraceSource;
     use gpa_hw::Machine;
     use gpa_isa::builder::KernelBuilder;
-    use gpa_isa::instr::{MemAddr, SpecialReg, Src, Width};
+    use gpa_isa::instr::{CmpOp, MemAddr, NumTy, Op, Pred, SpecialReg, Src, Width};
     use gpa_isa::Kernel;
+    use std::sync::Arc;
 
     /// out[global_tid] = ctaid * 3 + tid, with a shared-memory staging
     /// round (store, barrier, load the neighbour's slot) so the kernel
     /// exercises stages, smem traffic, and gmem writes.
     fn staged_kernel(threads: u32) -> Kernel {
+        staged_kernel_exiting_from(threads, None)
+    }
+
+    /// The staged kernel, except that blocks from `from` on, if given,
+    /// exit at once, so their traces differ from block 0's.
+    fn staged_kernel_exiting_from(threads: u32, from: Option<i32>) -> Kernel {
         let mut b = KernelBuilder::new("engine_test");
         b.set_threads(threads);
         let smem = b.smem_alloc(threads * 4, 4).unwrap();
         let tid = b.alloc_reg().unwrap();
         let cta = b.alloc_reg().unwrap();
+        b.s2r(cta, SpecialReg::CtaIdX);
+        if let Some(from) = from {
+            b.setp(
+                Pred(0),
+                CmpOp::Ge,
+                NumTy::S32,
+                Src::Reg(cta),
+                Src::Imm(from),
+            );
+            b.set_guard(Pred(0), false);
+            b.emit(Op::Exit);
+            b.clear_guard();
+        }
         let v = b.alloc_reg().unwrap();
         let addr = b.alloc_reg().unwrap();
         let base = b.alloc_reg().unwrap();
         let ntid = b.alloc_reg().unwrap();
         let p = b.param_alloc();
         b.s2r(tid, SpecialReg::TidX);
-        b.s2r(cta, SpecialReg::CtaIdX);
         b.s2r(ntid, SpecialReg::NTidX);
         b.imad(v, Src::Reg(cta), Src::Imm(3), Src::Reg(tid));
         // smem[tid] = v; bar; v = smem[tid]
@@ -415,6 +444,15 @@ mod tests {
     }
 
     #[test]
+    fn shard_plan_never_truncates_a_huge_worker_count() {
+        assert_eq!(
+            shard_plan(8, 1 << 32),
+            (0..8).map(|b| b..b + 1).collect::<Vec<_>>()
+        );
+        assert_eq!(shard_plan(8, usize::MAX).len(), 8);
+    }
+
+    #[test]
     fn parallel_matches_sequential_bitwise() {
         let (seq, seq_mem) = run_staged(Threads::sequential(), true);
         for threads in [
@@ -427,6 +465,79 @@ mod tests {
             assert_eq!(seq.stats, par.stats, "stats diverge at {threads:?}");
             assert_eq!(seq.traces, par.traces, "traces diverge at {threads:?}");
             assert_eq!(seq_mem, par_mem, "memory diverges at {threads:?}");
+        }
+    }
+
+    /// The staged grid of 37 blocks, where blocks from `exit_from` on
+    /// exit at once, traced as `blocks` on `threads` workers, with its
+    /// out buffer as a texture region when `texture`.
+    fn run_exiting(
+        exit_from: i32,
+        blocks: TraceBlocks,
+        threads: Threads,
+        texture: bool,
+    ) -> RunOutput {
+        let m = Machine::gtx285();
+        let k = staged_kernel_exiting_from(64, Some(exit_from));
+        let mut gmem = GlobalMemory::new();
+        let len = u64::from(37u32 * 64) * 4;
+        let out = gmem.alloc(len, 128);
+        let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(37, 64)).unwrap();
+        sim.set_params(&[out as u32])
+            .collect_traces(blocks)
+            .set_threads(threads);
+        if texture {
+            sim.add_texture_region("out", out, len);
+        } else {
+            sim.add_region("out", out, len);
+        }
+        sim.run(&mut gmem).unwrap()
+    }
+
+    #[test]
+    fn replay_traces_share_shapes_at_every_worker_count() {
+        for exit_from in [0, 1, 10, 19, 30, 36, 37] {
+            let all = run_exiting(exit_from, TraceBlocks::All, Threads::sequential(), false);
+            let all = all.traces.unwrap();
+            for threads in [1usize, 2, 3, 4, 8] {
+                let what = format!("exit from {exit_from}, {threads} threads");
+                let out = run_exiting(
+                    exit_from,
+                    TraceBlocks::Replay,
+                    Threads::Fixed(threads),
+                    false,
+                );
+                let traces = out.traces.as_ref().unwrap();
+                assert_eq!(traces.len(), all.len(), "{what}");
+                for (b, (got, own)) in traces.iter().zip(&all).enumerate() {
+                    assert!(got.shape_eq(own), "block {b}: {what}");
+                }
+                let uniform = exit_from == 0 || exit_from >= 37;
+                match out.trace_source().unwrap() {
+                    TraceSource::Homogeneous(t) => {
+                        assert!(uniform, "{what}");
+                        assert_eq!(*t, *all[0], "block 0's own trace: {what}");
+                    }
+                    TraceSource::PerBlock(_) => assert!(!uniform, "{what}"),
+                }
+                if threads == 1 {
+                    // The walk drops every block that repeats block 0.
+                    for (b, t) in traces.iter().enumerate() {
+                        let dropped = b > 0 && t.shape_eq(&traces[0]);
+                        assert_eq!(Arc::ptr_eq(t, &traces[0]), b == 0 || dropped, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_keeps_every_block_of_a_textured_grid() {
+        let all = run_exiting(37, TraceBlocks::All, Threads::sequential(), true);
+        for threads in [1usize, 3] {
+            let out = run_exiting(37, TraceBlocks::Replay, Threads::Fixed(threads), true);
+            assert_eq!(out, all, "{threads} threads");
+            assert!(matches!(out.trace_source(), Some(TraceSource::PerBlock(_))));
         }
     }
 

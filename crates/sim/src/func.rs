@@ -38,6 +38,7 @@ use crate::stats::{
     intern, BlockTrace, DstLatency, DynamicStats, GmemGranStats, RegionStats, StageStats, Step,
     TraceEntry, WarpTrace, GRANULARITIES, GRAN_GT200,
 };
+use crate::timing::TraceSource;
 use gpa_hw::Machine;
 use gpa_isa::cfg::Cfg;
 use gpa_isa::instr::{Instruction, MemAddr, NumTy, Op, Reg, SpecialReg, Src, Width};
@@ -139,12 +140,18 @@ pub enum TraceBlocks {
     /// No traces (the default).
     #[default]
     Off,
-    /// Block 0 only: all a uniform grid's timing replay needs. Block 0
-    /// runs first, on pre-launch memory, under every engine
-    /// configuration, so its trace is the one a separate pass over a
-    /// pristine copy of memory would record.
-    First,
-    /// Every block.
+    /// What the timing replay needs, with repeats dropped. Every block is
+    /// traced into warp buffers the walk reuses; a block whose trace is
+    /// shape-equal ([`BlockTrace::shape_eq`]) to its walk's first block's
+    /// is dropped and holds that first block's `Arc` instead, and the
+    /// merge of a sharded run does the same for each range's first block
+    /// against block 0. A grid whose blocks all share one shape therefore
+    /// holds one trace ([`RunOutput::trace_source`] makes it
+    /// [`TraceSource::Homogeneous`]). A simulator with a texture region
+    /// keeps every block's own trace, because the texture replay reads
+    /// real addresses, which shape equality ignores.
+    Replay,
+    /// Every block's own trace: the lossless form.
     All,
 }
 
@@ -164,9 +171,83 @@ impl From<bool> for TraceBlocks {
 pub struct RunOutput {
     /// Aggregated dynamic statistics.
     pub stats: DynamicStats,
-    /// The traced blocks' traces in block order, when trace collection
-    /// was enabled.
-    pub traces: Option<Vec<BlockTrace>>,
+    /// Block `b`'s trace at index `b`, when trace collection was enabled.
+    /// Under [`TraceBlocks::Replay`] a dropped block holds the `Arc` of
+    /// an earlier block whose trace is shape-equal to its own.
+    pub traces: Option<Vec<Arc<BlockTrace>>>,
+}
+
+impl RunOutput {
+    /// The timing replay's source for the traces, `None` when the run
+    /// was untraced: [`TraceSource::Homogeneous`] with block 0's trace
+    /// when every block holds block 0's `Arc` (a [`TraceBlocks::Replay`]
+    /// run of a grid whose blocks all share one shape), else
+    /// [`TraceSource::PerBlock`].
+    pub fn trace_source(&self) -> Option<TraceSource> {
+        let traces = self.traces.as_ref()?;
+        let first = traces.first().expect("a launch has at least one block");
+        Some(if traces.iter().all(|t| Arc::ptr_eq(t, first)) {
+            TraceSource::Homogeneous(Arc::clone(first))
+        } else {
+            TraceSource::PerBlock(traces.clone())
+        })
+    }
+}
+
+/// The traces of one walk over consecutive blocks, or of the merge of
+/// several walks' ranges in block order ([`FunctionalSim::recorder`]).
+pub(crate) struct TraceRecorder {
+    /// Drop a trace that is shape-equal to the first one
+    /// ([`TraceBlocks::Replay`] without a texture region).
+    share: bool,
+    /// The warp buffers the next block records into.
+    scratch: BlockTrace,
+    /// One trace per finished block, in block order.
+    traces: Vec<Arc<BlockTrace>>,
+}
+
+impl TraceRecorder {
+    /// Close the block just traced into [`Self::scratch`]: share the
+    /// first block's trace if this one is shape-equal to it (the buffers
+    /// stay for the next block), else keep this one.
+    fn end_block(&mut self) {
+        let trace = match self.traces.first() {
+            Some(first) if self.share && first.shape_eq(&self.scratch) => Arc::clone(first),
+            _ => {
+                let mut warps = std::mem::take(&mut self.scratch.warps);
+                for w in &mut warps {
+                    w.steps.shrink_to_fit();
+                    w.txns.shrink_to_fit();
+                }
+                Arc::new(BlockTrace {
+                    skeletons: Arc::clone(&self.scratch.skeletons),
+                    warps,
+                })
+            }
+        };
+        self.traces.push(trace);
+    }
+
+    /// Append the traces of the next block range. When sharing, a range
+    /// whose first trace is shape-equal to block 0's holds block 0's
+    /// `Arc` wherever it held its own first.
+    pub(crate) fn append_range(&mut self, range: Vec<Arc<BlockTrace>>) {
+        let shared = match (self.traces.first(), range.first()) {
+            (Some(b0), Some(first)) if self.share && b0.shape_eq(first) => {
+                Some((Arc::clone(b0), Arc::clone(first)))
+            }
+            _ => None,
+        };
+        self.traces.extend(range.into_iter().map(|t| match &shared {
+            Some((b0, first)) if Arc::ptr_eq(&t, first) => Arc::clone(b0),
+            _ => t,
+        }));
+    }
+
+    /// The recorded traces, in block order.
+    pub(crate) fn finish(self) -> Vec<Arc<BlockTrace>> {
+        self.traces
+    }
 }
 
 /// The functional simulator. Construct with [`FunctionalSim::new`],
@@ -294,8 +375,8 @@ impl<'a> FunctionalSim<'a> {
     }
 
     /// Record per-warp traces for the timing simulator: `true` or
-    /// [`TraceBlocks::All`] for every block, [`TraceBlocks::First`] for
-    /// block 0 only.
+    /// [`TraceBlocks::All`] keeps every block's own trace,
+    /// [`TraceBlocks::Replay`] drops the traces that repeat.
     pub fn collect_traces(&mut self, blocks: impl Into<TraceBlocks>) -> &mut Self {
         self.trace_blocks = blocks.into();
         self
@@ -319,9 +400,21 @@ impl<'a> FunctionalSim<'a> {
         &self.launch
     }
 
-    /// Whether any block's per-warp traces are being recorded.
-    pub fn is_collecting_traces(&self) -> bool {
-        self.trace_blocks != TraceBlocks::Off
+    /// An empty recorder for one walk's traces, `None` when untraced.
+    pub(crate) fn recorder(&self) -> Option<TraceRecorder> {
+        let share = match self.trace_blocks {
+            TraceBlocks::Off => return None,
+            TraceBlocks::Replay => !self.region_defs.iter().any(|r| r.3),
+            TraceBlocks::All => false,
+        };
+        Some(TraceRecorder {
+            share,
+            scratch: BlockTrace {
+                skeletons: Arc::clone(&self.skeletons),
+                warps: Vec::new(),
+            },
+            traces: Vec::new(),
+        })
     }
 
     /// The grid's warp-instruction count as estimated before running:
@@ -375,7 +468,9 @@ impl<'a> FunctionalSim<'a> {
         stats: &mut DynamicStats,
     ) -> Result<Option<BlockTrace>, SimError> {
         let mut fuel = self.fuel;
-        self.exec_block(gmem, block, self.is_collecting_traces(), stats, &mut fuel)
+        let mut recorder = self.recorder();
+        self.exec_grid_block(gmem, block, recorder.as_mut(), stats, &mut fuel)?;
+        Ok(recorder.map(|r| Arc::unwrap_or_clone(r.finish().remove(0))))
     }
 
     /// Empty statistics with region definitions installed.
@@ -400,31 +495,36 @@ impl<'a> FunctionalSim<'a> {
         }
     }
 
-    /// Execute block `block` of a full-grid run, traced as
-    /// [`FunctionalSim::collect_traces`] selects.
+    /// Execute block `block`, recording its trace into `recorder` if
+    /// there is one.
     pub(crate) fn exec_grid_block(
         &self,
         gmem: &mut GlobalMemory,
         block: u32,
+        recorder: Option<&mut TraceRecorder>,
         stats: &mut DynamicStats,
         fuel: &mut u64,
-    ) -> Result<Option<BlockTrace>, SimError> {
-        let traced = match self.trace_blocks {
-            TraceBlocks::Off => false,
-            TraceBlocks::First => block == 0,
-            TraceBlocks::All => true,
-        };
-        self.exec_block(gmem, block, traced, stats, fuel)
+    ) -> Result<(), SimError> {
+        match recorder {
+            None => self.exec_block(gmem, block, None, stats, fuel),
+            Some(r) => {
+                self.exec_block(gmem, block, Some(&mut r.scratch.warps), stats, fuel)?;
+                r.end_block();
+                Ok(())
+            }
+        }
     }
 
+    /// Execute one block. A traced block records into `buffers`, one per
+    /// warp, each cleared first.
     fn exec_block(
         &self,
         gmem: &mut GlobalMemory,
         block: u32,
-        traced: bool,
+        mut buffers: Option<&mut Vec<WarpTrace>>,
         stats: &mut DynamicStats,
         fuel: &mut u64,
-    ) -> Result<Option<BlockTrace>, SimError> {
+    ) -> Result<(), SimError> {
         let threads = self.launch.threads_per_block();
         let nwarps = threads.div_ceil(WARP as u32) as usize;
         // Shared accesses are word-aligned (checked per instruction), so
@@ -435,8 +535,19 @@ impl<'a> FunctionalSim<'a> {
             bytes: smem_bytes,
         };
 
+        if let Some(b) = buffers.as_deref_mut() {
+            b.resize_with(nwarps, WarpTrace::default);
+        }
         let mut warps: Vec<WarpState> = (0..nwarps)
-            .map(|w| WarpState::new(w as u32, threads, self.lane_regs, traced))
+            .map(|w| {
+                let trace = buffers.as_deref_mut().map(|b| {
+                    let mut t = std::mem::take(&mut b[w]);
+                    t.steps.clear();
+                    t.txns.clear();
+                    t
+                });
+                WarpState::new(w as u32, threads, self.lane_regs, trace)
+            })
             .collect();
 
         loop {
@@ -457,18 +568,12 @@ impl<'a> FunctionalSim<'a> {
             }
         }
 
-        Ok(traced.then(|| BlockTrace {
-            skeletons: Arc::clone(&self.skeletons),
-            warps: warps
-                .into_iter()
-                .map(|w| {
-                    let mut t = w.trace.expect("traced warps carry a buffer");
-                    t.steps.shrink_to_fit();
-                    t.txns.shrink_to_fit();
-                    t
-                })
-                .collect(),
-        }))
+        if let Some(b) = buffers {
+            for (slot, w) in b.iter_mut().zip(warps) {
+                *slot = w.trace.expect("traced warps carry a buffer");
+            }
+        }
+        Ok(())
     }
 
     /// Run one warp until it parks at a barrier or exits.
@@ -1410,7 +1515,12 @@ struct WarpState {
 }
 
 impl WarpState {
-    fn new(warp_idx: u32, block_threads: u32, lane_regs: usize, traced: bool) -> WarpState {
+    fn new(
+        warp_idx: u32,
+        block_threads: u32,
+        lane_regs: usize,
+        trace: Option<WarpTrace>,
+    ) -> WarpState {
         let first_thread = warp_idx * WARP as u32;
         let live = (block_threads - first_thread).min(WARP as u32);
         let mask = if live >= 32 {
@@ -1429,7 +1539,7 @@ impl WarpState {
             first_thread,
             regs: vec![[0u32; WARP]; lane_regs].into_boxed_slice(),
             preds: [0; LANE_PREDS],
-            trace: traced.then(WarpTrace::default),
+            trace,
             counted_any: None,
             counted_smem: None,
             counted_atomic: None,

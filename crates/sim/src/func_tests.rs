@@ -1503,7 +1503,7 @@ fn baseless_shared_faults_match_a_uniform_base_register() {
         words: vec![0; 32],
         bytes: 128,
     };
-    let mut w = WarpState::new(0, 32, 2, false);
+    let mut w = WarpState::new(0, 32, 2, None);
     let offsets = [
         i32::MIN,
         -16,

@@ -36,7 +36,9 @@
 //! one statement of how much of the chip to replay:
 //! [`timing::TraceSource::Homogeneous`] (every block the same) replays
 //! the most-loaded cluster and scales from it,
-//! [`timing::TraceSource::PerBlock`] replays every cluster.
+//! [`timing::TraceSource::PerBlock`] replays every cluster. The
+//! functional pass observes which one a grid gets
+//! ([`func::TraceBlocks::Replay`]): no kernel declares it.
 //!
 //! The timing parameters ([`timing::TimingConfig::gt200`]) are calibrated
 //! against the paper's published throughput curves (Figures 2–3);

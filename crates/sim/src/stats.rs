@@ -428,9 +428,10 @@ impl BlockTrace {
     /// transaction counts and sizes at every step, but not transaction
     /// base addresses, which legitimately differ between blocks of a
     /// perfectly homogeneous grid (each block walks its own slice of
-    /// memory). This is the homogeneity test behind `TraceMode::Auto`: a
-    /// grid whose blocks are pairwise shape-equal can be timed from a
-    /// single block's trace.
+    /// memory). This is the homogeneity test behind
+    /// [`crate::TraceBlocks::Replay`]: a block shape-equal to an earlier
+    /// one can be timed from that block's trace, and a grid whose blocks
+    /// are all shape-equal from block 0's trace alone.
     ///
     /// Ids are compared, so traces whose tables differ are never
     /// shape-equal; traces from one simulator share a table.

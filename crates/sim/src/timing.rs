@@ -84,10 +84,13 @@ impl TimingConfig {
 /// Where block traces come from, and so how much of the chip
 /// [`TimingSim::run`] replays.
 ///
-/// Homogeneous grids (every block runs the same instruction stream with the
-/// same conflict degrees and transaction shapes — matmul, the tridiagonal
-/// solver, the microbenchmarks) share one trace. Data-dependent kernels
-/// provide per-block traces.
+/// The functional pass decides which one a grid gets
+/// ([`crate::func::RunOutput::trace_source`] of a
+/// [`crate::TraceBlocks::Replay`] run): a grid whose blocks all trace the
+/// same instruction stream with the same conflict degrees and transaction
+/// shapes ([`BlockTrace::shape_eq`]) is homogeneous, any other is per
+/// block. The microbenchmarks build a homogeneous source from one traced
+/// block.
 pub enum TraceSource {
     /// Every block replays the same trace. The replay simulates only the
     /// most-loaded cluster (cluster 0) and scales from it: every cluster
@@ -95,20 +98,12 @@ pub enum TraceSource {
     /// counters scale by `blocks / cluster-0 blocks` (exactly, in integer
     /// arithmetic, for the integer counters).
     Homogeneous(Arc<BlockTrace>),
-    /// `traces[b]` is block `b`'s trace. The replay simulates every
-    /// cluster.
+    /// `traces[b]` is block `b`'s trace; blocks may share one. The replay
+    /// simulates every cluster.
     PerBlock(Vec<Arc<BlockTrace>>),
 }
 
 impl TraceSource {
-    /// A [`TraceSource::PerBlock`] from already-collected traces in
-    /// block-id order — the bridge from a functional run
-    /// ([`crate::FunctionalSim::run`], whose sharded form concatenates its
-    /// ranges' traces in block order) to the timing replay.
-    pub fn from_blocks(traces: Vec<BlockTrace>) -> TraceSource {
-        TraceSource::PerBlock(traces.into_iter().map(Arc::new).collect())
-    }
-
     /// Trace entries a replay of every cluster walks; `None` for a
     /// homogeneous source, which replays one cluster and never shards.
     fn work(&self) -> Option<u64> {

@@ -6,7 +6,7 @@
 //! before a line's last ` | `.
 
 use gpa::apps::spmv::{self, Format};
-use gpa::apps::workflow::{CaseStudy, Region, TraceMode};
+use gpa::apps::workflow::{CaseStudy, Region};
 use gpa::apps::{matmul, tridiag, zoo};
 use gpa::isa::asm::parse_kernel;
 use gpa::sim::{GlobalMemory, LaunchConfig};
@@ -202,14 +202,7 @@ fn adhoc_smem(asm: &str) -> CaseStudy {
     let out = gmem.alloc_u32(&vec![0; words as usize]);
     let launch = LaunchConfig::new_1d(ADHOC_BLOCKS, ADHOC_THREADS);
     let regions = vec![Region::new("out", out, u64::from(words) * 4)];
-    CaseStudy::adhoc(
-        kernel,
-        launch,
-        vec![out as u32],
-        gmem,
-        regions,
-        TraceMode::Auto,
-    )
+    CaseStudy::adhoc(kernel, launch, vec![out as u32], gmem, regions)
 }
 
 /// Global loads and stores whose lanes straddle the boundary between two
@@ -280,7 +273,6 @@ fn gmem_two_regions() -> CaseStudy {
         vec![table_at as u32, idx_at as u32, out_at as u32],
         gmem,
         regions,
-        TraceMode::Auto,
     )
 }
 

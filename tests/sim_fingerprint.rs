@@ -25,6 +25,7 @@ use gpa::hw::Machine;
 use gpa::sim::stats::BlockTrace;
 use gpa::sim::{FunctionalSim, GlobalMemory, Threads};
 use gpa::ubench::cache::fnv1a;
+use std::sync::Arc;
 
 /// The golden line of one run: `<sku> | <case> | <traced> | stats traces memory`.
 fn fingerprint(machine: &Machine, run: &Run, traced: bool) -> String {
@@ -53,7 +54,7 @@ fn fingerprint(machine: &Machine, run: &Run, traced: bool) -> String {
 /// Each step is expanded back into the bytes of its full entry (skeleton
 /// fields, conflict weight, then `0` for no transactions or `1`, the count
 /// and each transaction), so the golden does not depend on the layout.
-fn hash_traces(blocks: &[BlockTrace]) -> u64 {
+fn hash_traces(blocks: &[Arc<BlockTrace>]) -> u64 {
     let mut bytes = Vec::new();
     for block in blocks {
         bytes.extend((block.warps.len() as u64).to_le_bytes());

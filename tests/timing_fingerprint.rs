@@ -2,10 +2,11 @@
 //!
 //! `tests/sim_fingerprint.rs` pins the functional simulator; this sweep
 //! pins what the timing simulator makes of its traces. Every run of that
-//! sweep is replayed on each Table 3 SKU twice: from the trace source the
-//! kernel declares (exactly what `run_study` replays), and from every
-//! block's own trace (`TraceSource::from_blocks`, so every cluster is
-//! replayed). Each `TimingResult` is reduced to one FNV-1a hash of the
+//! sweep is replayed on each Table 3 SKU twice: from the trace source
+//! `run_study` replays (its functional pass observes whether the grid is
+//! uniform; the golden keeps the older label `declared` for it, so the
+//! file stays byte-identical), and from every block's own trace
+//! (`TraceSource::PerBlock`, so every cluster is replayed). Each `TimingResult` is reduced to one FNV-1a hash of the
 //! bits of all its fields and compared with
 //! `tests/golden/timing_fingerprints.txt`. The quick throughput curves of
 //! each SKU — the microbenchmarks that calibrate the model, themselves
@@ -59,7 +60,7 @@ fn hash_timing(r: &TimingResult) -> u64 {
     fnv1a(&bytes)
 }
 
-/// The replay of the declared source, as `run_study` times the study.
+/// The replay of `run_study`'s own source, as it times the study.
 fn declared(machine: &Machine, run: &Run) -> TimingResult {
     let mut study = (run.build)();
     run_study(
@@ -93,7 +94,7 @@ fn all_blocks(machine: &Machine, run: &Run) -> TimingResult {
     timing.set_texture_regions(tex);
     let traces = func.run(&mut study.gmem).unwrap().traces.unwrap();
     timing.run(
-        &TraceSource::from_blocks(traces),
+        &TraceSource::PerBlock(traces),
         &study.launch,
         study.kernel.resources,
     )
