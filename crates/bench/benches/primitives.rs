@@ -2,10 +2,13 @@
 //! figure regeneration exercises (coalescer, bank-conflict calculator,
 //! functional simulation, timing replay, and a full model analysis).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gpa_apps::{matmul, spmv, tridiag};
 use gpa_core::{extract, Model};
 use gpa_hw::{KernelResources, Machine};
+use gpa_isa::builder::KernelBuilder;
+use gpa_isa::instr::{MemAddr, Reg, SpecialReg, Src, Width};
+use gpa_isa::kernel::Kernel;
 use gpa_mem::bank::{bank_transactions, BankConfig};
 use gpa_mem::coalesce::{coalesce_half_warp, CoalesceConfig};
 use gpa_sim::{FunctionalSim, GlobalMemory, LaunchConfig, Threads, TimingSim, TraceSource};
@@ -60,6 +63,82 @@ fn bench_functional_sim(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
+}
+
+/// Copies of the probed instruction in a straight-line kernel.
+const COPIES: usize = 2_000;
+
+/// A straight-line kernel of 64-thread blocks: `setup` emits code once
+/// (its registers are `tid`, holding the thread id, and `r`, holding it
+/// as an `f32`), then `probe` emits one instruction [`COPIES`] times.
+fn straight_line(
+    name: &str,
+    setup: impl FnOnce(&mut KernelBuilder, Reg, Reg),
+    probe: impl Fn(&mut KernelBuilder, Reg, Reg),
+) -> Kernel {
+    let mut b = KernelBuilder::new(name);
+    b.set_threads(64);
+    b.smem_alloc(1024, 4).unwrap();
+    let [tid, r] = [(); 2].map(|_| b.alloc_reg().unwrap());
+    b.s2r(tid, SpecialReg::TidX);
+    b.i2f(r, Src::Reg(tid));
+    setup(&mut b, tid, r);
+    for _ in 0..COPIES {
+        probe(&mut b, tid, r);
+    }
+    b.exit();
+    b.finish().unwrap()
+}
+
+/// The cost of one shared access per warp instruction: straight-line
+/// kernels over 64 blocks × 64 threads on the GTX 285, sequentially.
+/// `smem_scalar_operand` is `mad.f32 r, r, s[0x4], r` (a base-less
+/// operand); `smem_lanes_affine` is `ld.shared` at a two-word lane
+/// stride (a 2-way conflict in closed form); `smem_lanes_conflicted` is
+/// `ld.shared` at word `tid² mod 256`, a 4-way conflict that is not
+/// affine.
+fn bench_shared_access(c: &mut Criterion) {
+    let machine = Machine::gtx285();
+    let launch = LaunchConfig::new_1d(64, 64);
+    let kernels = [
+        straight_line(
+            "smem_scalar_operand",
+            |_, _, _| {},
+            |b, _, r| {
+                b.fmad(r, Src::Reg(r), Src::smem(None, 4), Src::Reg(r));
+            },
+        ),
+        straight_line(
+            "smem_lanes_affine",
+            |b, tid, _| {
+                b.shl(tid, Src::Reg(tid), Src::Imm(3));
+            },
+            |b, tid, r| {
+                b.ld_shared(r, MemAddr::new(Some(tid), 0), Width::B32);
+            },
+        ),
+        straight_line(
+            "smem_lanes_conflicted",
+            |b, tid, _| {
+                b.imul(tid, Src::Reg(tid), Src::Reg(tid));
+                b.and(tid, Src::Reg(tid), Src::Imm(255));
+                b.shl(tid, Src::Reg(tid), Src::Imm(2));
+            },
+            |b, tid, r| {
+                b.ld_shared(r, MemAddr::new(Some(tid), 0), Width::B32);
+            },
+        ),
+    ];
+    let mut group = c.benchmark_group("func_sim");
+    for kernel in &kernels {
+        let sim = FunctionalSim::new(&machine, kernel, launch).unwrap();
+        let warp_instrs = sim.work_estimate().expect("a straight-line kernel");
+        group.throughput(Throughput::Elements(warp_instrs));
+        group.bench_function(&kernel.name, |b| {
+            b.iter(|| sim.run(&mut GlobalMemory::new()).unwrap().stats)
+        });
+    }
+    group.finish();
 }
 
 fn bench_engine_sharding(c: &mut Criterion) {
@@ -141,7 +220,7 @@ fn bench_spmv_generation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_coalescer, bench_bank_conflicts, bench_functional_sim,
+    targets = bench_coalescer, bench_bank_conflicts, bench_functional_sim, bench_shared_access,
               bench_engine_sharding, bench_timing_sim, bench_model,
               bench_spmv_generation
 }

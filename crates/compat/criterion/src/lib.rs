@@ -4,9 +4,11 @@
 //!
 //! The build environment has no network access to crates.io, so the
 //! workspace vendors the subset of the Criterion API its benches use:
-//! [`Criterion`] with `sample_size` and `bench_function`, [`Bencher`] with
-//! `iter` / `iter_batched`, [`BatchSize`], [`black_box`], and the
-//! [`criterion_group!`] / [`criterion_main!`] macros.
+//! [`Criterion`] with `sample_size`, `bench_function` and
+//! `benchmark_group`, a [`BenchmarkGroup`] with an element
+//! [`Throughput`], [`Bencher`] with `iter` / `iter_batched`,
+//! [`BatchSize`], [`black_box`], and the [`criterion_group!`] /
+//! [`criterion_main!`] macros.
 //!
 //! Timing is a plain wall-clock median over `sample_size` samples — good
 //! enough to spot order-of-magnitude regressions, with no statistics,
@@ -211,7 +213,24 @@ impl Criterion {
     /// The `GPA_BENCH_SAMPLES` environment variable, when set to a
     /// positive integer, overrides the configured sample count (CI smoke
     /// mode).
-    pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
+    where
+        F: FnMut(&mut Bencher),
+    {
+        self.run(id, None, f);
+        self
+    }
+
+    /// Start a group of benchmarks whose ids are prefixed `name/`.
+    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
+        BenchmarkGroup {
+            criterion: self,
+            name: name.into(),
+            throughput: None,
+        }
+    }
+
+    fn run<F>(&mut self, id: &str, throughput: Option<Throughput>, mut f: F)
     where
         F: FnMut(&mut Bencher),
     {
@@ -233,9 +252,52 @@ impl Criterion {
         } else {
             (ns as f64, "ns")
         };
-        println!("{id:<40} median {value:>10.3} {unit} ({samples} samples)");
+        let per = match throughput {
+            Some(Throughput::Elements(n)) if n > 0 => {
+                format!(", {:.1} ns/element", ns as f64 / n as f64)
+            }
+            _ => String::new(),
+        };
+        println!("{id:<40} median {value:>10.3} {unit} ({samples} samples){per}");
+    }
+}
+
+/// How much one iteration of a benchmark processes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// Elements per iteration: the report adds the median time per
+    /// element.
+    Elements(u64),
+}
+
+/// Benchmarks sharing an id prefix and, optionally, a [`Throughput`]
+/// ([`Criterion::benchmark_group`]).
+#[derive(Debug)]
+pub struct BenchmarkGroup<'c> {
+    criterion: &'c mut Criterion,
+    name: String,
+    throughput: Option<Throughput>,
+}
+
+impl BenchmarkGroup<'_> {
+    /// Report the benchmarks that follow per element as well.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
         self
     }
+
+    /// Run benchmark `name/id`, as [`Criterion::bench_function`] does.
+    pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
+    where
+        F: FnMut(&mut Bencher),
+    {
+        let id = format!("{}/{id}", self.name);
+        self.criterion.run(&id, self.throughput, f);
+        self
+    }
+
+    /// End the group.
+    pub fn finish(self) {}
 }
 
 /// Group benchmark functions under one registration entry point.
@@ -281,7 +343,14 @@ mod tests {
         });
     }
 
-    criterion_group!(smoke, quick);
+    fn grouped(c: &mut Criterion) {
+        let mut group = c.benchmark_group("group");
+        group.throughput(Throughput::Elements(100));
+        group.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
+        group.finish();
+    }
+
+    criterion_group!(smoke, quick, grouped);
 
     #[test]
     fn group_runs() {

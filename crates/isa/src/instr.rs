@@ -696,6 +696,20 @@ impl Op {
         }
     }
 
+    /// The byte offset and access width of this op's shared address when
+    /// it has no base register: a load, a store, or an ALU operand (whose
+    /// width is 4). Every lane shares such an address, so it is known
+    /// before execution. Atomics are not included.
+    pub fn bare_smem(&self) -> Option<(i32, u32)> {
+        let (addr, len) = match *self {
+            Op::LdShared { addr, width, .. } | Op::StShared { addr, width, .. } => {
+                (addr, width.bytes())
+            }
+            op => (op.smem_operand()?, 4),
+        };
+        addr.base.is_none().then_some((addr.offset, len))
+    }
+
     /// Returns `true` if this op touches shared memory (explicit `ld/st`,
     /// an atomic, or an ALU shared operand).
     pub fn touches_shared(&self) -> bool {
@@ -838,6 +852,23 @@ mod tests {
         };
         assert!(!add.touches_shared());
         assert_eq!(add.smem_operand(), None);
+
+        // Only a base-less address is known before execution.
+        assert_eq!(mad.bare_smem(), None);
+        assert_eq!(add.bare_smem(), None);
+        let bare = Op::FMad {
+            d: Reg(0),
+            a: Src::smem(None, 8),
+            b: Src::Reg(Reg(1)),
+            c: Src::Reg(Reg(0)),
+        };
+        assert_eq!(bare.bare_smem(), Some((8, 4)));
+        let addr = MemAddr::new(None, 16);
+        let (d, src) = (Reg(0), Reg(4));
+        let width = Width::B64;
+        assert_eq!(Op::LdShared { d, addr, width }.bare_smem(), Some((16, 8)));
+        assert_eq!(Op::StShared { addr, src, width }.bare_smem(), Some((16, 8)));
+        assert_eq!(Op::AtomSharedAdd { d, addr, src }.bare_smem(), None);
     }
 
     #[test]

@@ -174,20 +174,7 @@ impl Kernel {
             // Static shared offsets must fall inside the declared region
             // (dynamic base registers are checked at execution time).
             let smem_limit = i64::from(self.resources.smem_per_block);
-            let static_smem = match ins.op {
-                Op::LdShared { addr, width, .. }
-                | Op::StShared {
-                    addr,
-                    src: _,
-                    width,
-                } if addr.base.is_none() => Some((addr.offset, width.bytes())),
-                _ => ins
-                    .op
-                    .smem_operand()
-                    .filter(|a| a.base.is_none())
-                    .map(|a| (a.offset, 4)),
-            };
-            if let Some((off, len)) = static_smem {
+            if let Some((off, len)) = ins.op.bare_smem() {
                 // In i64: an offset near `i32::MAX` plus the width must
                 // not wrap back into range.
                 if off < 0 || i64::from(off) + i64::from(len) > smem_limit {

@@ -96,7 +96,7 @@ struct Geometry {
     width: u32,
     banks: u32,
     width_shift: Option<u32>,
-    bank_mask: Option<u32>,
+    bank_shift: Option<u32>,
 }
 
 impl Geometry {
@@ -106,7 +106,7 @@ impl Geometry {
             width,
             banks,
             width_shift: width.is_power_of_two().then(|| width.trailing_zeros()),
-            bank_mask: banks.is_power_of_two().then(|| banks - 1),
+            bank_shift: banks.is_power_of_two().then(|| banks.trailing_zeros()),
         }
     }
 
@@ -120,10 +120,36 @@ impl Geometry {
 
     #[inline]
     fn bank(&self, word: u32) -> u32 {
-        match self.bank_mask {
-            Some(m) => word & m,
+        match self.bank_shift {
+            Some(q) => word & ((1 << q) - 1),
             None => word % self.banks,
         }
+    }
+
+    /// The degree of a fully active row of `n` lanes at `a0 + l·stride`
+    /// bytes (wrapping), when the geometry is a power of two both ways,
+    /// and `None` when the closed form does not apply.
+    ///
+    /// With width `2^p`, `2^q` banks and `stride = 2^p·t`, lane `l`
+    /// reads word `w0 + l·t` (mod `2^(32−p)`) in bank `(w0 + l·t) mod 2^q`.
+    /// Lanes `l` and `m` share a bank iff `(l − m)·t ≡ 0 (mod 2^q)`,
+    /// that is iff `l ≡ m (mod 2^q/g)` with `g = gcd(t mod 2^q, 2^q)
+    /// = 2^min(v2(t), q)`; the most-loaded bank holds `⌈n·g/2^q⌉` lanes.
+    /// Those lanes read distinct words iff no lane distance `d < n` has
+    /// `d·stride ≡ 0 (mod 2^32)`, which holds when `v2(stride) ≤ 27` and
+    /// `n ≤ 32` (`v2(d) ≤ 4`). For 16 banks of 4 B and 16 lanes the
+    /// degree is `gcd((stride/4) mod 16, 16)`.
+    #[inline(always)]
+    fn affine_degree(&self, n: u32, stride: u32) -> Option<u32> {
+        let (p, q) = (self.width_shift?, self.bank_shift?);
+        let v = stride.trailing_zeros();
+        if v < p || v > 27 || p + q > 32 {
+            // Not word-aligned, may wrap back onto a lane's word, or
+            // banks wider than the address space.
+            return None;
+        }
+        let g = (v - p).min(q);
+        Some((u64::from(n) << g).div_ceil(1 << q) as u32)
     }
 }
 
@@ -143,11 +169,15 @@ fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
 /// accesses `addrs[i]`; inactive lanes' entries are ignored).
 ///
 /// This is the functional simulator's form: it runs for every half-warp
-/// of every shared-memory instruction, so it never allocates, and the two
-/// common patterns — every lane on one word (broadcast) and every lane in
-/// its own bank — answer 1 after a single pass over the lanes. A
-/// conflicted access sorts one key per active lane, so no access costs
-/// more than a sort of 32 keys, whatever the geometry.
+/// of every shared-memory instruction, so it never allocates, and
+/// branch-free passes over the lanes answer the common patterns without
+/// a sort: every lane on one word (a broadcast, 1), a fully active
+/// affine row `a0 + l·s` on a power-of-two geometry (in closed form, see
+/// `Geometry::affine_degree`), and every lane in its own bank (a bank
+/// bitmask, 1). Only a conflicted row that is not affine sorts one key
+/// per active lane, so no access costs more than a sort of 32 keys,
+/// whatever the geometry. Debug builds check every answer without a
+/// sort against the sort.
 ///
 /// # Panics
 ///
@@ -156,35 +186,95 @@ fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
 pub fn bank_degree(addrs: &[u32], active: u32, cfg: BankConfig) -> u32 {
     debug_assert!(cfg.banks > 0 && cfg.width > 0);
     assert!(addrs.len() <= ROW_LANES, "a half-warp has at most 32 lanes");
+    let all = u32::MAX.checked_shr(32 - addrs.len() as u32).unwrap_or(0);
+    assert_eq!(active & !all, 0, "an active lane past the row");
     if active == 0 {
         return 0;
     }
-    let first = addrs[active.trailing_zeros() as usize];
-    let broadcast = if Some(active) == u32::MAX.checked_shr(32 - addrs.len() as u32) {
-        // Every lane active: a branch-free reduction.
-        addrs.iter().fold(0, |d, &a| d | (a ^ first)) == 0
-    } else {
-        lanes(active).all(|i| addrs[i] == first)
-    };
-    if broadcast {
-        return 1; // one address: a broadcast
-    }
     let geometry = Geometry::new(cfg);
-    if cfg.banks <= 64 {
-        let mut seen = 0u64;
-        let distinct_banks = lanes(active).all(|i| {
-            let bit = 1u64 << geometry.bank(geometry.word(addrs[i]));
-            let fresh = seen & bit == 0;
-            seen |= bit;
-            fresh
-        });
-        if distinct_banks {
-            return 1;
+    let full = active == all;
+    // An instance for power-of-two geometries and 16-lane half-warps (the
+    // simulator's), so the passes unroll.
+    let quick = match (geometry.width_shift, geometry.bank_shift) {
+        (Some(p), Some(q)) => {
+            let bank = |a: u32| (a >> p) & ((1 << q) - 1);
+            match addrs.len() {
+                16 => quick_degree(&addrs[..16], active, full, &geometry, bank),
+                _ => quick_degree(addrs, active, full, &geometry, bank),
+            }
+        }
+        _ => quick_degree(addrs, active, full, &geometry, |a| {
+            geometry.bank(geometry.word(a))
+        }),
+    };
+    match quick {
+        Some(d) => {
+            debug_assert_eq!(d, sorted_degree(addrs, active, &geometry));
+            d
+        }
+        None => sorted_degree(addrs, active, &geometry),
+    }
+}
+
+/// [`bank_degree`] without a sort, `None` for a conflicted row that is
+/// not affine. `bank` maps an address to its bank; `active` is not 0,
+/// and `full` when it names every lane of `addrs`.
+///
+/// A fully active row takes one branch-free pass for a broadcast and an
+/// affine row (plain `xor`/`or` over the lanes, which vectorizes), then,
+/// if it is neither, one over the same words for the bank bitmask. A
+/// partial row takes one pass for a broadcast and the bitmask. A 64-bit
+/// mask holds 64 banks; more alias, which can only make lanes in
+/// distinct banks look shared, so the answer stays exact.
+#[inline(always)]
+fn quick_degree(
+    addrs: &[u32],
+    active: u32,
+    full: bool,
+    geometry: &Geometry,
+    bank: impl Fn(u32) -> u32,
+) -> Option<u32> {
+    let first = addrs[active.trailing_zeros() as usize];
+    let mut seen = 0u64;
+    if full {
+        let stride = addrs.get(1).map_or(0, |a| a.wrapping_sub(first));
+        let (mut spread, mut bent) = (0u32, 0u32);
+        for (&a, &next) in addrs.iter().zip(&addrs[1..]) {
+            spread |= a ^ first;
+            bent |= next.wrapping_sub(a) ^ stride;
+        }
+        spread |= addrs[addrs.len() - 1] ^ first;
+        if spread == 0 {
+            return Some(1); // one address: a broadcast
+        }
+        if bent == 0 {
+            if let Some(d) = geometry.affine_degree(addrs.len() as u32, stride) {
+                return Some(d);
+            }
+        }
+        for &a in addrs {
+            seen |= 1 << (bank(a) & 63);
+        }
+    } else {
+        let mut spread = 0u32;
+        for (l, &a) in addrs.iter().enumerate() {
+            let on = active >> l & 1;
+            spread |= (a ^ first) & 0u32.wrapping_sub(on);
+            seen |= u64::from(on) << (bank(a) & 63);
+        }
+        if spread == 0 {
+            return Some(1);
         }
     }
-    // The most distinct words in one bank. Same-word lanes broadcast, so
-    // sort one `bank << 32 | word` key per lane and drop duplicates: each
-    // bank's distinct words are then one run of keys.
+    // Every lane in its own bank.
+    (seen.count_ones() == active.count_ones()).then_some(1)
+}
+
+/// [`bank_degree`] by its definition: the most distinct words in one
+/// bank. Same-word lanes broadcast, so sort one `bank << 32 | word` key
+/// per active lane and drop duplicates: each bank's distinct words are
+/// then one run of keys.
+fn sorted_degree(addrs: &[u32], active: u32, geometry: &Geometry) -> u32 {
     let mut keys = [0u64; ROW_LANES];
     let mut n = 0usize;
     for i in lanes(active) {
@@ -194,7 +284,7 @@ pub fn bank_degree(addrs: &[u32], active: u32, cfg: BankConfig) -> u32 {
     }
     let keys = &mut keys[..n];
     keys.sort_unstable();
-    let (mut worst, mut run) = (1u32, 1u32);
+    let (mut worst, mut run) = (u32::from(n > 0), 1u32);
     for pair in keys.windows(2) {
         if pair[0] != pair[1] {
             run = if pair[0] >> 32 == pair[1] >> 32 {
@@ -387,6 +477,30 @@ mod tests {
         assert_eq!(atomic_bank_transactions(&[None; 16], cfg), 0);
     }
 
+    #[test]
+    fn strides_that_wrap_onto_one_word_take_the_general_path() {
+        // Stride 2^31 wraps every other lane back onto lane 0's word: 2
+        // distinct words in one bank, not the 16 a word-multiple stride
+        // of 2^29 words would give without wrapping.
+        let cfg = BankConfig::gt200();
+        for shift in 26..32 {
+            for base in [0u32, 4, 64] {
+                let row: Vec<u32> = (0..16u32)
+                    .map(|l| base.wrapping_add(l.wrapping_mul(1 << shift)))
+                    .collect();
+                let addrs: Vec<Option<u64>> = row.iter().map(|&a| Some(u64::from(a))).collect();
+                let (load, _) = reference(&addrs, cfg);
+                assert_eq!(
+                    bank_degree(&row, 0xFFFF, cfg),
+                    load,
+                    "2^{shift} from {base}"
+                );
+            }
+        }
+        let row: Vec<u32> = (0..16u32).map(|l| l.wrapping_mul(1 << 31)).collect();
+        assert_eq!(bank_degree(&row, 0xFFFF, cfg), 2);
+    }
+
     /// The definition: per bank, count distinct words; per bank, count
     /// lanes (atomics). Allocating and slow, but obviously right.
     fn reference(addrs: &[Option<u64>], cfg: BankConfig) -> (u32, u32) {
@@ -431,10 +545,12 @@ mod tests {
     // ---- Properties ----
 
     /// `(banks, width)` pairs: GT200, prime and composite non-power-of-two
-    /// bank counts, more banks than a 64-bit mask holds, and
-    /// non-power-of-two widths.
-    const GEOMETRIES: [(u32, u32); 7] = [
+    /// bank counts, more banks than a 64-bit mask holds, non-power-of-two
+    /// widths, and 32 banks (more banks than a 16-lane half-warp has
+    /// lanes).
+    const GEOMETRIES: [(u32, u32); 8] = [
         (16, 4),
+        (32, 4),
         (17, 4),
         (12, 4),
         (96, 4),
@@ -513,6 +629,44 @@ mod tests {
             prop_assert_eq!(bank_transactions(&addrs, cfg), load);
         }
 
+        /// The one-pass answers agree with the definition on explicitly
+        /// affine rows `base + l·stride` (wrapping), which random rows
+        /// almost never are: word-multiple strides of either sign and
+        /// some that are not, bases across twice the bank span, full and
+        /// partial masks, half-warps of 16 and 32 lanes, on every
+        /// geometry.
+        #[test]
+        fn affine_rows_match_the_definition(
+            stride in prop_oneof![(-1024i32..=1024).prop_map(|k| k * 4), -4096i32..=4096],
+            base in any::<u32>(),
+            mask in any::<u32>(),
+        ) {
+            for (banks, width) in GEOMETRIES {
+                let cfg = BankConfig { banks, width, half_warp: 16 };
+                let base = base % (2 * banks * width);
+                for n in [16u32, 32] {
+                    let row: Vec<u32> = (0..n)
+                        .map(|l| base.wrapping_add((stride as u32).wrapping_mul(l)))
+                        .collect();
+                    let all = u32::MAX >> (32 - n);
+                    for active in [all, mask & all] {
+                        let addrs: Vec<Option<u64>> = row
+                            .iter()
+                            .enumerate()
+                            .map(|(l, &a)| (active >> l & 1 != 0).then_some(u64::from(a)))
+                            .collect();
+                        let (load, _) = reference(&addrs, cfg);
+                        prop_assert_eq!(
+                            bank_degree(&row, active, cfg),
+                            load,
+                            "banks {} width {} stride {} base {} active {:#x}",
+                            banks, width, stride, base, active
+                        );
+                    }
+                }
+            }
+        }
+
         /// Lane permutation never changes the serialization degree.
         #[test]
         fn permutation_invariant(addrs in arb_addrs(), seed in 0usize..100) {
@@ -540,6 +694,35 @@ mod tests {
                 // beyond broadcast on an existing word.
                 if addrs[lane].is_none() {
                     prop_assert!(bank_transactions(&dup, cfg) <= d.max(1));
+                }
+            }
+        }
+    }
+
+    /// Every affine row a workload can form: every word-multiple stride
+    /// up to 64 KiB × every base mod 256 B, on the GT200 and on 32 banks
+    /// (16- and 32-lane rows), against the definition. A release sweep:
+    /// `cargo test --release -p gpa-mem -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive sweep, ~10 s in release"]
+    fn affine_rows_match_the_definition_exhaustively() {
+        let configs = [
+            (BankConfig::gt200(), 16u32),
+            (BankConfig::with_banks(32), 16),
+            (BankConfig::with_banks(32), 32),
+        ];
+        for (cfg, n) in configs {
+            for stride in (0..=1u32 << 16).step_by(4) {
+                for base in 0..256u32 {
+                    let row: Vec<u32> = (0..n).map(|l| base + stride * l).collect();
+                    let addrs: Vec<Option<u64>> = row.iter().map(|&a| Some(u64::from(a))).collect();
+                    let (load, _) = reference(&addrs, cfg);
+                    assert_eq!(
+                        bank_degree(&row, u32::MAX >> (32 - n), cfg),
+                        load,
+                        "banks {} lanes {n} stride {stride} base {base}",
+                        cfg.banks
+                    );
                 }
             }
         }

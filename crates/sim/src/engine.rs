@@ -105,7 +105,9 @@ use std::sync::{Mutex, OnceLock};
 /// The smallest job, in warp instructions or trace entries, that
 /// [`Threads::Auto`] shards; smaller jobs run on the caller's thread.
 ///
-/// At ~50 ns per warp instruction, `GRAIN` is ~1.6 ms of simulation, the
+/// At 20–130 ns per warp instruction (20 for an `add.s32`, 65–75 on
+/// average for the matmul and tridiag layer benches, ~130 for SpMV ELL;
+/// sequential, 2-vCPU host), `GRAIN` is ~0.7–4 ms of simulation, the
 /// same order as the ~0.8 ms of CPU that spawning two workers with cold
 /// allocator arenas costs (see the [module docs](crate::engine)). The
 /// smallest paper case that shards, spmv in the blocked-ELL format, has

@@ -1055,8 +1055,17 @@ fn probe(
     op: impl Fn(&mut KernelBuilder, Reg, Reg, Reg) -> usize,
 ) -> (Result<RunOutput, SimError>, usize, GlobalMemory) {
     let (k, pc) = probe_kernel(smem_bytes, op);
-    let k = k.unwrap();
+    let (sim_res, gmem) = run_probe(&k.unwrap(), addrs, addrs2, active);
+    (sim_res, pc, gmem)
+}
 
+/// Run a probe kernel (see [`probe`]) without validating it.
+fn run_probe(
+    k: &Kernel,
+    addrs: &[u32; 32],
+    addrs2: &[u32; 32],
+    active: u32,
+) -> (Result<RunOutput, SimError>, GlobalMemory) {
     let m = machine();
     let mut gmem = GlobalMemory::new();
     let mut table: Vec<u32> = addrs.to_vec();
@@ -1066,11 +1075,11 @@ fn probe(
     table.push(0);
     let tab = gmem.alloc_u32(&table);
     let sim_res = {
-        let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(1, 32)).unwrap();
+        let mut sim = FunctionalSim::unvalidated(&m, k, LaunchConfig::new_1d(1, 32)).unwrap();
         sim.set_params(&[tab as u32]);
         sim.run(&mut gmem)
     };
-    (sim_res, pc, gmem)
+    (sim_res, gmem)
 }
 
 /// The kernel of a [`probe`] (built and validated) and the probed pc.
@@ -1532,6 +1541,106 @@ fn baseless_shared_faults_match_a_uniform_base_register() {
                 assert_eq!(scalar, row, "offset {off} len {len} exec {exec:#x}");
             }
         }
+    }
+}
+
+/// A [`probe`] of `u` at the bare offset `off`, which validation may
+/// refuse: the kernel is built at offset 0, patched, and run
+/// unvalidated, so only the simulator's own checks see the offset.
+fn probe_bare(u: SmemUse, off: i32, active: u32) -> (Result<RunOutput, SimError>, usize) {
+    let (k, pc) = probe_kernel(128, u.op(0, false));
+    let mut k = k.unwrap();
+    match &mut k.instrs[pc].op {
+        Op::LdShared { addr, .. } | Op::StShared { addr, .. } => addr.offset = off,
+        Op::IAdd {
+            b: Src::SMem(addr), ..
+        } => addr.offset = off,
+        op => panic!("{op:?} has no bare shared address"),
+    }
+    let ok = lane_addrs(0, 4, &[]);
+    let (res, _) = run_probe(&k, &[off as u32; 32], &ok, active);
+    (res, pc)
+}
+
+#[test]
+fn baseless_shared_faults_checked_per_kernel_only_under_an_active_lane() {
+    // An address that fails the per-kernel check keeps the per-execution
+    // check: it raises exactly the error of a base register holding the
+    // offset in every lane, and nothing when every lane is guarded off.
+    let ok = lane_addrs(0, 4, &[]);
+    for u in SmemUse::ALL {
+        let len = u.bytes() as i32;
+        for off in [-4, 2, 4, 6, 8, 120, 124, 128, 1 << 16] {
+            if off >= 0 && off + len <= 128 && off % len == 0 {
+                continue;
+            }
+            for active in [u32::MAX, 1 << 7, 0x8000_0000] {
+                let (bare, _) = probe_bare(u, off, active);
+                let (based, _, _) = probe(128, &[off as u32; 32], &ok, active, u.op(off, true));
+                assert_eq!(bare.unwrap_err(), based.unwrap_err(), "{u:?} {off}");
+            }
+            let t = probe_bare(u, off, 0).0.unwrap().stats.total();
+            assert_eq!((t.smem_instrs, t.smem_half_txns), (0, 0), "{u:?} {off}");
+        }
+    }
+    // (use, offset, active, out of bounds rather than misaligned, the
+    // faulting address and length). A wide access checks each 4-byte
+    // phase, then its whole width.
+    let cases = [
+        (SmemUse::Operand, 128, 1, true, 128, 4),
+        (SmemUse::Operand, -4, 1 << 31, true, -4, 4),
+        (SmemUse::Load(Width::B32), 2, u32::MAX, false, 2, 4),
+        (SmemUse::Load(Width::B64), 124, u32::MAX, true, 128, 4),
+        (SmemUse::Store(Width::B64), 4, 1 << 16, false, 4, 8),
+        (SmemUse::Store(Width::B128), 8, 1, false, 8, 16),
+    ];
+    for (u, off, active, oob, at, len) in cases {
+        let (res, pc) = probe_bare(u, off, active);
+        let want = if oob {
+            SimError::SharedOutOfBounds {
+                offset: at,
+                len,
+                pc,
+            }
+        } else {
+            SimError::Misaligned {
+                addr: at as u64,
+                len,
+                pc,
+            }
+        };
+        assert_eq!(res.unwrap_err(), want, "{u:?} {off}");
+    }
+}
+
+#[test]
+fn stride_zero_atomics_serialize_where_loads_broadcast() {
+    // One word for all 32 lanes: a load broadcasts (one transaction per
+    // half-warp), an atomic serializes 16 deep per half-warp, from a base
+    // register or a bare address alike.
+    let ok = lane_addrs(0, 4, &[]);
+    let same = [8u32; 32];
+    let atom = |based: bool| {
+        move |b: &mut KernelBuilder, a: Reg, _: Reg, v: Reg| {
+            let addr = MemAddr::new(based.then_some(a), if based { 0 } else { 8 });
+            emit(b, |b| {
+                b.atom_shared_add(v, addr, v);
+            })
+        }
+    };
+    for based in [true, false] {
+        let (res, _, _) = probe(128, &same, &ok, u32::MAX, atom(based));
+        let t = res.unwrap().stats.total();
+        assert_eq!((t.smem_half_txns, t.smem_half_accesses), (32, 2), "{based}");
+        assert_eq!(
+            (t.atomic_half_txns, t.atomic_half_accesses),
+            (32, 2),
+            "{based}"
+        );
+        let load = SmemUse::Load(Width::B32).op(8, based);
+        let (res, _, _) = probe(128, &same, &ok, u32::MAX, load);
+        let t = res.unwrap().stats.total();
+        assert_eq!((t.smem_half_txns, t.smem_half_accesses), (2, 2), "{based}");
     }
 }
 
