@@ -141,6 +141,60 @@ fn bench_shared_access(c: &mut Criterion) {
     group.finish();
 }
 
+/// The cost of one global access per warp instruction, on the kernels
+/// and launch of [`bench_shared_access`], each lane addressing a 4 KiB
+/// region through a base register: `gmem_load_unit_stride` and
+/// `gmem_store_unit_stride` move word `tid` (one 128-byte row per warp),
+/// `gmem_load_scattered` loads word `tid² mod 1024` (a segment per lane
+/// or two).
+fn bench_global_access(c: &mut Criterion) {
+    let machine = Machine::gtx285();
+    let launch = LaunchConfig::new_1d(64, 64);
+    let address = |b: &mut KernelBuilder, tid: Reg| {
+        let p = b.param_alloc();
+        let at = b.alloc_reg().unwrap();
+        b.ld_param(at, p);
+        b.shl(tid, Src::Reg(tid), Src::Imm(2));
+        b.iadd(tid, Src::Reg(tid), Src::Reg(at));
+    };
+    let load = |b: &mut KernelBuilder, tid: Reg, r: Reg| {
+        b.ld_global(r, MemAddr::new(Some(tid), 0), Width::B32);
+    };
+    let kernels = [
+        straight_line("gmem_load_unit_stride", |b, tid, _| address(b, tid), load),
+        straight_line(
+            "gmem_store_unit_stride",
+            |b, tid, _| address(b, tid),
+            |b, tid, r| {
+                b.st_global(MemAddr::new(Some(tid), 0), r, Width::B32);
+            },
+        ),
+        straight_line(
+            "gmem_load_scattered",
+            |b, tid, _| {
+                b.imul(tid, Src::Reg(tid), Src::Reg(tid));
+                b.and(tid, Src::Reg(tid), Src::Imm(1023));
+                address(b, tid);
+            },
+            load,
+        ),
+    ];
+    let mut group = c.benchmark_group("func_sim");
+    for kernel in &kernels {
+        let mut gmem = GlobalMemory::new();
+        let at = gmem.alloc(4096, 128);
+        let mut sim = FunctionalSim::new(&machine, kernel, launch).unwrap();
+        sim.set_params(&[at as u32]);
+        sim.add_region("words", at, 4096);
+        let warp_instrs = sim.work_estimate().expect("a straight-line kernel");
+        group.throughput(Throughput::Elements(warp_instrs));
+        group.bench_function(&kernel.name, |b| {
+            b.iter(|| sim.run(&mut gmem).unwrap().stats)
+        });
+    }
+    group.finish();
+}
+
 fn bench_engine_sharding(c: &mut Criterion) {
     // The block-sharding speedup exhibit: one large homogeneous grid
     // (matmul 256², 64 blocks of 64 threads), executed sequentially vs
@@ -221,7 +275,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_coalescer, bench_bank_conflicts, bench_functional_sim, bench_shared_access,
-              bench_engine_sharding, bench_timing_sim, bench_model,
+              bench_global_access, bench_engine_sharding, bench_timing_sim, bench_model,
               bench_spmv_generation
 }
 criterion_main!(benches);

@@ -158,7 +158,32 @@ pub struct SegmentSpan {
 impl SegmentSpan {
     /// Step 3: halve the segment while the used bytes fit in an aligned
     /// half, down to `min_segment`.
+    ///
+    /// Aligned power-of-two blocks nest, so the halving stops at the
+    /// smallest aligned block that holds `[lo, hi)`, or at `min_segment`.
+    /// A block of `2^k` bytes holds both `lo` and `hi − 1` exactly when
+    /// they agree above bit `k`, so that smallest block has
+    /// `2^bitlen(lo ^ (hi − 1))` bytes, and one clamp gives the answer.
+    /// The span must be non-empty and lie inside its segment, as every
+    /// span [`segment_spans`] emits does.
+    #[inline]
     pub fn reduce(self, min_segment: u32) -> Transaction {
+        debug_assert!(self.lo < self.hi);
+        let bits = u64::BITS - (self.lo ^ (self.hi - 1)).leading_zeros();
+        let size = (1u64 << bits.min(32))
+            .max(u64::from(min_segment))
+            .min(u64::from(self.size));
+        let t = Transaction {
+            base: self.lo & !(size - 1),
+            size: size as u32,
+        };
+        debug_assert_eq!(t, self.reduce_by_halving(min_segment));
+        t
+    }
+
+    /// Step 3 as the protocol states it, one halving at a time: the
+    /// definition [`SegmentSpan::reduce`] is checked against.
+    fn reduce_by_halving(self, min_segment: u32) -> Transaction {
         let (mut base, mut size) = (self.base, self.size);
         let used = (self.hi - self.lo) as u32;
         while size > min_segment {
@@ -179,6 +204,171 @@ impl SegmentSpan {
         }
         Transaction { base, size }
     }
+}
+
+/// What a row of lane addresses spans over its active lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extent {
+    /// Lowest active address.
+    pub lo: u64,
+    /// Highest active address.
+    pub hi: u64,
+    /// Every active address is a multiple of `2^align` (64 when every
+    /// active address is zero).
+    pub align: u32,
+}
+
+impl Extent {
+    /// The extent of the active lanes of `addrs` (bit *i* of `mask` says
+    /// whether `addrs[i]` is active), or `None` when no lane is.
+    ///
+    /// When every lane is active and the lanes step by one stride `d` (as
+    /// unit-stride, broadcast and strided rows do), the ends of the row
+    /// bound it, and its first address and `d` give its alignment. The
+    /// stride check is a pass of subtractions; an unsigned 64-bit minimum
+    /// is not a vector operation on baseline x86-64, so the masked pass
+    /// over every lane runs only for other rows.
+    #[inline]
+    pub fn of(addrs: &[u64], mask: u32) -> Option<Extent> {
+        let n = addrs.len();
+        debug_assert!((1..=32).contains(&n) && mask.checked_shr(n as u32).unwrap_or(0) == 0);
+        if mask == 0 {
+            return None;
+        }
+        let (first, last) = (addrs[0], addrs[n - 1]);
+        if mask == u32::MAX >> (32 - n) {
+            let d = addrs.get(1).map_or(0, |a| a.wrapping_sub(first)) as i64;
+            let affine = addrs
+                .windows(2)
+                .all(|w| w[1].wrapping_sub(w[0]) == d as u64);
+            // Without wrapping past either end of the address space, the
+            // lanes step from `first` to `last` monotonically.
+            let end = d
+                .checked_mul(n as i64 - 1)
+                .and_then(|span| first.checked_add_signed(span));
+            if affine && end == Some(last) {
+                let extent = Extent::affine(first, d, n);
+                debug_assert_eq!(extent, Extent::masked(addrs, mask));
+                return Some(extent);
+            }
+        }
+        Some(Extent::masked(addrs, mask))
+    }
+
+    /// The extent of `n ≥ 1` active lanes whose addresses are
+    /// `first + l·stride` for `l < n`, each inside the address space (the
+    /// ends bound the row; the first address and the stride give its
+    /// alignment).
+    #[inline]
+    pub fn affine(first: u64, stride: i64, n: usize) -> Extent {
+        let last = first.wrapping_add_signed(stride.wrapping_mul(n as i64 - 1));
+        let step = if n > 1 { stride as u64 } else { 0 };
+        Extent {
+            lo: first.min(last),
+            hi: first.max(last),
+            align: (first | step).trailing_zeros(),
+        }
+    }
+
+    /// [`Extent::of`] by one masked pass over the lanes.
+    fn masked(addrs: &[u64], mask: u32) -> Extent {
+        let (mut lo, mut hi, mut bits) = (u64::MAX, 0u64, 0u64);
+        for (i, &a) in addrs.iter().enumerate() {
+            let on = mask >> i & 1 != 0;
+            lo = lo.min(if on { a } else { u64::MAX });
+            hi = hi.max(if on { a } else { 0 });
+            bits |= if on { a } else { 0 };
+        }
+        Extent {
+            lo,
+            hi,
+            align: bits.trailing_zeros(),
+        }
+    }
+
+    /// Whether every active address is aligned to `len` bytes, a power
+    /// of two.
+    pub fn aligned(&self, len: u32) -> bool {
+        len.trailing_zeros() <= self.align
+    }
+
+    /// The extent of the active lanes of two rows together.
+    pub fn union(self, other: Extent) -> Extent {
+        Extent {
+            lo: self.lo.min(other.lo),
+            hi: self.hi.max(other.hi),
+            align: self.align.min(other.align),
+        }
+    }
+}
+
+/// Steps 1, 2 and 4 of the protocol for the active lanes of one
+/// half-warp: `addrs[i]` is lane *i*'s address, bit *i* of `mask` says
+/// whether lane *i* is active, `extent` is [`Extent::of`]`(addrs, mask)`,
+/// and every access is `len` bytes. `emit` receives exactly the spans, in
+/// exactly the order, that [`segment_spans`] emits for the active lanes
+/// in lane order.
+///
+/// When the active lanes lie in one `max_segment`-aligned segment, that
+/// one span is emitted directly, its bounds taken from `extent`;
+/// otherwise [`segment_spans`] runs. Unit-stride, broadcast and most
+/// small-stride half-warps take the first path.
+///
+/// Callers guarantee what [`segment_spans`] requires: `max_segment` and
+/// `len` are powers of two, `len ≤ max_segment`, and every active
+/// address is aligned to `len`.
+pub fn half_warp_spans(
+    addrs: &[u64],
+    mask: u32,
+    extent: Extent,
+    len: u32,
+    max_segment: u32,
+    mut emit: impl FnMut(SegmentSpan),
+) {
+    debug_assert_eq!(Some(extent), Extent::of(addrs, mask));
+    let segment = !(u64::from(max_segment) - 1);
+    if extent.lo & segment == extent.hi & segment {
+        let span = SegmentSpan {
+            base: extent.lo & segment,
+            size: max_segment,
+            lo: extent.lo,
+            hi: extent.hi + u64::from(len),
+        };
+        debug_assert_eq!(
+            {
+                let mut by_protocol = None;
+                protocol_spans(addrs, mask, len, max_segment, &mut |s| {
+                    assert!(by_protocol.replace(s).is_none(), "one span");
+                });
+                by_protocol
+            },
+            Some(span)
+        );
+        emit(span);
+        return;
+    }
+    protocol_spans(addrs, mask, len, max_segment, &mut emit);
+}
+
+/// [`segment_spans`] over the active lanes of a half-warp (out of line,
+/// so the one-segment path stays small enough to inline).
+#[inline(never)]
+fn protocol_spans(
+    addrs: &[u64],
+    mask: u32,
+    len: u32,
+    max_segment: u32,
+    emit: &mut dyn FnMut(SegmentSpan),
+) {
+    let mut pending = [(0u64, 0u32); 32];
+    let mut n = 0;
+    for (i, &a) in addrs.iter().enumerate() {
+        if mask >> i & 1 != 0 {
+            pending[n] = (a, len);
+            n += 1;
+        }
+    }
+    segment_spans(&mut pending[..n], max_segment, emit);
 }
 
 /// Steps 1, 2 and 4 of the protocol for one half-warp: `pending` holds the
@@ -385,6 +575,48 @@ mod tests {
         );
     }
 
+    /// The closed-form step 3 against the halving loop, for every
+    /// non-empty byte span `[lo, hi)` of one 128-byte segment (8,256
+    /// spans) at every granularity of paper Figure 11.
+    #[test]
+    fn closed_form_reduce_matches_halving_exhaustively() {
+        let base = 5 * 128;
+        let mut spans = 0;
+        for lo in base..base + 128 {
+            for hi in lo + 1..=base + 128 {
+                let span = SegmentSpan {
+                    base,
+                    size: 128,
+                    lo,
+                    hi,
+                };
+                for min in [32, 16, 4] {
+                    assert_eq!(
+                        span.reduce(min),
+                        span.reduce_by_halving(min),
+                        "{span:?} at {min} B"
+                    );
+                }
+                spans += 1;
+            }
+        }
+        assert_eq!(spans, 8_256);
+    }
+
+    #[test]
+    fn a_row_without_active_lanes_has_no_extent() {
+        assert_eq!(Extent::of(&[64; 16], 0), None);
+    }
+
+    #[test]
+    fn a_row_that_wraps_is_bounded_lane_by_lane() {
+        // A stride that is affine modulo 2^64 but wraps past the top of
+        // the address space: the ends are not the bounds.
+        let addrs: Vec<u64> = (0..16u64).map(|l| (l * 4).wrapping_sub(8)).collect();
+        let extent = Extent::of(&addrs, 0xFFFF).unwrap();
+        assert_eq!((extent.lo, extent.hi, extent.align), (0, u64::MAX - 3, 2));
+    }
+
     #[test]
     #[should_panic(expected = "not naturally aligned")]
     fn misaligned_access_rejected() {
@@ -407,7 +639,73 @@ mod tests {
         proptest::collection::vec(arb_access(), 16)
     }
 
+    /// Reference extent: a plain walk over the active lanes.
+    fn reference_extent(addrs: &[u64], mask: u32) -> Option<Extent> {
+        let active: Vec<u64> = (0..addrs.len())
+            .filter(|&l| mask >> l & 1 != 0)
+            .map(|l| addrs[l])
+            .collect();
+        Some(Extent {
+            lo: *active.iter().min()?,
+            hi: *active.iter().max()?,
+            align: active.iter().fold(0, |x, a| x | a).trailing_zeros(),
+        })
+    }
+
     proptest! {
+        /// The half-warp path emits exactly the spans, in exactly the
+        /// order, that `segment_spans` emits for the active lanes in lane
+        /// order, on affine rows `base + l·stride`: strides of either sign
+        /// (0 is a broadcast) up to and past a segment, bases on either
+        /// side of a segment edge, full, empty and random partial masks,
+        /// widths 4, 8 and 16, and rows of 16 and 32 lanes. The extent it
+        /// is given agrees with a plain walk, and with the affine form
+        /// whenever every lane is active.
+        #[test]
+        fn half_warp_spans_match_segment_spans(
+            width in prop_oneof![Just(4u32), Just(8), Just(16)],
+            step in prop_oneof![-40i64..=40, -300i64..=300],
+            edge in 2u64..64,
+            side in -40i64..=40,
+            partial in any::<u32>(),
+        ) {
+            let w = i64::from(width);
+            let stride = step * w;
+            let base = (edge * 128 * 1024).wrapping_add_signed(side * w);
+            for n in [16usize, 32] {
+                let addrs: Vec<u64> = (0..n as i64)
+                    .map(|l| base.wrapping_add_signed(l * stride))
+                    .collect();
+                let all = u32::MAX >> (32 - n);
+                for mask in [all, 0, partial & all] {
+                    let extent = Extent::of(&addrs, mask);
+                    prop_assert_eq!(extent, reference_extent(&addrs, mask));
+                    if mask == all {
+                        prop_assert_eq!(extent, Some(Extent::affine(base, stride, n)));
+                    }
+                    let mut fast = Vec::new();
+                    if let Some(extent) = extent {
+                        half_warp_spans(&addrs, mask, extent, width, 128, |s| fast.push(s));
+                    }
+                    let mut pending: Vec<(u64, u32)> = (0..n)
+                        .filter(|&l| mask >> l & 1 != 0)
+                        .map(|l| (addrs[l], width))
+                        .collect();
+                    let mut by_protocol = Vec::new();
+                    segment_spans(&mut pending, 128, |s| by_protocol.push(s));
+                    prop_assert_eq!(
+                        &fast,
+                        &by_protocol,
+                        "width {} stride {} base {:#x} mask {:#x}",
+                        width,
+                        stride,
+                        base,
+                        mask
+                    );
+                }
+            }
+        }
+
         /// Every requested byte is covered by some transaction.
         #[test]
         fn coverage(acc in arb_half_warp()) {

@@ -20,19 +20,26 @@
 //! * The grid's blocks `0..n` are split into one **contiguous range** of
 //!   near-equal size per worker; the workers claim the ranges through
 //!   [`par_map`].
-//! * Each range runs against a **private copy** of the initial
+//! * The first range runs against the **caller's memory**, so its writes
+//!   land in place and in block-id order, as the sequential walk's do.
+//!   Every other range runs against a **private copy** of the initial
 //!   [`GlobalMemory`] with write capture enabled
-//!   ([`GlobalMemory::begin_write_capture`]), a fresh
-//!   [`crate::stats::DynamicStats`] accumulator, and the grid's whole fuel
-//!   budget, in block-id order — the same walk an inline run takes over
-//!   the whole grid.
+//!   ([`GlobalMemory::begin_write_capture`]). The first range can write in
+//!   place because it runs first in the sequential order: it is never
+//!   aborted and never overdraws the fuel, so nothing below it can
+//!   invalidate its writes. Each range gets a fresh
+//!   [`crate::stats::DynamicStats`] accumulator and the grid's whole fuel
+//!   budget and walks in block-id order — the same walk an inline run
+//!   takes over the whole grid.
 //! * Results merge **in block-id order**: per-stage statistics via
 //!   [`crate::stats::StageStats::merge_blocks`] (all counters are additive
 //!   across disjoint block sets), per-region traffic summed, traces
-//!   concatenated, and the captured write logs replayed into the caller's
-//!   memory ([`GlobalMemory::apply_writes`]). Replaying in block-id order
-//!   makes even racy cross-block overwrites resolve exactly as the
-//!   sequential walk would.
+//!   concatenated, and the captured write logs of the later ranges
+//!   replayed into the caller's memory ([`GlobalMemory::apply_writes`]).
+//!   Replaying in block-id order makes even racy cross-block overwrites
+//!   resolve exactly as the sequential walk would, and an outer capture
+//!   on the caller's memory logs the first range's writes as they happen
+//!   and the rest as they are replayed: the sequential walk's log.
 //!
 //! Under [`crate::TraceBlocks::Replay`] the merge also drops repeats
 //! across ranges: a range whose first trace is shape-equal to block 0's
@@ -48,8 +55,9 @@
 //! caller's memory exactly as the sequential walk leaves it: the writes of
 //! every block below the faulting one, plus the faulting block's own
 //! writes up to its fault. That holds at every worker count: a sharded run
-//! replays the logs of every range below the failing one, then the failing
-//! range's log, which stops at its fault. Ranges *above* a failing one
+//! keeps the first range's writes in place, replays the logs of every
+//! later range below the failing one, then the failing range's log, which
+//! stops at its fault. Ranges *above* a failing one
 //! abort between blocks (their results could never be observed); ranges
 //! below always run to completion, because one of them may still fail
 //! earlier and become the authoritative error.
@@ -77,8 +85,9 @@
 //! user + 100 µs system time; when each thread also allocates its warps'
 //! register files, its first touches of a cold allocator arena raise
 //! that to about 150 µs user + 650 µs system time and ~190 page faults
-//! (2-vCPU host). Each worker also copies the device memory. On a 1–3 ms
-//! kernel that is as much CPU as the simulation itself.
+//! (2-vCPU host). Each range after the first also copies the device
+//! memory. On a 1–3 ms kernel that is as much CPU as the simulation
+//! itself.
 //!
 //! So [`Threads::Auto`] shards only work that repays the threads: a job
 //! whose estimated size is below [`GRAIN`] runs on the caller's thread
@@ -105,8 +114,9 @@ use std::sync::{Mutex, OnceLock};
 /// The smallest job, in warp instructions or trace entries, that
 /// [`Threads::Auto`] shards; smaller jobs run on the caller's thread.
 ///
-/// At 20–130 ns per warp instruction (20 for an `add.s32`, 65–75 on
-/// average for the matmul and tridiag layer benches, ~130 for SpMV ELL;
+/// At 20–130 ns per warp instruction (20 for an `add.s32`, 60–70 for a
+/// unit-stride `ld.global`, 65–75 on average for the matmul and tridiag
+/// layer benches before global accesses got cheaper, ~130 for SpMV ELL;
 /// sequential, 2-vCPU host), `GRAIN` is ~0.7–4 ms of simulation, the
 /// same order as the ~0.8 ms of CPU that spawning two workers with cold
 /// allocator arenas costs (see the [module docs](crate::engine)). The
@@ -244,32 +254,42 @@ pub(crate) fn run(
         return inline.expect("an inline walk never aborts").0;
     }
 
-    // Copy the memory on the caller's thread: a copy made on a worker
-    // comes from that worker's allocator arena, which keeps its peak
-    // after the run (perfbench `paper_cases` `rss_mb` read ~11% higher
-    // that way on a 2-vCPU host).
-    let shards: Vec<(Range<u32>, Mutex<GlobalMemory>)> = shard_plan(num_blocks, workers)
-        .into_iter()
-        .map(|range| (range, Mutex::new(gmem.clone())))
-        .collect();
+    // Range 0 walks on the caller's memory, so its writes land in place
+    // and in order (an outer capture logs them as they happen). Every
+    // other range walks on a copy of the initial memory with write capture
+    // on. The copies are made on the caller's thread before any range
+    // starts: a copy made on a worker comes from that worker's allocator
+    // arena, which keeps its peak after the run (perfbench `paper_cases`
+    // `rss_mb` read ~11% higher that way on a 2-vCPU host).
+    let plan = shard_plan(num_blocks, workers);
+    let copies: Vec<Mutex<GlobalMemory>> =
+        plan[1..].iter().map(|_| Mutex::new(gmem.clone())).collect();
+    let caller = Mutex::new(&mut *gmem);
     // Fail-fast coordination: a failing range publishes its index so
     // *higher* ranges stop wasting work between blocks. Lower ranges
     // always run to completion — they must, because the authoritative
     // error is the one from the lowest failing range (sequential
     // semantics), and a lower range may still fail earlier.
     let lowest_failed = AtomicUsize::new(usize::MAX);
-    let outs = par_map(&shards, shards.len(), |idx, (range, mem)| {
-        let shard_mem = &mut *mem.lock().expect("a range runs once");
-        shard_mem.begin_write_capture();
+    let outs = par_map(&plan, plan.len(), |idx, range| {
         let aborted = || lowest_failed.load(Ordering::Relaxed) < idx;
-        let (out, spent) = walk(sim, shard_mem, range.clone(), budget, aborted)?;
+        let (out, spent, writes) = if idx == 0 {
+            let mut mem = caller.lock().expect("a range runs once");
+            let (out, spent) = walk(sim, &mut mem, range.clone(), budget, aborted)?;
+            (out, spent, None)
+        } else {
+            let mut copy = copies[idx - 1].lock().expect("a range runs once");
+            copy.begin_write_capture();
+            let (out, spent) = walk(sim, &mut copy, range.clone(), budget, aborted)?;
+            (out, spent, Some(copy.take_captured_writes()))
+        };
         if out.is_err() {
             lowest_failed.fetch_min(idx, Ordering::Relaxed);
         }
-        Some((out, spent, shard_mem.take_captured_writes()))
+        Some((out, spent, writes))
     });
     // Free the copies before the merge allocates.
-    let ranges: Vec<Range<u32>> = shards.into_iter().map(|(range, _)| range).collect();
+    drop((copies, caller));
 
     // Deterministic merge in block-id order, up to and including the
     // first failing range, charging each range's fuel against what the
@@ -277,11 +297,13 @@ pub(crate) fn run(
     let mut left = budget;
     let mut stats = sim.fresh_stats();
     let mut traces = sim.recorder();
-    for (range, out) in ranges.into_iter().zip(outs) {
+    for (range, out) in plan.into_iter().zip(outs) {
         let (out, spent) = match out {
             Some((out, spent, writes)) if spent <= left => {
-                gmem.apply_writes(&writes)
-                    .expect("captured writes replay into the memory they came from");
+                if let Some(writes) = writes {
+                    gmem.apply_writes(&writes)
+                        .expect("captured writes replay into the memory they came from");
+                }
                 (out, spent)
             }
             // The range overdraws the grid's fuel (or was aborted, which

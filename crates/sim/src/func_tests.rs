@@ -1722,3 +1722,140 @@ fn baseless_shared_store_takes_the_highest_active_lane() {
         assert_eq!(stats, based_stats, "{width:?}");
     }
 }
+
+/// One warp of 32 threads where lane `l` loads (or, with `store`, writes
+/// `l + 100` to) the word at `first + l·stride` bytes into a 1 KiB
+/// allocation, with `regions` declared as `(name, offset, len)` into it.
+/// Returns the run's statistics, the allocation's address and the
+/// captured writes.
+fn global_row(
+    first: i32,
+    stride: i32,
+    store: bool,
+    regions: &[(&str, u64, u64)],
+) -> (DynamicStats, u64, Vec<(u64, u32)>) {
+    let mut b = KernelBuilder::new("global_row");
+    b.set_threads(32);
+    let p = b.param_alloc();
+    let [tid, addr, base, v] = [(); 4].map(|_| b.alloc_reg().unwrap());
+    b.s2r(tid, SpecialReg::TidX);
+    b.imul(addr, Src::Reg(tid), Src::Imm(stride));
+    b.ld_param(base, p);
+    b.iadd(addr, Src::Reg(addr), Src::Reg(base));
+    if store {
+        b.iadd(v, Src::Reg(tid), Src::Imm(100));
+        b.st_global(MemAddr::new(Some(addr), first), v, Width::B32);
+    } else {
+        b.ld_global(v, MemAddr::new(Some(addr), first), Width::B32);
+    }
+    b.exit();
+    let k = b.finish().unwrap();
+    let m = machine();
+    let mut gmem = GlobalMemory::new();
+    let at = gmem.alloc(1024, 128);
+    let mut sim = FunctionalSim::new(&m, &k, LaunchConfig::new_1d(1, 32)).unwrap();
+    sim.set_params(&[at as u32]);
+    for &(name, off, len) in regions {
+        sim.add_region(name, at + off, len);
+    }
+    gmem.begin_write_capture();
+    let stats = sim.run(&mut gmem).unwrap().stats;
+    (stats, at, gmem.take_captured_writes())
+}
+
+/// Per-region traffic by the definition: each lane's request, and each
+/// transaction of every granularity, goes to the first region that holds
+/// its address (transactions by their base), one lookup at a time.
+fn region_traffic_by_definition(
+    regions: &[RegionStats],
+    addrs: &[u64; 32],
+) -> Vec<(u64, [GmemGranStats; 3])> {
+    let find = |a: u64| regions.iter().position(|r| r.contains(a));
+    let mut out = vec![(0, [GmemGranStats::default(); 3]); regions.len()];
+    for &a in addrs {
+        if let Some(r) = find(a) {
+            out[r].0 += 4;
+        }
+    }
+    for half in addrs.chunks(16) {
+        let accesses: Vec<_> = half.iter().map(|&a| Some((a, 4))).collect();
+        for (g, &min) in GRANULARITIES.iter().enumerate() {
+            let cfg = CoalesceConfig::with_min_segment(min);
+            for t in gpa_mem::coalesce::coalesce_half_warp(&accesses, cfg) {
+                if let Some(r) = find(t.base) {
+                    out[r].1[g].transactions += 1;
+                    out[r].1[g].bytes += u64::from(t.size);
+                }
+            }
+        }
+    }
+    out
+}
+
+fn region_traffic(stats: &DynamicStats) -> Vec<(u64, [GmemGranStats; 3])> {
+    stats
+        .regions
+        .iter()
+        .map(|r| (r.requested_bytes, r.gmem))
+        .collect()
+}
+
+#[test]
+fn coalesced_load_below_an_unaligned_region_attributes_per_transaction() {
+    // Lanes read 128 bytes from 32 bytes into a region that starts 32
+    // bytes past a segment: half-warp 0's transaction starts at the
+    // segment base, below the region. It goes to the region holding its
+    // base (`head`), or to none when no region does. A region holding
+    // the whole segment (`all`) takes every transaction at once.
+    for regions in [
+        &[("head", 0, 32), ("body", 32, 256)][..],
+        &[("body", 32, 256)][..],
+        &[("all", 0, 1024)][..],
+    ] {
+        let (stats, at, _) = global_row(32, 4, false, regions);
+        let addrs: [u64; 32] = std::array::from_fn(|l| at + 32 + 4 * l as u64);
+        let expect = region_traffic_by_definition(&stats.regions, &addrs);
+        assert_eq!(region_traffic(&stats), expect, "{regions:?}");
+        if regions[0].0 == "head" {
+            assert_eq!(expect[0].0, 0, "no lane reads the head");
+            let head = GmemGranStats {
+                transactions: 1,
+                bytes: 128,
+            };
+            assert_eq!(expect[0].1[GRAN_GT200], head);
+        }
+        let total = stats.total().gmem[GRAN_GT200];
+        let attributed: u64 = expect.iter().map(|r| r.1[GRAN_GT200].bytes).sum();
+        let segment_base_in_a_region = regions[0].1 == 0;
+        assert_eq!(attributed == total.bytes, segment_base_in_a_region);
+    }
+}
+
+#[test]
+fn an_access_straddling_two_regions_attributes_each_side() {
+    // Unit stride across a region boundary 64 bytes in, and a two-word
+    // stride across one at 96 bytes (so a transaction straddles it).
+    for (stride, split) in [(4, 64), (8, 96)] {
+        let regions = [("left", 0, split), ("right", split, 512)];
+        let (stats, at, _) = global_row(0, stride, false, &regions);
+        let addrs: [u64; 32] = std::array::from_fn(|l| at + (stride as u64) * l as u64);
+        let expect = region_traffic_by_definition(&stats.regions, &addrs);
+        assert_eq!(region_traffic(&stats), expect, "stride {stride}");
+        assert!(expect.iter().all(|r| r.0 > 0), "both regions requested");
+    }
+}
+
+#[test]
+fn unit_stride_store_under_capture_logs_lane_order() {
+    // A full-warp unit-stride store moves one row; the capture log holds
+    // one record per lane, in lane order, exactly as a lane-by-lane store
+    // (here, the same store at stride −4) logs its lanes.
+    let (_, at, log) = global_row(0, 4, true, &[]);
+    let lanes: Vec<(u64, u32)> = (0..32).map(|l| (at + 4 * l, l as u32 + 100)).collect();
+    assert_eq!(log, lanes);
+    let (_, at, log) = global_row(124, -4, true, &[]);
+    let reversed: Vec<(u64, u32)> = (0..32)
+        .map(|l| (at + 124 - 4 * l, l as u32 + 100))
+        .collect();
+    assert_eq!(log, reversed);
+}

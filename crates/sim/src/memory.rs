@@ -162,6 +162,16 @@ impl GlobalMemory {
         }
     }
 
+    /// Load the 32 consecutive words from `addr` into `row`, lane `l`
+    /// from `addr + 4l`: [`GlobalMemory::load_lanes`] for a full warp at
+    /// unit stride, as one copy. The words were checked in bounds.
+    pub(crate) fn load_row(&self, addr: u64, row: &mut [u32; 32]) {
+        let i = addr as usize;
+        for (v, word) in row.iter_mut().zip(self.data[i..i + 128].chunks_exact(4)) {
+            *v = u32::from_le_bytes(word.try_into().expect("chunks of 4 bytes"));
+        }
+    }
+
     /// Store each lane of `exec` to its address in `addrs`: word `k` of
     /// the access from `rows[k]`. Lanes store in order, each its words in
     /// order, so the highest lane wins a race and an active capture logs
@@ -177,6 +187,20 @@ impl GlobalMemory {
                     log.push((at, row[l]));
                 }
             }
+        }
+    }
+
+    /// Store `row` to the 32 consecutive words from `addr`, lane `l` to
+    /// `addr + 4l`: [`GlobalMemory::store_lanes`] for a full warp at unit
+    /// stride, as one copy, logged in the same lane order. The words were
+    /// checked in bounds.
+    pub(crate) fn store_row(&mut self, addr: u64, row: &[u32; 32]) {
+        let i = addr as usize;
+        for (word, v) in self.data[i..i + 128].chunks_exact_mut(4).zip(row) {
+            word.copy_from_slice(&v.to_le_bytes());
+        }
+        if let Some(log) = self.capture.as_mut() {
+            log.extend((addr..).step_by(4).zip(row.iter().copied()));
         }
     }
 
