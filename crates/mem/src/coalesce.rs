@@ -656,10 +656,12 @@ mod tests {
         /// The half-warp path emits exactly the spans, in exactly the
         /// order, that `segment_spans` emits for the active lanes in lane
         /// order, on affine rows `base + l·stride`: strides of either sign
-        /// (0 is a broadcast) up to and past a segment, bases on either
-        /// side of a segment edge, full, empty and random partial masks,
-        /// widths 4, 8 and 16, and rows of 16 and 32 lanes. The extent it
-        /// is given agrees with a plain walk, and with the affine form
+        /// up to and past a segment, bases on either side of a segment
+        /// edge, full, empty and random partial masks, widths 4, 8 and 16,
+        /// and rows of 16 and 32 lanes. Every case also runs strides of 0
+        /// (a broadcast), ±1 and 2 words, whose rows often lie in one
+        /// segment: random strides up to 300 words rarely do. The extent
+        /// it is given agrees with a plain walk, and with the affine form
         /// whenever every lane is active.
         #[test]
         fn half_warp_spans_match_segment_spans(
@@ -670,9 +672,11 @@ mod tests {
             partial in any::<u32>(),
         ) {
             let w = i64::from(width);
-            let stride = step * w;
             let base = (edge * 128 * 1024).wrapping_add_signed(side * w);
-            for n in [16usize, 32] {
+            for (stride, n) in [0, w, -w, 2 * w, step * w]
+                .into_iter()
+                .flat_map(|stride| [(stride, 16usize), (stride, 32)])
+            {
                 let addrs: Vec<u64> = (0..n as i64)
                     .map(|l| base.wrapping_add_signed(l * stride))
                     .collect();

@@ -114,12 +114,13 @@ use std::sync::{Mutex, OnceLock};
 /// The smallest job, in warp instructions or trace entries, that
 /// [`Threads::Auto`] shards; smaller jobs run on the caller's thread.
 ///
-/// At 20–130 ns per warp instruction (20 for an `add.s32`, 60–70 for a
-/// unit-stride `ld.global`, 65–75 on average for the matmul and tridiag
-/// layer benches before global accesses got cheaper, ~130 for SpMV ELL;
-/// sequential, 2-vCPU host), `GRAIN` is ~0.7–4 ms of simulation, the
-/// same order as the ~0.8 ms of CPU that spawning two workers with cold
-/// allocator arenas costs (see the [module docs](crate::engine)). The
+/// At 20–65 ns per warp instruction (20 for an `add.s32`, 60–70 for a
+/// unit-stride `ld.global`, ~62 on average for the matmul n=256 and SpMV
+/// ELL layer benches, 56–61 over perfbench's `paper_cases` mix; a
+/// scattered `ld.global` alone costs ~550; sequential, 2-vCPU host),
+/// `GRAIN` is ~0.7–2 ms of simulation, the same order as the ~0.8 ms of
+/// CPU that spawning two workers with cold allocator arenas costs (see
+/// the [module docs](crate::engine)). The
 /// smallest paper case that shards, spmv in the blocked-ELL format, has
 /// ~41.7k; keep `GRAIN` below it.
 pub const GRAIN: u64 = 1 << 15;

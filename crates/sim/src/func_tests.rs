@@ -1342,6 +1342,31 @@ fn global_faults_follow_lane_order() {
             pc
         }
     );
+
+    // Rows that step by one stride in their registers but not in their
+    // addresses report like any other row. Registers that wrap past 2^32
+    // at lane 8 put lanes 0..8 above 4 GiB: lane 0 overruns first.
+    let addrs: [u32; 32] = std::array::from_fn(|l| (4 * l as u32).wrapping_sub(32));
+    let (err, pc) = probe_err(0, &addrs, &ok, u32::MAX, ld(base as i32));
+    assert_eq!(
+        err,
+        SimError::GlobalOutOfBounds {
+            addr: (1 << 32) - 32 + u64::from(base),
+            len: 4,
+            pc
+        }
+    );
+    // Addresses that step down through zero: lane 3's is negative.
+    let addrs: [u32; 32] = std::array::from_fn(|l| base + 8 - 4 * l as u32);
+    let (err, pc) = probe_err(0, &addrs, &ok, u32::MAX, ld(-(base as i32)));
+    assert_eq!(
+        err,
+        SimError::GlobalOutOfBounds {
+            addr: (-4i64) as u64,
+            len: 4,
+            pc
+        }
+    );
 }
 
 #[test]

@@ -5,9 +5,9 @@ use crate::func::lanes;
 /// One captured store: `(device address, value written)`.
 ///
 /// A sharded functional run ([`crate::engine`]) runs each block range
-/// against a private copy of memory with capture enabled, then replays the
-/// logs in block-id order so the merged memory image is bit-identical to
-/// a sequential run.
+/// after the first against a private copy of memory with capture
+/// enabled, then replays the logs in block-id order so the merged memory
+/// image is bit-identical to a sequential run.
 pub type WriteRecord = (u64, u32);
 
 /// The device's global memory.
